@@ -794,6 +794,18 @@ let matrix ~seeds ~cells () =
     exit 1
   end
 
+(* The fingerprint of every matrix run, one `cell seed fingerprint` line
+   each, for diffing against a committed golden file: a change to what
+   any run observably does shows as a changed line. *)
+let fingerprints ~seeds () =
+  List.iter
+    (fun c ->
+      for i = 0 to seeds - 1 do
+        let seed = seed_of_index i in
+        pf "%s %Ld %s\n%!" c.cname seed (fingerprint (run_cell ~seed c))
+      done)
+    matrix_cells
+
 (* ------------------------------------------------------------------ *)
 (* Repro: one seed, verbosely                                          *)
 (* ------------------------------------------------------------------ *)
@@ -956,6 +968,11 @@ let list_cmd =
   cmd "list" "Enumerate the scenario-matrix cells"
     Term.(const list_cells $ const ())
 
+let fingerprints_cmd =
+  cmd "fingerprints"
+    "Print the fingerprint of every matrix cell and seed, one line each"
+    Term.(const (fun seeds -> fingerprints ~seeds ()) $ seeds_t)
+
 let repro_cmd =
   cmd "repro" "Replay one (profile|cell, seed) pair verbosely"
     Term.(
@@ -979,4 +996,6 @@ let () =
   | None -> ());
   let info = Cmd.info "chaos" ~doc:"Deterministic chaos / invariant harness" in
   exit
-    (Cmd.eval (Cmd.group info [ sweep_cmd; matrix_cmd; list_cmd; repro_cmd ]))
+    (Cmd.eval
+       (Cmd.group info
+          [ sweep_cmd; matrix_cmd; list_cmd; repro_cmd; fingerprints_cmd ]))

@@ -26,6 +26,22 @@ echo "== scenario-matrix smoke (migration through nat+tracker)"
 dune exec bin/chaos.exe -- matrix --seeds 3 \
   --cells bursty/nat+tracker/plain,bursty/nat+tracker/mpfec
 
+# Byte-identical behaviour contract: the scenario-matrix fingerprints and
+# the fig9/fig10 output must match the files committed under test/golden/.
+# A change that alters protocol behaviour on purpose regenerates them with
+# these same commands.
+echo "== golden outputs (matrix fingerprints, fig9, fig10)"
+golden=$(mktemp -d)
+dune exec bin/chaos.exe -- fingerprints --seeds 2 > "$golden/fingerprints.txt"
+dune exec bin/experiments.exe -- fig9 --points 6 > "$golden/fig9.txt"
+dune exec bin/experiments.exe -- fig10 --points 3 > "$golden/fig10.txt"
+for f in fingerprints fig9 fig10; do
+  if ! diff -u "test/golden/$f.txt" "$golden/$f.txt"; then
+    echo "$f output differs from test/golden/$f.txt"; rm -rf "$golden"; exit 1
+  fi
+done
+rm -rf "$golden"
+
 echo "== cross-host demo (same plugin bytecode on PQUIC and tcpsim)"
 dune exec examples/cross_host.exe >/dev/null
 

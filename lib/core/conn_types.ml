@@ -196,6 +196,11 @@ type t = {
   (* recovery *)
   mutable next_pn : int64;
   sent : (int64, sent_packet) Hashtbl.t;
+  mutable inflight : sent_packet Queue.t array;
+      (* [sent] in send order: one FIFO per path_id, created on the
+         path's first ack-eliciting send. Acked and lost packets are not
+         removed; readers drop them when they reach the head (see
+         [Recovery.live_head]). *)
   mutable ack_watermark : int64;
       (* no pn below this is still in [sent]: pns are assigned in
          increasing order, so once a pn has left the in-flight table it
@@ -207,6 +212,9 @@ type t = {
   mutable next_path_seq : int64 array;
   mutable largest_sent_at : Sim.time;
   sent_times : (int64, Sim.time) Hashtbl.t; (* retained past c.sent removal *)
+  mutable sent_times_sweep_at : int64;
+      (* the first ack-eliciting send at or past this pn prunes
+         [sent_times] *)
   mutable pto_backoff : int;
   (* Alarms are intrusive nodes in the node-wide hierarchical timer
      wheel (one wheel per simulator, shared by every connection on it):

@@ -179,6 +179,10 @@ type t = {
   (* recovery *)
   mutable next_pn : int64;
   sent : (int64, sent_packet) Hashtbl.t;
+  mutable inflight : sent_packet Queue.t array;
+      (** [sent] in send order: one FIFO per path_id, created on the
+          path's first ack-eliciting send; entries of acked or lost
+          packets are dropped lazily when they reach the head *)
   mutable ack_watermark : int64;
       (** no pn below this is still in [sent]; ack processing clips
           ranges to the live window with it *)
@@ -187,6 +191,9 @@ type t = {
   mutable next_path_seq : int64 array;
   mutable largest_sent_at : Netsim.Sim.time;
   sent_times : (int64, Netsim.Sim.time) Hashtbl.t;
+  mutable sent_times_sweep_at : int64;
+      (** the first ack-eliciting send at or past this pn prunes
+          [sent_times] *)
   mutable pto_backoff : int;
   (* Alarms live in the node-wide hierarchical timer wheel ([wheel],
      shared per simulator): each is a reusable intrusive node, so arm /

@@ -9,10 +9,13 @@ open Conn_types
 
 let run_op = Dispatch.run_op
 
-(* Kept as a fold over the in-flight table (small: the congestion window
-   bounds it) rather than a send-order queue: several packets often share
-   a send timestamp, and the probe path must keep the seed's tie-break to
-   stay trace-compatible with the recorded experiments. *)
+(* The oldest in-flight packet by [sent_at], ties going to the first one
+   [Hashtbl.iter] meets: a fold over the whole in-flight table. A burst
+   leaves the send loop at one simulated instant, so ties are common, and
+   the probe in [on_loss_alarm] retransmits exactly the packet picked
+   here — only the fold reproduces the tie-break the recorded experiments
+   ran with. The loss timer needs just this packet's send time and path,
+   and reads them from the send-order index ([oldest_for_timer]). *)
 let oldest_in_flight c =
   let best = ref None in
   Hashtbl.iter
@@ -23,12 +26,67 @@ let oldest_in_flight c =
     c.sent;
   !best
 
+(* ------------------------------------------------------------------ *)
+(* Send-order index ([c.inflight])                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* An index entry is live while [c.sent] still maps its pn to that very
+   record; any other entry is left over from an ack or a loss. *)
+let is_live c sp =
+  match Hashtbl.find c.sent sp.pn with
+  | found -> found == sp
+  | exception Not_found -> false
+
+(* The oldest live packet sent on [path], dropping dead heads on the way. *)
+let rec live_head c path =
+  let q = c.inflight.(path) in
+  match Queue.peek_opt q with
+  | Some sp when not (is_live c sp) ->
+    ignore (Queue.take q);
+    live_head c path
+  | head -> head
+
+let track_sent c sp =
+  let n = Array.length c.inflight in
+  if sp.path_id >= n then
+    c.inflight <-
+      Array.init (sp.path_id + 1) (fun i ->
+          if i < n then c.inflight.(i) else Queue.create ());
+  (* pruning here as well keeps the FIFO short even when plugins replace
+     both operations that read it *)
+  ignore (live_head c sp.path_id);
+  Queue.push sp c.inflight.(sp.path_id)
+
+type oldest = No_packet | Head of sent_packet | Tied of sent_packet
+
+let indexed_oldest c =
+  let best = ref No_packet in
+  for path = 0 to Array.length c.inflight - 1 do
+    match (live_head c path, !best) with
+    | None, _ -> ()
+    | Some sp, No_packet -> best := Head sp
+    | Some sp, (Head b | Tied b) ->
+      if sp.sent_at < b.sent_at then best := Head sp
+      else if sp.sent_at = b.sent_at then best := Tied b
+  done;
+  !best
+
+(* The packet the loss timer is armed from. The timer reads only its send
+   time and path, which a head holding the earliest send time alone
+   provides; when heads of several paths tie, the fold decides which path
+   [Hashtbl.iter] meets first. *)
+let oldest_for_timer c =
+  match indexed_oldest c with
+  | No_packet -> None
+  | Head sp -> Some sp
+  | Tied _ -> oldest_in_flight c
+
 let on_loss_alarm_ref : (t -> unit) ref = ref (fun _ -> ())
 
 let set_loss_alarm c =
   let default c _ =
     Engine.Timer_wheel.cancel c.wheel c.loss_alarm;
-    (match oldest_in_flight c with
+    (match oldest_for_timer c with
     | None -> ()
     | Some sp ->
       let p = c.paths.(min sp.path_id (Array.length c.paths - 1)) in
@@ -163,38 +221,58 @@ let declare_lost c sp =
   List.iter (fun fr -> notify_frame_fate c fr ~acked:false) sp.records;
   ignore (run_op c Protoop.after_packet_lost [| I sp.pn |])
 
+(* Packet- or time-threshold loss of one in-flight packet. Loss detection
+   is per path, on per-path send order: with a shared packet-number
+   space, cross-path reordering must not be mistaken for loss (kSkipped
+   packets on the other path are not gaps). *)
+let meets_loss c ~now sp =
+  let path_largest =
+    if sp.path_id < Array.length c.largest_acked_per_path then
+      c.largest_acked_per_path.(sp.path_id)
+    else -1L
+  in
+  sp.path_seq < path_largest
+  && (Int64.sub path_largest sp.path_seq >= 3L
+     ||
+     let p = c.paths.(min sp.path_id (Array.length c.paths - 1)) in
+     (* time threshold: 9/8 * (srtt + 4*rttvar) absorbs the queueing
+        variance that plain 9/8*srtt mistakes for loss under
+        bufferbloat *)
+     let window =
+       Int64.add (Quic.Rtt.smoothed p.rtt)
+         (Int64.mul 4L (Quic.Rtt.variance p.rtt))
+     in
+     sp.sent_at <= Int64.sub now (Int64.div (Int64.mul window 9L) 8L))
+
+(* Both conditions of [meets_loss] are monotone in a path's send order — a
+   later packet on the path has a larger [path_seq] and no earlier
+   [sent_at] — so when a path's oldest live packet meets neither, no
+   packet on that path does. *)
+let index_may_lose c ~now =
+  let rec from path =
+    path < Array.length c.inflight
+    && ((match live_head c path with
+        | Some sp -> meets_loss c ~now sp
+        | None -> false)
+       || from (path + 1))
+  in
+  from 0
+
 let detect_losses c =
   let default c _ =
     let now = Sim.now c.sim in
-    let lost = ref [] in
-    Hashtbl.iter
-      (fun _pn sp ->
-        (* loss detection is per path, on per-path send order: with a shared
-           packet-number space, cross-path reordering must not be mistaken
-           for loss (kSkipped packets on the other path are not gaps) *)
-        let path_largest =
-          if sp.path_id < Array.length c.largest_acked_per_path then
-            c.largest_acked_per_path.(sp.path_id)
-          else -1L
-        in
-        if sp.path_seq < path_largest then begin
-          let p = c.paths.(min sp.path_id (Array.length c.paths - 1)) in
-          (* time threshold: 9/8 * (srtt + 4*rttvar) absorbs the queueing
-             variance that plain 9/8*srtt mistakes for loss under
-             bufferbloat *)
-          let window =
-            Int64.add (Quic.Rtt.smoothed p.rtt)
-              (Int64.mul 4L (Quic.Rtt.variance p.rtt))
-          in
-          let threshold =
-            Int64.sub now (Int64.div (Int64.mul window 9L) 8L)
-          in
-          if Int64.sub path_largest sp.path_seq >= 3L || sp.sent_at <= threshold
-          then lost := sp :: !lost
-        end)
-      c.sent;
-    List.iter (declare_lost c) !lost;
-    i64 (List.length !lost)
+    (* the fold picks the lost packets and their order — [Hashtbl.iter]
+       order, observable through each [declare_lost] — so it stays; the
+       heads only tell when it would find nothing *)
+    if not (index_may_lose c ~now) then 0L
+    else begin
+      let lost = ref [] in
+      Hashtbl.iter
+        (fun _pn sp -> if meets_loss c ~now sp then lost := sp :: !lost)
+        c.sent;
+      List.iter (declare_lost c) !lost;
+      i64 (List.length !lost)
+    end
   in
   ignore (run_op c Protoop.detect_lost_packets ~default [||])
 

@@ -23,6 +23,36 @@ val detect_losses : t -> unit
     over the in-flight table. *)
 
 val oldest_in_flight : t -> sent_packet option
+(** The oldest in-flight packet by send time, ties going to the first one
+    [Hashtbl.iter] meets over [sent]: a whole-table fold. *)
+
+val track_sent : t -> sent_packet -> unit
+(** Append a packet just added to [sent] to its path's FIFO in
+    [inflight]. *)
+
+(** {2 Send-order index}
+
+    The built-in [set_loss_timer] and [detect_lost_packets] answer from
+    the FIFO heads of [inflight] and fold over [sent] only when the heads
+    show the fold could decide differently. Exposed for the differential
+    test against that fold. *)
+
+type oldest =
+  | No_packet  (** nothing in flight *)
+  | Head of sent_packet
+      (** the head holding the earliest send time, alone among the paths *)
+  | Tied of sent_packet
+      (** heads of several paths share the earliest send time; this is
+          one of them *)
+
+val indexed_oldest : t -> oldest
+
+val meets_loss : t -> now:Netsim.Sim.time -> sent_packet -> bool
+(** Packet- or time-threshold loss of one packet, judged on its path. *)
+
+val index_may_lose : t -> now:Netsim.Sim.time -> bool
+(** Whether any in-flight packet meets {!meets_loss}, from the heads
+    alone. *)
 
 val on_loss_alarm : t -> unit
 (** The loss-timer expiry behaviour: probe first, full RTO on backoff. *)

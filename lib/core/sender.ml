@@ -32,9 +32,15 @@ let max_wire_ack_ranges = 64
 let ack_frame_of c =
   match Quic.Ackranges.ranges c.acks with
   | [] -> None
-  | all ->
-    let ranges = List.filteri (fun i _ -> i < max_wire_ack_ranges) all in
-    let largest = (List.hd ranges).Quic.Ackranges.last in
+  | newest :: _ as all ->
+    (* the first [max_wire_ack_ranges] ranges as wire pairs, in one pass *)
+    let rec wire n = function
+      | r :: rest when n > 0 ->
+        (r.Quic.Ackranges.first, r.Quic.Ackranges.last) :: wire (n - 1) rest
+      | _ -> []
+    in
+    let ranges = wire max_wire_ack_ranges all in
+    let largest = newest.Quic.Ackranges.last in
     (* how long we sat on the largest packet before acknowledging it, so
        the peer's RTT sample excludes our delayed-ack timer *)
     let delay_us =
@@ -48,10 +54,7 @@ let ack_frame_of c =
          {
            largest;
            delay_us = Int64.max 0L delay_us;
-           ranges =
-             List.map
-               (fun r -> (r.Quic.Ackranges.first, r.Quic.Ackranges.last))
-               ranges;
+           ranges;
          })
 
 let stream_has_pending c =
@@ -403,10 +406,14 @@ let build_and_send_packet c =
     end;
     if ack_eliciting then begin
       Hashtbl.replace c.sent_times pn (Sim.now c.sim);
-      if Int64.rem pn 4096L = 0L then begin
-        (* bound the retained history; collect then remove, without
+      if pn >= c.sent_times_sweep_at then begin
+        (* bound the retained history once per 4096 pns, on the first
+           ack-eliciting send at or past each boundary (the boundary pn
+           itself may carry only an ACK); collect then remove, without
            copying the whole table *)
-        let horizon = Int64.sub pn 8192L in
+        let boundary = Int64.sub pn (Int64.rem pn 4096L) in
+        c.sent_times_sweep_at <- Int64.add boundary 4096L;
+        let horizon = Int64.sub boundary 8192L in
         let stale =
           Hashtbl.fold
             (fun k _ acc -> if k < horizon then k :: acc else acc)
@@ -422,7 +429,7 @@ let build_and_send_packet c =
         end
         else pn
       in
-      Hashtbl.replace c.sent pn
+      let sp =
         {
           pn;
           sent_at = Sim.now c.sim;
@@ -431,7 +438,10 @@ let build_and_send_packet c =
           path_id = p.path_id;
           path_seq;
           ack_eliciting;
-        };
+        }
+      in
+      Hashtbl.replace c.sent pn sp;
+      Recovery.track_sent c sp;
       let default _ _ =
         Quic.Cc.on_packet_sent p.cc ~size;
         0L

@@ -5,18 +5,24 @@
 
 type range = { first : int64; last : int64 } (* inclusive, first <= last *)
 
-type t = { mutable ranges : range list; max_ranges : int }
+(* [count] is the length of [ranges], kept so [add] can enforce the cap
+   without walking the list. *)
+type t = { mutable ranges : range list; mutable count : int; max_ranges : int }
 
-let create ?(max_ranges = 256) () = { ranges = []; max_ranges }
+let create ?(max_ranges = 256) () = { ranges = []; count = 0; max_ranges }
 
 let largest t = match t.ranges with [] -> None | r :: _ -> Some r.last
 
 (* Insert packet number [pn], merging adjacent ranges. *)
 let add t pn =
+  let single () =
+    t.count <- t.count + 1;
+    { first = pn; last = pn }
+  in
   let rec insert = function
-    | [] -> [ { first = pn; last = pn } ]
+    | [] -> [ single () ]
     | r :: rest ->
-      if pn > Int64.add r.last 1L then { first = pn; last = pn } :: r :: rest
+      if pn > Int64.add r.last 1L then single () :: r :: rest
       else if pn = Int64.add r.last 1L then (
         (* extend upwards; may now touch the previous (larger) range, but
            since we process descending, upward merge is local *)
@@ -25,6 +31,7 @@ let add t pn =
       else if pn = Int64.sub r.first 1L then (
         match rest with
         | next :: tail when Int64.add next.last 1L = pn ->
+          t.count <- t.count - 1;
           { first = next.first; last = r.last } :: tail
         | _ -> { r with first = pn } :: rest)
       else r :: insert rest
@@ -32,16 +39,25 @@ let add t pn =
   let merged =
     match insert t.ranges with
     | r1 :: r2 :: rest when Int64.add r2.last 1L >= r1.first ->
+      t.count <- t.count - 1;
       { first = r2.first; last = r1.last } :: rest
     | l -> l
   in
-  t.ranges <-
-    (if List.length merged > t.max_ranges then
-       List.filteri (fun i _ -> i < t.max_ranges) merged
-     else merged)
+  if t.count > t.max_ranges then begin
+    (* a new range pushed the set one over the cap: drop the oldest *)
+    t.ranges <- List.filteri (fun i _ -> i < t.max_ranges) merged;
+    t.count <- t.max_ranges
+  end
+  else t.ranges <- merged
 
+(* Ranges are descending, so the walk stops at the first range lying
+   wholly below [pn]: no later range can hold it. *)
 let contains t pn =
-  List.exists (fun r -> pn >= r.first && pn <= r.last) t.ranges
+  let rec go = function
+    | [] -> false
+    | r :: rest -> if pn > r.last then false else pn >= r.first || go rest
+  in
+  go t.ranges
 
 let ranges t = t.ranges
 

@@ -22,4 +22,5 @@ let () =
     @ prefixed "engine" Test_engine.tests
     @ prefixed "datapath" Test_datapath.tests
     @ prefixed "chaos" Test_chaos.tests
+    @ prefixed "recovery" Test_recovery.tests
     @ prefixed "server" Test_server_engine.tests)

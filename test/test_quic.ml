@@ -166,6 +166,55 @@ let test_check_coherent_rejects_malformed () =
   check Alcotest.bool "empty set accepted" true
     (Quic.Ackranges.check_coherent (Quic.Ackranges.create ()) = Ok ())
 
+(* The range set against a naive model: a bitmap over a small pn domain
+   that, like the receiver, forgets everything below the [cap] highest
+   ranges after each insert. Small caps truncate on most inputs;
+   [contains] is probed above the largest pn, inside holes and below the
+   oldest kept range. *)
+let ackranges_model =
+  qtest ~count:500 "ackranges = naive set model (capped ranges, contains)"
+    QCheck2.Gen.(
+      pair (int_range 1 6) (list_size (int_range 1 120) (int_range 0 80)))
+    (fun (cap, pns) ->
+      let t = Quic.Ackranges.create ~max_ranges:cap () in
+      let have = Array.make 81 false in
+      (* maximal runs of [have], highest first *)
+      let model () =
+        let runs = ref [] and pn = ref 0 in
+        while !pn <= 80 do
+          if have.(!pn) then begin
+            let first = !pn in
+            while !pn <= 80 && have.(!pn) do
+              incr pn
+            done;
+            runs := (first, !pn - 1) :: !runs
+          end
+          else incr pn
+        done;
+        !runs
+      in
+      List.for_all
+        (fun pn ->
+          Quic.Ackranges.add t (Int64.of_int pn);
+          have.(pn) <- true;
+          (match List.filteri (fun i _ -> i >= cap) (model ()) with
+          | (_, last) :: _ -> Array.fill have 0 (last + 1) false
+          | [] -> ());
+          let got =
+            List.map
+              (fun r ->
+                ( Int64.to_int r.Quic.Ackranges.first,
+                  Int64.to_int r.Quic.Ackranges.last ))
+              (Quic.Ackranges.ranges t)
+          in
+          got = model ()
+          && List.for_all
+               (fun q ->
+                 Quic.Ackranges.contains t (Int64.of_int q)
+                 = (q >= 0 && q <= 80 && have.(q)))
+               (List.init 85 (fun i -> i - 2)))
+        pns)
+
 let test_ackranges_bounded () =
   let t = Quic.Ackranges.create ~max_ranges:3 () in
   (* every even pn: each is its own range *)
@@ -443,6 +492,7 @@ let tests =
       Alcotest.test_case "check_coherent" `Quick test_check_coherent_rejects_malformed;
       ackranges_invariants;
       ackranges_dup_reorder_coherent;
+      ackranges_model;
     ]);
     ("streambuf", [
       Alcotest.test_case "retransmit priority" `Quick test_sendbuf_retransmit_priority;
