@@ -5,9 +5,10 @@
    an 8-byte destination connection ID (packets are routed to connections by
    CID, *not* by 4-tuple — the property that makes multipath possible,
    Section 4.3); an 8-byte source CID on long headers; a 4-byte packet
-   number. Payload protection is simulated by a 8-byte keyed tag over header
-   and payload: tampering or a wrong key fails authentication exactly like a
-   real AEAD, which is what shields PQUIC from middlebox interference. *)
+   number. Payload protection is simulated by an 8-byte keyed tag over header
+   and payload (not cryptography, see [tag_bytes]): tampering or a wrong key
+   fails authentication exactly like a real AEAD, which is what shields
+   PQUIC from middlebox interference. *)
 
 type ptype = Initial | Handshake | One_rtt
 
@@ -23,65 +24,49 @@ type t = { header : header; payload : string }
 
 let tag_len = 8
 
-(* FNV-1a based keyed tag — a stand-in for AES-GCM, *not* real crypto. *)
-let tag_reference ~key data =
-  let h = ref 0xcbf29ce484222325L in
-  let step c =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L
-  in
-  String.iter step (Int64.to_string key);
-  String.iter step data;
-  !h
+(* The packet tag — a stand-in for AES-GCM, *not* real cryptography: a
+   keyed multiply-xor hash over 64-bit little-endian words, with the
+   FNV-1a offset basis and prime and murmur3's [fmix64] finalizer.
 
-(* The same FNV-1a, allocation-free: the 64-bit state is carried as two
-   native-int halves so no boxed Int64 is created per byte (the boxed
-   version allocates several words per input byte, which at two tag
-   computations per packet dominated the datapath). The multiply by the
-   FNV prime 2^40 + 0x1b3 decomposes exactly:
-     (hi·2^32 + lo) · K mod 2^64
-       = lo·0x1b3  +  2^32 · (lo·2^8 + hi·0x1b3)   (hi·2^8·2^64 drops)
-   with every intermediate below 2^42, safe in 63-bit OCaml ints.
-   Byte-identical to [tag_reference] (differentially tested). *)
-let fnv_hi = ref 0
-let fnv_lo = ref 0
+     h <- (key xor 0xcbf29ce484222325) * P           P = 0x100000001b3
+     h <- (h xor w) * P       for each 8-byte word w, then each tail byte
+     tag = fmix64 (h xor len)
 
-let fnv_reset () =
-  fnv_hi := 0xcbf29ce4;
-  fnv_lo := 0x84222325
+   P is odd, so multiplying by it is a bijection of Z/2^64, and every
+   step above is a bijection of the state for a fixed input; the seed is
+   a bijection of the key, and each word step is injective in its word.
+   Hence two inputs of one length that differ only inside one aligned
+   word (any single-byte change included), or one input under two
+   different keys, never share a tag — a guarantee, not a likelihood.
+   Everything else (several changed words, a different length) collides
+   with probability about 2^-64. Words are read with the bounds-checked
+   [Bytes.get_int64_le]; the state lives in an unboxed local, so a call
+   allocates only its boxed result. *)
+let prime = 0x100000001b3L
 
-let[@inline] fnv_step c =
-  let lo = !fnv_lo lxor c in
-  let m = lo * 0x1b3 in
-  fnv_hi := ((m lsr 32) + (lo lsl 8) + (!fnv_hi * 0x1b3)) land 0xFFFFFFFF;
-  fnv_lo := m land 0xFFFFFFFF
-
-let fnv_key key =
-  let ks = Int64.to_string key in
-  for i = 0 to String.length ks - 1 do
-    fnv_step (Char.code (String.unsafe_get ks i))
-  done
-
-let fnv_result () =
-  Int64.logor (Int64.shift_left (Int64.of_int !fnv_hi) 32) (Int64.of_int !fnv_lo)
-
-(* Tag over a substring, without copying it out first. *)
-let tag_sub ~key s ~off ~len =
-  fnv_reset ();
-  fnv_key key;
-  for i = off to off + len - 1 do
-    fnv_step (Char.code (String.unsafe_get s i))
-  done;
-  fnv_result ()
-
-(* Tag over a byte-buffer range — the in-place form the pooled sender
-   uses on the wire buffer it just filled. *)
 let tag_bytes ~key b ~off ~len =
-  fnv_reset ();
-  fnv_key key;
-  for i = off to off + len - 1 do
-    fnv_step (Char.code (Bytes.unsafe_get b i))
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Packet.tag: window out of bounds";
+  let h = ref (Int64.mul (Int64.logxor key 0xcbf29ce484222325L) prime) in
+  let i = ref off in
+  let stop = off + len in
+  while !i <= stop - 8 do
+    h := Int64.mul (Int64.logxor !h (Bytes.get_int64_le b !i)) prime;
+    i := !i + 8
   done;
-  fnv_result ()
+  while !i < stop do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 b !i))) prime;
+    incr i
+  done;
+  let h = Int64.logxor !h (Int64.of_int len) in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xff51afd7ed558ccdL in
+  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
+  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
+  Int64.logxor h (Int64.shift_right_logical h 33)
+
+(* The string form reads the same loop through a read-only alias. *)
+let tag_sub ~key s ~off ~len = tag_bytes ~key (Bytes.unsafe_of_string s) ~off ~len
 
 let tag ~key data = tag_sub ~key data ~off:0 ~len:(String.length data)
 

@@ -46,14 +46,23 @@ val seal : key:int64 -> Writer.t -> unit
     the complete wire image, byte-identical to {!protect}. *)
 
 val tag : key:int64 -> string -> int64
-(** The keyed FNV-1a packet tag (a stand-in for AES-GCM, not crypto). *)
-
-val tag_reference : key:int64 -> string -> int64
-(** Boxed-Int64 reference implementation of {!tag}; kept for the
-    differential test of the allocation-free native-int version. *)
+(** The keyed packet tag — a stand-in for AES-GCM, {e not} cryptography: a
+    multiply-xor hash over 64-bit little-endian words (FNV-1a basis and
+    prime), the tail bytes one at a time, then the length and murmur3's
+    [fmix64] finalizer. Every step is a bijection of the 64-bit state, so
+    two equal-length inputs that differ only within one aligned 8-byte
+    word (any single-byte change included), or one input under two
+    different keys, {e always} get different tags; other changes collide
+    with probability about 2{^-64}. Allocates only the boxed result. *)
 
 val tag_sub : key:int64 -> string -> off:int -> len:int -> int64
+(** [tag] of the window [off, off+len) of a string, without copying it;
+    words are aligned from [off].
+    @raise Invalid_argument if the window is not inside the string. *)
+
 val tag_bytes : key:int64 -> Bytes.t -> off:int -> len:int -> int64
+(** {!tag_sub} on a byte buffer — the sender tags its wire buffer in
+    place. @raise Invalid_argument if the window is not inside the buffer. *)
 
 exception Authentication_failed
 exception Malformed

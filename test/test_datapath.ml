@@ -2,12 +2,14 @@
 
    The fast encoders (arithmetic frame sizes, direct-to-writer frame
    encoding, header-then-blit stream/crypto/plugin writes, in-place
-   packet sealing, the native-int FNV tag) must stay byte-identical to
+   packet sealing, the word-wise packet tag) must stay byte-identical to
    the allocating reference paths they replaced — the experiment figures
    are bit-for-bit reproductions and any wire drift would silently skew
-   them. The writer free list must balance acquires and releases across
-   whole transfers, and the engine's per-packet allocation rate is
-   fenced with a ceiling so the zero-copy datapath cannot rot unnoticed. *)
+   them. Packet protection must reject every single-byte change,
+   truncation and wrong key, and allocate nothing but its result. The
+   writer free list must balance acquires and releases across whole
+   transfers, and the engine's per-packet allocation rate is fenced with
+   a ceiling so the zero-copy datapath cannot rot unnoticed. *)
 
 module F = Quic.Frame
 module W = Quic.Writer
@@ -252,10 +254,36 @@ let seal_matches_protect =
       W.release w;
       got = reference)
 
+(* The tag oracle: the specification of [Packet.tag] written
+   byte-at-a-time on boxed [Int64]s, assembling each little-endian word
+   from its bytes, so it shares no code with the word-reading fast path. *)
+let tag_reference ~key data =
+  let p = 0x100000001b3L in
+  let n = String.length data in
+  let byte i = Int64.of_int (Char.code data.[i]) in
+  let h = ref (Int64.mul (Int64.logxor key 0xcbf29ce484222325L) p) in
+  for wi = 0 to (n / 8) - 1 do
+    let w = ref 0L in
+    for j = 0 to 7 do
+      w := Int64.logor !w (Int64.shift_left (byte ((wi * 8) + j)) (8 * j))
+    done;
+    h := Int64.mul (Int64.logxor !h !w) p
+  done;
+  for i = n / 8 * 8 to n - 1 do
+    h := Int64.mul (Int64.logxor !h (byte i)) p
+  done;
+  let fmix k =
+    let shift k = Int64.logxor k (Int64.shift_right_logical k 33) in
+    let k = Int64.mul (shift k) 0xff51afd7ed558ccdL in
+    let k = Int64.mul (shift k) 0xc4ceb9fe1a85ec53L in
+    shift k
+  in
+  fmix (Int64.logxor !h (Int64.of_int n))
+
 let tag_matches_reference =
   qtest "Packet.tag = tag_reference"
     QCheck2.Gen.(pair int64 (string_size (int_range 0 2000)))
-    (fun (key, data) -> P.tag ~key data = P.tag_reference ~key data)
+    (fun (key, data) -> P.tag ~key data = tag_reference ~key data)
 
 let tag_sub_consistent =
   qtest "tag_sub/tag_bytes = tag of slice"
@@ -268,6 +296,112 @@ let tag_sub_consistent =
       let slice = String.sub s off len in
       P.tag_sub ~key s ~off ~len = P.tag ~key slice
       && P.tag_bytes ~key (Bytes.of_string s) ~off ~len = P.tag ~key slice)
+
+(* A window outside the buffer is rejected before any byte is read. *)
+let test_tag_window_checked () =
+  let s = String.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      let raises f =
+        match f () with
+        | exception Invalid_argument _ -> true
+        | (_ : int64) -> false
+      in
+      let name = Printf.sprintf "window off=%d len=%d" off len in
+      Alcotest.(check bool) (name ^ " (string)") true
+        (raises (fun () -> P.tag_sub ~key:1L s ~off ~len));
+      Alcotest.(check bool) (name ^ " (bytes)") true
+        (raises (fun () -> P.tag_bytes ~key:1L (Bytes.of_string s) ~off ~len)))
+    [ (-1, 4); (0, -1); (0, 17); (9, 8); (16, 1); (17, 0); (max_int, 2) ];
+  check Alcotest.int64 "the full window is accepted" (P.tag ~key:1L s)
+    (P.tag_sub ~key:1L s ~off:0 ~len:16)
+
+(* Tamper evidence over the whole packet: under every alteration below
+   [unprotect_view] must raise, never return. A single-byte change stays
+   inside one aligned word, and a wrong key changes the seed, so those
+   are rejected by construction (see [Packet.tag]); truncations rely on
+   the tag's length and position. Payloads are random or all-zero (QUIC
+   PADDING): a tag blind to the length cannot tell a zero-filled word from
+   a zero tail byte, so cutting a padded packet short while keeping its
+   tag exposes it. *)
+let tamper_evident =
+  qtest ~count:60 "every single-byte change, truncation and wrong key fails"
+    QCheck2.Gen.(
+      tup4 (int_range 0 2) int64
+        (pair (int_range 0 1400) bool)
+        (pair (int_range 1 255) int64))
+    (fun (pt, key, (plen, zero), (delta, other)) ->
+      let ptype =
+        match pt with 0 -> P.Initial | 1 -> P.Handshake | _ -> P.One_rtt
+      in
+      let header = { P.ptype; spin = plen land 1 = 0; dcid = 7L; scid = 9L;
+                     pn = Int64.of_int plen } in
+      let payload =
+        String.init plen (fun i ->
+          if zero then '\000' else Char.chr ((i * 131 + delta) land 0xff))
+      in
+      let wire = P.protect ~key { P.header; payload } in
+      let n = String.length wire in
+      let rejected ?(key = key) s =
+        match P.unprotect_view ~key s with
+        | exception (P.Authentication_failed | P.Malformed) -> true
+        | _ -> false
+      in
+      let flip i d =
+        String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor d) else c) wire
+      in
+      let ok = ref (not (rejected wire)) in
+      for i = 0 to n - 1 do
+        if not (rejected (flip i (1 + ((delta + i) mod 255)))) then ok := false
+      done;
+      for m = 0 to n - 1 do
+        if not (rejected (String.sub wire 0 m)) then ok := false
+      done;
+      let tag = String.sub wire (n - P.tag_len) P.tag_len in
+      for m = 0 to n - P.tag_len - 1 do
+        if not (rejected (String.sub wire 0 m ^ tag)) then ok := false
+      done;
+      List.iter
+        (fun k -> if k <> key && not (rejected ~key:k wire) then ok := false)
+        (other :: Int64.logxor key 1L :: Int64.neg key
+         :: List.init 64 (fun b -> Int64.logxor key (Int64.shift_left 1L b)));
+      !ok)
+
+(* Allocation fence for packet protection: tagging a window or sealing a
+   1,252-byte packet allocates at most the boxed [int64] result (3 minor
+   words on 64-bit), whatever the length. *)
+let test_tag_allocation () =
+  let iters = 10_000 in
+  let per_call f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int iters
+  in
+  let fence name words =
+    if words > 3. then
+      Alcotest.failf "%s allocates %.2f minor words per call (ceiling 3)" name
+        words
+  in
+  let s = String.init 1252 (fun i -> Char.chr (i land 0xff)) in
+  List.iter
+    (fun len ->
+      fence
+        (Printf.sprintf "tag_sub len=%d" len)
+        (per_call (fun () -> ignore (P.tag_sub ~key:5L s ~off:0 ~len))))
+    [ 0; 1; 7; 8; 9; 63; 1252 ];
+  let w = W.create ~size:2048 () in
+  let header = { P.ptype = P.One_rtt; spin = false; dcid = 3L; scid = 0L; pn = 1L } in
+  let payload = Bytes.make (1252 - P.overhead header) '\001' in
+  fence "seal of a 1252-byte packet"
+    (per_call (fun () ->
+       W.reset w;
+       let hoff = P.reserve_header w header in
+       W.subbytes w payload ~off:0 ~len:(Bytes.length payload);
+       P.patch_header w ~off:hoff header;
+       P.seal ~key:5L w))
 
 (* --------------------------- pool balance ---------------------------- *)
 
@@ -402,6 +536,14 @@ let tests =
         seal_matches_protect;
         tag_matches_reference;
         tag_sub_consistent;
+      ] );
+    ( "protection",
+      [
+        Alcotest.test_case "tag window is bounds-checked" `Quick
+          test_tag_window_checked;
+        tamper_evident;
+        Alcotest.test_case "tag and seal allocate only the result" `Quick
+          test_tag_allocation;
       ] );
     ( "pool",
       [
