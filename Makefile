@@ -1,4 +1,4 @@
-.PHONY: all check test bench bench-e2e bench-server chaos clean
+.PHONY: all check test bench bench-e2e bench-server chaos loc clean
 
 all:
 	dune build
@@ -35,6 +35,13 @@ bench-e2e:
 # sweep without touching the JSON.
 bench-server:
 	dune exec bench/server.exe
+
+# Source size: .ml + .mli lines per lib/ library, then the lib/ total.
+loc:
+	@for d in lib/*/; do \
+	  printf '%-12s %6d\n' "$$(basename $$d)" "$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l)"; \
+	done
+	@printf '%-12s %6d\n' total "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

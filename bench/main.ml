@@ -15,11 +15,11 @@
    LZSS compression of a plugin, the Θ(1) plugin memory pool, and one full
    simulated transfer as a macro reference.
 
-   The bytecode benches run the production link-once fast path
-   (Vm.link/run_linked, what a PRE executes per packet); their *_interp
-   twins run the reference interpreter (per-run slot maps, the pre-link
-   engine) so the linked-path speedup is tracked release over release.
-   Results also land machine-readable in BENCH_vm.json. *)
+   The bytecode benches run the production tier (Vm.jit/run_jit, what a
+   PRE executes per packet); their *_interp twins run the reference
+   interpreter on the same bytecode, so the JIT's speedup is tracked
+   release over release. Results also land machine-readable in
+   BENCH_vm.json. *)
 
 open Bechamel
 open Toolkit
@@ -71,22 +71,16 @@ let pre_rtt_program =
 let pre_vm =
   let prog, stack = pre_rtt_program in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
-  (vm, prog, Ebpf.Vm.link prog, Ebpf.Vm.jit ~stack_size:stack prog)
+  (vm, prog, Ebpf.Vm.jit ~stack_size:stack prog)
 
 let pre_rtt_update () =
-  let vm, _, linked, _ = pre_vm in
-  Ebpf.Vm.run_linked vm linked
-
-(* the same bytecode through the reference interpreter: the admission
-   pipeline before the link stage existed *)
-let pre_rtt_update_interp () =
-  let vm, prog, _, _ = pre_vm in
-  Ebpf.Vm.run vm prog
-
-(* and through the closure-jit tier the PREs execute *)
-let pre_rtt_update_jit () =
-  let vm, _, _, jp = pre_vm in
+  let vm, _, jp = pre_vm in
   Ebpf.Vm.run_jit vm jp
+
+(* the same bytecode through the reference interpreter *)
+let pre_rtt_update_interp () =
+  let vm, prog, _ = pre_vm in
+  Ebpf.Vm.run vm prog
 
 (* ---- §4.6: get/set API vs direct access ----------------------------- *)
 
@@ -132,20 +126,15 @@ let bytecode_direct_vm =
   let region =
     Ebpf.Vm.map_region vm ~name:"state" ~perm:Ebpf.Vm.Rw (Bytes.make 16 '\x07')
   in
-  (vm, prog, Ebpf.Vm.link prog, Ebpf.Vm.jit ~stack_size:stack prog,
-   region.Ebpf.Vm.base)
+  (vm, prog, Ebpf.Vm.jit ~stack_size:stack prog, region.Ebpf.Vm.base)
 
 let bytecode_direct_load () =
-  let vm, _, linked, _, base = bytecode_direct_vm in
-  Ebpf.Vm.run_linked vm ~args:[| base |] linked
+  let vm, _, jp, base = bytecode_direct_vm in
+  Ebpf.Vm.run_jit vm ~args:[| base |] jp
 
 let bytecode_direct_load_interp () =
-  let vm, prog, _, _, base = bytecode_direct_vm in
+  let vm, prog, _, base = bytecode_direct_vm in
   Ebpf.Vm.run vm ~args:[| base |] prog
-
-let bytecode_direct_load_jit () =
-  let vm, _, _, jp, base = bytecode_direct_vm in
-  Ebpf.Vm.run_jit vm ~args:[| base |] jp
 
 (* a VM whose get helper reads the same state through the API indirection *)
 let getset_vm =
@@ -177,11 +166,11 @@ let getset_vm =
   Ebpf.Vm.register_helper vm Pquic.Api.h_get (fun _ a ->
       if Int64.to_int a.(0) = Pquic.Api.f_cwnd then direct_state.cwnd
       else direct_state.srtt);
-  (vm, Ebpf.Vm.link prog)
+  (vm, Ebpf.Vm.jit ~stack_size:stack prog)
 
 let getset_via_api () =
-  let vm, linked = getset_vm in
-  Ebpf.Vm.run_linked vm linked
+  let vm, jp = getset_vm in
+  Ebpf.Vm.run_jit vm jp
 
 (* ---- §4.6: plugin loading, fresh vs cached --------------------------- *)
 
@@ -250,11 +239,11 @@ let dispatch_vm =
     }
   in
   let prog, stack = Plc.Compile.compile ~helpers:Pquic.Api.helper_names f in
-  (Ebpf.Vm.create ~stack_size:stack (), Ebpf.Vm.link prog)
+  (Ebpf.Vm.create ~stack_size:stack (), Ebpf.Vm.jit ~stack_size:stack prog)
 
 let ebpf_dispatch () =
-  let vm, linked = dispatch_vm in
-  Ebpf.Vm.run_linked vm linked
+  let vm, jp = dispatch_vm in
+  Ebpf.Vm.run_jit vm jp
 
 let gf_a = Bytes.make 1300 'a'
 let gf_b = Bytes.make 1300 'b'
@@ -311,17 +300,13 @@ let transfer_1mb () =
    count (and thus insns/sec) can be derived from [Vm.executed] deltas. *)
 let bytecode_benches =
   [
-    ("pre_rtt_update", pre_rtt_update, (let vm, _, _, _ = pre_vm in vm));
+    ("pre_rtt_update", pre_rtt_update, (let vm, _, _ = pre_vm in vm));
     ("pre_rtt_update_interp", pre_rtt_update_interp,
-     (let vm, _, _, _ = pre_vm in vm));
-    ("pre_rtt_update_jit", pre_rtt_update_jit,
-     (let vm, _, _, _ = pre_vm in vm));
+     (let vm, _, _ = pre_vm in vm));
     ("bytecode_direct_load", bytecode_direct_load,
-     (let vm, _, _, _, _ = bytecode_direct_vm in vm));
+     (let vm, _, _, _ = bytecode_direct_vm in vm));
     ("bytecode_direct_load_interp", bytecode_direct_load_interp,
-     (let vm, _, _, _, _ = bytecode_direct_vm in vm));
-    ("bytecode_direct_load_jit", bytecode_direct_load_jit,
-     (let vm, _, _, _, _ = bytecode_direct_vm in vm));
+     (let vm, _, _, _ = bytecode_direct_vm in vm));
     ("getset_via_api", getset_via_api, fst getset_vm);
     ("ebpf_dispatch_1k_insns", ebpf_dispatch, fst dispatch_vm);
   ]
@@ -336,7 +321,7 @@ let insns_per_op name =
     ignore (thunk ());
     Some (Ebpf.Vm.executed vm - before)
 
-(* The linked-vs-reference speedups are measured apart from the Bechamel
+(* The jit-vs-reference speedups are measured apart from the Bechamel
    table: the two engines run in interleaved batches, each keeping its
    minimum per-batch CPU time over 24 rounds. On a contended single-vCPU
    host, two one-second OLS windows taken a minute apart see different
@@ -361,7 +346,7 @@ let interleaved_pair ?(rounds = 24) ~iters fast slow =
   done;
   (!bf *. 1e9, !bs *. 1e9)
 
-let linked_speedups () =
+let jit_speedups () =
   [
     ( "pre_rtt_update",
       interleaved_pair ~iters:500 pre_rtt_update pre_rtt_update_interp );
@@ -370,29 +355,15 @@ let linked_speedups () =
         bytecode_direct_load_interp );
   ]
 
-(* The jit tier measured the same way, against the linked tier it
-   replaces on the per-packet path. *)
-let jit_speedups () =
-  [
-    ( "pre_rtt_update",
-      interleaved_pair ~iters:500 pre_rtt_update_jit pre_rtt_update );
-    ( "bytecode_direct_load",
-      interleaved_pair ~iters:1500 bytecode_direct_load_jit
-        bytecode_direct_load );
-  ]
-
 let tests =
   [
     Test.make ~name:"native_rtt_update" (Staged.stage native_rtt_update);
     Test.make ~name:"pre_rtt_update" (Staged.stage pre_rtt_update);
     Test.make ~name:"pre_rtt_update_interp" (Staged.stage pre_rtt_update_interp);
-    Test.make ~name:"pre_rtt_update_jit" (Staged.stage pre_rtt_update_jit);
     Test.make ~name:"direct_field_access" (Staged.stage direct_field_access);
     Test.make ~name:"bytecode_direct_load" (Staged.stage bytecode_direct_load);
     Test.make ~name:"bytecode_direct_load_interp"
       (Staged.stage bytecode_direct_load_interp);
-    Test.make ~name:"bytecode_direct_load_jit"
-      (Staged.stage bytecode_direct_load_jit);
     Test.make ~name:"getset_via_api" (Staged.stage getset_via_api);
     Test.make ~name:"plugin_load_fresh" (Staged.stage plugin_load_fresh);
     Test.make ~name:"plugin_load_cached" (Staged.stage plugin_load_cached);
@@ -413,7 +384,6 @@ let tests =
    insns/sec for the bytecode benches) and the §4.6 ratio summary, so the
    perf trajectory is machine-readable across PRs. *)
 let write_json path (results : (string * float) list)
-    (speedups : (string * (float * float)) list)
     (jspeedups : (string * (float * float)) list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -444,16 +414,12 @@ let write_json path (results : (string * float) list)
       out "    %S: %.4f%s\n" key (x /. y) (if last then "" else ",")
     | _ -> out "    %S: null%s\n" key (if last then "" else ",")
   in
-  (* §4.6 PRE-vs-native overhead, and the linked-path speedups the
-     admission pipeline buys over the reference interpreter *)
+  (* §4.6 PRE-vs-native overhead, and the JIT's speedups over the
+     reference interpreter *)
   ratio "pre_vs_native" "pre_rtt_update" "native_rtt_update";
   ratio "getset_vs_direct" "getset_via_api" "bytecode_direct_load";
   ratio "fresh_vs_cached_load" "plugin_load_fresh" "plugin_load_cached";
   ratio "merkle_vs_hmac" "merkle_verify_proof" "hmac_sign_binding";
-  List.iter
-    (fun (name, (fast, slow)) ->
-      out "    \"linked_speedup_%s\": %.4f,\n" name (slow /. fast))
-    speedups;
   let n = List.length jspeedups in
   List.iteri
     (fun i (name, (fast, slow)) ->
@@ -461,28 +427,14 @@ let write_json path (results : (string * float) list)
         (if i = n - 1 then "" else ","))
     jspeedups;
   out "  },\n";
-  out "  \"linked_speedup\": {\n";
-  out
-    "    \"method\": \"interleaved best-of-24 CPU-time batches: linked \
-     fast path vs the reference interpreter on the same bytecode, same \
-     binary\",\n";
-  List.iteri
-    (fun i (name, (fast, slow)) ->
-      out
-        "    %S: { \"linked_ns_per_op\": %.1f, \"interp_ns_per_op\": \
-         %.1f, \"speedup\": %.4f }%s\n"
-        name fast slow (slow /. fast)
-        (if i = n - 1 then "" else ","))
-    speedups;
-  out "  },\n";
   out "  \"jit_speedup\": {\n";
   out
     "    \"method\": \"interleaved best-of-24 CPU-time batches: closure \
-     jit vs the linked fast path on the same bytecode, same binary\",\n";
+     jit vs the reference interpreter on the same bytecode, same binary\",\n";
   List.iteri
     (fun i (name, (fast, slow)) ->
       out
-        "    %S: { \"jit_ns_per_op\": %.1f, \"linked_ns_per_op\": %.1f, \
+        "    %S: { \"jit_ns_per_op\": %.1f, \"interp_ns_per_op\": %.1f, \
          \"speedup\": %.4f }%s\n"
         name fast slow (slow /. fast)
         (if i = n - 1 then "" else ","))
@@ -524,14 +476,7 @@ let () =
   (match (find "pre_rtt_update", find "native_rtt_update") with
   | Some p, Some n when n > 0. ->
     Printf.printf
-      "\nPRE / native slowdown: %.0fx (paper: ~2x with a JITed VM; this PRE\n\
-      \  is an interpreter, so a larger factor is expected)\n"
-      (p /. n)
-  | _ -> ());
-  (match (find "pre_rtt_update_jit", find "native_rtt_update") with
-  | Some p, Some n when n > 0. ->
-    Printf.printf
-      "jit PRE / native slowdown: %.1fx (paper: ~2x with a JITed VM)\n"
+      "\nPRE / native slowdown: %.1fx (paper: ~2x with a JITed VM)\n"
       (p /. n)
   | _ -> ());
   (match (find "getset_via_api", find "bytecode_direct_load") with
@@ -550,21 +495,13 @@ let () =
       "Merkle proof check / binding MAC: %.2fx (B.3 predicts ~the hash cost)\n"
       (m /. h)
   | _ -> ());
-  let speedups = linked_speedups () in
-  List.iter
-    (fun (name, (fast, slow)) ->
-      Printf.printf
-        "linked fast path speedup (%s): %.1fx (%.1f us -> %.1f us, \
-         interleaved cpu-time minima)\n"
-        name (slow /. fast) (slow /. 1e3) (fast /. 1e3))
-    speedups;
   let jspeedups = jit_speedups () in
   List.iter
     (fun (name, (fast, slow)) ->
       Printf.printf
-        "jit speedup over linked (%s): %.1fx (%.2f us -> %.2f us, \
+        "jit speedup over the reference interpreter (%s): %.1fx (%.2f us -> %.2f us, \
          interleaved cpu-time minima)\n"
         name (slow /. fast) (slow /. 1e3) (fast /. 1e3))
     jspeedups;
-  write_json "BENCH_vm.json" results speedups jspeedups;
+  write_json "BENCH_vm.json" results jspeedups;
   Printf.printf "\nresults written to BENCH_vm.json\n"

@@ -41,7 +41,7 @@ let max_slots = 65536
 (* Slot position of each instruction and the reverse map as a flat array:
    [of_slot.(s)] is the index of the instruction starting at slot [s], or
    [-1] when [s] falls inside a two-slot lddw. Arrays instead of a
-   hashtable: jump checking (here) and jump linking (Vm.link) are both
+   hashtable: jump checking (here) and jump resolution in the VM are both
    O(1) lookups with no hashing. *)
 let slot_maps prog =
   let pos, total = Insn.slot_positions prog in

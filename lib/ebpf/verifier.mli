@@ -30,7 +30,7 @@ val slot_maps : Insn.t array -> int array * int array * int
     position of each instruction, the reverse slot→instruction map
     ([of_slot.(s)] is an instruction index, or [-1] when slot [s] is the
     second half of a two-slot lddw), and the total slot count. Shared with
-    the interpreter and {!Vm.link} so jump targets agree. *)
+    the interpreter and the JIT so jump targets agree. *)
 
 val verify :
   ?stack_size:int ->

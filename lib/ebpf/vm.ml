@@ -1,22 +1,23 @@
-(* Interpreting eBPF virtual machine with runtime memory monitoring.
+(* eBPF virtual machine with runtime memory monitoring.
 
    The paper's PRE injects bounds-checking instructions when JITing pluglet
-   bytecode; this interpreter performs the same checks on every load and
-   store instead. Memory is organized as disjoint *regions* (pluglet stack,
-   plugin heap, host-provided input/output buffers) mapped at synthetic
-   64-bit base addresses. Any access outside a mapped region, or a write to
-   a read-only region, raises [Memory_violation] — the host reacts by
-   removing the plugin and terminating the connection (Section 2.1).
+   bytecode; both execution tiers here perform the same checks on every
+   load and store instead. Memory is organized as disjoint *regions*
+   (pluglet stack, plugin heap, host-provided input/output buffers) mapped
+   at synthetic 64-bit base addresses. Any access outside a mapped region,
+   or a write to a read-only region, raises [Memory_violation] — the host
+   reacts by removing the plugin and terminating the connection
+   (Section 2.1).
 
-   Execution comes in two flavours sharing the ALU/jump/monitor semantics:
+   Execution comes in two tiers sharing the ALU/jump/monitor semantics:
 
    - [run], the reference interpreter: rebuilds the slot maps and resolves
      every jump through them on each invocation. It is the executable
-     specification the fast path is differentially tested against.
-   - [link] + [run_linked], the production path: the program is linked
-     once (jump offsets resolved to instruction indices, immediates
-     pre-widened to 64 bits) and then each run is a tight match over a
-     flat array with no per-run setup work.
+     specification the JIT is differentially tested against, and the
+     JIT's deoptimisation target.
+   - [jit] + [run_jit], the production path: the program is compiled once
+     into a graph of OCaml closures and each run enters it with no
+     per-run setup work.
 
    Regions occupy disjoint 4 GiB-aligned windows of address space, so the
    window index [addr lsr 32] identifies the region: resolution is a dense
@@ -338,20 +339,19 @@ let reset_stack vm =
 
 let fp_value vm = vm.fp0
 
-(* Reference interpreter: executes the decoded form directly, resolving
-   every jump through freshly built slot maps. Returns r0. *)
-let run vm ?(args = [||]) prog =
-  reset_stack vm;
+(* Reference interpreter loop: executes the decoded form directly from
+   instruction [pc0] with [fuel0] instructions of budget left, resolving
+   every jump through freshly built slot maps. Returns r0. [run] enters it
+   at the top of the program; the JIT enters it mid-program to deoptimise
+   (see [jit_resume]). *)
+let interp vm prog regs pc0 fuel0 =
   let pos, of_slot, total = Verifier.slot_maps prog in
-  let regs = Array.make 11 0L in
-  Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
-  regs.(Insn.fp) <- fp_value vm;
   let operand_value = function
     | Insn.Reg r -> regs.(r)
     | Insn.Imm v -> Int64.of_int32 v
   in
-  let fuel = ref vm.max_insns in
-  let pc = ref 0 in
+  let fuel = ref fuel0 in
+  let pc = ref pc0 in
   let result = ref 0L in
   let finished = ref false in
   while not !finished do
@@ -416,34 +416,35 @@ let run vm ?(args = [||]) prog =
   done;
   !result
 
+let run vm ?(args = [||]) prog =
+  reset_stack vm;
+  let regs = Array.make 11 0L in
+  Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
+  regs.(Insn.fp) <- fp_value vm;
+  interp vm prog regs 0 vm.max_insns
+
 (* ------------------------------------------------------------------ *)
-(* Link-once fast path                                                 *)
+(* Linking: the JIT's decoder                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The linked form of a program is a flat [int array], four slots per
-   instruction: [op; a; b; c]. Decoding an instruction is three or four
-   adjacent unboxed reads from one array — no per-instruction heap block,
-   no pointer chase, and the opcode match compiles to a single jump
-   table. Jump targets are absolute instruction indices (or -1 for a
-   target the verifier would reject, trapping lazily like the reference
-   path); register numbers, offsets and 32-bit-origin immediates are
-   plain (sign-extended) [int]s, widened with [Int64.of_int] — a register
-   sign-extend — where the ALU consumes them. True 64-bit [Ld_imm64]
-   payloads live out-of-line in [pool], read back with an unboxed
-   primitive. The hot instruction classes are fully specialized at link
-   time: one opcode per 64-bit ALU op and operand kind, per access size,
-   and per jump condition, so executing them costs one dispatch — only
-   the rare 32-bit ALU group keeps a secondary dispatch (on an operator
-   index, see [alu32_seti]). *)
+   instruction: [op; a; b; c], one specialised opcode per operation and
+   operand kind, so the JIT's templates match on plain ints. Jump targets
+   are absolute instruction indices (or -1 for a target the verifier
+   would reject, which the JIT deoptimises on so the reference
+   interpreter traps lazily); register numbers, offsets and
+   32-bit-origin immediates are plain (sign-extended) [int]s. True 64-bit
+   [Ld_imm64] payloads live out-of-line in [pool]. Unsigned division and
+   modulo by a power-of-two immediate are strength-reduced here. *)
 type linked_prog = {
   ops : int array; (* 4 slots per instruction: op, a, b, c *)
   pool : Bytes.t; (* native-endian Ld_imm64 payloads, indexed by byte *)
 }
 
-(* Opcode assignments. The [exec] match in [run_linked] must mirror this
-   table literally — it is differentially tested against the reference
-   interpreter over every instruction class (test_ebpf's generated
-   programs and ALU/jump oracles). *)
+(* Opcode assignments. The JIT's templates match on these literally; they
+   are differentially tested against the reference interpreter over every
+   instruction class (test_ebpf's generated programs and ALU/jump
+   oracles). *)
 let f_add64_rr = 0
 
 and f_add64_ri = 1
@@ -575,32 +576,8 @@ and f_call = 63 (* a = helper id *)
 and f_exit = 64
 
 and f_trap_badreg = 65
-(* an instruction naming a register outside r0..r10: executing it traps
-   exactly like the reference path's out-of-bounds array access, but it
-   must not poke past the 88-byte register file *)
-
-(* Superinstructions: the pair patterns the PLC compiler emits most when
-   shuffling locals through the stack (measured on the EWMA/RTT pluglet
-   mix). A fused opcode means "execute this instruction, then its
-   successor, in one dispatch"; the successor keeps its own four slots
-   untouched, so a jump landing on it, an overlapping fusion, and the
-   one-fuel-left edge (which executes just the first half and lets the
-   loop head trap) are all correct by construction. *)
-and f_movrr_ldx64 = 66 (* mov64_rr + ldx64 *)
-
-and f_stx64_movri = 67 (* stx64 + mov64_ri *)
-
-and f_stx64_ldx64 = 68 (* stx64 + ldx64 *)
-
-and f_movri_movrr = 69 (* mov64_ri + mov64_rr *)
-
-and f_ldx64_stx64 = 70 (* ldx64 + stx64 *)
-
-and f_movri_stx64 = 71 (* mov64_ri + stx64 *)
-
-and f_ldx64_mulrr = 72 (* ldx64 + mul64_rr *)
-
-and f_ldx64_addrr = 73 (* ldx64 + add64_rr *)
+(* an instruction naming a register outside r0..r10: the JIT deoptimises
+   on it, so the reference interpreter raises the trap *)
 
 (* Operator index for the generic 32-bit ALU opcodes; [alu32_seti]
    dispatches on the same numbering. *)
@@ -623,21 +600,11 @@ let reg_ok r = r >= 0 && r <= 10
 
 let link prog =
   let pos, of_slot, total = Verifier.slot_maps prog in
-  (* Targets are stored pre-scaled by 4 — the run loop's [pc] is the
-     instruction's base index in [ops], so a taken jump is a register
-     move, with no scaling on the hot path. -1 still marks a target the
-     verifier would reject (trapped lazily, like the reference path). *)
   let target i off =
     let t = pos.(i) + Insn.slots prog.(i) + off in
-    if t >= 0 && t < total then 4 * of_slot.(t) else -1
+    if t >= 0 && t < total then of_slot.(t) else -1
   in
-  let n = Array.length prog in
-  (* One sentinel instruction past the end: falling off the program traps
-     through the ordinary dispatch, so the run loop needs no per-step
-     bounds check on [pc] (jump targets are validated at link time and
-     sequential flow can reach at most the sentinel). *)
-  let ops = Array.make ((4 * n) + 4) 0 in
-  ops.(4 * n) <- f_trap_badreg;
+  let ops = Array.make (4 * Array.length prog) 0 in
   let pool = Buffer.create 16 in
   Array.iteri
     (fun i insn ->
@@ -773,29 +740,11 @@ let link prog =
       | Insn.Stx _ | Insn.St _ | Insn.Jcond _ ->
         set f_trap_badreg 0 0 0)
     prog;
-  (* Superinstruction pass: rewrite the first opcode of the frequent
-     pairs above. Reading the successor's opcode before it is itself
-     rewritten keeps the scan one forward pass. *)
-  for i = 0 to n - 2 do
-    let a = ops.(4 * i) and b = ops.(4 * (i + 1)) in
-    let fused =
-      if a = f_mov64_rr && b = f_ldx64 then f_movrr_ldx64
-      else if a = f_stx64 && b = f_mov64_ri then f_stx64_movri
-      else if a = f_stx64 && b = f_ldx64 then f_stx64_ldx64
-      else if a = f_mov64_ri && b = f_mov64_rr then f_movri_movrr
-      else if a = f_ldx64 && b = f_stx64 then f_ldx64_stx64
-      else if a = f_mov64_ri && b = f_stx64 then f_movri_stx64
-      else if a = f_ldx64 && b = f_mul64_rr then f_ldx64_mulrr
-      else if a = f_ldx64 && b = f_add64_rr then f_ldx64_addrr
-      else -1
-    in
-    if fused >= 0 then ops.(4 * i) <- fused
-  done;
   { ops; pool = Buffer.to_bytes pool }
 
 (* Raw native-endian 64-bit access into the register file. Indices come
    from linked instructions, which [link] guarantees name r0..r10 only
-   (anything else became [L_trap_badreg]), so the unchecked primitives are
+   (anything else became [f_trap_badreg]), so the unchecked primitives are
    safe — and unlike an [int64 array] element store they keep the value
    unboxed through the whole load/compute/store chain. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -804,16 +753,10 @@ external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let[@inline always] rget b r = bytes_get64 b (r lsl 3)
 let[@inline always] rset b r v = bytes_set64 b (r lsl 3) v
 
-(* 64-bit ALU for the linked loop. [alu64] joins thirteen branches into
-   one int64 result, and because the Div/Mod branches end in calls to
-   [Int64.unsigned_div]/[unsigned_rem] (plain functions returning boxed
-   values) the join point is forced into a boxed representation — every
-   Add would allocate. Writing the register inside each branch removes
-   the join, so the frequent arithmetic ops stay unboxed end to end. *)
 (* Unsigned 64-bit comparison via sign-bias, using only comparison
    primitives the compiler evaluates on unboxed values
    ([Int64.unsigned_compare] is a plain function whose call would force
-   its operands into boxes on the interpreter's hottest path). *)
+   its operands into boxes on the JIT's hottest paths). *)
 let[@inline always] ucmp a b =
   Int64.compare (Int64.add a Int64.min_int) (Int64.add b Int64.min_int)
 
@@ -838,7 +781,7 @@ let[@inline always] urem64 n d = Int64.sub n (Int64.mul (udiv64 n d) d)
 let[@inline always] zx32 regb dst r =
   rset regb dst (Int64.logand (Int64.of_int32 r) 0xffffffffL)
 
-(* Same dispatch keyed by [alu_op_index], for the generic 32-bit ALU
+(* 32-bit ALU keyed by [alu_op_index], for the generic 32-bit ALU
    opcodes of the linked form (the only instruction class that keeps a
    secondary dispatch — pluglet arithmetic is overwhelmingly 64-bit). *)
 let[@inline always] alu32_seti regb dst opi a b =
@@ -860,9 +803,9 @@ let[@inline always] alu32_seti regb dst opi a b =
   | 11 -> zx32 regb dst b32
   | _ -> zx32 regb dst (neg a32) (* 8, Neg *)
 
-(* Region resolution for the linked loop: the stack is always window 1
-   (pluglet locals, the dominant traffic), then the last-hit memo, then
-   the dense table via [region_at]. *)
+(* Region resolution for the JIT's monitored accesses: the stack is
+   always window 1 (pluglet locals, the dominant traffic), then the
+   last-hit memo, then the dense table via [region_at]. *)
 let[@inline always] region_for vm addr len =
   let w = Int64.to_int (Int64.shift_right_logical addr window_bits) in
   if w = 1 then vm.stack
@@ -886,7 +829,7 @@ external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bytes_set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external bytes_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-(* One monitor + accessor per access size, matching the size-specialized
+(* One monitor + accessor per access size, matching the size-specialised
    linked opcodes: region lookup, bounds check, then a straight-line
    load/store with nothing left to dispatch on. *)
 let[@inline always] load8_fast vm addr =
@@ -956,13 +899,13 @@ let[@inline always] store64_fast vm addr v =
   if Sys.big_endian then Bytes.set_int64_le r.mem off v
   else bytes_set64 r.mem off v
 
-(* Stack-window fast path for the linked loop. Pluglet locals dominate
-   memory traffic, the stack is mapped at window 1 for the whole VM
-   lifetime, and an in-bounds stack access cannot trap — so it needs
+(* Stack-window fast path for the JIT's memory closures. Pluglet locals
+   dominate memory traffic, the stack is mapped at window 1 for the whole
+   VM lifetime, and an in-bounds stack access cannot trap — so it needs
    neither the region record nor an [executed] sync. The whole
    window-plus-bounds test is one subtraction and one unsigned compare:
    [d = addr - stack_base] is below [lim = stack length - access size + 1]
-   (precomputed per size by the run loop, clamped at 0) exactly when the
+   (precomputed per size at compile time, clamped at 0) exactly when the
    access lies inside the stack; any other window under- or overflows the
    unsigned range. Everything else — other windows, out-of-bounds
    offsets, big-endian hosts — drops to the monitored [*_fast] path
@@ -1043,463 +986,8 @@ let[@inline always] store64_m vm stk lim execd addr v =
     store64_fast vm addr v
   end
 
-(* The interpreter loop proper, entered at an arbitrary [(pc, fuel)]
-   point. [run_linked] enters it at the top of the program; the closure
-   JIT below also enters it mid-program — as the low-fuel handoff when a
-   block's fuel prepayment would not be covered, and as the
-   deoptimization target for cold shapes (invalid jump targets, bad
-   register operands, failed block guards) — so both tiers share one
-   definition of the tail semantics.
-
-   [vm.executed] accounting is derived from the fuel counter instead of
-   a per-instruction store: with [k = base + fuel0 + 1], the value
-   [k - fuel] at any step is the executed count *including* the current
-   instruction (fuel is decremented in the tail call, after it). The
-   count is synced — by absolute assignment, so re-syncing is
-   idempotent — before anything that can trap or observe it: memory
-   ops that leave the stack fast path (an in-bounds stack access cannot
-   trap, so it skips the sync), helper calls, program exit, and the
-   explicit trap arms. The
-   reference path's accounting (increment before executing each
-   instruction, so a trapping instruction is already counted, and the
-   fuel-exhausted one is not) is reproduced exactly. *)
-let exec_linked vm (code : linked_prog) k pc0 fuel0 =
-  let regb = vm.regb in
-  let stk = vm.stack.mem in
-  (* Per-access-size stack fast-path limits for [load*_m]/[store*_m]:
-     the largest in-bounds [addr - stack_base], exclusive. Clamped at 0
-     (= fast path never hit) for stacks smaller than the access. *)
-  let stklen = Bytes.length stk in
-  let lim1 = Int64.of_int stklen in
-  let lim2 = Int64.of_int (max 0 (stklen - 1)) in
-  let lim4 = Int64.of_int (max 0 (stklen - 3)) in
-  let lim8 = Int64.of_int (max 0 (stklen - 7)) in
-  let ops = code.ops in
-  let pool = code.pool in
-  let invalid_jump fuel =
-    (* Unreachable for verified programs; same lazy trap as the
-       reference path. *)
-    vm.executed <- k - fuel;
-    raise (Memory_violation "jump to invalid slot")
-  in
-  (* The opcode literals below mirror the [f_*] table next to [link];
-     the match is over a dense range, so it compiles to one jump table. *)
-  let rec exec pc fuel =
-    if fuel <= 0 then begin
-      vm.executed <- k - fuel - 1;
-      raise Fuel_exhausted
-    end;
-    let a1 = Array.unsafe_get ops (pc + 1) in
-    let a2 = Array.unsafe_get ops (pc + 2) in
-    let a3 = Array.unsafe_get ops (pc + 3) in
-    match Array.unsafe_get ops pc with
-    | 0 (* add64_rr *) ->
-      rset regb a1 (Int64.add (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 1 (* add64_ri *) ->
-      rset regb a1 (Int64.add (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 2 (* sub64_rr *) ->
-      rset regb a1 (Int64.sub (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 3 (* sub64_ri *) ->
-      rset regb a1 (Int64.sub (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 4 (* mul64_rr *) ->
-      rset regb a1 (Int64.mul (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 5 (* mul64_ri *) ->
-      rset regb a1 (Int64.mul (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 6 (* div64_rr *) ->
-      let b = rget regb a2 in
-      rset regb a1 (if Int64.equal b 0L then 0L else udiv64 (rget regb a1) b);
-      exec (pc + 4) (fuel - 1)
-    | 7 (* div64_ri *) ->
-      rset regb a1
-        (if a2 = 0 then 0L else udiv64 (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 8 (* mov64_rr *) ->
-      rset regb a1 (rget regb a2);
-      exec (pc + 4) (fuel - 1)
-    | 9 (* mov64_ri *) ->
-      rset regb a1 (Int64.of_int a2);
-      exec (pc + 4) (fuel - 1)
-    | 10 (* or64_rr *) ->
-      rset regb a1 (Int64.logor (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 11 (* or64_ri *) ->
-      rset regb a1 (Int64.logor (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 12 (* and64_rr *) ->
-      rset regb a1 (Int64.logand (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 13 (* and64_ri *) ->
-      rset regb a1 (Int64.logand (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 14 (* xor64_rr *) ->
-      rset regb a1 (Int64.logxor (rget regb a1) (rget regb a2));
-      exec (pc + 4) (fuel - 1)
-    | 15 (* xor64_ri *) ->
-      rset regb a1 (Int64.logxor (rget regb a1) (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 16 (* lsh64_rr *) ->
-      rset regb a1
-        (Int64.shift_left (rget regb a1)
-           (Int64.to_int (Int64.logand (rget regb a2) 63L)));
-      exec (pc + 4) (fuel - 1)
-    | 17 (* lsh64_ri *) ->
-      rset regb a1 (Int64.shift_left (rget regb a1) (a2 land 63));
-      exec (pc + 4) (fuel - 1)
-    | 18 (* rsh64_rr *) ->
-      rset regb a1
-        (Int64.shift_right_logical (rget regb a1)
-           (Int64.to_int (Int64.logand (rget regb a2) 63L)));
-      exec (pc + 4) (fuel - 1)
-    | 19 (* rsh64_ri *) ->
-      rset regb a1 (Int64.shift_right_logical (rget regb a1) (a2 land 63));
-      exec (pc + 4) (fuel - 1)
-    | 20 (* arsh64_rr *) ->
-      rset regb a1
-        (Int64.shift_right (rget regb a1)
-           (Int64.to_int (Int64.logand (rget regb a2) 63L)));
-      exec (pc + 4) (fuel - 1)
-    | 21 (* arsh64_ri *) ->
-      rset regb a1 (Int64.shift_right (rget regb a1) (a2 land 63));
-      exec (pc + 4) (fuel - 1)
-    | 22 (* mod64_rr *) ->
-      let b = rget regb a2 in
-      let a = rget regb a1 in
-      rset regb a1 (if Int64.equal b 0L then a else urem64 a b);
-      exec (pc + 4) (fuel - 1)
-    | 23 (* mod64_ri *) ->
-      let a = rget regb a1 in
-      rset regb a1 (if a2 = 0 then a else urem64 a (Int64.of_int a2));
-      exec (pc + 4) (fuel - 1)
-    | 24 (* neg64 *) ->
-      rset regb a1 (Int64.neg (rget regb a1));
-      exec (pc + 4) (fuel - 1)
-    | 25 (* alu32_rr *) ->
-      alu32_seti regb a1 a3 (rget regb a1) (rget regb a2);
-      exec (pc + 4) (fuel - 1)
-    | 26 (* alu32_ri *) ->
-      alu32_seti regb a1 a3 (rget regb a1) (Int64.of_int a2);
-      exec (pc + 4) (fuel - 1)
-    | 27 (* ld_imm64 *) ->
-      rset regb a1 (bytes_get64 pool a2);
-      exec (pc + 4) (fuel - 1)
-    | 28 (* ldx8 *) ->
-      rset regb a1
-        (load8_m vm stk lim1 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      exec (pc + 4) (fuel - 1)
-    | 29 (* ldx16 *) ->
-      rset regb a1
-        (load16_m vm stk lim2 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      exec (pc + 4) (fuel - 1)
-    | 30 (* ldx32 *) ->
-      rset regb a1
-        (load32_m vm stk lim4 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      exec (pc + 4) (fuel - 1)
-    | 31 (* ldx64 *) ->
-      rset regb a1
-        (load64_m vm stk lim8 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      exec (pc + 4) (fuel - 1)
-    | 32 (* stx8 *) ->
-      store8_m vm stk lim1 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      exec (pc + 4) (fuel - 1)
-    | 33 (* stx16 *) ->
-      store16_m vm stk lim2 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      exec (pc + 4) (fuel - 1)
-    | 34 (* stx32 *) ->
-      store32_m vm stk lim4 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      exec (pc + 4) (fuel - 1)
-    | 35 (* stx64 *) ->
-      store64_m vm stk lim8 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      exec (pc + 4) (fuel - 1)
-    | 36 (* st8 *) ->
-      store8_m vm stk lim1 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (Int64.of_int a3);
-      exec (pc + 4) (fuel - 1)
-    | 37 (* st16 *) ->
-      store16_m vm stk lim2 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (Int64.of_int a3);
-      exec (pc + 4) (fuel - 1)
-    | 38 (* st32 *) ->
-      store32_m vm stk lim4 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (Int64.of_int a3);
-      exec (pc + 4) (fuel - 1)
-    | 39 (* st64 *) ->
-      store64_m vm stk lim8 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (Int64.of_int a3);
-      exec (pc + 4) (fuel - 1)
-    | 40 (* ja *) ->
-      if a1 >= 0 then exec a1 (fuel - 1) else invalid_jump fuel
-    | 41 (* jeq_rr *) ->
-      if Int64.equal (rget regb a1) (rget regb a2) then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 42 (* jeq_ri *) ->
-      if Int64.equal (rget regb a1) (Int64.of_int a2) then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 43 (* jne_rr *) ->
-      if not (Int64.equal (rget regb a1) (rget regb a2)) then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 44 (* jne_ri *) ->
-      if not (Int64.equal (rget regb a1) (Int64.of_int a2)) then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 45 (* jgt_rr *) ->
-      if ucmp (rget regb a1) (rget regb a2) > 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 46 (* jgt_ri *) ->
-      if ucmp (rget regb a1) (Int64.of_int a2) > 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 47 (* jge_rr *) ->
-      if ucmp (rget regb a1) (rget regb a2) >= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 48 (* jge_ri *) ->
-      if ucmp (rget regb a1) (Int64.of_int a2) >= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 49 (* jlt_rr *) ->
-      if ucmp (rget regb a1) (rget regb a2) < 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 50 (* jlt_ri *) ->
-      if ucmp (rget regb a1) (Int64.of_int a2) < 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 51 (* jle_rr *) ->
-      if ucmp (rget regb a1) (rget regb a2) <= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 52 (* jle_ri *) ->
-      if ucmp (rget regb a1) (Int64.of_int a2) <= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 53 (* jsgt_rr *) ->
-      if Int64.compare (rget regb a1) (rget regb a2) > 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 54 (* jsgt_ri *) ->
-      if Int64.compare (rget regb a1) (Int64.of_int a2) > 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 55 (* jsge_rr *) ->
-      if Int64.compare (rget regb a1) (rget regb a2) >= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 56 (* jsge_ri *) ->
-      if Int64.compare (rget regb a1) (Int64.of_int a2) >= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 57 (* jslt_rr *) ->
-      if Int64.compare (rget regb a1) (rget regb a2) < 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 58 (* jslt_ri *) ->
-      if Int64.compare (rget regb a1) (Int64.of_int a2) < 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 59 (* jsle_rr *) ->
-      if Int64.compare (rget regb a1) (rget regb a2) <= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 60 (* jsle_ri *) ->
-      if Int64.compare (rget regb a1) (Int64.of_int a2) <= 0 then
-        if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 61 (* jset_rr *) ->
-      if not (Int64.equal (Int64.logand (rget regb a1) (rget regb a2)) 0L)
-      then if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 62 (* jset_ri *) ->
-      if
-        not (Int64.equal (Int64.logand (rget regb a1) (Int64.of_int a2)) 0L)
-      then if a3 >= 0 then exec a3 (fuel - 1) else invalid_jump fuel
-      else exec (pc + 4) (fuel - 1)
-    | 63 (* call *) ->
-      vm.executed <- k - fuel;
-      (match
-         (if a1 >= 0 && a1 < Array.length vm.helpers then vm.helpers.(a1)
-          else None)
-       with
-      | None -> raise (Helper_failure (Printf.sprintf "helper %d missing" a1))
-      | Some f ->
-        let call_args = vm.scratch_args in
-        (* Copy only the registers the helper declared it reads: each
-           copied register boxes an int64, and most helpers read one or
-           two. The tail stores of the constant zero allocate nothing. *)
-        let ar = vm.helper_arity.(a1) in
-        for j = 0 to ar - 1 do
-          call_args.(j) <- rget regb (j + 1)
-        done;
-        for j = ar to 4 do
-          call_args.(j) <- 0L
-        done;
-        let res = f vm call_args in
-        rset regb 0 res;
-        (* r1-r5 are clobbered by calls, per the eBPF convention. *)
-        Bytes.fill regb 8 40 '\000');
-      exec (pc + 4) (fuel - 1)
-    | 64 (* exit *) ->
-      vm.executed <- k - fuel;
-      rget regb 0
-    | 66 (* mov64_rr + ldx64 *) ->
-      if fuel >= 2 then begin
-        rset regb a1 (rget regb a2);
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        let b3 = Array.unsafe_get ops (pc + 7) in
-        rset regb b1
-          (load64_m vm stk lim8
-             (k - fuel + 1)
-             (Int64.add (rget regb b2) (Int64.of_int b3)));
-        exec (pc + 8) (fuel - 2)
-      end
-      else begin
-        rset regb a1 (rget regb a2);
-        exec (pc + 4) (fuel - 1)
-      end
-    | 67 (* stx64 + mov64_ri *) ->
-      store64_m vm stk lim8 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        rset regb b1 (Int64.of_int b2);
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 68 (* stx64 + ldx64 *) ->
-      store64_m vm stk lim8 (k - fuel)
-        (Int64.add (rget regb a1) (Int64.of_int a2))
-        (rget regb a3);
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        let b3 = Array.unsafe_get ops (pc + 7) in
-        rset regb b1
-          (load64_m vm stk lim8
-             (k - fuel + 1)
-             (Int64.add (rget regb b2) (Int64.of_int b3)));
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 69 (* mov64_ri + mov64_rr *) ->
-      rset regb a1 (Int64.of_int a2);
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        rset regb b1 (rget regb b2);
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 70 (* ldx64 + stx64 *) ->
-      rset regb a1
-        (load64_m vm stk lim8 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        let b3 = Array.unsafe_get ops (pc + 7) in
-        store64_m vm stk lim8
-          (k - fuel + 1)
-          (Int64.add (rget regb b1) (Int64.of_int b2))
-          (rget regb b3);
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 71 (* mov64_ri + stx64 *) ->
-      rset regb a1 (Int64.of_int a2);
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        let b3 = Array.unsafe_get ops (pc + 7) in
-        store64_m vm stk lim8
-          (k - fuel + 1)
-          (Int64.add (rget regb b1) (Int64.of_int b2))
-          (rget regb b3);
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 72 (* ldx64 + mul64_rr *) ->
-      rset regb a1
-        (load64_m vm stk lim8 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        rset regb b1 (Int64.mul (rget regb b1) (rget regb b2));
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | 73 (* ldx64 + add64_rr *) ->
-      rset regb a1
-        (load64_m vm stk lim8 (k - fuel)
-           (Int64.add (rget regb a2) (Int64.of_int a3)));
-      if fuel >= 2 then begin
-        let b1 = Array.unsafe_get ops (pc + 5) in
-        let b2 = Array.unsafe_get ops (pc + 6) in
-        rset regb b1 (Int64.add (rget regb b1) (rget regb b2));
-        exec (pc + 8) (fuel - 2)
-      end
-      else exec (pc + 4) (fuel - 1)
-    | _ (* trap_badreg; also the fall-off-the-end sentinel, which — like
-           the reference path's failed fetch — counts the instruction and
-           traps with the array's own error *) ->
-      vm.executed <- k - fuel;
-      raise (Invalid_argument "index out of bounds")
-  in
-  exec pc0 fuel0
-
-(* Execute a linked program. Shares the register file and helper-argument
-   scratch array of the VM, so the per-run setup is two small fills; the
-   VM is therefore not re-entrant on this path (a helper must not run the
-   *same* VM again — protoop loop detection already rules that out for
-   pluglets, whose only way back in is their own protocol operation).
-
-   The loop carries [pc] and the remaining fuel as immediate ints through
-   a tail call, keeps registers unboxed via [rget]/[rset], and inlines
-   the ALU, comparison and memory-monitor helpers so no int64 crosses a
-   function boundary on the hot path: a run allocates nothing beyond its
-   boxed result (helper calls excepted). *)
-let run_linked vm ?(args = [||]) (code : linked_prog) =
-  reset_stack vm;
-  let regb = vm.regb in
-  Bytes.fill regb 0 88 '\000';
-  let nargs = Array.length args in
-  for k = 0 to (if nargs > 5 then 4 else nargs - 1) do
-    rset regb (k + 1) args.(k)
-  done;
-  rset regb Insn.fp (fp_value vm);
-  let fuel0 = vm.max_insns in
-  exec_linked vm code (vm.executed + fuel0 + 1) 0 fuel0
-
 (* ------------------------------------------------------------------ *)
-(* Closure-template JIT (third tier)                                   *)
+(* Closure-template JIT                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* The program's basic blocks are translated, once, into a graph of OCaml
@@ -1510,8 +998,8 @@ let run_linked vm ?(args = [||]) (code : linked_prog) =
    decode, no dispatch table. All mutable run state lives in [jit_env] so
    the compiled closures are independent of any particular VM: the same
    [jit_prog] is shared by every PRE running the same bytecode (the
-   content-addressed plugin cache relies on this). Like the linked path,
-   a jitted program is not re-entrant — one run at a time per [jit_prog].
+   content-addressed plugin cache relies on this). A jitted program is
+   not re-entrant — one run at a time per [jit_prog].
 
    Fuel is prepaid per block: the block head subtracts the whole block
    length once, so instructions inside a block touch no counter, and the
@@ -1519,10 +1007,12 @@ let run_linked vm ?(args = [||]) (code : linked_prog) =
    is reconstructed as [jk - jfuel - ci] with [ci] the compile-time
    distance from the instruction to the block end. When a block head
    finds less fuel than the block needs, or compilation meets a shape it
-   does not specialise (invalid jump target, bad register operand), the
-   run *hands off* to [exec_linked] at that exact pc with the
-   linked-equivalent fuel — both tiers then agree bit-for-bit on
-   results, traps and accounting even on unverified programs. *)
+   does not specialise (invalid jump target, bad register operand,
+   falling off the end), the run *deoptimises* into the reference
+   interpreter at that exact instruction with the fuel its
+   per-instruction loop would hold there ([jit_resume]) — both tiers
+   then agree bit-for-bit on results, traps and accounting even on
+   unverified programs. *)
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic block IR for the closure JIT                               *)
@@ -1563,7 +1053,7 @@ type jterm =
   | Jdeo of int * int (* deoptimize at instruction i with ci *)
 
 (* Exact 64-bit ALU semantics, shared by compile-time constant folding
-   and the generic tree evaluator; must mirror [exec_linked]'s arms. *)
+   and the generic tree evaluator; must mirror the reference [alu64]. *)
 let jx_alu c a b =
   match c with
   | 0 -> Int64.add a b
@@ -1579,8 +1069,8 @@ let jx_alu c a b =
   | 11 -> if Int64.equal b 0L then a else urem64 a b
   | _ -> b (* 4, Mov *)
 
-(* Condition codes are (linked opcode - 41) / 2; must mirror the
-   conditional-jump arms of [exec_linked]. Inlined into the terminator
+(* Condition codes are (linked opcode - 41) / 2; must mirror
+   [jump_taken]. Inlined into the terminator
    closures, where [c] is a captured immediate. *)
 let[@inline always] jx_cond c a b =
   match c with
@@ -1668,16 +1158,16 @@ type jit_env = {
   mutable jvm : t;
   mutable jregb : Bytes.t;
   mutable jstk : Bytes.t;
-  mutable jk : int; (* executed + fuel0 + 1, as in [exec_linked] *)
+  mutable jk : int; (* executed + fuel0 + 1: [executed] = jk - fuel - 1 *)
   mutable jfuel : int;
   mutable jseg : Bytes.t; (* scratch temporaries for materialized loads *)
-  mutable jseg_off : int; (* unused; kept for layout stability *)
 }
 
 type jit_prog = {
-  jlinked : linked_prog;
+  jprog : Insn.t array; (* the source program: deopt target, and the
+                          fallback on a stack-size mismatch *)
   jstack : int; (* stack size the stack-direct closures are baked for *)
-  jentry : (jit_env -> int64) option; (* None: fall back to run_linked *)
+  jentry : jit_env -> int64;
   jenv : jit_env; (* swapped to the running VM per run; not re-entrant *)
 }
 
@@ -1692,7 +1182,7 @@ type jcv = Vc of int64 | Vs of int | Vt of int | Vshr of int * int
 (* Dispatch arm of a compiled terminator: either a plain jump to a
    block cell, or a jump-threaded arm that prepays the threaded blocks'
    fuel and commits their constant register effects before dispatching
-   to the final target ([Agated (fuel, commits, target, first_pc4)]). *)
+   to the final target ([Agated (fuel, commits, target, first_pc)]). *)
 type jarm = Aplain of int | Agated of int * (int * jcv) array * int * int
 
 (* Precompiled successor dispatch. [Dbody] jumps straight into the
@@ -1707,10 +1197,10 @@ type jarm = Aplain of int | Agated of int * (int * jcv) array * int * int
    fuel and constant effects are applied, then the cell. *)
 type jdisp =
   | Dbody of int * int * (int * jcv) array * int
-    (* body idx, fuel to prepay, fail commits, fail pc4 *)
+    (* body idx, fuel to prepay, fail commits, fail pc *)
   | Dcell of int * (int * jcv) array (* cell idx, eager commits *)
   | Dgcell of int * int * (int * jcv) array * (int * jcv) array * int
-    (* threaded fuel, cell idx, eager commits, const commits, fail pc4 *)
+    (* threaded fuel, cell idx, eager commits, const commits, fail pc *)
 
 let jx_opd = function
   | Jcst v -> Some (Kc v)
@@ -1758,14 +1248,16 @@ let[@inline always] jrun_pre env = function
   | Pcopy (d, a) ->
     let s = env.jstk in
     bytes_set64 s d (bytes_get64 s a)
-(* PQUIC_NO_JIT=1 drops every program to the linked tier: the operational
-   escape hatch, and what lets the A/B determinism check (experiments and
-   chaos fingerprints, jit on vs off) run against the same binary. *)
-let jit_enabled =
-  ref
-    (match Sys.getenv_opt "PQUIC_NO_JIT" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
+
+(* Deoptimisation: resume the reference interpreter at instruction [i]
+   holding [fuel], the budget its per-instruction loop would hold on
+   reaching [i] (so [executed] is [jk - fuel - 1] there). Registers are
+   copied out of the register file; the stack is shared. Used before any
+   of [i]'s effects, it is bit-exact. *)
+let jit_resume env prog i fuel =
+  let vm = env.jvm in
+  vm.executed <- env.jk - fuel - 1;
+  interp vm prog (Array.init 11 (fun r -> rget vm.regb r)) i fuel
 
 let jit_dummy_vm = lazy (create ~stack_size:8 ())
 
@@ -1777,16 +1269,21 @@ let jit_fresh_env () =
     jk = 0;
     jfuel = 0;
     jseg = Bytes.create 0;
-    jseg_off = 0;
   }
 
 let jit ?(stack_size = 512) prog =
-  let linked = link prog in
   let env = jit_fresh_env () in
-  if (not !jit_enabled) || Sys.big_endian then
-    { jlinked = linked; jstack = stack_size; jentry = None; jenv = env }
+  if Sys.big_endian then
+    (* The templates read guest memory with native-endian primitives:
+       big-endian hosts run every program in the reference interpreter. *)
+    {
+      jprog = prog;
+      jstack = stack_size;
+      jentry = (fun env -> jit_resume env prog 0 env.jfuel);
+      jenv = env;
+    }
   else begin
-    let ops = linked.ops and pool = linked.pool in
+    let { ops; pool } = link prog in
     let n = Array.length prog in
     let ss = stack_size in
     let fpv = Int64.add region_alignment (Int64.of_int ss) in
@@ -1796,7 +1293,7 @@ let jit ?(stack_size = 512) prog =
        the bounds check is hoisted all the way to compile time. The
        verifier rejects fp writes, so every admitted pluglet qualifies;
        the conservative whole-program scan keeps unverified programs
-       (which [run]/[run_linked] accept) correct. *)
+       (which [run] accepts) correct. *)
     let fp_written =
       Array.exists
         (function
@@ -1811,16 +1308,6 @@ let jit ?(stack_size = 512) prog =
     and lim2 = Int64.of_int (max 0 (ss - 1))
     and lim4 = Int64.of_int (max 0 (ss - 3))
     and lim8 = Int64.of_int (max 0 (ss - 7)) in
-    (* Fused linked opcodes cover two instructions; the JIT re-fuses with
-       its own patterns, so compile from the defused first opcode. *)
-    let base_op i =
-      match Array.unsafe_get ops (4 * i) with
-      | 66 -> f_mov64_rr
-      | 67 | 68 -> f_stx64
-      | 69 | 71 -> f_mov64_ri
-      | 70 | 72 | 73 -> f_ldx64
-      | o -> o
-    in
     (* Basic-block leaders: the entry, every jump target, and every
        instruction after a jump or exit. The index [n] is the sentinel
        block (falling off the end). *)
@@ -1828,8 +1315,8 @@ let jit ?(stack_size = 512) prog =
     leader.(0) <- true;
     leader.(n) <- true;
     for i = 0 to n - 1 do
-      let mark t = if t >= 0 then leader.(t / 4) <- true in
-      let o = base_op i in
+      let mark t = if t >= 0 then leader.(t) <- true in
+      let o = ops.(4 * i) in
       if o = f_ja then begin
         leader.(i + 1) <- true;
         mark ops.((4 * i) + 1)
@@ -1853,22 +1340,19 @@ let jit ?(stack_size = 512) prog =
        compile, so forward references resolve at run time. *)
     let cells = Array.make !nblocks (fun (_ : jit_env) -> 0L) in
     let goto_cell b env = (Array.unsafe_get cells b) env in
-    (* Universal escape: resume the linked interpreter at instruction [i].
-       [ci] is the block-end distance [stop - i], which is exactly the
-       fuel the linked loop would hold at [i]'s loop head minus the
-       block's remaining prepaid fuel. Used before any of [i]'s effects,
-       it is a bit-exact deoptimization. *)
-    let deopt i ci env =
-      exec_linked env.jvm linked env.jk (4 * i) (env.jfuel + ci)
-    in
-    (* One closure per instruction, specialised on the defused linked
+    (* Universal escape: resume the reference interpreter at instruction
+       [i]. [ci] is the block-end distance [stop - i], which is exactly the
+       fuel the reference loop would hold at [i] minus the block's
+       remaining prepaid fuel. *)
+    let deopt i ci env = jit_resume env prog i (env.jfuel + ci) in
+    (* One closure per instruction, specialised on the linked
        opcode. [ci = stop - i] reconstructs [executed] where it is
        observable; [next] is the successor closure. *)
     let ins i ci (next : jit_env -> int64) : jit_env -> int64 =
       let a1 = ops.((4 * i) + 1)
       and a2 = ops.((4 * i) + 2)
       and a3 = ops.((4 * i) + 3) in
-      match base_op i with
+      match ops.(4 * i) with
       | 0 (* add64_rr *) ->
         fun env ->
           let rb = env.jregb in
@@ -2331,7 +1815,7 @@ let jit ?(stack_size = 512) prog =
       | 40 (* ja *) ->
         if a1 < 0 then deopt i ci
         else
-          let tb = blk_id.(a1 / 4) in
+          let tb = blk_id.(a1) in
           fun env -> (Array.unsafe_get cells tb) env
       | 63 (* call *) ->
         fun env ->
@@ -2346,8 +1830,8 @@ let jit ?(stack_size = 512) prog =
           | Some f ->
             let rb = env.jregb in
             let call_args = vm.scratch_args in
-            (* Same truncation as the linked tier: copy (and box) only the
-               helper's declared arity, zero the rest with the constant. *)
+            (* Copy (and box) only the helper's declared arity, zero the
+               rest with the constant. *)
             let ar = vm.helper_arity.(a1) in
             for j = 0 to ar - 1 do
               call_args.(j) <- rget rb (j + 1)
@@ -2367,12 +1851,12 @@ let jit ?(stack_size = 512) prog =
       | o when o >= f_jeq_rr && o <= f_jset_ri ->
         (* Conditional jumps close the block: both arms dispatch through
            [cells]. An invalid taken-target deoptimizes unconditionally —
-           the linked loop re-evaluates the condition and traps (or falls
+           the reference loop re-evaluates the condition and traps (or falls
            through) with exact semantics. *)
         let fb = blk_id.(i + 1) in
         if a3 < 0 then deopt i ci
         else begin
-          let tb = blk_id.(a3 / 4) in
+          let tb = blk_id.(a3) in
           let ib = Int64.of_int a2 in
           match o with
           | 41 ->
@@ -2659,7 +2143,7 @@ let jit ?(stack_size = 512) prog =
           let i = ref start in
           while !term = None && !i < stop do
             let idx = !i in
-            let o = base_op idx in
+            let o = ops.(4 * idx) in
             let a1 = ops.((4 * idx) + 1)
             and a2 = ops.((4 * idx) + 2)
             and a3 = ops.((4 * idx) + 3) in
@@ -2704,7 +2188,7 @@ let jit ?(stack_size = 512) prog =
               end
               else risky_store regs.(a1) a2 v ci
             | 40 (* ja *) ->
-              term := Some (if a1 < 0 then Jdeo (idx, ci) else Jjmp (a1 / 4))
+              term := Some (if a1 < 0 then Jdeo (idx, ci) else Jjmp a1)
             | 64 (* exit *) -> term := Some (Jexit (regs.(0), ci))
             | o when o >= f_jeq_rr && o <= f_jset_ri ->
               if a3 < 0 then term := Some (Jdeo (idx, ci))
@@ -2717,8 +2201,8 @@ let jit ?(stack_size = 512) prog =
                 let c = (o - f_jeq_rr) / 2 in
                 match (lhs, rhs) with
                 | Jcst a, Jcst b ->
-                  term := Some (Jjmp (if jx_cond c a b then a3 / 4 else idx + 1))
-                | _ -> term := Some (Jcnd (c, lhs, rhs, a3 / 4, idx + 1))
+                  term := Some (Jjmp (if jx_cond c a b then a3 else idx + 1))
+                | _ -> term := Some (Jcnd (c, lhs, rhs, a3, idx + 1))
               end
             | _ -> raise Jbail);
             incr i
@@ -2750,7 +2234,7 @@ let jit ?(stack_size = 512) prog =
           (* Exit commits: every written register must land in the
              register file at every block exit (except [Jexit], where
              registers are no longer observable), so a fuel-failing
-             successor can hand off to the linked interpreter exactly. *)
+             successor can hand off to the reference interpreter exactly. *)
           let commits =
             match term with
             | Jexit _ -> [||]
@@ -3113,48 +2597,6 @@ let jit ?(stack_size = 512) prog =
             rest env)
       | _ -> None
     in
-    (* Four-statement superop: the full RTT-estimator update
-       (rttvar EWMA, srtt decay product, compared-value copy, srtt
-       EWMA) as one closure — the hottest block shape the PLC compiler
-       emits for the paper's monitoring pluglets. *)
-    let mk_link4 s1 s2 s3 s4 =
-      match (s1, s2, s3, s4) with
-      | ( Jst
-            ( d1,
-              Jbin
-                ( 0,
-                  Jbin (9, Jbin (2, Jslot a1, Jcst c1), Jcst k1),
-                  Jbin (9, Jslot b1, Jcst k2) ) ),
-          Jst (d2, Jbin (9, Jbin (2, Jslot a2, Jcst c2), Jcst k3)),
-          Jst (d3, Jslot a3),
-          Jst
-            ( d4,
-              Jbin
-                ( 0,
-                  Jbin (9, Jbin (2, Jslot a4, Jcst c4), Jcst k4),
-                  Jbin (9, Jslot b4, Jcst k5) ) ) ) ->
-        let s1h = Int64.to_int (Int64.logand k1 63L) in
-        let s2h = Int64.to_int (Int64.logand k2 63L) in
-        let s3h = Int64.to_int (Int64.logand k3 63L) in
-        let s4h = Int64.to_int (Int64.logand k4 63L) in
-        let s5h = Int64.to_int (Int64.logand k5 63L) in
-        Some
-          (fun (rest : jit_env -> int64) env ->
-            let s = env.jstk in
-            bytes_set64 s d1
-              (Int64.add
-                 (Int64.shift_right_logical (Int64.mul (bytes_get64 s a1) c1) s1h)
-                 (Int64.shift_right_logical (bytes_get64 s b1) s2h));
-            bytes_set64 s d2
-              (Int64.shift_right_logical (Int64.mul (bytes_get64 s a2) c2) s3h);
-            bytes_set64 s d3 (bytes_get64 s a3);
-            bytes_set64 s d4
-              (Int64.add
-                 (Int64.shift_right_logical (Int64.mul (bytes_get64 s a4) c4) s4h)
-                 (Int64.shift_right_logical (bytes_get64 s b4) s5h));
-            rest env)
-      | _ -> None
-    in
     (* Compose the statement vector into a single closure chain ending
        in [tail] (the block's terminator): an empty block costs
        nothing, and every link tail-calls a fixed successor. *)
@@ -3165,30 +2607,15 @@ let jit ?(stack_size = 512) prog =
         match stms.(pos) with
         | Jnop -> mk_chain stms (pos + 1) bound tail
         | st -> (
-          let nexts = ref [] in
           let p2 = ref (pos + 1) in
-          let nnx = ref 0 in
-          while !nnx < 3 && !p2 < bound do
-            (match stms.(!p2) with
-            | Jnop -> ()
-            | st2 ->
-              nexts := (st2, !p2) :: !nexts;
-              incr nnx);
+          while
+            !p2 < bound && match stms.(!p2) with Jnop -> true | _ -> false
+          do
             incr p2
           done;
-          match !nexts with
-          | [ (s4, _); (s3, _); (s2, p2i) ] -> (
-            match mk_link4 st s2 s3 s4 with
-            | Some mk -> mk (mk_chain stms !p2 bound tail)
-            | None -> (
-              match mk_link2 st s2 with
-              | Some mk -> mk (mk_chain stms (p2i + 1) bound tail)
-              | None -> mk_stmt_link st (mk_chain stms (pos + 1) bound tail)))
-          | [ _; (s2, p2i) ] | [ (s2, p2i) ] -> (
-            match mk_link2 st s2 with
-            | Some mk -> mk (mk_chain stms (p2i + 1) bound tail)
-            | None -> mk_stmt_link st (mk_chain stms (pos + 1) bound tail))
-          | _ -> mk_stmt_link st (mk_chain stms (pos + 1) bound tail))
+          match if !p2 < bound then mk_link2 st stms.(!p2) else None with
+          | Some mk -> mk (mk_chain stms (!p2 + 1) bound tail)
+          | None -> mk_stmt_link st (mk_chain stms (pos + 1) bound tail))
     in
     (* Jump threading: follow chains of blocks whose only effects are
        constant register moves and statically decidable jumps, so a
@@ -3201,7 +2628,7 @@ let jit ?(stack_size = 512) prog =
         let tmp = Array.copy cregs in
         let i = ref idx and ok = ref true and nx = ref (-1) in
         while !ok && !i < stop do
-          let o = base_op !i in
+          let o = ops.(4 * !i) in
           let a1 = ops.((4 * !i) + 1)
           and a2 = ops.((4 * !i) + 2)
           and a3 = ops.((4 * !i) + 3) in
@@ -3214,7 +2641,7 @@ let jit ?(stack_size = 512) prog =
               match tmp.(a2) with
               | Some v -> tmp.(a1) <- Some v
               | None -> ok := false)
-          | 40 -> if a1 >= 0 then nx := a1 / 4 else ok := false
+          | 40 -> if a1 >= 0 then nx := a1 else ok := false
           | o when o >= f_jeq_rr && o <= f_jset_ri ->
             if a3 < 0 then ok := false
             else begin
@@ -3225,7 +2652,7 @@ let jit ?(stack_size = 512) prog =
               in
               match (lhs, rhs) with
               | Some a, Some b ->
-                nx := (if jx_cond ((o - f_jeq_rr) / 2) a b then a3 / 4 else !i + 1)
+                nx := (if jx_cond ((o - f_jeq_rr) / 2) a b then a3 else !i + 1)
               | _ -> ok := false
             end
           | _ -> ok := false);
@@ -3261,7 +2688,7 @@ let jit ?(stack_size = 512) prog =
           done;
           let carr = Array.of_list !commits in
           if Array.length carr > 3 then Aplain blk_id.(ti)
-          else Agated (fuel, carr, blk_id.(tgt), 4 * ti)
+          else Agated (fuel, carr, blk_id.(tgt), ti)
         end
       end
     in
@@ -3276,7 +2703,7 @@ let jit ?(stack_size = 512) prog =
         | Some (_, 0, Jcnd (c, lhs, rhs, hti, hfi), hcarr, 0) -> (
           match (jx_opd lhs, jx_opd rhs) with
           | Some kl, Some kr ->
-            Some (blen_of.(ti), 4 * ti, hcarr, c, kl, kr, hti, hfi)
+            Some (blen_of.(ti), ti, hcarr, c, kl, kr, hti, hfi)
           | _ -> None)
         | _ -> None
     in
@@ -3329,7 +2756,7 @@ let jit ?(stack_size = 512) prog =
         | Aplain tb ->
           let ts = leader_of_blk.(tb) in
           if ts < n && block_absorbs ts pending then
-            Dbody (tb, blen_of.(ts), parr, 4 * ts)
+            Dbody (tb, blen_of.(ts), parr, ts)
           else Dcell (tb, parr)
         | Agated (gf, gc, gt, gp) ->
           let ts = leader_of_blk.(gt) in
@@ -3355,7 +2782,7 @@ let jit ?(stack_size = 512) prog =
           end
           else begin
             jrun_commits env fc;
-            exec_linked env.jvm linked env.jk fpc f
+            jit_resume env prog fpc f
           end
       | Dcell (cidx, pend) ->
         fun env ->
@@ -3370,7 +2797,7 @@ let jit ?(stack_size = 512) prog =
             jrun_commits env gc;
             (Array.unsafe_get cells gt) env
           end
-          else exec_linked env.jvm linked env.jk gp f
+          else jit_resume env prog gp f
     in
     let edge pending parr arm = disp_closure (build_disp pending parr arm) in
     (* own + inlined-head commits, later (head) entries winning. *)
@@ -3417,7 +2844,7 @@ let jit ?(stack_size = 512) prog =
         mk_chain stms 0 nstm tail
       | Jdeo (i, ci) ->
         mk_chain stms 0 nstm (fun env ->
-            exec_linked env.jvm linked env.jk (4 * i) (env.jfuel + ci))
+            jit_resume env prog i (env.jfuel + ci))
       | Jcnd (c, lhs, rhs, ti, fi) ->
         let kl = match jx_opd lhs with Some k -> k | None -> assert false in
         let kr = match jx_opd rhs with Some k -> k | None -> assert false in
@@ -3507,7 +2934,7 @@ let jit ?(stack_size = 512) prog =
                 end
                 else begin
                   jrun_commits env carr;
-                  exec_linked env.jvm linked env.jk hpc f
+                  jit_resume env prog hpc f
                 end
             | Ks la, Kc vb ->
               fun env ->
@@ -3520,7 +2947,7 @@ let jit ?(stack_size = 512) prog =
                 end
                 else begin
                   jrun_commits env carr;
-                  exec_linked env.jvm linked env.jk hpc f
+                  jit_resume env prog hpc f
                 end
             | _ ->
               fun env ->
@@ -3533,7 +2960,7 @@ let jit ?(stack_size = 512) prog =
                 end
                 else begin
                   jrun_commits env carr;
-                  exec_linked env.jvm linked env.jk hpc f
+                  jit_resume env prog hpc f
                 end
           in
           mk_chain stms 0 bound tail
@@ -3541,370 +2968,8 @@ let jit ?(stack_size = 512) prog =
           let d = edge pregs carr (arm_of t) in
           mk_chain stms 0 nstm d)
     in
-    (* Whole-loop mega template: the tight pointer-chasing accumulate
-       loop ("acc += m64[p]; acc += m64[p+8]" with an inlined counter
-       head) gets a single native loop. The per-iteration bounds checks
-       collapse to one non-raising region guard hoisted out of the
-       loop, together with the base pointer, the loop bound and the
-       loads (nothing in the loop can remap regions or write memory);
-       register commits are deferred to the loop's exits. Any guard
-       miss falls back to the block's generic micro-op body with the
-       exact monitored semantics. *)
-    let try_mega start ((stms, nstm, term, carr, _) as info) blen selfpc =
-      let nn = ref [] in
-      for i = nstm - 1 downto 0 do
-        match stms.(i) with Jnop -> () | st -> nn := st :: !nn
-      done;
-      match (!nn, term) with
-      | ( [
-            Jst (d1, Jslot acc0);
-            Jld (t0, Jslot p0, o1, _);
-            Jst (d1b, Jbin (0, Jslot acc1, Jtmp t0b));
-            Jst (d2, Jslot p1);
-            Jld (t1, Jslot p2, o2, _);
-            Jst (accw, Jbin (0, Jbin (0, Jslot acc2, Jtmp t0c), Jtmp t1b));
-            Jst (dk, Jbin (0, Jslot dkb, Jcst kinc));
-          ],
-          Jjmp jt )
-        when d1b = d1 && accw = acc0 && acc0 = acc1 && acc1 = acc2 && t0b = t0
-             && t0c = t0 && t1b = t1 && p0 = p1 && p1 = p2 && dkb = dk
-             && p0 <> d1 && p0 <> d2 && p0 <> accw && p0 <> dk
-             && accw <> dk && accw <> d1 && accw <> d2
-             && d1 <> d2 && d1 <> dk && d2 <> dk
-             && Int64.compare o1 0L >= 0 && Int64.compare o2 0L >= 0 -> (
-        match head_inline jt with
-        | Some (hfuel, hpc, hcarr, hc, Ks hls, hr, hti, hfi)
-          when hls = dk && (hti = start || hfi = start) -> (
-          let bnd =
-            match hr with
-            | Ks o when o <> d1 && o <> d2 && o <> accw && o <> dk && o <> p0
-              ->
-              Some hr
-            | Kc _ -> Some hr
-            | _ -> None
-          in
-          match bnd with
-          | None -> None
-          | Some bnd ->
-            let self_taken = hti = start in
-            let other_ti = if self_taken then hfi else hti in
-            let ownh = merge_commits carr hcarr in
-            let pall = regs_of ownh in
-            let od = edge pall ownh (arm_of other_ti) in
-            let hi =
-              Int64.add (if Int64.compare o1 o2 < 0 then o2 else o1) 7L
-            in
-            let hi_i = Int64.to_int hi in
-            let oi1 = Int64.to_int o1 and oi2 = Int64.to_int o2 in
-            let iterf = hfuel + blen in
-            let slow = mk_symbolic_body info in
-            let body env =
-              let s = env.jstk in
-              let bp = bytes_get64 s p0 in
-              let wlo = Int64.to_int (Int64.shift_right_logical bp 32) in
-              let whi =
-                Int64.to_int (Int64.shift_right_logical (Int64.add bp hi) 32)
-              in
-              let tbl = env.jvm.region_tbl in
-              if wlo = whi && wlo < Array.length tbl then begin
-                match Array.unsafe_get tbl wlo with
-                | Some r ->
-                  let off = Int64.to_int (Int64.logand bp 0xffff_ffffL) in
-                  if off + hi_i < r.rlen then begin
-                    let m = r.mem in
-                    let v0 = bytes_get64 m (r.roff + off + oi1) in
-                    let v1 = bytes_get64 m (r.roff + off + oi2) in
-                    let g = env.jseg in
-                    bytes_set64 g t0 v0;
-                    bytes_set64 g t1 v1;
-                    bytes_set64 s d2 bp;
-                    let bound =
-                      match bnd with
-                      | Ks o -> bytes_get64 s o
-                      | Kc v -> v
-                      | _ -> 0L
-                    in
-                    let rec go () =
-                      let acc0v = bytes_get64 s accw in
-                      let a1v = Int64.add acc0v v0 in
-                      let acc = Int64.add a1v v1 in
-                      bytes_set64 s d1 a1v;
-                      bytes_set64 s accw acc;
-                      let k = Int64.add (bytes_get64 s dk) kinc in
-                      bytes_set64 s dk k;
-                      let f = env.jfuel in
-                      if f >= iterf && jx_cond hc k bound = self_taken
-                      then begin
-                        env.jfuel <- f - iterf;
-                        go ()
-                      end
-                      else cold f k
-                    and cold f k =
-                      if f >= hfuel then begin
-                        env.jfuel <- f - hfuel;
-                        if jx_cond hc k bound = self_taken then begin
-                          jrun_commits env ownh;
-                          exec_linked env.jvm linked env.jk selfpc env.jfuel
-                        end
-                        else od env
-                      end
-                      else begin
-                        jrun_commits env carr;
-                        exec_linked env.jvm linked env.jk hpc f
-                      end
-                    in
-                    go ()
-                  end
-                  else slow env
-                | None -> slow env
-              end
-              else slow env
-            in
-            Some body)
-        | _ -> None)
-      | _ -> None
-    in
-    (* Second whole-loop template: the RTT-estimator cycle. A block of
-       pure slot arithmetic (two EWMAs, a decay product, a copy, the
-       loop-counter increment) jumps through an inlined counter head to
-       a small compare block (sample product, difference, sign test)
-       whose fall-through edge leads straight back. The whole cycle
-       compiles to one closed native loop with a single combined fuel
-       gate; every deviation (counter exhausted, fuel short, negative
-       difference) exits through the exact per-edge dispatch closures,
-       so commits, instruction accounting and deopt stay bit-exact. *)
-    let try_cycle start (stms, nstm, term, carr, (_ : int)) =
-      let nn = ref [] in
-      for i = nstm - 1 downto 0 do
-        match stms.(i) with Jnop -> () | st -> nn := st :: !nn
-      done;
-      match (!nn, term) with
-      | ( [
-            Jst
-              ( d1,
-                Jbin
-                  ( 0,
-                    Jbin (9, Jbin (2, Jslot a1, Jcst c1), Jcst k1),
-                    Jbin (9, Jslot b1, Jcst k2) ) );
-            Jst (d2, Jbin (9, Jbin (2, Jslot a2, Jcst c2), Jcst k3));
-            Jst (d3, Jslot a3);
-            Jst
-              ( d4,
-                Jbin
-                  ( 0,
-                    Jbin (9, Jbin (2, Jslot a4, Jcst c4), Jcst k4),
-                    Jbin (9, Jslot b4, Jcst k5) ) );
-            Jst (dk, Jbin (0, Jslot dkb, Jcst kinc));
-          ],
-          Jjmp jt )
-        when dkb = dk -> (
-        match head_inline jt with
-        | Some (hfuel, hpc, hcarr, hc, Ks hls, hr, hti, hfi) when hls = dk
-          -> (
-          let ownh = merge_commits carr hcarr in
-          let pall = regs_of ownh in
-          (* Find the continue arm: a deferred direct edge into a
-             mul/sub/copy compare block with a deferred edge back. *)
-          let probe arm =
-            match build_disp pall ownh (arm_of arm) with
-            | Dbody (mb, mneed, _, _) -> (
-              let ml = leader_of_blk.(mb) in
-              if ml >= n || ml = start then None
-              else
-                match sym.(ml) with
-                | Some (mstms, mnstm, Jcnd (mc, mlhs, mrhs, mti, mfi), mcarr, _)
-                  -> (
-                  let mn = ref [] in
-                  for i = mnstm - 1 downto 0 do
-                    match mstms.(i) with
-                    | Jnop -> ()
-                    | st -> mn := st :: !mn
-                  done;
-                  match (!mn, jx_opd mlhs, jx_opd mrhs) with
-                  | ( [
-                        Jst (md1, Jbin (2, Jslot ma, Jcst mcst));
-                        Jst (md2, Jbin (1, Jslot mbs, Jbin (2, Jslot ma', Jcst mcst')));
-                        Jst (md3, Jslot ma3);
-                      ],
-                      Some (Ks mls),
-                      Some (Kc mrv) )
-                    when ma' = ma && mcst' = mcst ->
-                    let mpregs = regs_of mcarr in
-                    let back a =
-                      match build_disp mpregs mcarr (arm_of a) with
-                      | Dbody (bb, bneed, _, _)
-                        when leader_of_blk.(bb) = start ->
-                        Some bneed
-                      | _ -> None
-                    in
-                    let pick =
-                      match back mti with
-                      | Some bneed -> Some (true, bneed, mfi)
-                      | None -> (
-                        match back mfi with
-                        | Some bneed -> Some (false, bneed, mti)
-                        | None -> None)
-                    in
-                    (match pick with
-                    | Some (back_is_ti, backneed, mother_arm) ->
-                      Some
-                        ( mb, mneed, backneed, back_is_ti, mother_arm, mc,
-                          mls, mrv, md1, md2, md3, ma, mbs, ma3, mcst,
-                          mpregs, mcarr )
-                    | None -> None)
-                  | _ -> None)
-                | _ -> None)
-            | _ -> None
-          in
-          let cont =
-            match probe hti with
-            | Some m -> Some (true, m)
-            | None -> (
-              match probe hfi with Some m -> Some (false, m) | None -> None)
-          in
-          match cont with
-          | Some
-              ( cont_is_ti,
-                ( _mb, mneed, backneed, back_is_ti, mother_arm, mc, mls,
-                  mrv, md1, md2, md3, ma, mbs, ma3, mcst, mpregs, mcarr ) )
-            -> (
-            let writes = [ d1; d2; d3; d4; dk; md1; md2; md3 ] in
-            let bnd =
-              match hr with
-              | Ks o when not (List.mem o writes) -> Some hr
-              | Kc _ -> Some hr
-              | _ -> None
-            in
-            match bnd with
-            | None -> None
-            | Some bnd ->
-              let exit_arm = if cont_is_ti then hfi else hti in
-              let contc = edge pall ownh (arm_of (if cont_is_ti then hti else hfi)) in
-              let exitc = edge pall ownh (arm_of exit_arm) in
-              let motherc = edge mpregs mcarr (arm_of mother_arm) in
-              (* Diamond support: if the deviating arm runs one tiny
-                 pure block (e.g. negate the difference) and jumps
-                 straight back to the loop, keep it in-loop — commits,
-                 fuel and the loop-bound slot are replicated exactly,
-                 with any shortfall replayed through the generic edge. *)
-              let writes_slot o xstms xnstm =
-                let w = ref false in
-                for i = 0 to xnstm - 1 do
-                  match xstms.(i) with
-                  | Jst (d, _) when d = o -> w := true
-                  | _ -> ()
-                done;
-                !w
-              in
-              let probe_x pend gc pref gt =
-                let xl = leader_of_blk.(gt) in
-                if xl >= n || xl = start then None
-                else
-                  match sym.(xl) with
-                  | Some (xstms, xnstm, Jjmp xt, xcarr, _) -> (
-                    match build_disp (regs_of xcarr) xcarr (arm_of xt) with
-                    | Dbody (bb, xneed, _, _)
-                      when leader_of_blk.(bb) = start
-                           && (match bnd with
-                              | Ks o -> not (writes_slot o xstms xnstm)
-                              | _ -> true) ->
-                      let xchain = mk_chain xstms 0 xnstm (fun _ -> 0L) in
-                      Some (pend, gc, pref + blen_of.(xl) + xneed, xchain)
-                    | _ -> None)
-                  | _ -> None
-              in
-              let minline =
-                match build_disp mpregs mcarr (arm_of mother_arm) with
-                | Dgcell (gf, gt, pend, gc, _) -> probe_x pend gc gf gt
-                | Dbody (bb, need, _, _) ->
-                  probe_x [||] [||] (need - blen_of.(leader_of_blk.(bb))) bb
-                | Dcell _ -> None
-              in
-              let s1h = Int64.to_int (Int64.logand k1 63L) in
-              let s2h = Int64.to_int (Int64.logand k2 63L) in
-              let s3h = Int64.to_int (Int64.logand k3 63L) in
-              let s4h = Int64.to_int (Int64.logand k4 63L) in
-              let s5h = Int64.to_int (Int64.logand k5 63L) in
-              let iterf = hfuel + mneed + backneed in
-              (* [go]/[cold] close only over template constants and are
-                 built once at compile time: re-entering the loop after
-                 an excursion (negative difference, fuel pause) costs no
-                 allocation. *)
-              let rec go env s bound =
-                bytes_set64 s d1
-                  (Int64.add
-                     (Int64.shift_right_logical
-                        (Int64.mul (bytes_get64 s a1) c1)
-                        s1h)
-                     (Int64.shift_right_logical (bytes_get64 s b1) s2h));
-                bytes_set64 s d2
-                  (Int64.shift_right_logical
-                     (Int64.mul (bytes_get64 s a2) c2)
-                     s3h);
-                bytes_set64 s d3 (bytes_get64 s a3);
-                bytes_set64 s d4
-                  (Int64.add
-                     (Int64.shift_right_logical
-                        (Int64.mul (bytes_get64 s a4) c4)
-                        s4h)
-                     (Int64.shift_right_logical (bytes_get64 s b4) s5h));
-                let k = Int64.add (bytes_get64 s dk) kinc in
-                bytes_set64 s dk k;
-                let f = env.jfuel in
-                if f >= iterf && jx_cond hc k bound = cont_is_ti then begin
-                  let pr = Int64.mul (bytes_get64 s ma) mcst in
-                  bytes_set64 s md1 pr;
-                  bytes_set64 s md2 (Int64.sub (bytes_get64 s mbs) pr);
-                  bytes_set64 s md3 (bytes_get64 s ma3);
-                  if jx_cond mc (bytes_get64 s mls) mrv = back_is_ti
-                  then begin
-                    env.jfuel <- f - iterf;
-                    go env s bound
-                  end
-                  else begin
-                    let f' = f - hfuel - mneed in
-                    match minline with
-                    | Some (pend, gc, xcost, xchain) when f' >= xcost ->
-                      jrun_commits env pend;
-                      jrun_commits env gc;
-                      ignore (xchain env);
-                      env.jfuel <- f' - xcost;
-                      go env s bound
-                    | _ ->
-                      env.jfuel <- f';
-                      motherc env
-                  end
-                end
-                else cold env f k bound
-              and cold env f k bound =
-                if f >= hfuel then begin
-                  env.jfuel <- f - hfuel;
-                  if jx_cond hc k bound = cont_is_ti then contc env
-                  else exitc env
-                end
-                else begin
-                  jrun_commits env carr;
-                  exec_linked env.jvm linked env.jk hpc f
-                end
-              in
-              let body env =
-                let s = env.jstk in
-                let bound =
-                  match bnd with
-                  | Ks o -> bytes_get64 s o
-                  | Kc v -> v
-                  | _ -> 0L
-                in
-                go env s bound
-              in
-              Some body)
-          | None -> None)
-        | _ -> None)
-      | _ -> None
-    in
     let compile_block start stop =
       let blen = stop - start in
-      let pc4 = 4 * start in
       let body =
         match sym.(start) with
         | None ->
@@ -3912,13 +2977,7 @@ let jit ?(stack_size = 512) prog =
             if i < start then next else build (i - 1) (ins i (stop - i) next)
           in
           build (stop - 1) (goto_cell blk_id.(stop))
-        | Some info -> (
-          match try_mega start info blen pc4 with
-          | Some b -> b
-          | None -> (
-            match try_cycle start info with
-            | Some b -> b
-            | None -> mk_symbolic_body info))
+        | Some info -> mk_symbolic_body info
       in
       bodies.(blk_id.(start)) <- body;
       cells.(blk_id.(start)) <-
@@ -3928,7 +2987,7 @@ let jit ?(stack_size = 512) prog =
             env.jfuel <- f - blen;
             body env
           end
-          else exec_linked env.jvm linked env.jk pc4 f)
+          else jit_resume env prog start f)
     in
     let start = ref 0 in
     for i = 1 to n do
@@ -3937,23 +2996,13 @@ let jit ?(stack_size = 512) prog =
         start := i
       end
     done;
-    (* Sentinel block: falling off the end. The linked loop's own fuel
-       check and sentinel trap provide the exact semantics. *)
-    cells.(blk_id.(n)) <-
-      (fun env -> exec_linked env.jvm linked env.jk (4 * n) env.jfuel);
+    (* Sentinel block: falling off the end. The reference loop's own fuel
+       check and failed fetch provide the exact semantics. *)
+    cells.(blk_id.(n)) <- (fun env -> jit_resume env prog n env.jfuel);
     let entry = cells.(blk_id.(0)) in
     if !maxtmp > 0 then env.jseg <- Bytes.create (8 * !maxtmp);
-    ignore env.jseg_off;
-    {
-      jlinked = linked;
-      jstack = stack_size;
-      jentry = Some (fun e -> entry e);
-      jenv = env;
-    }
+    { jprog = prog; jstack = stack_size; jentry = entry; jenv = env }
   end
-
-let jit_linked jp = jp.jlinked
-let jit_compiled jp = jp.jentry <> None
 
 (* Share one compilation between PREs: the block closures only ever touch
    the [jit_env] they are passed, so a clone is the same closures over a
@@ -3965,13 +3014,13 @@ let jit_clone jp =
   env.jseg <- Bytes.create (Bytes.length jp.jenv.jseg);
   { jp with jenv = env }
 
-(* Execute a jitted program: the same prologue as [run_linked], then the
-   entry block closure. A VM whose stack size differs from the one the
-   stack-direct closures were baked for falls back to the linked tier
-   (same semantics, no recompilation). *)
+(* Execute a jitted program: the same prologue as [run], into the register
+   file, then the entry block closure. A VM whose stack size differs from
+   the one the stack-direct closures were baked for runs the program in
+   the reference interpreter (same semantics, no recompilation). *)
 let run_jit vm ?(args = [||]) jp =
-  match jp.jentry with
-  | Some entry when vm.stack_size = jp.jstack ->
+  if vm.stack_size <> jp.jstack then run vm ~args jp.jprog
+  else begin
     reset_stack vm;
     let regb = vm.regb in
     Bytes.fill regb 0 88 '\000';
@@ -3992,7 +3041,7 @@ let run_jit vm ?(args = [||]) jp =
     end;
     env.jk <- vm.executed + fuel0 + 1;
     env.jfuel <- fuel0;
-    entry env
-  | _ -> run_linked vm ~args jp.jlinked
+    jp.jentry env
+  end
 
 let executed vm = vm.executed

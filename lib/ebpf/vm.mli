@@ -1,18 +1,19 @@
-(** Interpreting eBPF virtual machine with runtime memory monitoring.
+(** eBPF virtual machine with runtime memory monitoring.
 
     The paper's PRE injects bounds-checking instructions when JITing
-    pluglet bytecode; this interpreter performs the same checks on every
-    load and store instead. Memory is organized as disjoint {e regions}
-    (pluglet stack, plugin heap, host-provided buffers) mapped at synthetic
-    64-bit base addresses; any access outside a mapped region, or a write
-    to a read-only region, raises {!Memory_violation} — the host reacts by
-    removing the plugin and terminating the connection.
+    pluglet bytecode; both execution tiers here perform the same checks
+    on every load and store instead. Memory is organized as disjoint
+    {e regions} (pluglet stack, plugin heap, host-provided buffers) mapped
+    at synthetic 64-bit base addresses; any access outside a mapped
+    region, or a write to a read-only region, raises {!Memory_violation}
+    — the host reacts by removing the plugin and terminating the
+    connection.
 
-    The admission pipeline is {e decode → verify → link → run}: production
-    callers {!link} a verified program once and execute it with
-    {!run_linked}, which does no per-run setup work. {!run} interprets the
-    decoded form directly and is kept as the executable specification the
-    linked fast path is differentially tested against. *)
+    There are two execution tiers. Production callers compile a verified
+    program once with {!jit} and execute it with {!run_jit}. {!run}
+    interprets the decoded form directly: it is the executable
+    specification the JIT is differentially tested against, and the
+    target the JIT deoptimises into. *)
 
 type perm = Ro | Rw
 
@@ -105,70 +106,36 @@ val run : t -> ?args:int64 array -> Insn.t array -> int64
     stack is zeroed before the run, so stack contents never leak between
     runs. This is the reference interpreter: it resolves jumps through
     freshly built slot maps on every invocation — production callers use
-    {!link} and {!run_linked}.
-    @raise Memory_violation on an out-of-region or read-only access
-    @raise Fuel_exhausted when the instruction budget is spent
-    @raise Helper_failure when a helper rejects a call *)
-
-type linked_prog
-(** A program linked once for repeated execution: a flat array with one
-    specialised opcode per operation and operand kind, jump offsets
-    resolved to direct array indices, immediates pre-widened to 64 bits,
-    and the frequent adjacent instruction pairs fused. *)
-
-val link : Insn.t array -> linked_prog
-(** Link a program. Total: any jump target the verifier would reject is
-    linked to a lazy trap that raises {!Memory_violation} only if taken,
-    so linked execution agrees with {!run} even on unverified programs. *)
-
-val run_linked : t -> ?args:int64 array -> linked_prog -> int64
-(** Execute a linked program; semantics (results, traps, {!executed}
-    accounting) are identical to {!run} on the program it was linked
-    from, with no per-run setup work. The VM is not re-entrant on this
-    path: a helper must not run the same VM again.
+    {!jit} and {!run_jit}.
     @raise Memory_violation on an out-of-region or read-only access
     @raise Fuel_exhausted when the instruction budget is spent
     @raise Helper_failure when a helper rejects a call *)
 
 type jit_prog
-(** A program compiled by the closure-template JIT (the third execution
-    tier): basic blocks become chains of OCaml closures specialised per
-    opcode and operand kind, threaded by direct closure reference, with
-    stack bounds checks resolved at compile time where the frame pointer
-    is provably never rewritten. A [jit_prog] holds no VM state, so one
-    compilation is shared by every VM running the same bytecode (the
-    content-addressed plugin cache relies on this) — but execution is not
-    re-entrant: one run at a time per [jit_prog]. *)
-
-val jit_enabled : bool ref
-(** When false, {!jit} produces an uncompiled program and {!run_jit}
-    falls back to {!run_linked} — keeping the reference tiers
-    differentially testable and the JIT switchable at runtime.
-    Default: true, unless the environment sets [PQUIC_NO_JIT=1]. *)
+(** A program compiled by the closure-template JIT: basic blocks become
+    chains of OCaml closures specialised per opcode and operand kind,
+    threaded by direct closure reference, with stack bounds checks
+    resolved at compile time where the frame pointer is provably never
+    rewritten. A [jit_prog] holds no VM state, so one compilation is
+    shared by every VM running the same bytecode (the content-addressed
+    plugin cache relies on this) — but execution is not re-entrant: one
+    run at a time per [jit_prog]. *)
 
 val jit : ?stack_size:int -> Insn.t array -> jit_prog
 (** Compile a program for {!run_jit}. [stack_size] (default 512) must
     match the stack size of the VMs the program will run on; a mismatch
-    is detected at run time and falls back to the linked tier. Like
-    {!link}, compilation is total: shapes the JIT does not specialise
-    (invalid jump targets, bad register operands) deoptimise into the
-    linked interpreter at the exact faulting instruction, so execution
-    agrees with {!run} even on unverified programs. *)
+    is detected at run time and the program runs in {!run} instead.
+    Compilation is total: shapes the JIT does not specialise (invalid
+    jump targets, bad register operands, falling off the end) and a run
+    whose remaining fuel does not cover the next block deoptimise into
+    {!run} at the exact instruction, so execution agrees with {!run} even
+    on unverified programs. Big-endian hosts run every program in {!run}. *)
 
 val jit_clone : jit_prog -> jit_prog
 (** Same compiled closures over a fresh mutable run environment: cheap
     (two small allocations, no recompilation), and gives each holder its
     own non-re-entrancy domain. This is how the content-addressed program
     cache hands one compilation to many PREs. *)
-
-val jit_linked : jit_prog -> linked_prog
-(** The linked form backing a jitted program (also its deoptimisation
-    target) — callers needing the second tier get it without re-linking. *)
-
-val jit_compiled : jit_prog -> bool
-(** Whether closure compilation actually ran ([jit_enabled] was set and
-    the platform is little-endian); if false, {!run_jit} executes on the
-    linked tier. *)
 
 val run_jit : t -> ?args:int64 array -> jit_prog -> int64
 (** Execute a jitted program; semantics (results, traps, {!executed}

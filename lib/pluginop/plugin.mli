@@ -29,8 +29,8 @@ val compiled : pluglet -> Ebpf.Insn.t array * int
 
 val code_key : Ebpf.Insn.t array -> int -> string
 (** Content address of an executable form (bytecode digest + stack size):
-    the key under which the PREs' program cache shares one verified,
-    linked and jitted compilation between identical pluglets. *)
+    the key under which the PREs' program cache shares one verified
+    and jitted compilation between identical pluglets. *)
 
 val serialize : t -> string
 (** Deterministic wire form — the unit published to the Plugin Repository

@@ -69,7 +69,7 @@ exception Injection_failed of string
 let plugin_heap_size = 256 * 1024
 
 (* Build a fresh instance for [plugin]: every pluglet is admitted here —
-   compiled, verified, linked and jitted through the PREs'
+   compiled, verified and jitted through the PREs'
    content-addressed program cache, so building the same bytecode again
    (another connection, a reload) reuses the compiled closures and only
    pays for fresh run environments. Attaching the instance to a

@@ -3,11 +3,12 @@
    points to the area shared by all pluglets of the plugin. Every VM maps
    its stack at the same window and the heap is the first region mapped
    after it, so heap pointers have the same value in every PRE of the
-   instance. The admission pipeline — decode, static verification, link —
-   runs here, once, at creation; per-packet execution then runs the linked
-   program with no setup work, and runtime memory monitoring lives in the
-   VM. Caching instances (Section 2.5) therefore caches the linked
-   programs too, which is what keeps plugin reload cheap. *)
+   instance. The admission pipeline — decode, static verification, closure
+   JIT — runs here, once per distinct bytecode; per-packet execution then
+   runs the jitted program with no setup work, and runtime memory
+   monitoring lives in the VM. Caching instances (Section 2.5) therefore
+   caches the compiled programs too, which is what keeps plugin reload
+   cheap. *)
 
 exception Rejected of string
 
@@ -17,28 +18,27 @@ type t = {
   param : int option;
   anchor : Protoop.anchor;
   prog : Ebpf.Insn.t array;
-  linked : Ebpf.Vm.linked_prog;
   jit : Ebpf.Vm.jit_prog;
   vm : Ebpf.Vm.t;
   heap_base : int64;
 }
 
 (* Content-addressed program cache: bytecode digest + stack size
-   ([Plugin.code_key], suffixed with the jit switch) -> the verified,
-   linked and jitted compilation. A hit skips the whole admission
-   pipeline — verification (same bytecode, same verdict), linking and
-   closure compilation — and shares the compiled closures via
+   ([Plugin.code_key]) -> the verified and jitted compilation. A hit skips
+   the whole admission pipeline — verification (same bytecode, same
+   verdict) and closure compilation — and shares the compiled closures via
    [Vm.jit_clone], so reloading a cached plugin or injecting the same
    pluglet on another connection only pays for a fresh run environment.
    The cache is process-global (node scope): every endpoint and every
    connection admitting the same bytecode shares one compilation.
-   Bounded FIFO: entries beyond [capacity] evict the oldest admission. *)
+   Bounded FIFO: entries beyond [cache_capacity] evict the oldest
+   admission. *)
 let program_cache : (string, Ebpf.Vm.jit_prog) Hashtbl.t = Hashtbl.create 32
 let admission_order : string Queue.t = Queue.create ()
 let cache_hits = ref 0
 let cache_misses = ref 0
 let cache_evictions = ref 0
-let cache_capacity = ref 4096
+let cache_capacity = 4096
 
 type cache_counters = {
   entries : int;
@@ -46,8 +46,6 @@ type cache_counters = {
   misses : int;
   evictions : int;
 }
-
-let cache_stats () = (Hashtbl.length program_cache, !cache_hits)
 
 let cache_counters () =
   {
@@ -57,13 +55,8 @@ let cache_counters () =
     evictions = !cache_evictions;
   }
 
-let set_cache_capacity n = cache_capacity := max 1 n
-
 let admit prog stack_size =
-  let key =
-    Plugin.code_key prog stack_size
-    ^ if !Ebpf.Vm.jit_enabled then ":jit" else ":linked"
-  in
+  let key = Plugin.code_key prog stack_size in
   match Hashtbl.find_opt program_cache key with
   | Some master ->
     incr cache_hits;
@@ -79,7 +72,7 @@ let admit prog stack_size =
         (Rejected
            (String.concat "; " (List.map Ebpf.Verifier.error_to_string errs))));
     let master = Ebpf.Vm.jit ~stack_size prog in
-    while Hashtbl.length program_cache >= !cache_capacity
+    while Hashtbl.length program_cache >= cache_capacity
           && not (Queue.is_empty admission_order) do
       let oldest = Queue.pop admission_order in
       if Hashtbl.mem program_cache oldest then begin
@@ -91,7 +84,7 @@ let admit prog stack_size =
     Queue.push key admission_order;
     Ebpf.Vm.jit_clone master
 
-(* Verify, link, jit and instantiate (through the program cache). [heap]
+(* Verify, jit and instantiate (through the program cache). [heap]
    is the plugin's shared memory area. *)
 let create ~plugin_name ~(pluglet : Plugin.pluglet) ~heap =
   let prog, stack_size = Plugin.compiled pluglet in
@@ -104,7 +97,6 @@ let create ~plugin_name ~(pluglet : Plugin.pluglet) ~heap =
     param = pluglet.param;
     anchor = pluglet.anchor;
     prog;
-    linked = Ebpf.Vm.jit_linked jit;
     jit;
     vm;
     heap_base = heap_region.Ebpf.Vm.base;
@@ -117,34 +109,10 @@ let heap_addr t off = Int64.add t.heap_base (Int64.of_int off)
 
 let heap_offset t addr = Int64.to_int (Int64.sub addr t.heap_base)
 
-(* Map transient regions (packet buffers, protoop inputs) for the duration
-   of [f], which receives their base addresses in order. The VM recycles
-   the table slots of unmapped regions, so this steady per-call traffic
-   reuses the same few windows instead of growing the address space. *)
-let with_regions t regions f =
-  let mapped =
-    List.map
-      (fun (name, bytes, perm, off, len) ->
-        Ebpf.Vm.map_region t.vm ~name ~perm ~off ~len bytes)
-      regions
-  in
-  let finally () = List.iter (Ebpf.Vm.unmap_region t.vm) mapped in
-  match f (List.map (fun r -> r.Ebpf.Vm.base) mapped) with
-  | result ->
-    finally ();
-    result
-  | exception e ->
-    finally ();
-    raise e
-
-(* The per-packet fast path: the jitted tier when compiled, the linked
-   tier otherwise (run_jit falls back by itself). In-engine a protoop
-   dispatch arrives with cold caches — the engine touches packets, frame
-   tables and timers between execs — so per-exec cost is dominated by
-   reloading the VM's run state, not by the tier's hot ns/insn: measured
-   under simulated cache pollution both tiers land within 7% of each
-   other, with the jitted tier slightly ahead (and ~27 fewer minor words
-   per exec, no per-instruction operand boxing). *)
+(* The per-packet fast path. In-engine a protoop dispatch arrives with
+   cold caches — the engine touches packets, frame tables and timers
+   between execs — so per-exec cost is dominated by reloading the VM's
+   run state, not by the tier's hot ns/insn. *)
 let run t ~args = Ebpf.Vm.run_jit t.vm ~args t.jit
 
 let executed_insns t = Ebpf.Vm.executed t.vm

@@ -4,7 +4,7 @@
     points to the area shared by all pluglets of the plugin, mapped at the
     same window in every VM so heap pointers have the same value in every
     PRE of an instance. The admission pipeline — compile if needed, static
-    verification, link, closure JIT — runs once per distinct bytecode: a
+    verification, closure JIT — runs once per distinct bytecode: a
     content-addressed program cache shares the compiled program between
     identical pluglets, so re-admission only pays for a fresh run
     environment. {!run} then executes the program with no per-call setup,
@@ -19,7 +19,6 @@ type t = {
   param : int option;
   anchor : Protoop.anchor;
   prog : Ebpf.Insn.t array;
-  linked : Ebpf.Vm.linked_prog;  (** the jitted program's linked form *)
   jit : Ebpf.Vm.jit_prog;
     (** compiled once per distinct bytecode (content-addressed cache) *)
   vm : Ebpf.Vm.t;
@@ -30,11 +29,6 @@ val create : plugin_name:string -> pluglet:Plugin.pluglet -> heap:Bytes.t -> t
 (** @raise Rejected when verification fails
     @raise Plc.Compile.Error when source compilation fails *)
 
-val cache_stats : unit -> int * int
-(** [(entries, hits)] of the content-addressed program cache — distinct
-    compiled programs, and admissions served without re-verifying,
-    re-linking or re-jitting. *)
-
 type cache_counters = {
   entries : int;
   hits : int;
@@ -44,11 +38,8 @@ type cache_counters = {
 
 val cache_counters : unit -> cache_counters
 (** Full counters of the node-scope program cache: [hits] admissions
-    served from cache, [misses] full verify+link+jit compilations,
-    [evictions] entries dropped by the FIFO capacity bound. *)
-
-val set_cache_capacity : int -> unit
-(** Bound the program cache (default 4096 entries, min 1). *)
+    served from cache, [misses] full verify+jit compilations,
+    [evictions] entries dropped by the FIFO bound of 4096 entries. *)
 
 val register_helper : ?arity:int -> t -> int -> Ebpf.Vm.helper -> unit
 (** See {!Ebpf.Vm.register_helper}: [arity] declares how many argument
@@ -59,20 +50,8 @@ val heap_addr : t -> int -> int64
 
 val heap_offset : t -> int64 -> int
 
-val with_regions :
-  t ->
-  (string * Bytes.t * Ebpf.Vm.perm * int * int) list ->
-  (int64 list -> 'a) ->
-  'a
-(** Map transient regions (packet buffers, protoop inputs) for the duration
-    of the callback, which receives their base addresses in order. Each
-    entry is [(name, bytes, perm, off, len)]: the pluglet sees the
-    [off, off+len) sub-view of [bytes] — pass [0, Bytes.length bytes] for
-    a whole-buffer mapping. *)
-
 val run : t -> args:int64 array -> int64
 (** Execute the pluglet's jitted program on its VM (the per-packet fast
-    path); falls back to the linked tier when closure compilation is
-    off. *)
+    path). *)
 
 val executed_insns : t -> int

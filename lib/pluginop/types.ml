@@ -24,7 +24,7 @@ type arg =
   | View of Bytes.t * int * int
 
 (* One implementation on an anchor: a host-native OCaml closure or a
-   verified-and-linked pluglet. *)
+   verified-and-jitted pluglet. *)
 type 'c impl = Native of string * ('c -> arg array -> int64) | Pluglet of Pre.t
 
 type 'c op_entry = {
@@ -34,7 +34,7 @@ type 'c op_entry = {
   mutable ext : 'c impl option;
 }
 
-(* A built plugin instance: every pluglet compiled, verified and linked
+(* A built plugin instance: every pluglet compiled, verified and jitted
    once; the pool is the plugin's shared heap. Instances are host-typed
    because attaching installs helpers that close over the connection. *)
 type 'c instance = {

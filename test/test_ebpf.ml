@@ -401,13 +401,13 @@ let test_stack_isolated_between_runs () =
   ignore (Vm.run vm write);
   check i64 "fresh stack per run" 0L (Vm.run vm read)
 
-(* ---------------- execution tiers (link, jit) ------------------------ *)
+(* ---------------- execution tiers (run, jit) ------------------------- *)
 
-(* [Vm.run] is kept as the executable specification of pluglet semantics;
-   [Vm.link] + [Vm.run_linked] is the admission-pipeline fast path, and
-   [Vm.jit] + [Vm.run_jit] the closure-compiled tier the PREs actually
-   execute. All three must agree on results, on traps and on instruction
-   accounting for every program the verifier admits. *)
+(* [Vm.run] is the executable specification of pluglet semantics and the
+   JIT's deoptimisation target; [Vm.jit] + [Vm.run_jit] is the
+   closure-compiled tier the PREs execute. Both must agree on results, on
+   traps and on instruction accounting for every program the verifier
+   admits, and for the unverified shapes the JIT deoptimises on. *)
 
 type outcome = Value of int64 | Trap of string
 
@@ -419,8 +419,8 @@ let outcome_to_string = function
    registered, so calling it traps [Helper_failure] at runtime. *)
 let diff_known_helper id = id = 1 || id = 2 || id = 7
 
-let diff_vm () =
-  let vm = Vm.create ~max_insns:2_000 () in
+let diff_vm ?(max_insns = 2_000) () =
+  let vm = Vm.create ~max_insns () in
   Vm.register_helper vm 1 (fun _ a -> Int64.add a.(0) a.(1));
   Vm.register_helper vm 2 (fun _ a -> Int64.mul a.(0) 3L);
   let rw =
@@ -441,35 +441,31 @@ let observe vm f =
     | exception Vm.Memory_violation m -> Trap ("memory: " ^ m)
     | exception Vm.Fuel_exhausted -> Trap "fuel"
     | exception Vm.Helper_failure m -> Trap ("helper: " ^ m)
+    (* a bad register operand or falling off the end: the reference
+       interpreter's own array bounds check *)
+    | exception Invalid_argument m -> Trap ("invalid: " ^ m)
   in
   (outcome, Vm.executed vm - before)
 
-(* Run [prog] through all three tiers on identically prepared VMs (same
-   region layout, hence identical base addresses passed as r1/r2). *)
-let differential prog =
-  let vm_ref, args_ref = diff_vm () in
-  let vm_fast, args_fast = diff_vm () in
-  let vm_jit, args_jit = diff_vm () in
-  assert (args_ref = args_fast && args_ref = args_jit);
+(* Run [prog] through both tiers on identically prepared VMs (same region
+   layout, hence identical base addresses passed as r1/r2). [vm] makes
+   each VM and its arguments (default [diff_vm]); [stack_size] is the one
+   the JIT compiles for. *)
+let differential ?(vm = fun () -> diff_vm ()) ?stack_size prog =
+  let vm_ref, args_ref = vm () in
+  let vm_jit, args_jit = vm () in
+  assert (args_ref = args_jit);
   let o_ref = observe vm_ref (fun () -> Vm.run vm_ref ~args:args_ref prog) in
-  let o_fast =
-    observe vm_fast (fun () ->
-        Vm.run_linked vm_fast ~args:args_fast (Vm.link prog))
-  in
   let o_jit =
-    observe vm_jit (fun () -> Vm.run_jit vm_jit ~args:args_jit (Vm.jit prog))
+    observe vm_jit (fun () ->
+        Vm.run_jit vm_jit ~args:args_jit (Vm.jit ?stack_size prog))
   in
-  (o_ref, o_fast, o_jit)
+  (o_ref, o_jit)
 
-let diff_case name prog =
-  let (o_ref, e_ref), (o_fast, e_fast), (o_jit, e_jit) =
-    differential (Array.of_list prog)
+let diff_case ?vm ?stack_size name prog =
+  let (o_ref, e_ref), (o_jit, e_jit) =
+    differential ?vm ?stack_size (Array.of_list prog)
   in
-  check bool
-    (Printf.sprintf "%s: %s = %s (linked)" name (outcome_to_string o_ref)
-       (outcome_to_string o_fast))
-    true (o_ref = o_fast);
-  check int (name ^ ": linked executed-insn accounting") e_ref e_fast;
   check bool
     (Printf.sprintf "%s: %s = %s (jit)" name (outcome_to_string o_ref)
        (outcome_to_string o_jit))
@@ -504,26 +500,20 @@ let gen_diff_insn =
         (1, oneofl [ I.Call 1; I.Call 2; I.Call 7 ]);
       ])
 
-let linked_matches_reference =
-  qcheck ~count:500 "linked and jit tiers match the reference interpreter"
+let jit_matches_reference =
+  qcheck ~count:500 "jit matches the reference"
     QCheck2.Gen.(list_size (int_range 1 25) gen_diff_insn)
     (fun insns ->
       let prog = Array.of_list (insns @ [ I.Exit ]) in
       match V.verify ~known_helper:diff_known_helper prog with
       | Error _ -> true (* not admitted: nothing to compare *)
       | Ok () ->
-        let (o_ref, e_ref), (o_fast, e_fast), (o_jit, e_jit) =
-          differential prog
-        in
-        if
-          o_ref = o_fast && e_ref = e_fast && o_ref = o_jit && e_ref = e_jit
-        then true
+        let (o_ref, e_ref), (o_jit, e_jit) = differential prog in
+        if o_ref = o_jit && e_ref = e_jit then true
         else
           QCheck2.Test.fail_reportf
-            "reference: %s after %d insns@.linked:    %s after %d \
-             insns@.jit:       %s after %d insns"
-            (outcome_to_string o_ref) e_ref (outcome_to_string o_fast) e_fast
-            (outcome_to_string o_jit) e_jit)
+            "reference: %s after %d insns@.jit:       %s after %d insns"
+            (outcome_to_string o_ref) e_ref (outcome_to_string o_jit) e_jit)
 
 let test_differential_traps () =
   (* fuel: a self-jump that never terminates *)
@@ -554,25 +544,142 @@ let test_differential_traps () =
       I.Exit;
     ]
 
-let test_linked_lazy_jump_trap () =
+let test_lazy_jump_trap () =
   (* an out-of-range target on a conditional jump only traps when the jump
-     is taken: linking must not reject the program eagerly (r0 starts 0) *)
+     is taken: compiling must not reject the program eagerly (r0 starts 0) *)
   diff_case "invalid jump not taken"
     [ I.Jcond (I.Jeq, 0, I.Imm 1l, 100); I.Exit ];
   diff_case "invalid jump taken" [ I.Jcond (I.Jeq, 0, I.Imm 0l, 100); I.Exit ];
   let vm, args = diff_vm () in
   match
-    Vm.run_linked vm ~args
-      (Vm.link [| I.Jcond (I.Jeq, 0, I.Imm 0l, 100); I.Exit |])
+    Vm.run_jit vm ~args (Vm.jit [| I.Jcond (I.Jeq, 0, I.Imm 0l, 100); I.Exit |])
   with
   | exception Vm.Memory_violation "jump to invalid slot" -> ()
   | exception e ->
     Alcotest.failf "wrong trap for taken invalid jump: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "taken invalid jump did not trap"
 
+(* Every way the JIT leaves its compiled code must land in the reference
+   interpreter at the exact instruction, with the same registers, stack
+   and instruction count. *)
+let test_deopt_parity () =
+  (* fuel running out inside a prepaid block: a loop of 8-instruction
+     bodies, with every budget that ends the run at a different point of
+     the body (a block head finding less fuel than the block needs hands
+     over to the reference loop, which spends the rest) *)
+  let loop =
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 0l);
+      I.Alu64 (I.Mov, 3, I.Imm 5l);
+      I.Alu64 (I.Add, 0, I.Reg 3);
+      I.Stx (I.W64, I.fp, -8, 0);
+      I.Ldx (I.W64, 4, I.fp, -8);
+      I.Alu64 (I.Mul, 4, I.Imm 3l);
+      I.Stx (I.W64, 1, 0, 4);
+      I.Alu64 (I.Add, 0, I.Reg 4);
+      I.Alu64 (I.Sub, 3, I.Imm 1l);
+      I.Jcond (I.Jne, 3, I.Imm 0l, -8);
+      I.Exit;
+    ]
+  in
+  for max_insns = 1 to 45 do
+    diff_case
+      ~vm:(fun () -> diff_vm ~max_insns ())
+      (Printf.sprintf "fuel %d in a prepaid block" max_insns)
+      loop
+  done;
+  (* the VM's stack size differs from the compiled one: the whole run
+     falls back to the reference interpreter *)
+  diff_case ~stack_size:64 "stack size mismatch"
+    [ I.St (I.W64, I.fp, -300, 9l); I.Ldx (I.W64, 0, I.fp, -300); I.Exit ];
+  (* a conditional jump with an invalid target deoptimises even when not
+     taken: the reference loop re-evaluates it on the registers handed
+     over, then finishes the run *)
+  diff_case "invalid jump target not taken, run completes"
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 4l);
+      I.Alu64 (I.Mov, 3, I.Imm 9l);
+      I.Stx (I.W64, I.fp, -8, 3);
+      I.Jcond (I.Jeq, 0, I.Imm 5l, 100);
+      I.Ldx (I.W64, 4, I.fp, -8);
+      I.Alu64 (I.Add, 0, I.Reg 4);
+      I.Alu64 (I.Add, 0, I.Reg 3);
+      I.Exit;
+    ];
+  (* an invalid jump target, reached after work in earlier blocks *)
+  diff_case "invalid jump target after work"
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 4l);
+      I.Stx (I.W64, I.fp, -8, 0);
+      I.Jcond (I.Jeq, 0, I.Imm 7l, 1);
+      I.Ja 50;
+      I.Exit;
+    ];
+  (* bad register operands, as destination and as source, mid-block *)
+  diff_case "bad destination register"
+    [ I.Alu64 (I.Mov, 0, I.Imm 1l); I.Alu64 (I.Mov, 11, I.Imm 2l); I.Exit ];
+  diff_case "bad source register"
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 1l);
+      I.Stx (I.W64, I.fp, -8, 0);
+      I.Alu64 (I.Add, 0, I.Reg 12);
+      I.Exit;
+    ];
+  (* falling off the end of the program: the sentinel block *)
+  diff_case "fall off the end" [ I.Alu64 (I.Mov, 0, I.Imm 1l) ]
+
+(* Every pluglet the repository ships, through both tiers on VMs with
+   deterministic stub helpers and two argument buffers: whatever each
+   pluglet computes or traps on, the tiers must agree, down to the
+   instruction count. *)
+let test_real_pluglets () =
+  let mk_vm stack_size =
+    let vm = Vm.create ~stack_size ~max_insns:200_000 () in
+    for id = 0 to 127 do
+      Vm.register_helper vm id (fun _ a ->
+          Array.fold_left
+            (fun h v -> Int64.mul (Int64.logxor h v) 0x100000001b3L)
+            (Int64.of_int (id * 2654435761))
+            a)
+    done;
+    let r1 =
+      Vm.map_region vm ~name:"buf1" ~perm:Vm.Rw
+        (Bytes.init 256 (fun i -> Char.chr (i * 11 mod 256)))
+    in
+    let r2 =
+      Vm.map_region vm ~name:"buf2" ~perm:Vm.Ro
+        (Bytes.init 128 (fun i -> Char.chr (255 - i)))
+    in
+    (vm, [| r1.Vm.base; r2.Vm.base; 7L; 1300L; 3L |])
+  in
+  let plugins =
+    [
+      Plugins.Monitoring.plugin;
+      Plugins.Datagram.plugin;
+      Plugins.Multipath.plugin;
+      Plugins.Fec.rlc_full;
+      Plugins.Fec.xor_full;
+      Plugins.Extras.Tlp.plugin;
+      Plugins.Extras.Ecn.plugin;
+      Plugins.Extras.Aimd.plugin;
+    ]
+  in
+  List.iter
+    (fun (p : Pluginop.Plugin.t) ->
+      List.iteri
+        (fun i (pl : Pluginop.Plugin.pluglet) ->
+          let prog, stack_size = Pluginop.Plugin.compiled pl in
+          diff_case
+            ~vm:(fun () -> mk_vm stack_size)
+            ~stack_size
+            (Printf.sprintf "%s[%d] op=%d" p.name i pl.op)
+            (Array.to_list prog))
+        p.pluglets)
+    plugins
+
 (* Edge cases aimed at the jit's block structure: backward edges and
-   self-loops (cell dispatch and fuel accounting), traps inside the linked
-   tier's fused instruction pairs (deoptimization re-entry points), and
+   self-loops (cell dispatch and fuel accounting), traps in the middle of
+   a block (the [executed] reconstruction at each instruction), and
    accesses that leave the argument regions' windows in both directions. *)
 let test_jit_block_edges () =
   (* backward jump spanning several blocks, with memory traffic inside *)
@@ -594,17 +701,17 @@ let test_jit_block_edges () =
      conditional cell path *)
   diff_case "conditional self-loop"
     [ I.Alu64 (I.Mov, 3, I.Imm 1l); I.Jcond (I.Jne, 3, I.Imm 0l, -1); I.Exit ];
-  (* trap in the first half of an ldx64+add64 fused pair *)
-  diff_case "trap in fused pair, first half"
+  (* trap on a load with more work after it in the same block *)
+  diff_case "trap mid-block, work after it"
     [
       I.Alu64 (I.Mov, 3, I.Imm 2l);
       I.Ldx (I.W64, 0, 1, 60);
       I.Alu64 (I.Add, 0, I.Reg 3);
       I.Exit;
     ];
-  (* trap in the second half of an stx64+ldx64 fused pair: the store
-     lands, then the load straddles the ro region *)
-  diff_case "trap in fused pair, second half"
+  (* a store lands, then the next load in the block straddles the ro
+     region *)
+  diff_case "trap mid-block, after a store"
     [
       I.Alu64 (I.Mov, 3, I.Imm 9l);
       I.Stx (I.W64, 1, 0, 3);
@@ -651,32 +758,40 @@ let test_jit_pending_commit_regression () =
       I.Exit;
     ]
 
-let test_linked_basics () =
+let test_tiers_basics () =
+  let prog = [| I.Alu64 (I.Mov, 0, I.Reg 3); I.Exit |] in
+  let jp = Vm.jit prog in
   let vm = Vm.create () in
-  let lp = Vm.link [| I.Alu64 (I.Mov, 0, I.Reg 3); I.Exit |] in
-  check i64 "args reach r3" 33L (Vm.run_linked vm ~args:[| 11L; 22L; 33L |] lp);
-  (* a linked program is reusable: second run sees the same result *)
-  check i64 "linked program reusable" 33L
-    (Vm.run_linked vm ~args:[| 11L; 22L; 33L |] lp);
-  (* the persistent stack is wiped between runs *)
-  let write = Vm.link [| I.St (I.W64, I.fp, -8, 77l); I.Exit |] in
-  let read = Vm.link [| I.Ldx (I.W64, 0, I.fp, -8); I.Exit |] in
-  ignore (Vm.run_linked vm write);
-  check i64 "fresh stack per linked run" 0L (Vm.run_linked vm read)
+  let args = [| 11L; 22L; 33L |] in
+  check i64 "args reach r3 (run)" 33L (Vm.run vm ~args prog);
+  check i64 "args reach r3 (jit)" 33L (Vm.run_jit vm ~args jp);
+  (* both tiers wipe the persistent stack between runs, whichever ran
+     before *)
+  let write = [| I.St (I.W64, I.fp, -8, 77l); I.Exit |] in
+  let read = [| I.Ldx (I.W64, 0, I.fp, -8); I.Exit |] in
+  ignore (Vm.run_jit vm (Vm.jit write));
+  check i64 "fresh stack for run after jit" 0L (Vm.run vm read);
+  ignore (Vm.run vm write);
+  check i64 "fresh stack for jit after run" 0L (Vm.run_jit vm (Vm.jit read));
+  (* both tiers account into the same [executed] counter *)
+  let before = Vm.executed vm in
+  ignore (Vm.run vm prog);
+  ignore (Vm.run_jit vm jp);
+  check int "executed counts both tiers" 4 (Vm.executed vm - before)
 
 let test_jit_basics () =
   let vm = Vm.create () in
   let jp = Vm.jit [| I.Alu64 (I.Mov, 0, I.Reg 3); I.Exit |] in
-  check bool "closure compilation ran" true (Vm.jit_compiled jp);
   check i64 "args reach r3" 33L (Vm.run_jit vm ~args:[| 11L; 22L; 33L |] jp);
   check i64 "jitted program reusable" 33L
     (Vm.run_jit vm ~args:[| 11L; 22L; 33L |] jp);
-  (* a clone shares the compiled program (physically) over fresh run
-     state, and runs *)
+  (* a clone is the compiled program over fresh run state, and runs on
+     another VM while the original keeps running on its own *)
   let c = Vm.jit_clone jp in
-  check bool "clone shares the linked program" true
-    (Vm.jit_linked c == Vm.jit_linked jp);
-  check i64 "clone runs" 33L (Vm.run_jit vm ~args:[| 11L; 22L; 33L |] c);
+  let vm2 = Vm.create () in
+  check i64 "clone runs" 22L (Vm.run_jit vm2 ~args:[| 0L; 0L; 22L |] c);
+  check i64 "original still runs" 33L
+    (Vm.run_jit vm ~args:[| 11L; 22L; 33L |] jp);
   (* the persistent stack is wiped between runs, as in the other tiers *)
   let write = Vm.jit [| I.St (I.W64, I.fp, -8, 77l); I.Exit |] in
   let read = Vm.jit [| I.Ldx (I.W64, 0, I.fp, -8); I.Exit |] in
@@ -684,8 +799,8 @@ let test_jit_basics () =
   check i64 "fresh stack per jit run" 0L (Vm.run_jit vm read)
 
 (* The PREs' content-addressed program cache: admitting the same bytecode
-   twice verifies and compiles once, and hands out clones that share the
-   compiled program but not their run environments. *)
+   twice verifies and compiles once (no second miss), and hands out clones
+   that share the compiled program but not their run environments. *)
 let test_program_cache () =
   let module P = Pluginop.Plugin in
   let module Pre = Pluginop.Pre in
@@ -701,13 +816,13 @@ let test_program_cache () =
         }
       ~heap:(Bytes.create 64)
   in
-  let _, hits0 = Pre.cache_stats () in
   let a = mk () in
+  let c0 = Pre.cache_counters () in
   let b = mk () in
-  let _, hits1 = Pre.cache_stats () in
-  check bool "second admission hits the cache" true (hits1 >= hits0 + 1);
-  check bool "admissions share the compiled program" true
-    (a.Pre.linked == b.Pre.linked);
+  let c1 = Pre.cache_counters () in
+  check int "second admission hits the cache" (c0.Pre.hits + 1) c1.Pre.hits;
+  check int "second admission compiles nothing" c0.Pre.misses c1.Pre.misses;
+  check int "no new cache entry" c0.Pre.entries c1.Pre.entries;
   check bool "the key is content-addressed" true
     (P.code_key prog 64 = P.code_key (Array.copy prog) 64);
   check bool "stack size is part of the key" true
@@ -751,11 +866,13 @@ let tests =
       alu64_reference;
       jump_reference;
     ]);
-    ("linked", [
-      Alcotest.test_case "basics" `Quick test_linked_basics;
+    ("tiers", [
+      Alcotest.test_case "basics" `Quick test_tiers_basics;
       Alcotest.test_case "trap parity" `Quick test_differential_traps;
-      Alcotest.test_case "lazy invalid jump" `Quick test_linked_lazy_jump_trap;
-      linked_matches_reference;
+      Alcotest.test_case "lazy invalid jump" `Quick test_lazy_jump_trap;
+      Alcotest.test_case "deopt parity" `Quick test_deopt_parity;
+      Alcotest.test_case "real pluglets" `Quick test_real_pluglets;
+      jit_matches_reference;
     ]);
     ("jit", [
       Alcotest.test_case "basics" `Quick test_jit_basics;

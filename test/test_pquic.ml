@@ -273,11 +273,11 @@ let test_runaway_plugin_stopped () =
   | Some _ -> Alcotest.fail "spinning plugin did not kill the connection"
   | None -> ()
 
-(* -------- sanctions on the linked fast path, with accounting -------- *)
+(* -------- sanctions on the jit fast path, with accounting ----------- *)
 
 (* A pluglet that behaves for 39 loop iterations and then reads an
    unmapped address: the monitor must deliver the violation from inside
-   the linked interpreter loop, the sanction must remove the plugin and
+   the jitted loop, the sanction must remove the plugin and
    fail the connection, and [Pre.executed_insns] must still account for
    the work done before the trap. *)
 let midloop_evil =

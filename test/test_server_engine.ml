@@ -296,7 +296,7 @@ let test_find_sub_in_place () =
 
 (* Two endpoints on the same node injecting the same plugin: the second
    endpoint's instance build compiles nothing — every pluglet comes out
-   of the process-global verified/linked/jitted program cache. *)
+   of the process-global verified/jitted program cache. *)
 let test_one_compile_across_endpoints () =
   let plugin = Plugins.Monitoring.plugin in
   let np = List.length plugin.Pquic.Plugin.pluglets in
