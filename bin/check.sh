@@ -167,4 +167,17 @@ if [ -n "$bad" ]; then
   echo "$bad"; exit 1
 fi
 
+# List-free ACK lint: the core encodes ACK frames straight from the flat
+# range set (Frame.write_ack) and processes them from the V_ack view, so
+# it never builds the allocating Frame.Ack shape — that stays the
+# reference form for the codec tests and benches. Only a wildcard match
+# arm (`Ack _`) may name the constructor.
+echo "== list-free ACK lint (lib/core)"
+bad=$(grep -rnE '(F|Frame)\.Ack\b' lib/core --include='*.ml' --include='*.mli' \
+      | grep -vE '\.Ack _' || true)
+if [ -n "$bad" ]; then
+  echo "lib/core constructs an allocating ACK frame:"
+  echo "$bad"; exit 1
+fi
+
 echo "== OK"

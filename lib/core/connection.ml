@@ -392,7 +392,6 @@ let commit_candidate c cand =
 let process_core_frame c frame =
   match frame with
   | F.Padding _ | F.Ping -> ()
-  | F.Ack ack -> Recovery.process_ack c ack
   | F.Crypto { offset; data } ->
     Quic.Recvbuf.insert c.crypto_recv ~offset:(Int64.to_int offset) ~fin:false
       data;
@@ -450,7 +449,8 @@ let process_core_frame c frame =
     c.plugin_proofs <- (plugin, proof) :: c.plugin_proofs
   | F.Plugin_chunk { plugin; offset; fin; data } ->
     Plugin_host.handle_plugin_chunk c ~name:plugin ~offset ~fin ~data
-  | F.Unknown _ -> assert false (* handled by the caller via protoops *)
+  | F.Ack _ | F.Unknown _ ->
+    assert false (* views: [process_core_view], plugin frames via protoops *)
 
 (* ------------------------------------------------------------------ *)
 (* Receiving                                                            *)
@@ -462,6 +462,8 @@ let process_core_frame c frame =
 let process_core_view c buf view =
   match view with
   | F.V_frame frame -> process_core_frame c frame
+  | F.V_ack { largest; delay_us; first_len; count; off; len = _ } ->
+    Recovery.process_ack c buf ~largest ~delay_us ~first_len ~count ~off
   | F.V_crypto { offset; off; len } ->
     Quic.Recvbuf.insert_sub c.crypto_recv ~offset:(Int64.to_int offset)
       ~fin:false buf ~off ~len;

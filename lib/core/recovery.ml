@@ -276,41 +276,72 @@ let detect_losses c =
   in
   ignore (run_op c Protoop.detect_lost_packets ~default [||])
 
-let process_ack c (ack : F.ack) =
+(* Process an ACK frame parsed as a view ([F.V_ack]): the first range
+   is [largest - first_len, largest], and [count] (gap, length) varint
+   pairs follow at [off] of [buf], already bounds-checked by the parser.
+
+   Ranges are decoded one at a time, newest first, and clipped to the
+   live window [ack_watermark, next_pn). The gap encoding makes them
+   strictly descending (each [last] is at least 2 below the previous
+   [first]), so once a range reaches down to the watermark no later one
+   can hold a live packet and the walk stops — exactly the packets the
+   full walk would find. Walking descending and prepending leaves
+   [newly] in ascending pn order with no sort; the first packet found
+   is the largest. *)
+let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
   let now = Sim.now c.sim in
   (* Advance the lowest-live-pn watermark: a pn below next_pn that is
      not in [sent] can never reappear there, so each pn is crossed at
-     most once over the connection's lifetime. *)
+     most once over the connection's lifetime. Unclipped, the first range
+     eventually spans every pn since the start of the connection and ack
+     processing goes quadratic in transfer length. *)
   while
     c.ack_watermark < c.next_pn && not (Hashtbl.mem c.sent c.ack_watermark)
   do
     c.ack_watermark <- Int64.add c.ack_watermark 1L
   done;
-  (* Collect newly acked packets by walking the ranges clipped to the
-     live window. Unclipped, the first range eventually spans every pn
-     since the start of the connection and ack processing goes
-     quadratic in transfer length. *)
-  let newly = ref [] in
-  List.iter
-    (fun (first, last) ->
-      let first = if first > c.ack_watermark then first else c.ack_watermark in
-      let pn = ref last in
-      while !pn >= first do
-        (match Hashtbl.find_opt c.sent !pn with
-        | Some sp -> newly := sp :: !newly
-        | None -> ());
-        pn := Int64.sub !pn 1L
-      done)
-    ack.F.ranges;
-  let newly = List.sort (fun a b -> Int64.compare a.pn b.pn) !newly in
-  if newly <> [] then begin
-    let largest_newly = List.nth newly (List.length newly - 1) in
+  let watermark = Int64.to_int c.ack_watermark in
+  let top = Int64.to_int c.next_pn - 1 in
+  let newly = ref [] and largest_newly = ref None in
+  let collect ~first ~last =
+    let pn = ref (min last top) in
+    while !pn >= first do
+      (match Hashtbl.find_opt c.sent (Int64.of_int !pn) with
+      | Some sp ->
+        if Option.is_none !largest_newly then largest_newly := Some sp;
+        newly := sp :: !newly
+      | None -> ());
+      decr pn
+    done
+  in
+  let first = largest - first_len in
+  collect ~first:(max first watermark) ~last:largest;
+  let rec walk k pos prev_first =
+    if k < count && prev_first > watermark then begin
+      let gap = Quic.Varint.get_int buf pos in
+      let pos = pos + Quic.Varint.width_at buf pos in
+      let len = Quic.Varint.get_int buf pos in
+      let pos = pos + Quic.Varint.width_at buf pos in
+      let last = prev_first - gap - 2 in
+      if last >= watermark then begin
+        let first = last - len in
+        collect ~first:(max first watermark) ~last;
+        walk (k + 1) pos first
+      end
+    end
+  in
+  walk 0 off first;
+  let newly = !newly in
+  match !largest_newly with
+  | None -> ()
+  | Some largest_newly ->
     if largest_newly.pn > c.largest_acked then c.largest_acked <- largest_newly.pn;
     (* RTT sample from the largest newly acked, if ack-eliciting *)
-    if largest_newly.ack_eliciting && largest_newly.pn = ack.F.largest then begin
+    if largest_newly.ack_eliciting && largest_newly.pn = Int64.of_int largest
+    then begin
       let sample =
         Int64.sub (Int64.sub now largest_newly.sent_at)
-          (Int64.mul ack.F.delay_us 1000L)
+          (Int64.mul (Int64.of_int delay_us) 1000L)
       in
       let p = c.paths.(min largest_newly.path_id (Array.length c.paths - 1)) in
       let default _ _ =
@@ -346,7 +377,6 @@ let process_ack c (ack : F.ack) =
     detect_losses c;
     set_loss_alarm c;
     wake c
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Loss alarm behaviour                                                 *)

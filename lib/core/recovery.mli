@@ -4,10 +4,21 @@
 
 open Conn_types
 
-val process_ack : t -> Quic.Frame.ack -> unit
-(** Process a received ACK frame: credit newly acknowledged packets
-    (RTT sample, congestion control, per-frame notifications), then run
-    loss detection and re-arm the loss timer. *)
+val process_ack :
+  t ->
+  string ->
+  largest:int ->
+  delay_us:int ->
+  first_len:int ->
+  count:int ->
+  off:int ->
+  unit
+(** Process a received ACK frame, given as the fields of its
+    {!Quic.Frame.V_ack} view over the datagram: credit newly acknowledged
+    packets in ascending pn order (RTT sample, congestion control,
+    per-frame notifications), then run loss detection and re-arm the
+    loss timer. The ranges are decoded off the wire only down to the
+    lowest live packet number. *)
 
 val set_loss_alarm : t -> unit
 (** (Re-)arm the loss/PTO timer from the oldest in-flight packet; the

@@ -29,33 +29,13 @@ let payload_capacity c ~long =
    spurious retransmissions. *)
 let max_wire_ack_ranges = 64
 
-let ack_frame_of c =
-  match Quic.Ackranges.ranges c.acks with
-  | [] -> None
-  | newest :: _ as all ->
-    (* the first [max_wire_ack_ranges] ranges as wire pairs, in one pass *)
-    let rec wire n = function
-      | r :: rest when n > 0 ->
-        (r.Quic.Ackranges.first, r.Quic.Ackranges.last) :: wire (n - 1) rest
-      | _ -> []
-    in
-    let ranges = wire max_wire_ack_ranges all in
-    let largest = newest.Quic.Ackranges.last in
-    (* how long we sat on the largest packet before acknowledging it, so
-       the peer's RTT sample excludes our delayed-ack timer *)
-    let delay_us =
-      let default c _ =
-        Int64.div (Int64.sub (Sim.now c.sim) c.largest_recv_at) 1000L
-      in
-      run_op c Protoop.compute_ack_delay ~default [||]
-    in
-    Some
-      (F.Ack
-         {
-           largest;
-           delay_us = Int64.max 0L delay_us;
-           ranges;
-         })
+(* How long we sat on the largest packet before acknowledging it, so the
+   peer's RTT sample excludes our delayed-ack timer. *)
+let ack_delay_us c =
+  let default c _ =
+    Int64.div (Int64.sub (Sim.now c.sim) c.largest_recv_at) 1000L
+  in
+  Int64.to_int (Int64.max 0L (run_op c Protoop.compute_ack_delay ~default [||]))
 
 let stream_has_pending c =
   Hashtbl.fold (fun _ s acc -> acc || Quic.Sendbuf.has_pending s.sendb) c.streams false
@@ -217,12 +197,19 @@ let build_and_send_packet c =
   ignore (run_op c Protoop.before_sending_packet [||]);
   (* acknowledgments ride along whenever owed *)
   let ack_included = ref false in
-  if c.ack_needed then (
-    match ack_frame_of c with
-    | Some f when F.size f <= !room ->
-      add f;
+  if c.ack_needed && not (Quic.Ackranges.is_empty c.acks) then begin
+    (* encoded in place from the range set, then rolled back if it
+       overruns the packet: the write is its own size check *)
+    let start = Quic.Writer.length w in
+    F.write_ack w c.acks ~max_ranges:max_wire_ack_ranges
+      ~delay_us:(ack_delay_us c);
+    let sz = Quic.Writer.length w - start in
+    if sz <= !room then begin
+      account ~ae:false sz;
       ack_included := true
-    | _ -> ());
+    end
+    else Quic.Writer.truncate w start
+  end;
   (* control frames *)
   let rec drain_ctrl () =
     if not (Queue.is_empty c.ctrl) then begin

@@ -7,9 +7,6 @@ open Conn_types
 val header_overhead : t -> int
 val payload_capacity : t -> long:bool -> int
 
-val ack_frame_of : t -> Quic.Frame.t option
-(** The ACK frame currently owed to the peer, if any ranges are tracked. *)
-
 val stream_has_pending : t -> bool
 val core_has_data : t -> bool
 val something_to_send : t -> bool

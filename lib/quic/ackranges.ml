@@ -1,104 +1,116 @@
-(* Receiver-side record of received packet numbers, kept as a sorted list of
-   disjoint inclusive ranges (largest first), which is the shape ACK frames
+(* Receiver-side record of received packet numbers, kept as disjoint
+   inclusive ranges sorted largest first, which is the shape ACK frames
    need. Bounded to [max_ranges] to cap frame size, dropping the oldest
-   ranges — as real QUIC stacks do. *)
+   ranges — as real QUIC stacks do.
 
-type range = { first : int64; last : int64 } (* inclusive, first <= last *)
+   The ranges live flat in one native [int array]: range [i] (0 = newest)
+   is [pairs.(2i), pairs.(2i+1)] = (first, last). The ACK encoder reads
+   them in place, so building an ACK touches neither a list nor a boxed
+   [int64]. The array starts empty and doubles on demand up to
+   [max_ranges] pairs: a connection that never sees a hole keeps one
+   small block. *)
 
-(* [count] is the length of [ranges], kept so [add] can enforce the cap
-   without walking the list. *)
-type t = { mutable ranges : range list; mutable count : int; max_ranges : int }
+type t = { mutable pairs : int array; mutable count : int; max_ranges : int }
 
-let create ?(max_ranges = 256) () = { ranges = []; count = 0; max_ranges }
+let create ?(max_ranges = 256) () =
+  if max_ranges < 1 then invalid_arg "Ackranges.create";
+  { pairs = [||]; count = 0; max_ranges }
 
-let largest t = match t.ranges with [] -> None | r :: _ -> Some r.last
+let count t = t.count
+let is_empty t = t.count = 0
+
+let first t i =
+  if i < 0 || i >= t.count then invalid_arg "Ackranges.first";
+  Array.unsafe_get t.pairs (2 * i)
+
+let last t i =
+  if i < 0 || i >= t.count then invalid_arg "Ackranges.last";
+  Array.unsafe_get t.pairs ((2 * i) + 1)
+
+let largest t = if t.count = 0 then None else Some (Int64.of_int t.pairs.(1))
+
+(* Room for one more range: the first range gets a 4-pair block, then
+   the capacity doubles, never past [max_ranges] + 1 — the one-over slot
+   [add] fills before dropping the oldest. *)
+let make_room t =
+  let cap = Array.length t.pairs / 2 in
+  if t.count = cap then begin
+    let ncap = min (max 4 (2 * cap)) (t.max_ranges + 1) in
+    let np = Array.make (2 * ncap) 0 in
+    Array.blit t.pairs 0 np 0 (2 * t.count);
+    t.pairs <- np
+  end
+
+(* Open a new range [pn, pn] at index [i], shifting the older ones down;
+   the oldest falls off when the set goes over its cap. *)
+let insert_at t i pn =
+  make_room t;
+  let p = t.pairs in
+  Array.blit p (2 * i) p ((2 * i) + 2) (2 * (t.count - i));
+  p.(2 * i) <- pn;
+  p.((2 * i) + 1) <- pn;
+  t.count <- (if t.count = t.max_ranges then t.max_ranges else t.count + 1)
 
 (* Insert packet number [pn], merging adjacent ranges. *)
 let add t pn =
-  let single () =
-    t.count <- t.count + 1;
-    { first = pn; last = pn }
-  in
-  let rec insert = function
-    | [] -> [ single () ]
-    | r :: rest ->
-      if pn > Int64.add r.last 1L then single () :: r :: rest
-      else if pn = Int64.add r.last 1L then (
-        (* extend upwards; may now touch the previous (larger) range, but
-           since we process descending, upward merge is local *)
-        { r with last = pn } :: rest)
-      else if pn >= r.first then r :: rest (* duplicate *)
-      else if pn = Int64.sub r.first 1L then (
-        match rest with
-        | next :: tail when Int64.add next.last 1L = pn ->
-          t.count <- t.count - 1;
-          { first = next.first; last = r.last } :: tail
-        | _ -> { r with first = pn } :: rest)
-      else r :: insert rest
-  in
-  let merged =
-    match insert t.ranges with
-    | r1 :: r2 :: rest when Int64.add r2.last 1L >= r1.first ->
-      t.count <- t.count - 1;
-      { first = r2.first; last = r1.last } :: rest
-    | l -> l
-  in
-  if t.count > t.max_ranges then begin
-    (* a new range pushed the set one over the cap: drop the oldest *)
-    t.ranges <- List.filteri (fun i _ -> i < t.max_ranges) merged;
-    t.count <- t.max_ranges
+  let pn = Int64.to_int pn in
+  let p = t.pairs and n = t.count in
+  (* skip the ranges lying wholly above [pn] and not touching it; since
+     each is at least 2 above the next, [pn] can never merge upwards *)
+  let i = ref 0 in
+  while !i < n && pn < Array.unsafe_get p (2 * !i) - 1 do
+    incr i
+  done;
+  let i = !i in
+  if i = n then insert_at t i pn
+  else begin
+    let first = p.(2 * i) and last = p.((2 * i) + 1) in
+    if pn > last + 1 then insert_at t i pn
+    else if pn = last + 1 then p.((2 * i) + 1) <- pn
+    else if pn >= first then () (* duplicate *)
+    else if i + 1 < n && p.((2 * i) + 3) + 1 = pn then begin
+      (* [pn] = first - 1 closes the hole to the next range: fuse them *)
+      p.(2 * i) <- p.((2 * i) + 2);
+      Array.blit p ((2 * i) + 4) p ((2 * i) + 2) (2 * (n - i - 2));
+      t.count <- n - 1
+    end
+    else p.(2 * i) <- pn
   end
-  else t.ranges <- merged
 
-(* Ranges are descending, so the walk stops at the first range lying
-   wholly below [pn]: no later range can hold it. *)
+(* Ranges are descending: skip those lying wholly above [pn]; the first
+   one reaching down to it holds it or leaves it in the hole above. *)
 let contains t pn =
-  let rec go = function
-    | [] -> false
-    | r :: rest -> if pn > r.last then false else pn >= r.first || go rest
-  in
-  go t.ranges
+  let pn = Int64.to_int pn and p = t.pairs in
+  let i = ref 0 in
+  while !i < t.count && pn < Array.unsafe_get p (2 * !i) do
+    incr i
+  done;
+  !i < t.count && pn <= Array.unsafe_get p ((2 * !i) + 1)
 
-let ranges t = t.ranges
-
-let is_empty t = t.ranges = []
-
-(* Total count of packet numbers covered (for tests). *)
+(* Total count of packet numbers covered. *)
 let cardinal t =
-  List.fold_left
-    (fun acc r -> Int64.add acc (Int64.add (Int64.sub r.last r.first) 1L))
-    0L t.ranges
+  let n = ref 0 in
+  for i = 0 to t.count - 1 do
+    n := !n + t.pairs.((2 * i) + 1) - t.pairs.(2 * i) + 1
+  done;
+  !n
 
 (* Structural invariant check, for chaos/invariant harnesses: ranges must
    be well-formed (first <= last), strictly descending and non-adjacent
    (adjacent ranges should have been merged by [add]). Returns an error
    description instead of raising so a sweep can report the seed. *)
 let check_coherent t =
-  let rec go = function
-    | [] -> Ok ()
-    | r :: rest ->
-      if r.first > r.last then
+  let p = t.pairs in
+  let rec go i =
+    if i >= t.count then Ok ()
+    else
+      let first = p.(2 * i) and last = p.((2 * i) + 1) in
+      if first > last then
+        Error (Printf.sprintf "inverted range [%d, %d]" first last)
+      else if i + 1 < t.count && p.((2 * i) + 3) + 1 >= first then
         Error
-          (Printf.sprintf "inverted range [%Ld, %Ld]" r.first r.last)
-      else begin
-        match rest with
-        | next :: _ when Int64.add next.last 1L >= r.first ->
-          Error
-            (Printf.sprintf
-               "ranges overlap or touch: [%Ld, %Ld] then [%Ld, %Ld]"
-               next.first next.last r.first r.last)
-        | _ -> go rest
-      end
+          (Printf.sprintf "ranges overlap or touch: [%d, %d] then [%d, %d]"
+             p.((2 * i) + 2) p.((2 * i) + 3) first last)
+      else go (i + 1)
   in
-  go t.ranges
-
-(* Iterate over every covered packet number, descending. *)
-let iter t f =
-  List.iter
-    (fun r ->
-      let pn = ref r.last in
-      while !pn >= r.first do
-        f !pn;
-        pn := Int64.sub !pn 1L
-      done)
-    t.ranges
+  go 0

@@ -2,24 +2,36 @@
     inclusive ranges sorted largest-first — the shape ACK frames need.
     Losses leave permanent holes (retransmissions take fresh packet
     numbers), so the set is bounded to [max_ranges], dropping the oldest
-    ranges. *)
+    ranges.
 
-type range = { first : int64; last : int64 }
+    The ranges are stored flat in a native [int array] that grows on
+    demand, and read back by index: range [0] is the newest, range
+    [count - 1] the oldest. *)
 
 type t
 
 val create : ?max_ranges:int -> unit -> t
-(** [max_ranges] defaults to 256. *)
+(** [max_ranges] defaults to 256.
+    @raise Invalid_argument when it is below 1. *)
 
 val add : t -> int64 -> unit
 (** Insert a packet number, merging adjacent ranges. *)
 
 val contains : t -> int64 -> bool
 val largest : t -> int64 option
-val ranges : t -> range list
 val is_empty : t -> bool
-val cardinal : t -> int64
-val iter : t -> (int64 -> unit) -> unit
+
+val count : t -> int
+(** Number of ranges held. *)
+
+val first : t -> int -> int
+val last : t -> int -> int
+(** [first t i] and [last t i] bound range [i] (inclusive; [0] is the
+    newest). Strictly descending: [last t (i + 1) + 1 < first t i].
+    @raise Invalid_argument unless [0 <= i < count t]. *)
+
+val cardinal : t -> int
+(** Packet numbers covered. *)
 
 val check_coherent : t -> (unit, string) result
 (** Structural invariant: ranges well-formed ([first <= last]), strictly

@@ -269,6 +269,27 @@ let write w frame =
     write_string_16_w w data
   | Unknown { raw; _ } -> Writer.string w raw
 
+(* The ACK owed for [acks], encoded straight from the flat range set:
+   type, largest, delay, range count and the newest [max_ranges] ranges
+   as native-int varints, after a single capacity check for the widest
+   case. Byte-identical to [write] of the same ranges as an [Ack]. *)
+let write_ack w acks ~max_ranges ~delay_us =
+  let n = min (Ackranges.count acks) max_ranges in
+  if n = 0 then invalid_arg "Ack with no ranges";
+  Writer.ensure w (1 + (8 * (4 + (2 * (n - 1)))));
+  let largest = Ackranges.last acks 0 in
+  Writer.unsafe_varint_int w type_ack;
+  Writer.unsafe_varint_int w largest;
+  Writer.unsafe_varint_int w delay_us;
+  Writer.unsafe_varint_int w (n - 1);
+  Writer.unsafe_varint_int w (largest - Ackranges.first acks 0);
+  for i = 1 to n - 1 do
+    let last = Ackranges.last acks i in
+    (* gap = prev_first - last - 2, per the draft's encoding *)
+    Writer.unsafe_varint_int w (Ackranges.first acks (i - 1) - last - 2);
+    Writer.unsafe_varint_int w (last - Ackranges.first acks i)
+  done
+
 (* Zero-copy variants: headers of the data-bearing frames, written apart
    from their payload so the sender can blit stream/crypto/plugin bytes
    straight from the send buffer into the wire buffer. *)
@@ -315,6 +336,16 @@ let write_plugin_chunk_header w ~plugin ~offset ~fin ~len =
 type view =
   | V_frame of t
       (* a payload-free frame, parsed eagerly into its [t] shape *)
+  | V_ack of {
+      largest : int;
+      delay_us : int;
+      first_len : int;
+      count : int;
+      off : int;
+      len : int;
+    }
+      (* the header decoded; the [count] (gap, length) varint pairs
+         after the first range lie undecoded at [off..off+len) *)
   | V_crypto of { offset : int64; off : int; len : int }
   | V_stream of { id : int; offset : int64; fin : bool; off : int; len : int }
   | V_unknown of { ftype : int; off : int; len : int }
@@ -323,12 +354,14 @@ type view =
 
 let view_type = function
   | V_frame f -> frame_type f
+  | V_ack _ -> type_ack
   | V_crypto _ -> type_crypto
   | V_stream { fin; _ } -> if fin then type_stream else type_stream_nofin
   | V_unknown { ftype; _ } -> ftype
 
 let view_is_ack_eliciting = function
   | V_frame f -> is_ack_eliciting f
+  | V_ack _ -> false
   | V_crypto _ | V_stream _ | V_unknown _ -> true
 
 let read_string_16_r r =
@@ -349,23 +382,16 @@ let parse_view r =
   else if ftype = type_ping then V_frame Ping
   else if ftype = type_handshake_done then V_frame Handshake_done
   else if ftype = type_ack then begin
-    let largest = Reader.varint r in
-    let delay_us = Reader.varint r in
+    let largest = Reader.varint_int r in
+    let delay_us = Reader.varint_int r in
     let count = Reader.varint_int r in
-    let first_len = Reader.varint r in
-    let first_range = (Int64.sub largest first_len, largest) in
-    let rec ranges k prev_first acc =
-      if k = 0 then List.rev acc
-      else begin
-        let gap = Reader.varint r in
-        let len = Reader.varint r in
-        let last = Int64.sub (Int64.sub prev_first gap) 2L in
-        let first = Int64.sub last len in
-        ranges (k - 1) first ((first, last) :: acc)
-      end
-    in
-    let rest = ranges count (fst first_range) [] in
-    V_frame (Ack { largest; delay_us; ranges = first_range :: rest })
+    let first_len = Reader.varint_int r in
+    let off = Reader.pos r in
+    for _ = 1 to count do
+      Reader.skip_varint r;
+      Reader.skip_varint r
+    done;
+    V_ack { largest; delay_us; first_len; count; off; len = Reader.pos r - off }
   end
   else if ftype = type_crypto then begin
     let offset = Reader.varint r in
@@ -443,10 +469,31 @@ let read_string_16 s pos =
   if pos + 2 + len > String.length s then raise Varint.Truncated;
   (String.sub s (pos + 2) len, pos + 2 + len)
 
+(* The [Ack] whose header is decoded and whose [count] further ranges
+   start at [pos] of [s]; returns it and the position after them. *)
+let ack_of_wire s ~largest ~delay_us ~first_len ~count pos =
+  let first_range = (Int64.sub largest first_len, largest) in
+  let rec ranges k prev_first pos acc =
+    if k = 0 then (List.rev acc, pos)
+    else
+      let gap, pos = Varint.read s pos in
+      let len, pos = Varint.read s pos in
+      let last = Int64.sub (Int64.sub prev_first gap) 2L in
+      let first = Int64.sub last len in
+      ranges (k - 1) first pos ((first, last) :: acc)
+  in
+  let rest, pos = ranges count (fst first_range) pos [] in
+  (Ack { largest; delay_us; ranges = first_range :: rest }, pos)
+
 (* Materialize a view into the equivalent allocating frame; [s] is the
    datagram the view indexes. *)
 let of_view s = function
   | V_frame f -> f
+  | V_ack { largest; delay_us; first_len; count; off; len = _ } ->
+    fst
+      (ack_of_wire s ~largest:(Int64.of_int largest)
+         ~delay_us:(Int64.of_int delay_us) ~first_len:(Int64.of_int first_len)
+         ~count off)
   | V_crypto { offset; off; len } ->
     Crypto { offset; data = String.sub s off len }
   | V_stream { id; offset; fin; off; len } ->
@@ -472,18 +519,7 @@ let parse s pos =
     let delay_us, pos = Varint.read s pos in
     let count, pos = Varint.read_int s pos in
     let first_len, pos = Varint.read s pos in
-    let first_range = (Int64.sub largest first_len, largest) in
-    let rec ranges k prev_first pos acc =
-      if k = 0 then (List.rev acc, pos)
-      else
-        let gap, pos = Varint.read s pos in
-        let len, pos = Varint.read s pos in
-        let last = Int64.sub (Int64.sub prev_first gap) 2L in
-        let first = Int64.sub last len in
-        ranges (k - 1) first pos ((first, last) :: acc)
-    in
-    let rest, pos = ranges count (fst first_range) pos [] in
-    (Ack { largest; delay_us; ranges = first_range :: rest }, pos)
+    ack_of_wire s ~largest ~delay_us ~first_len ~count pos
   end
   else if ftype = type_crypto then begin
     let offset, pos = Varint.read s pos in

@@ -97,6 +97,15 @@ val size : t -> int
 val write : Writer.t -> t -> unit
 (** Byte-identical to {!serialize}. *)
 
+val write_ack :
+  Writer.t -> Ackranges.t -> max_ranges:int -> delay_us:int -> unit
+(** [write_ack w acks ~max_ranges ~delay_us] encodes the ACK frame for the
+    newest [max_ranges] ranges of [acks] in one pass, from the flat range
+    set and in native ints — no list and no [Int64] box. Byte-identical
+    to {!write} of the same ranges as an {!Ack}.
+    @raise Invalid_argument when [acks] is empty.
+    @raise Varint.Overflow on a negative [delay_us]. *)
+
 val stream_header_size : id:int -> offset:int64 -> len:int -> int
 val write_stream_header :
   Writer.t -> id:int -> offset:int64 -> fin:bool -> len:int -> unit
@@ -120,6 +129,19 @@ val write_plugin_chunk_header :
 
 type view =
   | V_frame of t  (** a payload-free frame, parsed eagerly *)
+  | V_ack of {
+      largest : int;
+      delay_us : int;
+      first_len : int;  (** the first range is [largest - first_len, largest] *)
+      count : int;  (** (gap, length) pairs after the first range *)
+      off : int;
+      len : int;
+          (** [off..off+len) holds those [count] varint pairs, bounds-checked
+              but not decoded *)
+    }
+      (** an ACK frame: the header decoded as native ints, the further
+          ranges left on the wire for the consumer to walk as far as it
+          needs *)
   | V_crypto of { offset : int64; off : int; len : int }
   | V_stream of { id : int; offset : int64; fin : bool; off : int; len : int }
   | V_unknown of { ftype : int; off : int; len : int }

@@ -78,22 +78,23 @@ let i64_be t =
   t.pos <- t.pos + 8;
   v
 
+(* Step over one varint by its length prefix, bounds-checked against
+   [limit], without decoding it. *)
+let skip_varint t =
+  let pos = t.pos in
+  if pos >= t.limit then raise Varint.Truncated;
+  let len = Varint.width_at t.buf pos in
+  if pos + len > t.limit then raise Varint.Truncated;
+  t.pos <- pos + len
+
 (* Varints decoded in native-int arithmetic: the maximum QUIC varint
    (2^62 - 1) fits OCaml's 63-bit int, so the hot path never builds an
    Int64 box. [varint] converts at the edge for callers that keep the
    wire's int64 domain. *)
 let varint_int t =
   let pos = t.pos in
-  if pos >= t.limit then raise Varint.Truncated;
-  let first = Char.code (String.unsafe_get t.buf pos) in
-  let len = 1 lsl (first lsr 6) in
-  if pos + len > t.limit then raise Varint.Truncated;
-  let v = ref (first land 0x3f) in
-  for k = 1 to len - 1 do
-    v := (!v lsl 8) lor Char.code (String.unsafe_get t.buf (pos + k))
-  done;
-  t.pos <- pos + len;
-  !v
+  skip_varint t;
+  Varint.get_int t.buf pos
 
 let varint t = Int64.of_int (varint_int t)
 

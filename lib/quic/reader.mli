@@ -55,6 +55,11 @@ val varint_int : t -> int
     no Int64 box.
     @raise Varint.Truncated if the encoding runs past [limit]. *)
 
+val skip_varint : t -> unit
+(** Step over one varint by its length prefix, with the bounds checks of
+    {!varint_int}, without decoding it.
+    @raise Varint.Truncated if the encoding runs past [limit]. *)
+
 (** {1 Pooling}
 
     Free-list recycling, mirroring {!Writer.acquire}/{!Writer.release}:

@@ -38,6 +38,22 @@ let read s pos =
   done;
   (!v, pos + len)
 
+(* Width in bytes of the varint starting at [pos], read off its first
+   byte's length prefix. *)
+let width_at s pos = 1 lsl (Char.code s.[pos] lsr 6)
+
+(* The value of the varint at [pos] in native-int arithmetic — the
+   largest varint, 2^62 - 1, is [max_int] — so no [Int64] box and no
+   result tuple. *)
+let get_int s pos =
+  let len = width_at s pos in
+  if pos + len > String.length s then raise Truncated;
+  let v = ref (Char.code (String.unsafe_get s pos) land 0x3f) in
+  for k = 1 to len - 1 do
+    v := (!v lsl 8) lor Char.code (String.unsafe_get s (pos + k))
+  done;
+  !v
+
 let read_int s pos =
   let v, pos = read s pos in
   (Int64.to_int v, pos)

@@ -15,3 +15,13 @@ val read : string -> int -> int64 * int
     @raise Truncated when the buffer ends mid-integer. *)
 
 val read_int : string -> int -> int * int
+
+val width_at : string -> int -> int
+(** [width_at s pos] is the length in bytes (1, 2, 4 or 8) of the varint
+    starting at [pos], from its first byte.
+    @raise Invalid_argument when [pos] is outside [s]. *)
+
+val get_int : string -> int -> int
+(** [get_int s pos] is the value of the varint at [pos], decoded in
+    native-int arithmetic without allocating.
+    @raise Truncated when [s] ends mid-integer. *)

@@ -25,6 +25,11 @@ let create ?(size = 2048) () = { buf = Bytes.create (max 16 size); pos = 0 }
 
 let reset t = t.pos <- 0
 
+(* Roll back to an earlier [length], dropping what was written since. *)
+let truncate t n =
+  if n < 0 || n > t.pos then invalid_arg "Writer.truncate";
+  t.pos <- n
+
 let length t = t.pos
 
 let unsafe_bytes t = t.buf
@@ -73,24 +78,51 @@ let u16_be t v =
   Bytes.set_uint16_be t.buf t.pos v;
   t.pos <- t.pos + 2
 
-let i32_be t v =
-  ensure t 4;
-  Bytes.set_int32_be t.buf t.pos v;
-  t.pos <- t.pos + 4
-
 let i64_be t v =
   ensure t 8;
   Bytes.set_int64_be t.buf t.pos v;
   t.pos <- t.pos + 8
 
-let varint t v =
-  match Varint.encoded_size v with
-  | 1 -> u8 t (Int64.to_int v)
-  | 2 -> u16_be t (Int64.to_int v lor 0x4000)
-  | 4 -> i32_be t (Int32.logor (Int64.to_int32 v) 0x8000_0000l)
-  | _ -> i64_be t (Int64.logor v 0xC000_0000_0000_0000L)
+(* The varint of a native int, written with no capacity check: the
+   caller has [ensure]d room for it (8 bytes covers every width). The
+   largest native int, 2^62 - 1, is exactly the largest varint, so only
+   negatives overflow — and no [Int64] box is built on the way. *)
+let put b p x = Bytes.unsafe_set b p (Char.unsafe_chr (x land 0xff))
 
-let varint_int t v = varint t (Int64.of_int v)
+let unsafe_varint_int t v =
+  let b = t.buf and p = t.pos in
+  if v < 0 then raise Varint.Overflow
+  else if v <= 63 then begin
+    put b p v;
+    t.pos <- p + 1
+  end
+  else if v <= 16383 then begin
+    put b p (0x40 lor (v lsr 8));
+    put b (p + 1) v;
+    t.pos <- p + 2
+  end
+  else if v <= 0x3FFF_FFFF then begin
+    put b p (0x80 lor (v lsr 24));
+    put b (p + 1) (v lsr 16);
+    put b (p + 2) (v lsr 8);
+    put b (p + 3) v;
+    t.pos <- p + 4
+  end
+  else begin
+    put b p (0xC0 lor (v lsr 56));
+    for k = 1 to 7 do
+      put b (p + k) (v lsr (8 * (7 - k)))
+    done;
+    t.pos <- p + 8
+  end
+
+let varint_int t v =
+  ensure t 8;
+  unsafe_varint_int t v
+
+let varint t v =
+  if v < 0L || v > Varint.max_value then raise Varint.Overflow;
+  varint_int t (Int64.to_int v)
 
 let string t s =
   let n = String.length s in

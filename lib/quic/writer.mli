@@ -14,6 +14,13 @@ val create : ?size:int -> unit -> t
 val reset : t -> unit
 val length : t -> int
 
+val truncate : t -> int -> unit
+(** [truncate w n] rolls back to length [n] (at most {!length}),
+    dropping everything written after it. *)
+
+val ensure : t -> int -> unit
+(** Grow the buffer, if need be, so [n] more bytes fit without growing. *)
+
 val contents : t -> string
 (** Copy of everything written so far. *)
 
@@ -34,13 +41,20 @@ val alloc : t -> int -> Bytes.t * int
 
 val u8 : t -> int -> unit
 val u16_be : t -> int -> unit
-val i32_be : t -> int32 -> unit
 val i64_be : t -> int64 -> unit
 
 val varint : t -> int64 -> unit
 (** Identical wire form to {!Varint.write}. *)
 
 val varint_int : t -> int -> unit
+(** The varint of a native int, byte-identical to {!Varint.write} of the
+    same value, without boxing it.
+    @raise Varint.Overflow on a negative value. *)
+
+val unsafe_varint_int : t -> int -> unit
+(** {!varint_int} without the capacity check: the caller has {!ensure}d
+    8 bytes of room (the widest varint). *)
+
 val string : t -> string -> unit
 val subbytes : t -> Bytes.t -> off:int -> len:int -> unit
 val fill : t -> int -> char -> unit

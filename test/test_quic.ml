@@ -115,30 +115,43 @@ let test_ack_eliciting () =
 
 (* --------------------------- ack ranges ------------------------------ *)
 
+module A = Quic.Ackranges
+
+(* The range sequence, newest first, as (first, last) pairs. *)
+let ranges_of t = List.init (A.count t) (fun i -> (A.first t i, A.last t i))
+
 let ackranges_invariants =
   qtest "ackranges: contains/cardinal/sorted invariants"
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 100))
     (fun pns ->
-      let t = Quic.Ackranges.create ~max_ranges:1000 () in
-      List.iter (fun pn -> Quic.Ackranges.add t (Int64.of_int pn)) pns;
+      let t = A.create ~max_ranges:1000 () in
+      List.iter (fun pn -> A.add t (Int64.of_int pn)) pns;
       let distinct = List.sort_uniq compare pns in
-      List.for_all (fun pn -> Quic.Ackranges.contains t (Int64.of_int pn)) distinct
-      && Quic.Ackranges.cardinal t = Int64.of_int (List.length distinct)
+      List.for_all (fun pn -> A.contains t (Int64.of_int pn)) distinct
+      && A.cardinal t = List.length distinct
       && (* ranges must be disjoint, descending, non-adjacent *)
       let rec ok = function
         | [] | [ _ ] -> true
-        | a :: (b :: _ as rest) ->
-          a.Quic.Ackranges.first > Int64.add b.Quic.Ackranges.last 1L && ok rest
+        | (first, _) :: ((_, last) :: _ as rest) -> first > last + 1 && ok rest
       in
-      ok (Quic.Ackranges.ranges t))
+      ok (ranges_of t))
 
 let test_ackranges_merge () =
-  let t = Quic.Ackranges.create () in
-  List.iter (fun pn -> Quic.Ackranges.add t pn) [ 1L; 3L; 2L ];
-  check Alcotest.int "merged into one range" 1
-    (List.length (Quic.Ackranges.ranges t));
-  check (Alcotest.option Alcotest.int64) "largest" (Some 3L)
-    (Quic.Ackranges.largest t)
+  let t = A.create () in
+  List.iter (fun pn -> A.add t pn) [ 1L; 3L; 2L ];
+  check Alcotest.int "merged into one range" 1 (A.count t);
+  check (Alcotest.option Alcotest.int64) "largest" (Some 3L) (A.largest t);
+  check Alcotest.(list (pair int int)) "the range" [ (1, 3) ] (ranges_of t)
+
+(* Indexed access is bounded by [count], whatever the array holds. *)
+let test_ackranges_index_checked () =
+  let t = A.create () in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check Alcotest.bool "empty: no range 0" true (raises (fun () -> A.first t 0));
+  A.add t 5L;
+  check Alcotest.int "range 0" 5 (A.last t 0);
+  check Alcotest.bool "no range 1" true (raises (fun () -> A.last t 1));
+  check Alcotest.bool "no range -1" true (raises (fun () -> A.first t (-1)))
 
 (* the chaos invariant: whatever duplicated / reordered arrival order the
    network produces, the range set stays structurally coherent *)
@@ -146,25 +159,22 @@ let ackranges_dup_reorder_coherent =
   qtest ~count:300 "ackranges coherent under duplicate + reordered arrivals"
     QCheck2.Gen.(list_size (int_range 1 80) (int_range 0 60))
     (fun pns ->
-      let t = Quic.Ackranges.create () in
+      let t = A.create () in
       (* every pn arrives twice: once in arrival order, once reversed *)
-      List.iter (fun pn -> Quic.Ackranges.add t (Int64.of_int pn)) pns;
-      List.iter (fun pn -> Quic.Ackranges.add t (Int64.of_int pn)) (List.rev pns);
+      List.iter (fun pn -> A.add t (Int64.of_int pn)) pns;
+      List.iter (fun pn -> A.add t (Int64.of_int pn)) (List.rev pns);
       let distinct = List.sort_uniq compare pns in
-      Quic.Ackranges.check_coherent t = Ok ()
-      && Quic.Ackranges.cardinal t = Int64.of_int (List.length distinct)
-      && List.for_all
-           (fun pn -> Quic.Ackranges.contains t (Int64.of_int pn))
-           distinct)
+      A.check_coherent t = Ok ()
+      && A.cardinal t = List.length distinct
+      && List.for_all (fun pn -> A.contains t (Int64.of_int pn)) distinct)
 
 let test_check_coherent_rejects_malformed () =
-  let t = Quic.Ackranges.create () in
-  List.iter (fun pn -> Quic.Ackranges.add t pn) [ 1L; 5L; 9L ];
-  check Alcotest.bool "well-formed set accepted" true
-    (Quic.Ackranges.check_coherent t = Ok ());
+  let t = A.create () in
+  List.iter (fun pn -> A.add t pn) [ 1L; 5L; 9L ];
+  check Alcotest.bool "well-formed set accepted" true (A.check_coherent t = Ok ());
   (* an empty set is trivially coherent *)
   check Alcotest.bool "empty set accepted" true
-    (Quic.Ackranges.check_coherent (Quic.Ackranges.create ()) = Ok ())
+    (A.check_coherent (A.create ()) = Ok ())
 
 (* The range set against a naive model: a bitmap over a small pn domain
    that, like the receiver, forgets everything below the [cap] highest
@@ -176,7 +186,7 @@ let ackranges_model =
     QCheck2.Gen.(
       pair (int_range 1 6) (list_size (int_range 1 120) (int_range 0 80)))
     (fun (cap, pns) ->
-      let t = Quic.Ackranges.create ~max_ranges:cap () in
+      let t = A.create ~max_ranges:cap () in
       let have = Array.make 81 false in
       (* maximal runs of [have], highest first *)
       let model () =
@@ -195,33 +205,70 @@ let ackranges_model =
       in
       List.for_all
         (fun pn ->
-          Quic.Ackranges.add t (Int64.of_int pn);
+          A.add t (Int64.of_int pn);
           have.(pn) <- true;
           (match List.filteri (fun i _ -> i >= cap) (model ()) with
           | (_, last) :: _ -> Array.fill have 0 (last + 1) false
           | [] -> ());
-          let got =
-            List.map
-              (fun r ->
-                ( Int64.to_int r.Quic.Ackranges.first,
-                  Int64.to_int r.Quic.Ackranges.last ))
-              (Quic.Ackranges.ranges t)
-          in
-          got = model ()
+          ranges_of t = model ()
           && List.for_all
                (fun q ->
-                 Quic.Ackranges.contains t (Int64.of_int q)
+                 A.contains t (Int64.of_int q)
                  = (q >= 0 && q <= 80 && have.(q)))
                (List.init 85 (fun i -> i - 2)))
         pns)
 
+(* The flat set against the list implementation it replaced
+   ([Ackranges_model]): the same packet-number stream — runs, holes,
+   duplicates and reordering, with caps of 1-3 that force drop-oldest on
+   nearly every hole as well as roomy ones that make the array grow —
+   must leave both with the same ranges, [contains] answers, [cardinal]
+   and [check_coherent] verdict after every insert. *)
+let ackranges_flat_matches_list =
+  qtest ~count:500 "ackranges flat = list reference model"
+    QCheck2.Gen.(
+      pair
+        (oneof [ int_range 1 3; int_range 4 300 ])
+        (list_size (int_range 1 400)
+           (oneof
+              [ int_range 0 400; (* scattered: holes and reordering *)
+                map (fun k -> k * 3) (int_range 0 140) (* many ranges *) ])))
+    (fun (cap, pns) ->
+      let t = A.create ~max_ranges:cap () in
+      let m = Ackranges_model.create ~max_ranges:cap () in
+      let model_ranges () =
+        List.map
+          (fun r -> Ackranges_model.(Int64.to_int r.first, Int64.to_int r.last))
+          (Ackranges_model.ranges m)
+      in
+      (* every pn twice: in order, then again after the whole run *)
+      List.for_all
+        (fun pn ->
+          let pn = Int64.of_int pn in
+          A.add t pn;
+          Ackranges_model.add m pn;
+          ranges_of t = model_ranges ()
+          && A.cardinal t = Int64.to_int (Ackranges_model.cardinal m)
+          && A.check_coherent t = Ok ()
+          && Ackranges_model.check_coherent m = Ok ()
+          && A.largest t = Ackranges_model.largest m
+          && List.for_all
+               (fun q ->
+                 let q = Int64.of_int q in
+                 A.contains t q = Ackranges_model.contains m q)
+               [ Int64.to_int pn - 1; Int64.to_int pn; Int64.to_int pn + 1;
+                 Int64.to_int pn + 2; Int64.to_int pn - 2; -1; 0; 401 ])
+        (pns @ pns))
+
 let test_ackranges_bounded () =
-  let t = Quic.Ackranges.create ~max_ranges:3 () in
+  let t = A.create ~max_ranges:3 () in
   (* every even pn: each is its own range *)
   for k = 0 to 19 do
-    Quic.Ackranges.add t (Int64.of_int (2 * k))
+    A.add t (Int64.of_int (2 * k))
   done;
-  check Alcotest.bool "bounded" true (List.length (Quic.Ackranges.ranges t) <= 3)
+  check Alcotest.int "bounded" 3 (A.count t);
+  check Alcotest.(list (pair int int)) "the newest three kept"
+    [ (38, 38); (36, 36); (34, 34) ] (ranges_of t)
 
 (* --------------------------- stream buffers --------------------------- *)
 
@@ -490,9 +537,12 @@ let tests =
       Alcotest.test_case "merge" `Quick test_ackranges_merge;
       Alcotest.test_case "bounded" `Quick test_ackranges_bounded;
       Alcotest.test_case "check_coherent" `Quick test_check_coherent_rejects_malformed;
+      Alcotest.test_case "indexed access checked" `Quick
+        test_ackranges_index_checked;
       ackranges_invariants;
       ackranges_dup_reorder_coherent;
       ackranges_model;
+      ackranges_flat_matches_list;
     ]);
     ("streambuf", [
       Alcotest.test_case "retransmit priority" `Quick test_sendbuf_retransmit_priority;

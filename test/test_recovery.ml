@@ -5,8 +5,11 @@
    differential suite steps lossy single- and dual-path transfers one
    simulator event at a time and, after every event, checks on both
    endpoints that the FIFOs are in send order and that the heads answer
-   as the fold does. The last group bounds the retained send-time
-   history of a sender whose packet-number boundaries carry only ACKs. *)
+   as the fold does. The next group bounds the retained send-time
+   history of a sender whose packet-number boundaries carry only ACKs;
+   the last checks that ACK processing, which stops walking ranges at
+   the lowest live packet number, credits exactly what a full walk
+   would and still rejects truncated ACKs. *)
 
 module Sim = Netsim.Sim
 module Topology = Netsim.Topology
@@ -14,6 +17,17 @@ module C = Pquic.Connection
 module R = Pquic.Recovery
 
 let check = Alcotest.check
+
+(* Feed [ack] to [c] the way the receive path does: encoded, parsed as a
+   view, then processed off the wire bytes. *)
+let process_ack c (ack : Quic.Frame.ack) =
+  let s = Quic.Frame.to_string (Quic.Frame.Ack ack) in
+  let r = Quic.Reader.create () in
+  Quic.Reader.reset r s ~pos:0 ~limit:(String.length s);
+  match Quic.Frame.parse_view r with
+  | Quic.Frame.V_ack { largest; delay_us; first_len; count; off; len = _ } ->
+    R.process_ack c s ~largest ~delay_us ~first_len ~count ~off
+  | _ -> Alcotest.fail "not parsed as an ACK view"
 
 (* ----------------------- index vs whole-table fold ------------------- *)
 
@@ -188,6 +202,19 @@ let test_shortcuts_exercised () =
 
 (* ----------------------- retained send times ------------------------ *)
 
+(* A client connection on a lossless path, never started: packets are
+   built and acknowledged by hand. *)
+let fresh_sender () =
+  let topo =
+    Topology.single_path ~seed:7L
+      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  C.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+    ~cfg:C.default_config ~role:C.Client
+    ~local_addr:(List.hd topo.Topology.client_addrs)
+    ~remote_addr:topo.Topology.server_addr ~local_cid:1L ~remote_cid:2L
+    ~local_params:Quic.Transport_params.default ()
+
 (* A sender whose every packet-number boundary (a multiple of 4096)
    carries only an ACK: even pns are ACK-only, odd pns carry a PING that
    is acked at once so the congestion window never closes. The history
@@ -195,17 +222,7 @@ let test_shortcuts_exercised () =
    to the newest — while every ack-eliciting pn among the last 8192
    still answers. *)
 let test_sent_times_bounded () =
-  let topo =
-    Topology.single_path ~seed:7L
-      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
-  in
-  let c =
-    C.create ~sim:topo.Topology.sim ~net:topo.Topology.net
-      ~cfg:C.default_config ~role:C.Client
-      ~local_addr:(List.hd topo.Topology.client_addrs)
-      ~remote_addr:topo.Topology.server_addr ~local_cid:1L ~remote_cid:2L
-      ~local_params:Quic.Transport_params.default ()
-  in
+  let c = fresh_sender () in
   let pairs = 20_000 in
   for k = 1 to pairs do
     Quic.Ackranges.add c.C.acks (Int64.of_int k);
@@ -214,7 +231,7 @@ let test_sent_times_bounded () =
     Queue.push Quic.Frame.Ping c.C.ctrl;
     ignore (Pquic.Sender.build_and_send_packet c);
     let pn = Int64.pred c.C.next_pn in
-    R.process_ack c
+    process_ack c
       { Quic.Frame.largest = pn; delay_us = 0L; ranges = [ (pn, pn) ] }
   done;
   let newest = Int64.pred c.C.next_pn in
@@ -235,6 +252,99 @@ let test_sent_times_bounded () =
   check Alcotest.int "recent ack-eliciting pns answer" 0 !recent_missing;
   check Alcotest.int "ACK-only pns never recorded" 0 !ack_only_kept
 
+(* ------------------------ the watermark stop ------------------------ *)
+
+(* Send [n] PING-only packets; returns the pns acked from here on, in the
+   order [packet_acknowledged] reports them. *)
+let send_pings c n =
+  let acked = ref [] in
+  (Pquic.Dispatch.entry c Pquic.Protoop.packet_acknowledged None).C.pre <-
+    [ C.Native
+        ( "record-acked",
+          fun _ args ->
+            (match args.(0) with C.I pn -> acked := pn :: !acked | _ -> ());
+            0L ) ];
+  for _ = 1 to n do
+    Queue.push Quic.Frame.Ping c.C.ctrl;
+    ignore (Pquic.Sender.build_and_send_packet c)
+  done;
+  fun () -> List.rev !acked
+
+let observed c acked =
+  let p = c.C.paths.(0) in
+  ( acked (),
+    Quic.Cc.cwnd p.C.cc,
+    Quic.Cc.bytes_in_flight p.C.cc,
+    c.C.largest_acked,
+    Hashtbl.length c.C.sent,
+    c.C.stats )
+
+(* pns 0..149 acked in one range, 150..199 still in flight: the next ACK
+   moves the watermark to 150. Its 63 older single-pn ranges (148, 146,
+   ..., 24) all lie below, so the walk stops after the newest range and
+   must leave exactly what the ACK without them leaves. *)
+let test_watermark_stop_exact () =
+  let run ranges =
+    let c = fresh_sender () in
+    let acked = send_pings c 200 in
+    process_ack c { Quic.Frame.largest = 149L; delay_us = 0L;
+                    ranges = [ (0L, 149L) ] };
+    process_ack c { Quic.Frame.largest = 199L; delay_us = 25L; ranges };
+    check Alcotest.int64 "watermark reached the newest range" 150L
+      c.C.ack_watermark;
+    observed c acked
+  in
+  let older = List.init 63 (fun k -> let pn = Int64.of_int (148 - (2 * k)) in (pn, pn)) in
+  let full = run ((150L, 199L) :: older) in
+  let trimmed = run [ (150L, 199L) ] in
+  let pns (l, _, _, _, _, _) = l in
+  check Alcotest.int "64 ranges on the wire" 64 (1 + List.length older);
+  check Alcotest.(list int64) "same packets, same order" (pns trimmed) (pns full);
+  check Alcotest.(list int64) "ascending pn order"
+    (List.init 200 Int64.of_int) (pns full);
+  check Alcotest.bool "same cwnd, flight, largest acked, table and stats" true
+    (full = trimmed)
+
+(* The stop must not come early: older ranges at or above the watermark
+   are walked — down to one ending exactly on it — and their packets
+   credited below the newest range's. *)
+let test_older_live_ranges_walked () =
+  let c = fresh_sender () in
+  let acked = send_pings c 20 in
+  process_ack c
+    { Quic.Frame.largest = 19L; delay_us = 0L;
+      ranges = [ (15L, 19L); (11L, 13L); (6L, 8L); (2L, 3L); (0L, 0L) ] };
+  check Alcotest.(list int64) "every range credited, ascending"
+    [ 0L; 2L; 3L; 6L; 7L; 8L; 11L; 12L; 13L; 15L; 16L; 17L; 18L; 19L ]
+    (acked ())
+
+(* A cut-off ACK still fails the connection as malformed: the parser
+   bounds-checks every range varint it skips. Each prefix arrives as an
+   authenticated packet on the normal receive path. *)
+let test_truncated_ack_fails () =
+  let wire =
+    Quic.Frame.to_string
+      (Quic.Frame.Ack
+         { largest = 100L; delay_us = 0L;
+           ranges = [ (90L, 100L); (50L, 80L); (10L, 40L) ] })
+  in
+  for cut = 1 to String.length wire - 1 do
+    let c = fresh_sender () in
+    let header =
+      { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false; dcid = 1L;
+        scid = 2L; pn = 0L }
+    in
+    let payload = String.sub wire 0 cut in
+    let packet = Quic.Packet.protect ~key:c.C.key { Quic.Packet.header; payload } in
+    let p = c.C.paths.(0) in
+    Pquic.Connection.receive_datagram c
+      { Netsim.Net.src = p.C.remote_addr; dst = p.C.local_addr;
+        size = String.length packet; payload = C.Quic_packet packet };
+    check Alcotest.string
+      (Printf.sprintf "cut at %d of %d" cut (String.length wire))
+      "malformed frame" c.C.close_reason
+  done
+
 let tests =
   [
     ( "index",
@@ -246,5 +356,14 @@ let tests =
       [
         Alcotest.test_case "bounded when boundaries are ACK-only" `Quick
           test_sent_times_bounded;
+      ] );
+    ( "watermark",
+      [
+        Alcotest.test_case "stop below the watermark is exact" `Quick
+          test_watermark_stop_exact;
+        Alcotest.test_case "older live ranges are walked" `Quick
+          test_older_live_ranges_walked;
+        Alcotest.test_case "truncated ACK fails the connection" `Quick
+          test_truncated_ack_fails;
       ] );
   ]
