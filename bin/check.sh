@@ -180,4 +180,9 @@ if [ -n "$bad" ]; then
   echo "$bad"; exit 1
 fi
 
+# Library size on every check log, so each change's effect on lib/ is on
+# record (.ml + .mli lines per library).
+echo "== library size (make loc)"
+make -s loc
+
 echo "== OK"

@@ -292,7 +292,8 @@ type t = {
      fast path never allocates it *)
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
-  plugin_in : (string, Quic.Recvbuf.t) Hashtbl.t;
+  (* name -> reassembly and the bytes read from it so far *)
+  plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
   mutable plugin_proofs : (string * string) list; (* name -> received proof *)
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;

@@ -266,7 +266,9 @@ type t = {
           recovery; stages the recovered image across the frame replay *)
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
-  plugin_in : (string, Quic.Recvbuf.t) Hashtbl.t;
+  plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
+      (** incoming plugin transfers: name -> reassembly buffer and the
+          bytes already read from it; dropped with the connection *)
   mutable plugin_proofs : (string * string) list;
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;

@@ -118,7 +118,7 @@ let arm_stall_alarm c =
 let on_stall_alarm c =
   if c.state = Established || c.state = Handshaking then begin
     if Int64.sub (Sim.now c.sim) c.last_activity >= c.stall_period then
-      !reprobe_ref c;
+      Sender.rotate_and_reprobe c;
     arm_stall_alarm c
   end
 

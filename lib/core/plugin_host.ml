@@ -127,31 +127,18 @@ let handle_plugin_validate c ~name ~formula =
     Queue.push (F.Plugin_proof { plugin = name; proof = "" }) c.ctrl;
     wake c
 
-let plugin_in_buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 8
-
-let buffer_key c name = Printf.sprintf "%Lx/%s" c.local_cid name
-
 let handle_plugin_chunk c ~name ~offset ~fin ~data =
-  let rb =
+  let rb, acc =
     match Hashtbl.find_opt c.plugin_in name with
-    | Some rb -> rb
+    | Some t -> t
     | None ->
-      let rb = Quic.Recvbuf.create () in
-      Hashtbl.replace c.plugin_in name rb;
-      rb
+      let t = (Quic.Recvbuf.create (), Buffer.create 4096) in
+      Hashtbl.replace c.plugin_in name t;
+      t
   in
   Quic.Recvbuf.insert rb ~offset:(Int64.to_int offset) ~fin data;
-  let acc =
-    match Hashtbl.find_opt plugin_in_buffers (buffer_key c name) with
-    | Some b -> b
-    | None ->
-      let b = Buffer.create 4096 in
-      Hashtbl.replace plugin_in_buffers (buffer_key c name) b;
-      b
-  in
   Buffer.add_string acc (Quic.Recvbuf.read rb);
   if Quic.Recvbuf.is_finished rb then begin
-    Hashtbl.remove plugin_in_buffers (buffer_key c name);
     Hashtbl.remove c.plugin_in name;
     let blob = Buffer.contents acc in
     let proof, compressed =

@@ -81,8 +81,6 @@ let oldest_for_timer c =
   | Head sp -> Some sp
   | Tied _ -> oldest_in_flight c
 
-let on_loss_alarm_ref : (t -> unit) ref = ref (fun _ -> ())
-
 let set_loss_alarm c =
   let default c _ =
     Engine.Timer_wheel.cancel c.wheel c.loss_alarm;
@@ -422,5 +420,3 @@ let on_loss_alarm c =
     0L
   in
   ignore (run_op c Protoop.on_loss_timer ~default [||])
-
-let () = on_loss_alarm_ref := on_loss_alarm

@@ -991,11 +991,13 @@ let[@inline always] store64_m vm stk lim execd addr v =
 (* ------------------------------------------------------------------ *)
 
 (* The program's basic blocks are translated, once, into a graph of OCaml
-   closures of type [jit_env -> int64]: each instruction (or fused group
-   of instructions) becomes one closure specialised to its opcode and
-   operand kinds, holding its operands in its environment, and control
-   threads by tail-calling the next closure directly — no fetch, no
-   decode, no dispatch table. All mutable run state lives in [jit_env] so
+   closures of type [jit_env -> int64]: each instruction, or each
+   statement of a symbolically evaluated block, becomes one closure
+   specialised to its shape and operand kinds, holding its operands in
+   its environment, and control threads by tail-calling the next closure
+   directly — no fetch, no decode, no dispatch table. Every block edge
+   lands the block's register commits and then enters the target's
+   gated cell. All mutable run state lives in [jit_env] so
    the compiled closures are independent of any particular VM: the same
    [jit_prog] is shared by every PRE running the same bytecode (the
    content-addressed plugin cache relies on this). A jitted program is
@@ -1179,29 +1181,6 @@ type jopd = Kc of int64 | Ks of int | Kt of int | Kr of int
 
 type jcv = Vc of int64 | Vs of int | Vt of int | Vshr of int * int
 
-(* Dispatch arm of a compiled terminator: either a plain jump to a
-   block cell, or a jump-threaded arm that prepays the threaded blocks'
-   fuel and commits their constant register effects before dispatching
-   to the final target ([Agated (fuel, commits, target, first_pc)]). *)
-type jarm = Aplain of int | Agated of int * (int * jcv) array * int * int
-
-(* Precompiled successor dispatch. [Dbody] jumps straight into the
-   target block's body closure, prepaying its fuel (plus any threaded
-   blocks') in one gate; register commits pending at this edge are
-   DEFERRED — they run only on the fuel-fail handoff, because the
-   target has been proven to re-commit a superset of those registers
-   at its own exits (and not to read any of them). [Dcell] is the
-   conservative edge: run the pending commits, dispatch through the
-   target's gated cell. [Dgcell] is a threaded edge to a
-   non-absorbing target: commits run eagerly, the threaded blocks'
-   fuel and constant effects are applied, then the cell. *)
-type jdisp =
-  | Dbody of int * int * (int * jcv) array * int
-    (* body idx, fuel to prepay, fail commits, fail pc *)
-  | Dcell of int * (int * jcv) array (* cell idx, eager commits *)
-  | Dgcell of int * int * (int * jcv) array * (int * jcv) array * int
-    (* threaded fuel, cell idx, eager commits, const commits, fail pc *)
-
 let jx_opd = function
   | Jcst v -> Some (Kc v)
   | Jslot o -> Some (Ks o)
@@ -1235,19 +1214,6 @@ let[@inline always] jrun_commits env (carr : (int * jcv) array) =
     let r, v = Array.unsafe_get carr i in
     jcv_commit env r v
   done
-
-(* Optional last statement folded into a terminator closure (loop
-   counter increment / compared-value copy), saving one link call. *)
-type jpre = Pnone | Pincr of int * int64 | Pcopy of int * int
-
-let[@inline always] jrun_pre env = function
-  | Pnone -> ()
-  | Pincr (d, c) ->
-    let s = env.jstk in
-    bytes_set64 s d (Int64.add (bytes_get64 s d) c)
-  | Pcopy (d, a) ->
-    let s = env.jstk in
-    bytes_set64 s d (bytes_get64 s a)
 
 (* Deoptimisation: resume the reference interpreter at instruction [i]
    holding [fuel], the budget its per-instruction loop would hold on
@@ -1993,13 +1959,6 @@ let jit ?(stack_size = 512) prog =
       | _ (* trap_badreg and anything unspecialised *) -> deopt i ci
     in
     (* ---------------- symbolic block compiler ---------------- *)
-    let next_leader i =
-      let j = ref (i + 1) in
-      while not leader.(!j) do
-        incr j
-      done;
-      !j
-    in
     let maxtmp = ref 0 in
     (* Symbolically evaluate one block into (statements, count,
        terminator, coded register commits, tmp count). Returns [None]
@@ -2273,31 +2232,6 @@ let jit ?(stack_size = 512) prog =
         with Jbail -> None
       end
     in
-    (* Phase 1: symbolize every block up front, so terminator builders
-       can inspect successor blocks (loop-head inlining, commit
-       absorption) regardless of compile order. *)
-    let sym = Array.make (n + 1) None in
-    let blen_of = Array.make (n + 1) 0 in
-    begin
-      let st = ref 0 in
-      for i = 1 to n do
-        if leader.(i) then begin
-          sym.(!st) <- symbolize !st i;
-          blen_of.(!st) <- i - !st;
-          (match sym.(!st) with
-          | Some (_, _, _, _, ntmps) -> if ntmps > !maxtmp then maxtmp := ntmps
-          | None -> ());
-          st := i
-        end
-      done
-    end;
-    let leader_of_blk = Array.make !nblocks n in
-    for i = 0 to n do
-      if leader.(i) then leader_of_blk.(blk_id.(i)) <- i
-    done;
-    (* Block bodies (fuel already prepaid), for direct dispatch that
-       bypasses the gated cell; filled as blocks compile. *)
-    let bodies = Array.make !nblocks (fun (_ : jit_env) -> 0L) in
     (* Generic tree evaluator: per-node closures, operator specialised
        at build time. Only reached by shapes the templates miss. *)
     let rec mk_ev t : jit_env -> int64 =
@@ -2529,457 +2463,82 @@ let jit ?(stack_size = 512) prog =
           th env;
           rest env
     in
-    (* Adjacent-statement fusion: two stores whose shapes commonly occur
-       back-to-back in compiled PLC code collapse into one closure. *)
-    let mk_link2 s1 s2 =
-      match (s1, s2) with
-      | Jst (d1, (Jbin (2, Jslot a, Jcst c) as m)), Jst (d2, Jbin (1, Jslot b, m'))
-        when m' == m ->
-        (* d1 := a*c; d2 := b - (a*c) — compute the product once *)
-        Some
-          (fun (rest : jit_env -> int64) env ->
-            let s = env.jstk in
-            let p = Int64.mul (bytes_get64 s a) c in
-            bytes_set64 s d1 p;
-            bytes_set64 s d2 (Int64.sub (bytes_get64 s b) p);
-            rest env)
-      | ( Jst
-            ( d1,
-              Jbin
-                ( 0,
-                  Jbin (9, Jbin (2, Jslot a1, Jcst c1), Jcst k1),
-                  Jbin (9, Jslot b1, Jcst k2) ) ),
-          Jst (d2, Jbin (9, Jbin (2, Jslot a2, Jcst c2), Jcst k3)) ) ->
-        let s1h = Int64.to_int (Int64.logand k1 63L) in
-        let s2h = Int64.to_int (Int64.logand k2 63L) in
-        let s3h = Int64.to_int (Int64.logand k3 63L) in
-        Some
-          (fun rest env ->
-            let s = env.jstk in
-            bytes_set64 s d1
-              (Int64.add
-                 (Int64.shift_right_logical (Int64.mul (bytes_get64 s a1) c1) s1h)
-                 (Int64.shift_right_logical (bytes_get64 s b1) s2h));
-            bytes_set64 s d2
-              (Int64.shift_right_logical (Int64.mul (bytes_get64 s a2) c2) s3h);
-            rest env)
-      | ( Jst (d1, Jslot a1),
-          Jst
-            ( d2,
-              Jbin
-                ( 0,
-                  Jbin (9, Jbin (2, Jslot a2, Jcst c2), Jcst k1),
-                  Jbin (9, Jslot b2, Jcst k2) ) ) ) ->
-        let s1h = Int64.to_int (Int64.logand k1 63L) in
-        let s2h = Int64.to_int (Int64.logand k2 63L) in
-        Some
-          (fun rest env ->
-            let s = env.jstk in
-            bytes_set64 s d1 (bytes_get64 s a1);
-            bytes_set64 s d2
-              (Int64.add
-                 (Int64.shift_right_logical (Int64.mul (bytes_get64 s a2) c2) s1h)
-                 (Int64.shift_right_logical (bytes_get64 s b2) s2h));
-            rest env)
-      | Jst (d1, Jcst v1), Jst (d2, Jcst v2) ->
-        Some
-          (fun rest env ->
-            let s = env.jstk in
-            bytes_set64 s d1 v1;
-            bytes_set64 s d2 v2;
-            rest env)
-      | Jst (d1, Jslot a1), Jst (d2, Jslot a2) ->
-        Some
-          (fun rest env ->
-            let s = env.jstk in
-            bytes_set64 s d1 (bytes_get64 s a1);
-            bytes_set64 s d2 (bytes_get64 s a2);
-            rest env)
-      | _ -> None
-    in
     (* Compose the statement vector into a single closure chain ending
        in [tail] (the block's terminator): an empty block costs
        nothing, and every link tail-calls a fixed successor. *)
-    let rec mk_chain stms pos bound (tail : jit_env -> int64) :
-        jit_env -> int64 =
-      if pos >= bound then tail
-      else
-        match stms.(pos) with
-        | Jnop -> mk_chain stms (pos + 1) bound tail
-        | st -> (
-          let p2 = ref (pos + 1) in
-          while
-            !p2 < bound && match stms.(!p2) with Jnop -> true | _ -> false
-          do
-            incr p2
-          done;
-          match if !p2 < bound then mk_link2 st stms.(!p2) else None with
-          | Some mk -> mk (mk_chain stms (!p2 + 1) bound tail)
-          | None -> mk_stmt_link st (mk_chain stms (pos + 1) bound tail))
+    let mk_chain stms nstm (tail : jit_env -> int64) : jit_env -> int64 =
+      let k = ref tail in
+      for pos = nstm - 1 downto 0 do
+        k := mk_stmt_link stms.(pos) !k
+      done;
+      !k
     in
-    (* Jump threading: follow chains of blocks whose only effects are
-       constant register moves and statically decidable jumps, so a
-       terminator dispatches straight to the far target, prepaying the
-       threaded fuel and committing the constant effects. *)
-    let scan_pure idx cregs =
-      if idx >= n then None
-      else begin
-        let stop = next_leader idx in
-        let tmp = Array.copy cregs in
-        let i = ref idx and ok = ref true and nx = ref (-1) in
-        while !ok && !i < stop do
-          let o = ops.(4 * !i) in
-          let a1 = ops.((4 * !i) + 1)
-          and a2 = ops.((4 * !i) + 2)
-          and a3 = ops.((4 * !i) + 3) in
-          (match o with
-          | 9 -> if a1 <> 10 then tmp.(a1) <- Some (Int64.of_int a2) else ok := false
-          | 27 -> if a1 <> 10 then tmp.(a1) <- Some (bytes_get64 pool a2) else ok := false
-          | 8 -> (
-            if a1 = 10 then ok := false
-            else
-              match tmp.(a2) with
-              | Some v -> tmp.(a1) <- Some v
-              | None -> ok := false)
-          | 40 -> if a1 >= 0 then nx := a1 else ok := false
-          | o when o >= f_jeq_rr && o <= f_jset_ri ->
-            if a3 < 0 then ok := false
-            else begin
-              let lhs = tmp.(a1) in
-              let rhs =
-                if (o - f_jeq_rr) land 1 = 0 then tmp.(a2)
-                else Some (Int64.of_int a2)
-              in
-              match (lhs, rhs) with
-              | Some a, Some b ->
-                nx := (if jx_cond ((o - f_jeq_rr) / 2) a b then a3 else !i + 1)
-              | _ -> ok := false
-            end
-          | _ -> ok := false);
-          incr i
-        done;
-        if !ok then begin
-          if !nx = -1 then nx := stop;
-          Array.blit tmp 0 cregs 0 11;
-          Some (stop - idx, !nx)
-        end
-        else None
-      end
-    in
-    let arm_of ti =
-      if ti >= n then Aplain blk_id.(n)
-      else begin
-        let cregs = Array.make 11 None in
-        let rec go idx fuel hops visited =
-          if idx >= n || hops >= 4 || List.mem idx visited then (idx, fuel)
-          else
-            match scan_pure idx cregs with
-            | Some (f, nx) -> go nx (fuel + f) (hops + 1) (idx :: visited)
-            | None -> (idx, fuel)
-        in
-        let tgt, fuel = go ti 0 0 [] in
-        if fuel = 0 then Aplain blk_id.(ti)
-        else begin
-          let commits = ref [] in
-          for r = 9 downto 0 do
-            match cregs.(r) with
-            | Some v -> commits := (r, Vc v) :: !commits
-            | None -> ()
-          done;
-          let carr = Array.of_list !commits in
-          if Array.length carr > 3 then Aplain blk_id.(ti)
-          else Agated (fuel, carr, blk_id.(tgt), ti)
-        end
-      end
-    in
-    (* A loop-head block with no statements and a coded conditional can
-       be inlined into its predecessors' terminators: one closure tests
-       the loop condition and dispatches, saving a cell hop per
-       iteration. *)
-    let head_inline ti =
-      if ti >= n then None
-      else
-        match sym.(ti) with
-        | Some (_, 0, Jcnd (c, lhs, rhs, hti, hfi), hcarr, 0) -> (
-          match (jx_opd lhs, jx_opd rhs) with
-          | Some kl, Some kr ->
-            Some (blen_of.(ti), ti, hcarr, c, kl, kr, hti, hfi)
-          | _ -> None)
-        | _ -> None
-    in
-    let regs_of carr = Array.to_list (Array.map fst carr) in
-    (* Commit deferral: registers written by a block normally land in
-       the register file at every exit. If the successor (a) never
-       reads any of them and (b) re-commits a superset of them on every
-       one of its own non-exit paths out, the predecessor's commits can
-       be skipped entirely on the taken edge — they run only on that
-       edge's fuel-fail handoff. Slots and scratch temporaries are kept
-       exact at every boundary, so the deferred recipes stay evaluable
-       right up to the handoff. *)
-    let block_absorbs start pending =
-      match sym.(start) with
-      | None -> false
-      | Some (stms, nstm, term, carr, _) ->
-        let tree_ok t = not (List.exists (fun r -> jx_refs_reg r t) pending) in
-        let stmt_ok = function
-          | Jnop -> true
-          | Jst (_, t) | Jtm (_, t) | Jrg (_, t) -> tree_ok t
-          | Jld (_, b, _, _) -> tree_ok b
-          | Jsd (b, _, v, _) -> tree_ok b && tree_ok v
-        in
-        let opd_ok = function Kr r -> not (List.mem r pending) | _ -> true in
-        let covered () =
-          List.for_all
-            (fun r -> Array.exists (fun (r2, _) -> r2 = r) carr)
-            pending
-        in
-        let ok = ref true in
-        for i = 0 to nstm - 1 do
-          if not (stmt_ok stms.(i)) then ok := false
-        done;
-        !ok
-        && (match term with
-           | Jexit (t, _) -> tree_ok t
-           | Jdeo _ -> false
-           | Jjmp _ -> covered ()
-           | Jcnd (_, lhs, rhs, _, _) ->
-             (match (jx_opd lhs, jx_opd rhs) with
-             | Some kl, Some kr -> opd_ok kl && opd_ok kr
-             | _ -> false)
-             && covered ())
-    in
-    (* Turn a terminator arm into a dispatch descriptor, deciding
-       per-edge whether the pending commits defer. *)
-    let build_disp pending parr arm =
-      let d =
-        match arm with
-        | Aplain tb ->
-          let ts = leader_of_blk.(tb) in
-          if ts < n && block_absorbs ts pending then
-            Dbody (tb, blen_of.(ts), parr, ts)
-          else Dcell (tb, parr)
-        | Agated (gf, gc, gt, gp) ->
-          let ts = leader_of_blk.(gt) in
-          let allp = List.sort_uniq compare (pending @ regs_of gc) in
-          if ts < n && block_absorbs ts allp then
-            Dbody (gt, gf + blen_of.(ts), parr, gp)
-          else Dgcell (gf, gt, parr, gc, gp)
-      in
-      d
-    in
-    (* Bake a dispatch descriptor into its own closure so terminator
-       arms cost one predicted indirect call, no tag match. Bodies and
-       cells are looked up at call time: forward edges are filled in by
-       the time any program runs. *)
-    let disp_closure d : jit_env -> int64 =
-      match d with
-      | Dbody (bidx, need, fc, fpc) ->
-        fun env ->
-          let f = env.jfuel in
-          if f >= need then begin
-            env.jfuel <- f - need;
-            (Array.unsafe_get bodies bidx) env
-          end
-          else begin
-            jrun_commits env fc;
-            jit_resume env prog fpc f
-          end
-      | Dcell (cidx, pend) ->
-        fun env ->
-          jrun_commits env pend;
-          (Array.unsafe_get cells cidx) env
-      | Dgcell (gf, gt, pend, gc, gp) ->
-        fun env ->
-          jrun_commits env pend;
-          let f = env.jfuel in
-          if f >= gf then begin
-            env.jfuel <- f - gf;
-            jrun_commits env gc;
-            (Array.unsafe_get cells gt) env
-          end
-          else jit_resume env prog gp f
-    in
-    let edge pending parr arm = disp_closure (build_disp pending parr arm) in
-    (* own + inlined-head commits, later (head) entries winning. *)
-    let merge_commits a b =
-      let keep =
-        List.filter
-          (fun ((r, _) : int * jcv) ->
-            not (Array.exists (fun (r2, _) -> r2 = r) b))
-          (Array.to_list a)
-      in
-      Array.append (Array.of_list keep) b
+    (* A terminator edge: land the block's register commits, then enter
+       the target block through its gated cell, which prepays the
+       target's fuel or deoptimises with the register file exact. *)
+    let edge carr t : jit_env -> int64 =
+      let b = blk_id.(t) in
+      if Array.length carr = 0 then goto_cell b
+      else fun env ->
+        jrun_commits env carr;
+        (Array.unsafe_get cells b) env
     in
     (* Compile a symbolized block to a single closure: the statement
-       chain tail-calls straight into the terminator (folded trailing
-       copy/incr, inlined loop-head gate, operand-specialised compare,
-       per-edge dispatch closures). An empty block IS its terminator. *)
-    let mk_symbolic_body (stms, nstm, term, carr, _) =
-      let pregs = regs_of carr in
-      let last =
-        let l = ref (nstm - 1) in
-        while !l >= 0 && (match stms.(!l) with Jnop -> true | _ -> false) do
-          decr l
-        done;
-        !l
-      in
-      match term with
-      | Jexit (t, ci) ->
-        let tail =
-          match t with
-          | Jslot o ->
-            fun env ->
-              env.jvm.executed <- env.jk - env.jfuel - ci;
-              bytes_get64 env.jstk o
-          | Jcst v ->
-            fun env ->
-              env.jvm.executed <- env.jk - env.jfuel - ci;
-              v
-          | _ ->
-            let ev = mk_ev t in
-            fun env ->
-              env.jvm.executed <- env.jk - env.jfuel - ci;
-              ev env
-        in
-        mk_chain stms 0 nstm tail
-      | Jdeo (i, ci) ->
-        mk_chain stms 0 nstm (fun env ->
-            jit_resume env prog i (env.jfuel + ci))
-      | Jcnd (c, lhs, rhs, ti, fi) ->
-        let kl = match jx_opd lhs with Some k -> k | None -> assert false in
-        let kr = match jx_opd rhs with Some k -> k | None -> assert false in
-        let tf = edge pregs carr (arm_of ti) in
-        let ff = edge pregs carr (arm_of fi) in
-        let pre, bound =
-          match ((if last >= 0 then stms.(last) else Jnop), lhs) with
-          | Jst (d, Jbin (0, Jslot d', Jcst inc)), Jslot x
-            when d' = d && x = d ->
-            (Pincr (d, inc), last)
-          | Jst (d, Jslot a), Jslot x when x = d || x = a -> (Pcopy (d, a), last)
-          | _ -> (Pnone, nstm)
-        in
-        let tail =
+       chain tail-calls straight into the terminator (operand-specialised
+       compare, one edge closure per successor). An empty block IS its
+       terminator. *)
+    let mk_symbolic_body stms nstm term carr =
+      let tail : jit_env -> int64 =
+        match term with
+        | Jexit (Jslot o, ci) ->
+          fun env ->
+            env.jvm.executed <- env.jk - env.jfuel - ci;
+            bytes_get64 env.jstk o
+        | Jexit (Jcst v, ci) ->
+          fun env ->
+            env.jvm.executed <- env.jk - env.jfuel - ci;
+            v
+        | Jexit (t, ci) ->
+          let ev = mk_ev t in
+          fun env ->
+            env.jvm.executed <- env.jk - env.jfuel - ci;
+            ev env
+        | Jdeo (i, ci) -> fun env -> jit_resume env prog i (env.jfuel + ci)
+        | Jjmp t -> edge carr t
+        | Jcnd (c, lhs, rhs, ti, fi) -> (
+          let kl = match jx_opd lhs with Some k -> k | None -> assert false in
+          let kr = match jx_opd rhs with Some k -> k | None -> assert false in
+          let tf = edge carr ti and ff = edge carr fi in
           match (kl, kr) with
           | Ks la, Ks rb ->
             fun env ->
-              jrun_pre env pre;
               let s = env.jstk in
               (if jx_cond c (bytes_get64 s la) (bytes_get64 s rb) then tf
                else ff)
                 env
           | Ks la, Kc vb ->
             fun env ->
-              jrun_pre env pre;
               (if jx_cond c (bytes_get64 env.jstk la) vb then tf else ff) env
           | _ ->
             fun env ->
-              jrun_pre env pre;
               let a = jopd_get env kl and b = jopd_get env kr in
-              (if jx_cond c a b then tf else ff) env
-        in
-        mk_chain stms 0 bound tail
-      | Jjmp t -> (
-        (* The inlined head's coded operands name register state at head
-           entry, but this block's own commits are still pending when the
-           compare runs: a [Kr] of a pending register must read the
-           committed value, not the stale register file. Substitute the
-           commit's value form; refuse the inline when none exists. *)
-        let subst_pending k =
-          match k with
-          | Kr r -> (
-            match Array.find_opt (fun (r2, _) -> r2 = r) carr with
-            | None -> Some k
-            | Some (_, Vc v) -> Some (Kc v)
-            | Some (_, Vs o) -> Some (Ks o)
-            | Some (_, Vt o) -> Some (Kt o)
-            | Some (_, Vshr _) -> None)
-          | k -> Some k
-        in
-        let inlined =
-          match head_inline t with
-          | None -> None
-          | Some (hfuel, hpc, hcarr, hc, hl, hr, hti, hfi) -> (
-            match (subst_pending hl, subst_pending hr) with
-            | Some hl, Some hr ->
-              Some (hfuel, hpc, hcarr, hc, hl, hr, hti, hfi)
-            | _ -> None)
-        in
-        match inlined with
-        | Some (hfuel, hpc, hcarr, hc, hl, hr, hti, hfi) ->
-          let ownh = merge_commits carr hcarr in
-          let pall = regs_of ownh in
-          let tf = edge pall ownh (arm_of hti) in
-          let ff = edge pall ownh (arm_of hfi) in
-          let pre, bound =
-            match ((if last >= 0 then stms.(last) else Jnop), hl) with
-            | Jst (d, Jbin (0, Jslot d', Jcst inc)), Ks x
-              when d' = d && x = d ->
-              (Pincr (d, inc), last)
-            | Jst (d, Jslot a), Ks x when x = d || x = a -> (Pcopy (d, a), last)
-            | _ -> (Pnone, nstm)
-          in
-          let tail =
-            match (hl, hr) with
-            | Ks la, Ks rb ->
-              fun env ->
-                jrun_pre env pre;
-                let f = env.jfuel in
-                if f >= hfuel then begin
-                  env.jfuel <- f - hfuel;
-                  let s = env.jstk in
-                  (if jx_cond hc (bytes_get64 s la) (bytes_get64 s rb) then
-                     tf
-                   else ff)
-                    env
-                end
-                else begin
-                  jrun_commits env carr;
-                  jit_resume env prog hpc f
-                end
-            | Ks la, Kc vb ->
-              fun env ->
-                jrun_pre env pre;
-                let f = env.jfuel in
-                if f >= hfuel then begin
-                  env.jfuel <- f - hfuel;
-                  (if jx_cond hc (bytes_get64 env.jstk la) vb then tf else ff)
-                    env
-                end
-                else begin
-                  jrun_commits env carr;
-                  jit_resume env prog hpc f
-                end
-            | _ ->
-              fun env ->
-                jrun_pre env pre;
-                let f = env.jfuel in
-                if f >= hfuel then begin
-                  env.jfuel <- f - hfuel;
-                  let a = jopd_get env hl and b = jopd_get env hr in
-                  (if jx_cond hc a b then tf else ff) env
-                end
-                else begin
-                  jrun_commits env carr;
-                  jit_resume env prog hpc f
-                end
-          in
-          mk_chain stms 0 bound tail
-        | None ->
-          let d = edge pregs carr (arm_of t) in
-          mk_chain stms 0 nstm d)
+              (if jx_cond c a b then tf else ff) env)
+      in
+      mk_chain stms nstm tail
     in
     let compile_block start stop =
       let blen = stop - start in
       let body =
-        match sym.(start) with
+        match symbolize start stop with
         | None ->
           let rec build i next =
             if i < start then next else build (i - 1) (ins i (stop - i) next)
           in
           build (stop - 1) (goto_cell blk_id.(stop))
-        | Some info -> mk_symbolic_body info
+        | Some (stms, nstm, term, carr, ntmp) ->
+          if ntmp > !maxtmp then maxtmp := ntmp;
+          mk_symbolic_body stms nstm term carr
       in
-      bodies.(blk_id.(start)) <- body;
       cells.(blk_id.(start)) <-
         (fun env ->
           let f = env.jfuel in

@@ -493,10 +493,12 @@ let gen_diff_insn =
         ( 1,
           map3 (fun sz (d, off) v -> I.St (sz, d, off, Int32.of_int v)) gen_size
             (pair (oneofl [ 1; 10 ]) (int_range (-32) 8)) (int_range (-1000) 1000) );
-        (1, map (fun off -> I.Ja off) (int_range 0 3));
+        (* negative offsets make loops: back edges, self-loops, and runs
+           that exhaust their fuel mid-block and deoptimise *)
+        (1, map (fun off -> I.Ja off) (int_range (-4) 3));
         ( 2,
           map (fun ((c, d), (o, off)) -> I.Jcond (c, d, o, off))
-            (pair (pair gen_cond gen_reg) (pair gen_operand (int_range 0 3))) );
+            (pair (pair gen_cond gen_reg) (pair gen_operand (int_range (-4) 3))) );
         (1, oneofl [ I.Call 1; I.Call 2; I.Call 7 ]);
       ])
 
@@ -722,12 +724,14 @@ let test_jit_block_edges () =
   diff_case "arg buffer overrun" [ I.Ldx (I.W64, 0, 1, 4096); I.Exit ];
   diff_case "arg buffer underrun" [ I.Ldx (I.W64, 0, 1, -8); I.Exit ]
 
-(* Regression: a block the symbolizer refuses (sub-64-bit load) runs as a
-   per-instruction closure chain; its conditional dispatches through the
-   block cells into a pure mov/ja block whose jeq successor gets inlined
-   into the terminator. The inlined compare must see the pending mov
-   commit, not the stale register file (shrunk from the datagram
-   plugin's parse pluglet). *)
+(* Regression input (shrunk from the datagram plugin's parse pluglet): a
+   block the symbolizer refuses (sub-64-bit load) runs as a
+   per-instruction closure chain and branches into a mov/ja block that
+   leads to a jeq block. When the JIT inlined that jeq into its
+   predecessor's terminator, the compare read the stale register file
+   instead of the pending mov commit. Every edge now lands its commits
+   before entering the target, and the program stays as a differential
+   case for register commits across block edges. *)
 let test_jit_pending_commit_regression () =
   diff_case "per-insn head into threaded mov/jeq chain"
     [

@@ -507,8 +507,11 @@ let test_cache_reuse_and_isolation () =
        <= first.Plugins.Monitoring.pkts_received)
   | _ -> Alcotest.fail "missing reports"
 
-(* in-connection plugin exchange with the trust system *)
-let test_plugin_exchange_end_to_end () =
+(* in-connection plugin exchange with the trust system: the server
+   injects Datagram with a proof from a two-validator system and the
+   client verifies it. The endpoints are seeded, so every pair built here
+   gives the client connection the same CID. *)
+let exchange_pair () =
   let repo = Trust.Repository.create () in
   let pvs =
     List.map
@@ -546,11 +549,30 @@ let test_plugin_exchange_end_to_end () =
       c.Pquic.Connection.on_stream_data <-
         (fun id _ ~fin ->
           if fin then Pquic.Connection.write_stream c ~id ~fin:true "resp"));
+  (sim, client, conn, plugin)
+
+let test_plugin_exchange_end_to_end () =
+  let sim, client, conn, plugin = exchange_pair () in
   ignore (Sim.run ~until:(Sim.of_sec 30.) sim);
   check Alcotest.bool "client cached the plugin" true
     (Pquic.Endpoint.has_plugin client plugin.Pluginop.Plugin.name);
   check Alcotest.bool "not active on the fetching connection" false
     (Pquic.Connection.has_plugin conn plugin.Pluginop.Plugin.name)
+
+let test_abandoned_transfer_stays_with_its_connection () =
+  (* a transfer's bytes belong to its connection: one abandoned half-way
+     must not be prepended to a later transfer of the same plugin to a
+     connection with the same CID *)
+  let sim, _, conn, _ = exchange_pair () in
+  let in_flight () = Hashtbl.length conn.Pquic.Connection.plugin_in > 0 in
+  while (not (in_flight ())) && Sim.run ~max_events:1 sim > 0 do
+    ()
+  done;
+  check Alcotest.bool "transfer abandoned half-way" true (in_flight ());
+  let sim, client, _, plugin = exchange_pair () in
+  ignore (Sim.run ~until:(Sim.of_sec 30.) sim);
+  check Alcotest.bool "fresh exchange stores the plugin" true
+    (Pquic.Endpoint.has_plugin client plugin.Pluginop.Plugin.name)
 
 let test_plugin_exchange_survives_loss () =
   (* the PLUGIN stream is reliable: the transfer completes over a lossy
@@ -691,6 +713,8 @@ let tests =
     ("cache_exchange", [
       Alcotest.test_case "cache reuse + isolation" `Quick test_cache_reuse_and_isolation;
       Alcotest.test_case "exchange end-to-end" `Quick test_plugin_exchange_end_to_end;
+      Alcotest.test_case "abandoned transfer not replayed" `Quick
+        test_abandoned_transfer_stays_with_its_connection;
       Alcotest.test_case "exchange under loss" `Quick test_plugin_exchange_survives_loss;
       Alcotest.test_case "exchange refused" `Quick test_plugin_exchange_refused_without_proof;
       fec_integrity_multi_seed;
