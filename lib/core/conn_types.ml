@@ -310,6 +310,9 @@ type t = {
   created_at : Sim.time;
   mutable established_at : Sim.time option;
   mutable wake_pending : bool;
+  mutable send_pass : unit -> unit;
+      (* body of the wake event, built once at creation: clears
+         [wake_pending] and runs [Sender.send_pending] *)
   mutable negotiated : bool;
   mutable close_reason : string;
 }
@@ -415,13 +418,15 @@ let next_challenge c =
     ~key:(Int64.logxor c.key c.local_cid)
     (Int64.to_string c.challenge_ctr)
 
-(* Forward references into the orchestration layer: lower layers (helpers,
-   recovery) must wake the sender or hand back a recovered packet, but the
-   implementations live above them in the module graph. [Connection] and
-   [Sender] fill these in at load time. *)
-
-let wake_ref : (t -> unit) ref = ref (fun _ -> ())
-let wake c = !wake_ref c
+(* Ask for a send pass: run [set_next_wake_time] and schedule the
+   connection's [send_pass] as one delay-0 event, unless one is pending.
+   Deferring the pass lets a burst of wakes share it. *)
+let wake c =
+  if (not c.wake_pending) && is_open c then begin
+    ignore (Pluginop.Dispatch.run_op c.po c Protoop.set_next_wake_time [||]);
+    c.wake_pending <- true;
+    ignore (Sim.schedule c.sim ~delay:0L c.send_pass)
+  end
 
 (* Receive-path profiling, sampled by [Connection.receive_datagram] when
    [rx_profile] is on: wall-clock and minor-heap words spent across
@@ -440,7 +445,12 @@ let rx_profile_reset () =
   rx_minor_words := 0.0;
   rx_packets := 0
 
-(* The recovered packet image [pn(4) || payload] is borrowed: valid only
+(* Forward references into the orchestration layer: lower layers (helpers,
+   recovery) must hand back a recovered packet or reprobe a path, but the
+   implementations live above them in the module graph. [Connection] and
+   [Sender] fill these in at load time.
+
+   The recovered packet image [pn(4) || payload] is borrowed: valid only
    for the duration of the call (it lives in the rx scratch pool). *)
 let process_recovered_ref : (t -> Bytes.t -> off:int -> len:int -> unit) ref =
   ref (fun _ _ ~off:_ ~len:_ -> ())

@@ -283,6 +283,9 @@ type t = {
   created_at : Netsim.Sim.time;
   mutable established_at : Netsim.Sim.time option;
   mutable wake_pending : bool;
+  mutable send_pass : unit -> unit;
+      (** body of the {!wake} event, built once at creation: clears
+          [wake_pending] and runs [Sender.send_pending] *)
   mutable negotiated : bool;
   mutable close_reason : string;
 }
@@ -340,14 +343,9 @@ val adopt_remote_cid : t -> int64 * int64 -> unit
 val adoptable_spare : t -> (int64 * int64) option
 (** A spare eligible for rotation: unused and ahead of [remote_cid_seq]. *)
 
-(** {2 Forward references}
-
-    Filled in by the upper layers at load time; lower layers call through
-    them to avoid dependency cycles. *)
-
-val wake_ref : (t -> unit) ref
 val wake : t -> unit
-(** Schedule a send pass (implemented by [Sender]). *)
+(** Ask for a send pass: run [set_next_wake_time] and schedule
+    [send_pass] as one delay-0 event, unless one is already pending. *)
 
 (** {2 Receive-path profiling}
 
@@ -362,6 +360,11 @@ val rx_seconds : float ref
 val rx_minor_words : float ref
 val rx_packets : int ref
 val rx_profile_reset : unit -> unit
+
+(** {2 Forward references}
+
+    Filled in by the upper layers at load time; lower layers call through
+    them to avoid dependency cycles. *)
 
 val process_recovered_ref : (t -> Bytes.t -> off:int -> len:int -> unit) ref
 (** Hand a FEC-recovered packet image [pn(4) || payload] back to the

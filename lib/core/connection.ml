@@ -244,10 +244,15 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       created_at = Sim.now sim;
       established_at = None;
       wake_pending = false;
+      send_pass = ignore;
       negotiated = false;
       close_reason = "";
     }
   in
+  c.send_pass <-
+    (fun () ->
+      c.wake_pending <- false;
+      Sender.send_pending c);
   TW.set_fire c.loss_alarm (fun () -> Recovery.on_loss_alarm c);
   TW.set_fire c.idle_alarm (fun () -> on_idle_alarm c);
   TW.set_fire c.stall_alarm (fun () -> on_stall_alarm c);

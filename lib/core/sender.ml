@@ -469,18 +469,6 @@ let send_pending c =
     done
   end
 
-let wake_impl c =
-  if (not c.wake_pending) && is_open c then begin
-    ignore (run_op c Protoop.set_next_wake_time [||]);
-    c.wake_pending <- true;
-    ignore
-      (Sim.schedule c.sim ~delay:0L (fun () ->
-           c.wake_pending <- false;
-           send_pending c))
-  end
-
-let () = wake_ref := wake_impl
-
 (* ------------------------------------------------------------------ *)
 (* Path validation probes (RFC 9000 §9)                                *)
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** The send path: stream table, packet building blocks, and the packet
     assembly loop filling each packet under the Section 2.3 scheduler
-    guarantees. Implements {!Conn_types.wake}. *)
+    guarantees. [send_pending] is the body of {!Conn_types.wake}. *)
 
 open Conn_types
 
@@ -22,9 +22,6 @@ val build_and_send_packet : t -> bool
 
 val send_pending : t -> unit
 (** Send packets while the engine has something to put on the wire. *)
-
-val wake_impl : t -> unit
-(** Schedule an asynchronous send pass (bound to {!Conn_types.wake_ref}). *)
 
 val send_path_probe : t -> path_candidate -> unit
 (** Probe an unvalidated candidate address with PATH_CHALLENGE (plus any

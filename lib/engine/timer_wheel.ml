@@ -1,12 +1,12 @@
 (* Hierarchical timer wheel over a Netsim.Sim clock.
 
-   Internals work in int nanoseconds (Int64.to_int of Sim.time) so that
-   arm/cancel touch no boxed values. Each level-k slot covers a window
-   of 2^(16 + 8k) ns; an alarm is parked at the deepest level whose
-   window is wider than its remaining delta, in the slot its absolute
-   deadline falls in. Within a slot, nodes form an intrusive circular
-   doubly-linked list anchored on a sentinel, appended at the tail so
-   slot order is arm order.
+   Internals work on the simulator's native-int clock ([Sim.now_ns],
+   [Sim.schedule_ns]) so that arm/cancel touch no boxed values. Each
+   level-k slot covers a window of 2^(16 + 8k) ns; an alarm is parked at
+   the deepest level whose window is wider than its remaining delta, in
+   the slot its absolute deadline falls in. Within a slot, nodes form an
+   intrusive circular doubly-linked list anchored on a sentinel, appended
+   at the tail so slot order is arm order.
 
    Simulator integration ("drivers"): the wheel maintains the invariant
    that whenever any alarm is armed, a pending simulator event exists at
@@ -291,10 +291,7 @@ let collect_due t ~tnow =
   !n
 
 let rec schedule_driver t at =
-  let ev =
-    Netsim.Sim.schedule_at t.sim ~at:(Int64.of_int at) (fun () ->
-        driver_fired t at)
-  in
+  let ev = Netsim.Sim.schedule_ns t.sim ~at (fun () -> driver_fired t at) in
   t.c_drivers <- t.c_drivers + 1;
   t.pending_drivers <- (at, ev) :: t.pending_drivers
 
@@ -303,7 +300,7 @@ and driver_fired t at =
   | (d, _) :: rest when d = at -> t.pending_drivers <- rest
   | _ -> ());
   if t.armed_total > 0 then begin
-    let tnow = Int64.to_int (Netsim.Sim.now t.sim) in
+    let tnow = Netsim.Sim.now_ns t.sim in
     let n = collect_due t ~tnow in
     (* Restore the driver invariant for whatever remains armed before
        running callbacks (callbacks may re-arm; [arm] handles sooner
@@ -336,9 +333,8 @@ and driver_fired t at =
     end
   end
 
-let arm t a ~at =
-  let tnow = Int64.to_int (Netsim.Sim.now t.sim) in
-  let at = Int64.to_int at in
+let arm_ns t a ~at =
+  let tnow = Netsim.Sim.now_ns t.sim in
   let at = if at < tnow then tnow else at in
   a.queued <- false;
   if a.armed then unlink t a;
@@ -352,8 +348,10 @@ let arm t a ~at =
   | (d, _) :: _ when d <= at -> ()
   | _ -> schedule_driver t at
 
+let arm t a ~at = arm_ns t a ~at:(Int64.to_int at)
+
 let arm_delay t a ~delay =
-  arm t a ~at:(Int64.add (Netsim.Sim.now t.sim) delay)
+  arm_ns t a ~at:(Netsim.Sim.now_ns t.sim + Int64.to_int delay)
 
 let cancel t a =
   a.queued <- false;

@@ -53,23 +53,57 @@ let test_clock_advances () =
   ignore (Sim.run sim);
   check Alcotest.int64 "now() inside handler" 12345L !at
 
+(* A horizon in the past leaves the clock where it is: an event scheduled
+   afterwards runs relative to the furthest time reached. *)
+let test_until_never_rewinds () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim ~delay:100L ignore);
+  ignore (Sim.schedule sim ~delay:1000L ignore);
+  ignore (Sim.run ~until:500L sim);
+  check Alcotest.int64 "at the first horizon" 500L (Sim.now sim);
+  ignore (Sim.run ~until:200L sim);
+  check Alcotest.int64 "an earlier horizon keeps the clock" 500L (Sim.now sim);
+  let at = ref 0L in
+  ignore (Sim.schedule sim ~delay:10L (fun () -> at := Sim.now sim));
+  ignore (Sim.run sim);
+  check Alcotest.int64 "later event relative to the furthest time" 510L !at
+
+(* Random schedules interleaved with cancellations and [until] stops:
+   every live event fires exactly once, at its time, in (time, insertion)
+   order; no cancelled event fires; the clock never goes back. *)
 let heap_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200 ~name:"events always fire in time order"
-       QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 100000))
-       (fun delays ->
+       QCheck2.Gen.(
+         list_size (int_range 1 200)
+           (triple (int_range 0 100000) (int_range 0 4) (int_range 0 4)))
+       (fun ops ->
          let sim = Sim.create () in
-         let fired = ref [] in
-         List.iter
-           (fun d ->
-             ignore
-               (Sim.schedule sim ~delay:(Int64.of_int d) (fun () ->
-                    fired := Sim.now sim :: !fired)))
-           delays;
+         let fired = ref [] and expected = ref [] in
+         let clock_ok = ref true and last = ref 0L in
+         let observe () =
+           if Sim.now sim < !last then clock_ok := false;
+           last := Sim.now sim
+         in
+         List.iteri
+           (fun k (d, cancel, stop) ->
+             let at = Int64.add (Sim.now sim) (Int64.of_int d) in
+             let ev =
+               Sim.schedule sim ~delay:(Int64.of_int d) (fun () ->
+                   observe ();
+                   fired := (Sim.now sim, k) :: !fired)
+             in
+             if cancel = 0 then Sim.cancel ev else expected := (at, k) :: !expected;
+             if stop = 0 then begin
+               let until = Int64.add (Sim.now sim) (Int64.of_int (d / 3)) in
+               ignore (Sim.run ~until sim);
+               observe ()
+             end)
+           ops;
          ignore (Sim.run sim);
+         observe ();
          let fired = List.rev !fired in
-         List.length fired = List.length delays
-         && fired = List.sort compare fired))
+         !clock_ok && fired = List.sort compare !expected))
 
 (* ------------------------------ rng ---------------------------------- *)
 
@@ -308,6 +342,332 @@ let test_corrupt_string_deterministic () =
   check Alcotest.bool "descriptor selects the damage" true
     (Net.corrupt_string 0x9999L s <> c1)
 
+(* ---------------------- lazy backlog oracle ------------------------- *)
+
+(* The link drains its backlog lazily; [Link_ref] is the event-driven
+   queue it replaced, with one drain event per packet. Both run the same
+   seeded stimulus on their own simulator: sends pre-scheduled at times
+   that land on serialization ends, sends between runs, re-sends from
+   inside deliveries, and [until] and [max_events] stops. Deliveries
+   [(id, time, ce, corrupt)], the full [Link.stats], the clock and the
+   executed-event counts (less the reference's drains) must agree after
+   every step. *)
+
+type side = {
+  sim : Sim.t;
+  send : size:int -> (ce:bool -> corrupt:int64 option -> unit) -> unit;
+  stats : unit -> Link.stats;
+  drains : unit -> int;
+  log : (int * int64 * bool * int64 option) list ref;
+}
+
+type step = Send of int | Until of int64 | Max of int
+
+type trace = {
+  delay_ms : float;
+  rate_mbps : float;
+  loss : float;
+  buffer : int;
+  ecn : int;
+  faults : Fault.profile;
+  timed : (int64 * int) list;  (* pre-scheduled sends: absolute time, size *)
+  echo : int;  (* a delivery whose id divides by [echo] sends again *)
+  steps : step list;
+}
+
+let gen_trace st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let rate_mbps = pick [| 0.; 8.; 8.; 1.6; 80. |] in
+  let base = pick [| 125; 500; 1000 |] in
+  let sizes = [| base; base; 2 * base; 3 * base |] in
+  (* serialization time of [base]: the grid on which sends and delays are
+     placed, so that they keep landing on serialization ends *)
+  let unit_ns =
+    if rate_mbps <= 0. then 1000
+    else int_of_float (float_of_int (base * 8) /. (rate_mbps *. 1e6) *. 1e9)
+  in
+  let delay_ms =
+    float_of_int (unit_ns * pick [| 0; 0; 1; 3 |]) /. 1e6
+  in
+  let faults =
+    {
+      Fault.none with
+      Fault.duplicate = pick [| 0.; 0.; 0.2 |];
+      reorder =
+        pick
+          [| None; None;
+             Some { Fault.prob = 0.2; max_extra = Int64.of_int (2 * unit_ns) } |];
+    }
+  in
+  let timed =
+    List.init (Random.State.int st 30) (fun _ ->
+        (Int64.of_int (unit_ns * Random.State.int st 40), pick sizes))
+  in
+  let steps =
+    List.init (5 + Random.State.int st 30) (fun _ ->
+        match Random.State.int st 3 with
+        | 0 -> Send (pick sizes)
+        | 1 -> Until (Int64.of_int (unit_ns * Random.State.int st 4))
+        | _ -> Max (1 + Random.State.int st 4))
+  in
+  {
+    delay_ms;
+    rate_mbps;
+    loss = pick [| 0.; 0.; 0.1 |];
+    buffer = base * pick [| 2; 4; 64 |];
+    ecn = base * pick [| 0; 1; 2 |];
+    faults;
+    timed;
+    echo = pick [| 0; 2; 3 |];
+    steps;
+  }
+
+let real_side tr ~seed =
+  let sim = Sim.create () in
+  let l =
+    Link.create ~sim ~delay_ms:tr.delay_ms ~rate_mbps:tr.rate_mbps ~loss:tr.loss
+      ~rng:(Rng.create seed) ~buffer:tr.buffer ~ecn_threshold:tr.ecn
+      ~faults:tr.faults ()
+  in
+  { sim; send = Link.send_full l; stats = (fun () -> Link.stats l);
+    drains = (fun () -> 0); log = ref [] }
+
+let ref_side tr ~seed =
+  let sim = Sim.create () in
+  let l =
+    Link_ref.create ~sim ~delay_ms:tr.delay_ms ~rate_mbps:tr.rate_mbps
+      ~loss:tr.loss ~rng:(Rng.create seed) ~buffer:tr.buffer
+      ~ecn_threshold:tr.ecn ~faults:tr.faults ()
+  in
+  ( { sim; send = Link_ref.send_full l; stats = (fun () -> l.Link_ref.stats);
+      drains = (fun () -> l.Link_ref.drains); log = ref [] },
+    l )
+
+(* Wire a side's stimulus; returns the direct-send function. *)
+let stimulate sd tr =
+  let next_id = ref 0 in
+  let rec send size =
+    let id = !next_id in
+    incr next_id;
+    sd.send ~size (fun ~ce ~corrupt ->
+        sd.log := (id, Sim.now sd.sim, ce, corrupt) :: !(sd.log);
+        if tr.echo > 0 && id mod tr.echo = 0 && id < 400 then send size)
+  in
+  List.iter
+    (fun (at, size) -> ignore (Sim.schedule_at sd.sim ~at (fun () -> send size)))
+    tr.timed;
+  send
+
+(* Run one step; returns the executed events that are not drains. *)
+let run_step sd send = function
+  | Send size -> send size; 0
+  | Until dt ->
+    let d0 = sd.drains () in
+    let n = Sim.run ~until:(Int64.add (Sim.now sd.sim) dt) sd.sim in
+    n - (sd.drains () - d0)
+  | Max k ->
+    (* the reference's drains must not count toward the stop *)
+    let n = ref 0 and go = ref true in
+    while !go && !n < k do
+      let d0 = sd.drains () in
+      if Sim.run ~max_events:1 sd.sim = 0 then go := false
+      else if sd.drains () = d0 then incr n
+    done;
+    !n
+
+(* Coverage over all traces, so the oracle is known to reach the cases
+   the tie rule is about. *)
+type coverage = {
+  mutable on_tx_done : int;  (* sends landing exactly on a serialization end *)
+  mutable in_flight_stops : int;  (* stops between a tx_done and its arrival *)
+  mutable zero_rate : int;
+  mutable quirks : int;  (* idle restarts with a tied drain still pending *)
+  mutable ce : int;
+  mutable dup : int;
+  mutable reord : int;
+  mutable drops : int;
+}
+
+let oracle_trace cov seed =
+  let st = Random.State.make [| seed |] in
+  let tr = gen_trace st in
+  let rseed = Int64.of_int (seed + 1) in
+  let real = real_side tr ~seed:rseed in
+  let rf, rl = ref_side tr ~seed:rseed in
+  let send_real = stimulate real tr in
+  let counted_send ~size k =
+    if List.mem (Sim.now rf.sim) rl.Link_ref.tx_dones then
+      cov.on_tx_done <- cov.on_tx_done + 1;
+    rf.send ~size k
+  in
+  let send_ref = stimulate { rf with send = counted_send } tr in
+  let compare_sides what n_real n_ref =
+    if n_real <> n_ref then
+      Alcotest.failf "seed %d, %s: %d events executed, reference %d" seed what
+        n_real n_ref;
+    if Sim.now real.sim <> Sim.now rf.sim then
+      Alcotest.failf "seed %d, %s: clock %Ld, reference %Ld" seed what
+        (Sim.now real.sim) (Sim.now rf.sim);
+    if !(real.log) <> !(rf.log) then
+      Alcotest.failf "seed %d, %s: deliveries differ (%d vs %d)" seed what
+        (List.length !(real.log)) (List.length !(rf.log));
+    if real.stats () <> rf.stats () then
+      Alcotest.failf "seed %d, %s: link stats differ" seed what
+  in
+  List.iteri
+    (fun i step ->
+      let a = run_step real send_real step in
+      let b = run_step rf send_ref step in
+      (match step with
+      | Send _ -> ()
+      | Until _ | Max _ ->
+        let now = Sim.now rf.sim in
+        if List.exists (fun t -> t <= now && Int64.add t rl.Link_ref.delay > now)
+             rl.Link_ref.tx_dones
+        then cov.in_flight_stops <- cov.in_flight_stops + 1);
+      compare_sides (Printf.sprintf "step %d" i) a b)
+    tr.steps;
+  let a = Sim.run real.sim in
+  let d0 = rf.drains () in
+  let b = Sim.run rf.sim in
+  compare_sides "final run" a (b - (rf.drains () - d0));
+  let s = rf.stats () in
+  if tr.rate_mbps <= 0. then cov.zero_rate <- cov.zero_rate + 1;
+  cov.quirks <- cov.quirks + rl.Link_ref.quirks;
+  cov.ce <- cov.ce + s.Link.ce_marked;
+  cov.dup <- cov.dup + s.Link.duplicated;
+  cov.reord <- cov.reord + s.Link.reordered;
+  cov.drops <- cov.drops + s.Link.queue_drops
+
+let test_lazy_backlog_oracle () =
+  let cov =
+    { on_tx_done = 0; in_flight_stops = 0; zero_rate = 0; quirks = 0; ce = 0;
+      dup = 0; reord = 0; drops = 0 }
+  in
+  for seed = 0 to 499 do
+    oracle_trace cov seed
+  done;
+  let covered name n =
+    if n = 0 then Alcotest.failf "oracle traces never reached: %s" name
+  in
+  covered "sends on a tx_done" cov.on_tx_done;
+  covered "stops between tx_done and arrival" cov.in_flight_stops;
+  covered "rate 0" cov.zero_rate;
+  covered "idle restart with a tied drain pending" cov.quirks;
+  covered "ECN marks" cov.ce;
+  covered "duplication" cov.dup;
+  covered "reordering" cov.reord;
+  covered "queue drops" cov.drops
+
+(* ------------------------- simulator cost ---------------------------- *)
+
+module Topology = Netsim.Topology
+
+(* A GET of [size] bytes over the single-path topology (100 Mbps, 5 ms, no
+   loss); returns the events the simulator executed, from the handshake
+   to the last byte, and the datagrams the network delivered. *)
+let transfer_events ~size =
+  let topo =
+    Topology.single_path ~seed:7L
+      { Topology.d_ms = 5.; bw_mbps = 100.; loss = 0. }
+  in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let server =
+    Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr
+      ~seed:0x5EedL ()
+  in
+  let client =
+    Pquic.Endpoint.create ~sim ~net ~addr:(List.hd topo.Topology.client_addrs)
+      ~seed:0xC11e47L ()
+  in
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  server.Pquic.Endpoint.on_connection <-
+    (fun c ->
+      c.Pquic.Connection.on_stream_data <-
+        (fun id _ ~fin ->
+          if fin then
+            Pquic.Connection.write_stream c ~id ~fin:true (String.make size 'x')));
+  let conn =
+    Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
+  in
+  let fin = ref false in
+  conn.Pquic.Connection.on_established <-
+    (fun () -> Pquic.Connection.write_stream conn ~id:0 ~fin:true "GET /file");
+  conn.Pquic.Connection.on_stream_data <- (fun _ _ ~fin:f -> if f then fin := true);
+  let events = ref 0 in
+  while (not !fin) && Sim.pending sim > 0 do
+    events := !events + Sim.run ~max_events:1 sim
+  done;
+  if not !fin then Alcotest.fail "transfer did not complete";
+  (!events, (Net.stats net).Net.delivered)
+
+(* Event budget: per delivered datagram, one arrival per link of the
+   3-link route plus the sender's delay-0 wake, about 4.0 (4.08 here,
+   with the handshake and alarms). A drain event per link (7.18) would
+   trip the gate. *)
+let test_events_per_datagram () =
+  let events, delivered = transfer_events ~size:(2 * 1024 * 1024) in
+  let per = float_of_int events /. float_of_int (max 1 delivered) in
+  if per > 4.1 then
+    Alcotest.failf "%.2f events per delivered datagram (%d / %d), over 4.1" per
+      events delivered
+
+(* Running pre-scheduled events allocates only the boxed clock, once per
+   distinct instant (3 words): popping returns no option, and the heap
+   holds native ints. *)
+let test_alloc_run_events () =
+  let sim = Sim.create () in
+  let count = ref 0 in
+  let fn () = incr count in
+  let n = 10_000 and instants = 100 in
+  for i = 0 to n - 1 do
+    ignore (Sim.schedule sim ~delay:(Int64.of_int (1 + (i mod instants))) fn)
+  done;
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let ran = Sim.run sim in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "all ran" n ran;
+  check Alcotest.int "all fired" n !count;
+  if words > float_of_int (3 * instants) +. 16. then
+    Alcotest.failf "running %d events over %d instants allocated %.0f minor \
+                    words" n instants words
+
+(* Minor words per datagram through a 3-link route: the arrival event and
+   its closure per link, and the route walk in [Net.send]. Measured at
+   103 words (190 with a drain event per link); the ceiling is twice the
+   measured figure. *)
+let test_alloc_per_packet () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let link d =
+    Link.create ~sim ~delay_ms:d ~rate_mbps:100. ~loss:0. ~rng:(Rng.create 3L) ()
+  in
+  Net.add_route net ~src:1 ~dst:2 [ link 0.1; link 5.; link 0.1 ];
+  let got = ref 0 in
+  Net.attach net 2 (fun _ -> incr got);
+  let dg = { Net.src = 1; dst = 2; size = 1252; payload = Net.Raw "x" } in
+  let burst () =
+    for _ = 1 to 20 do
+      Net.send net dg
+    done;
+    ignore (Sim.run sim)
+  in
+  burst ();
+  Gc.minor ();
+  let got0 = !got in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 50 do
+    burst ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let pkts = !got - got0 in
+  check Alcotest.int "every datagram delivered" 1000 pkts;
+  let per = words /. float_of_int pkts in
+  if per > 206. then
+    Alcotest.failf "%.1f minor words per datagram over a 3-link route" per
+
 (* ------------------------- middleboxes ------------------------------- *)
 
 module Mbox = Netsim.Middlebox
@@ -454,6 +814,7 @@ let tests =
       Alcotest.test_case "cancel" `Quick test_cancel;
       Alcotest.test_case "run until" `Quick test_until;
       Alcotest.test_case "clock advances" `Quick test_clock_advances;
+      Alcotest.test_case "until never rewinds" `Quick test_until_never_rewinds;
       heap_property;
     ]);
     ("rng", [
@@ -469,6 +830,13 @@ let tests =
       Alcotest.test_case "routing" `Quick test_net_routing;
       Alcotest.test_case "figure 7 topology" `Quick test_topology_fig7;
     ]);
+    ("cost", [
+      Alcotest.test_case "events per datagram" `Quick test_events_per_datagram;
+    ]);
+    ("alloc", [
+      Alcotest.test_case "running scheduled events" `Quick test_alloc_run_events;
+      Alcotest.test_case "words per datagram, 3 links" `Quick test_alloc_per_packet;
+    ]);
     ("fault", [
       Alcotest.test_case "deterministic verdicts" `Quick test_fault_deterministic;
       Alcotest.test_case "stream independence" `Quick test_fault_stream_independence;
@@ -477,6 +845,7 @@ let tests =
       Alcotest.test_case "duplication" `Quick test_link_duplicate_delivers_twice;
       Alcotest.test_case "queue high-water mark" `Quick test_link_queue_hwm;
       Alcotest.test_case "corruption deterministic" `Quick test_corrupt_string_deterministic;
+      Alcotest.test_case "lazy backlog = drain events" `Quick test_lazy_backlog_oracle;
     ]);
     ("middlebox", [
       Alcotest.test_case "nat rewrite and expiry" `Quick test_nat_rewrite_and_expiry;
