@@ -106,7 +106,6 @@ type stream = {
   sendb : Quic.Sendbuf.t;
   recvb : Quic.Recvbuf.t;
   mutable max_stream_data_remote : int64;
-  mutable max_stream_data_local : int64;
   mutable fin_delivered : bool;
   mutable flow_sent : int; (* highest offset+len ever put on the wire *)
 }
@@ -210,7 +209,6 @@ type t = {
   mutable largest_acked : int64;
   mutable largest_acked_per_path : int64 array; (* per-path largest path_seq acked *)
   mutable next_path_seq : int64 array;
-  mutable largest_sent_at : Sim.time;
   sent_times : (int64, Sim.time) Hashtbl.t; (* retained past c.sent removal *)
   mutable sent_times_sweep_at : int64;
       (* the first ack-eliciting send at or past this pn prunes
@@ -274,15 +272,13 @@ type t = {
   mutable cur_pn : int64;
   mutable cur_path : int;
   mutable cur_size : int;
-  mutable cur_payload : string;
-  (* the payload slice of the packet just built (send) or being processed
-     (receive), materialized lazily from [cur_wire] — only the FEC helper
-     ever reads it as a string, and [blit_current_payload] serves it
-     without materializing at all, so the plain path never pays the copy.
-     [cur_payload_len = 0] means [cur_payload] is authoritative as-is. *)
   mutable cur_wire : string;
   mutable cur_payload_off : int;
   mutable cur_payload_len : int;
+  (* the payload of the packet just built (send) or being processed
+     (receive) is the [cur_payload_off, +cur_payload_len) window of
+     [cur_wire]: [blit_current_payload] serves it to the packet_bytes
+     helper without ever slicing it out *)
   mutable cur_has_stream : bool;
   mutable cur_ecn_ce : bool;
   mutable recover_depth : int;
@@ -349,29 +345,11 @@ let fail_connection c reason =
     c.close_reason <- reason
   end
 
-(* The payload of the packet currently built or processed. Both
-   directions record only the wire image plus offsets; the slice is cut
-   (and cached) the first time a plugin helper actually asks for the
-   string. *)
-let current_payload c =
-  if c.cur_payload_len > 0 then begin
-    c.cur_payload <- String.sub c.cur_wire c.cur_payload_off c.cur_payload_len;
-    c.cur_payload_len <- 0
-  end;
-  c.cur_payload
-
-let current_payload_length c =
-  if c.cur_payload_len > 0 then c.cur_payload_len
-  else String.length c.cur_payload
-
-(* Copy the current payload into [dst] without materializing the slice —
-   the packet_bytes helper serves plugins straight from the wire image. *)
+(* Copy the payload of the packet currently built or processed into
+   [dst] — the packet_bytes helper serves plugins straight from the wire
+   image. *)
 let blit_current_payload c dst dst_off =
-  if c.cur_payload_len > 0 then
-    Bytes.blit_string c.cur_wire c.cur_payload_off dst dst_off
-      c.cur_payload_len
-  else
-    Bytes.blit_string c.cur_payload 0 dst dst_off (String.length c.cur_payload)
+  Bytes.blit_string c.cur_wire c.cur_payload_off dst dst_off c.cur_payload_len
 
 (* The per-connection receive scratch pool: 16 KiB, enough to stage the
    deepest recovery recursion the engine allows, and only ever created
@@ -445,16 +423,6 @@ let rx_profile_reset () =
   rx_minor_words := 0.0;
   rx_packets := 0
 
-(* Forward references into the orchestration layer: lower layers (helpers,
-   recovery) must hand back a recovered packet or reprobe a path, but the
-   implementations live above them in the module graph. [Connection] and
-   [Sender] fill these in at load time.
-
-   The recovered packet image [pn(4) || payload] is borrowed: valid only
-   for the duration of the call (it lives in the rx scratch pool). *)
-let process_recovered_ref : (t -> Bytes.t -> off:int -> len:int -> unit) ref =
-  ref (fun _ _ ~off:_ ~len:_ -> ())
-
 (* Adopt [(seq, cid)] as the CID we address the peer with, retiring the
    one in use and every spare at or below the adopted sequence number.
    Adoption is strictly monotonic in seq: [remote_cid_seq] never moves
@@ -481,8 +449,3 @@ let adoptable_spare c =
     (fun (s, cid) -> s > c.remote_cid_seq && cid <> c.remote_cid)
     c.remote_spares
 
-let reprobe_ref : (t -> unit) ref = ref (fun _ -> ())
-(* Client-side stall escape (implemented by [Sender]): rotate to a spare
-   CID and revalidate the path with a long-header PATH_CHALLENGE probe.
-   [Recovery] calls it when consecutive PTOs suggest the 4-tuple died
-   (NAT rebinding, stateful-firewall blackhole). *)

@@ -93,7 +93,6 @@ type stream = {
   sendb : Quic.Sendbuf.t;
   recvb : Quic.Recvbuf.t;
   mutable max_stream_data_remote : int64;
-  mutable max_stream_data_local : int64;
   mutable fin_delivered : bool;
   mutable flow_sent : int; (** highest offset+len ever put on the wire *)
 }
@@ -189,7 +188,6 @@ type t = {
   mutable largest_acked : int64;
   mutable largest_acked_per_path : int64 array;
   mutable next_path_seq : int64 array;
-  mutable largest_sent_at : Netsim.Sim.time;
   sent_times : (int64, Netsim.Sim.time) Hashtbl.t;
   mutable sent_times_sweep_at : int64;
       (** the first ack-eliciting send at or past this pn prunes
@@ -250,14 +248,12 @@ type t = {
   mutable cur_pn : int64;
   mutable cur_path : int;
   mutable cur_size : int;
-  mutable cur_payload : string;
   mutable cur_wire : string;
-      (** wire image of the packet just built or being processed;
-          [cur_payload] is sliced from it on first use (see
-          {!current_payload}) *)
+      (** wire image of the packet just built or being processed *)
   mutable cur_payload_off : int;
   mutable cur_payload_len : int;
-      (** 0 when [cur_payload] is authoritative as-is *)
+      (** its payload: the [cur_payload_off, +cur_payload_len) window of
+          [cur_wire] *)
   mutable cur_has_stream : bool;
   mutable cur_ecn_ce : bool;
   mutable recover_depth : int;
@@ -310,16 +306,9 @@ val is_open : t -> bool
 val fail_connection : t -> string -> unit
 (** Mark the connection failed (unless already closed). *)
 
-val current_payload : t -> string
-(** Payload of the packet currently built or processed, slicing it out
-    of [cur_wire] (and caching it) on first use. *)
-
-val current_payload_length : t -> int
-(** Length of {!current_payload} without materializing the slice. *)
-
 val blit_current_payload : t -> Bytes.t -> int -> unit
-(** Copy the current payload into a buffer at the given offset without
-    materializing the slice — the packet_bytes helper serves plugins
+(** Copy the payload of the packet currently built or processed into a
+    buffer at the given offset — the packet_bytes helper serves plugins
     straight from the wire image. *)
 
 val rx_scratch : t -> Pluginop.Memory_pool.t
@@ -360,18 +349,3 @@ val rx_seconds : float ref
 val rx_minor_words : float ref
 val rx_packets : int ref
 val rx_profile_reset : unit -> unit
-
-(** {2 Forward references}
-
-    Filled in by the upper layers at load time; lower layers call through
-    them to avoid dependency cycles. *)
-
-val process_recovered_ref : (t -> Bytes.t -> off:int -> len:int -> unit) ref
-(** Hand a FEC-recovered packet image [pn(4) || payload] back to the
-    receive path (implemented by [Connection]). The bytes are borrowed —
-    valid only for the duration of the call. *)
-
-val reprobe_ref : (t -> unit) ref
-(** Client-side stall escape (implemented by [Sender]): rotate to a spare
-    CID and revalidate the path with a long-header PATH_CHALLENGE probe;
-    called by [Recovery] when consecutive PTOs suggest the 4-tuple died. *)

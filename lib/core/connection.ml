@@ -30,13 +30,17 @@ let run_op = Dispatch.run_op
 let register_native = Dispatch.register_native
 let call_external = Dispatch.call_external
 
-exception Injection_failed = Plugin_host.Injection_failed
+(* The plugin lifecycle is transport-neutral: bound here once, over the
+   connection's plugin state [c.po]. *)
+module PH = Pluginop.Plugin_host
 
-let build_instance = Plugin_host.build_instance
-let attach_instance = Plugin_host.attach_instance
-let inject_plugin = Plugin_host.inject_plugin
-let remove_plugin = Plugin_host.remove_plugin
-let kill_plugin = Plugin_host.kill_plugin
+exception Injection_failed = PH.Injection_failed
+
+let build_instance = PH.build_instance
+let attach_instance c inst = PH.attach_instance c.po c inst
+let inject_plugin c plugin = PH.inject_plugin c.po c plugin
+let remove_plugin c name = PH.remove_plugin c.po c name
+let kill_plugin c name reason = PH.kill_plugin c.po c name reason
 let inject_local_plugins = Plugin_host.inject_local_plugins
 
 (* ------------------------------------------------------------------ *)
@@ -121,146 +125,6 @@ let on_stall_alarm c =
       Sender.rotate_and_reprobe c;
     arm_stall_alarm c
   end
-
-(* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
-    ~local_params () =
-  let path0 =
-    {
-      path_id = 0;
-      local_addr;
-      remote_addr;
-      cc = Quic.Cc.create ~initial_window:cfg.initial_window ();
-      rtt = Quic.Rtt.create ();
-      active = true;
-      lost_span_start = 0L;
-      lost_span_end = 0L;
-      lost_span_valid = false;
-    }
-  in
-  let c =
-    {
-      sim;
-      net;
-      cfg;
-      role;
-      state = Handshaking;
-      local_cid;
-      remote_cid;
-      initial_key;
-      key = 0L;
-      paths = [| path0 |];
-      local_cids = [ (0L, local_cid) ];
-      cid_seq = 1L;
-      remote_spares = [];
-      remote_cid_seq = 0L;
-      candidate = None;
-      challenge_ctr = 0L;
-      last_reprobe_at = 0L;
-      last_rotate_at = 0L;
-      gen_cid =
-        (* standalone fallback: a LCG walk from the handshake CID; the
-           endpoint overrides this with its own RNG so issued CIDs land
-           in its demux table *)
-        (let ctr = ref local_cid in
-         fun () ->
-           ctr :=
-             Int64.add
-               (Int64.mul !ctr 6364136223846793005L)
-               1442695040888963407L;
-           !ctr);
-      on_cid_issued = ignore;
-      on_cid_retired = ignore;
-      next_pn = 0L;
-      sent = Hashtbl.create (if cfg.lean then 8 else 512);
-      inflight = [||];
-      ack_watermark = 0L;
-      largest_acked = -1L;
-      largest_acked_per_path = Array.make 8 (-1L);
-      next_path_seq = Array.make 8 0L;
-      largest_sent_at = 0L;
-      sent_times = Hashtbl.create (if cfg.lean then 16 else 1024);
-      sent_times_sweep_at = 0L;
-      pto_backoff = 0;
-      wheel = TW.shared sim;
-      loss_alarm = TW.alarm (fun () -> ());
-      ack_alarm = TW.alarm (fun () -> ());
-      idle_alarm = TW.alarm (fun () -> ());
-      stall_alarm = TW.alarm (fun () -> ());
-      idle_period = 0L;
-      stall_period = 0L;
-      last_activity = Sim.now sim;
-      ae_sent_since_recv = false;
-      acks = Quic.Ackranges.create ();
-      ack_needed = false;
-      ae_since_ack = 0;
-      largest_recv = -1L;
-      largest_recv_at = 0L;
-      last_spin_received = false;
-      spin = false;
-      streams = Hashtbl.create 8;
-      stream_rr = Queue.create ();
-      crypto_send = Quic.Sendbuf.create ();
-      crypto_recv = Quic.Recvbuf.create ();
-      crypto_acc = Buffer.create 256;
-      crypto_done = false;
-      max_data_local = local_params.TP.initial_max_data;
-      max_data_remote = TP.default.TP.initial_max_data;
-      data_sent = 0L;
-      data_received = 0L;
-      max_data_frame_pending = false;
-      local_params;
-      peer_params = None;
-      ctrl = Queue.create ();
-      po = Pluginop.Plugin_host.create_state ~host:Host_api.host ();
-      sched = Scheduler.create ~core_fraction:cfg.core_fraction ();
-      plugin_turn = false;
-      cur_pn = -1L;
-      cur_path = 0;
-      cur_size = 0;
-      cur_payload = "";
-      cur_wire = "";
-      cur_payload_off = 0;
-      cur_payload_len = 0;
-      cur_has_stream = false;
-      cur_ecn_ce = false;
-      recover_depth = 0;
-      rx_scratch = None;
-      plugin_out = Hashtbl.create 4;
-      plugin_in = Hashtbl.create 4;
-      plugin_proofs = [];
-      provide_plugin = (fun _ ~formula:_ -> None);
-      verify_plugin = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
-      on_plugin_received = ignore;
-      acquire_instance = (fun _ -> None);
-      on_stream_data = (fun _ _ ~fin:_ -> ());
-      on_message = ignore;
-      on_established = ignore;
-      on_closed = ignore;
-      stats = make_stats ();
-      created_at = Sim.now sim;
-      established_at = None;
-      wake_pending = false;
-      send_pass = ignore;
-      negotiated = false;
-      close_reason = "";
-    }
-  in
-  c.send_pass <-
-    (fun () ->
-      c.wake_pending <- false;
-      Sender.send_pending c);
-  TW.set_fire c.loss_alarm (fun () -> Recovery.on_loss_alarm c);
-  TW.set_fire c.idle_alarm (fun () -> on_idle_alarm c);
-  TW.set_fire c.stall_alarm (fun () -> on_stall_alarm c);
-  TW.set_fire c.ack_alarm (fun () ->
-      if c.ack_needed && is_open c then Sender.send_pending c);
-  ignore (run_op c Protoop.connection_init [||]);
-  arm_idle_alarm c;
-  c
 
 (* ------------------------------------------------------------------ *)
 (* CID issuance (RFC 9000 §5.1.1)                                      *)
@@ -397,19 +261,6 @@ let commit_candidate c cand =
 let process_core_frame c frame =
   match frame with
   | F.Padding _ | F.Ping -> ()
-  | F.Crypto { offset; data } ->
-    Quic.Recvbuf.insert c.crypto_recv ~offset:(Int64.to_int offset) ~fin:false
-      data;
-    try_handshake_progress c
-  | F.Stream { id; offset; fin; data } ->
-    c.cur_has_stream <- true;
-    let s = Sender.get_stream c id in
-    let before = Quic.Recvbuf.contiguous s.recvb in
-    Quic.Recvbuf.insert s.recvb ~offset:(Int64.to_int offset) ~fin data;
-    let after = Quic.Recvbuf.contiguous s.recvb in
-    c.data_received <- Int64.add c.data_received (i64 (max 0 (after - before)));
-    deliver_stream_data c s;
-    maybe_update_max_data c
   | F.Max_data v -> if v > c.max_data_remote then c.max_data_remote <- v
   | F.Max_stream_data { id; max } ->
     let s = Sender.get_stream c id in
@@ -454,8 +305,10 @@ let process_core_frame c frame =
     c.plugin_proofs <- (plugin, proof) :: c.plugin_proofs
   | F.Plugin_chunk { plugin; offset; fin; data } ->
     Plugin_host.handle_plugin_chunk c ~name:plugin ~offset ~fin ~data
-  | F.Ack _ | F.Unknown _ ->
-    assert false (* views: [process_core_view], plugin frames via protoops *)
+  | F.Ack _ | F.Crypto _ | F.Stream _ | F.Unknown _ ->
+    assert false
+    (* [parse_view] returns these as views: [process_core_view], plugin
+       frames via protoops *)
 
 (* ------------------------------------------------------------------ *)
 (* Receiving                                                            *)
@@ -578,10 +431,9 @@ let process_payload c ~pn buf ~off ~limit =
    pn(4 bytes) || payload, staged in the connection's rx scratch pool and
    borrowed for the duration of this call. The packet is processed as if
    it had been received, and its number is acknowledged so the peer does
-   not retransmit (QUIC-FEC behaviour). The replay swaps the current-
-   packet scratch to the recovered image — as a view, so the payload
-   string materializes only if a pluglet actually asks for it — and
-   restores the interrupted packet's scratch afterwards. *)
+   not retransmit (QUIC-FEC behaviour). The replay points the current-
+   packet scratch at the recovered image and restores the interrupted
+   packet's scratch afterwards. *)
 let process_recovered c buf ~off ~len =
   if len >= 4 && c.recover_depth < 8 then begin
     let pn =
@@ -593,19 +445,16 @@ let process_recovered c buf ~off ~len =
       Quic.Ackranges.add c.acks pn;
       c.ack_needed <- true;
       let saved_pn = c.cur_pn
-      and saved_payload = c.cur_payload
       and saved_wire = c.cur_wire
       and saved_off = c.cur_payload_off
       and saved_len = c.cur_payload_len in
       let image = Bytes.unsafe_to_string buf in
       c.cur_pn <- pn;
-      c.cur_payload <- "";
       c.cur_wire <- image;
       c.cur_payload_off <- off + 4;
       c.cur_payload_len <- len - 4;
       ignore (process_payload c ~pn image ~off:(off + 4) ~limit:(off + len));
       c.cur_pn <- saved_pn;
-      c.cur_payload <- saved_payload;
       c.cur_wire <- saved_wire;
       c.cur_payload_off <- saved_off;
       c.cur_payload_len <- saved_len;
@@ -613,8 +462,6 @@ let process_recovered c buf ~off ~len =
       wake c
     end
   end
-
-let () = process_recovered_ref := process_recovered
 
 let schedule_ack_alarm c =
   if not (TW.is_armed c.ack_alarm) then
@@ -758,9 +605,7 @@ let receive_datagram_inner c (dg : Net.datagram) =
             c.cur_pn <- pn;
             c.cur_path <- pid;
             c.cur_size <- String.length wire;
-            (* the payload stays a view into the wire datagram; the string
-               in [cur_payload] materializes only if a pluglet asks *)
-            c.cur_payload <- "";
+            (* the payload stays a view into the wire datagram *)
             c.cur_wire <- wire;
             c.cur_payload_off <- poff;
             c.cur_payload_len <- plen;
@@ -804,6 +649,149 @@ let receive_datagram c (dg : Net.datagram) =
   else receive_datagram_inner c dg
 
 (* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* PQUIC as a pluginop host, shared by every connection; its
+   recover_packet helper replays through [process_recovered]. *)
+let host = Host_api.host ~process_recovered
+
+let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
+    ~local_params () =
+  let path0 =
+    {
+      path_id = 0;
+      local_addr;
+      remote_addr;
+      cc = Quic.Cc.create ~initial_window:cfg.initial_window ();
+      rtt = Quic.Rtt.create ();
+      active = true;
+      lost_span_start = 0L;
+      lost_span_end = 0L;
+      lost_span_valid = false;
+    }
+  in
+  let c =
+    {
+      sim;
+      net;
+      cfg;
+      role;
+      state = Handshaking;
+      local_cid;
+      remote_cid;
+      initial_key;
+      key = 0L;
+      paths = [| path0 |];
+      local_cids = [ (0L, local_cid) ];
+      cid_seq = 1L;
+      remote_spares = [];
+      remote_cid_seq = 0L;
+      candidate = None;
+      challenge_ctr = 0L;
+      last_reprobe_at = 0L;
+      last_rotate_at = 0L;
+      gen_cid =
+        (* standalone fallback: a LCG walk from the handshake CID; the
+           endpoint overrides this with its own RNG so issued CIDs land
+           in its demux table *)
+        (let ctr = ref local_cid in
+         fun () ->
+           ctr :=
+             Int64.add
+               (Int64.mul !ctr 6364136223846793005L)
+               1442695040888963407L;
+           !ctr);
+      on_cid_issued = ignore;
+      on_cid_retired = ignore;
+      next_pn = 0L;
+      sent = Hashtbl.create (if cfg.lean then 8 else 512);
+      inflight = [||];
+      ack_watermark = 0L;
+      largest_acked = -1L;
+      largest_acked_per_path = Array.make 8 (-1L);
+      next_path_seq = Array.make 8 0L;
+      sent_times = Hashtbl.create (if cfg.lean then 16 else 1024);
+      sent_times_sweep_at = 0L;
+      pto_backoff = 0;
+      wheel = TW.shared sim;
+      loss_alarm = TW.alarm (fun () -> ());
+      ack_alarm = TW.alarm (fun () -> ());
+      idle_alarm = TW.alarm (fun () -> ());
+      stall_alarm = TW.alarm (fun () -> ());
+      idle_period = 0L;
+      stall_period = 0L;
+      last_activity = Sim.now sim;
+      ae_sent_since_recv = false;
+      acks = Quic.Ackranges.create ();
+      ack_needed = false;
+      ae_since_ack = 0;
+      largest_recv = -1L;
+      largest_recv_at = 0L;
+      last_spin_received = false;
+      spin = false;
+      streams = Hashtbl.create 8;
+      stream_rr = Queue.create ();
+      crypto_send = Quic.Sendbuf.create ();
+      crypto_recv = Quic.Recvbuf.create ();
+      crypto_acc = Buffer.create 256;
+      crypto_done = false;
+      max_data_local = local_params.TP.initial_max_data;
+      max_data_remote = TP.default.TP.initial_max_data;
+      data_sent = 0L;
+      data_received = 0L;
+      max_data_frame_pending = false;
+      local_params;
+      peer_params = None;
+      ctrl = Queue.create ();
+      po = PH.create_state ~host ();
+      sched = Scheduler.create ~core_fraction:cfg.core_fraction;
+      plugin_turn = false;
+      cur_pn = -1L;
+      cur_path = 0;
+      cur_size = 0;
+      cur_wire = "";
+      cur_payload_off = 0;
+      cur_payload_len = 0;
+      cur_has_stream = false;
+      cur_ecn_ce = false;
+      recover_depth = 0;
+      rx_scratch = None;
+      plugin_out = Hashtbl.create 4;
+      plugin_in = Hashtbl.create 4;
+      plugin_proofs = [];
+      provide_plugin = (fun _ ~formula:_ -> None);
+      verify_plugin = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
+      on_plugin_received = ignore;
+      acquire_instance = (fun _ -> None);
+      on_stream_data = (fun _ _ ~fin:_ -> ());
+      on_message = ignore;
+      on_established = ignore;
+      on_closed = ignore;
+      stats = make_stats ();
+      created_at = Sim.now sim;
+      established_at = None;
+      wake_pending = false;
+      send_pass = ignore;
+      negotiated = false;
+      close_reason = "";
+    }
+  in
+  c.send_pass <-
+    (fun () ->
+      c.wake_pending <- false;
+      Sender.send_pending c);
+  TW.set_fire c.loss_alarm (fun () ->
+      Recovery.on_loss_alarm ~reprobe:Sender.rotate_and_reprobe c);
+  TW.set_fire c.idle_alarm (fun () -> on_idle_alarm c);
+  TW.set_fire c.stall_alarm (fun () -> on_stall_alarm c);
+  TW.set_fire c.ack_alarm (fun () ->
+      if c.ack_needed && is_open c then Sender.send_pending c);
+  ignore (run_op c Protoop.connection_init [||]);
+  arm_idle_alarm c;
+  c
+
+(* ------------------------------------------------------------------ *)
 (* Application interface                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -812,11 +800,6 @@ let write_stream c ~id ?(fin = false) data =
   Quic.Sendbuf.write s.sendb data;
   if fin then Quic.Sendbuf.finish s.sendb;
   wake c
-
-let stream_fully_acked c ~id =
-  match Hashtbl.find_opt c.streams id with
-  | None -> false
-  | Some s -> Quic.Sendbuf.all_acked s.sendb
 
 let close c ~reason =
   if is_open c then begin
@@ -855,6 +838,6 @@ let state c = c.state
 let stats c = c.stats
 let role c = c.role
 let now c = Sim.now c.sim
-let plugin_names c = Pluginop.Plugin_host.plugin_names c.po
-let has_plugin c name = Pluginop.Plugin_host.has_plugin c.po name
+let plugin_names c = PH.plugin_names c.po
+let has_plugin c name = PH.has_plugin c.po name
 let peer_params c = c.peer_params

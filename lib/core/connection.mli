@@ -39,7 +39,6 @@ val rebind : t -> new_local:Netsim.Net.addr -> unit
 (** {2 Streams} *)
 
 val write_stream : t -> id:int -> ?fin:bool -> string -> unit
-val stream_fully_acked : t -> id:int -> bool
 
 (** {2 Protocol operations} *)
 
@@ -72,12 +71,3 @@ val stats : t -> stats
 val role : t -> role
 val now : t -> Netsim.Sim.time
 val peer_params : t -> Quic.Transport_params.t option
-
-(**/**)
-
-val process_recovered : t -> Bytes.t -> off:int -> len:int -> unit
-(** FEC hook: re-process a recovered packet whose image —
-    [pn] (4 bytes) || payload — sits in the [off, off+len) window of a
-    borrowed scratch buffer. The buffer is only read for the duration of
-    the call; the payload string materializes lazily, if a pluglet asks
-    for the packet bytes during the replay. *)

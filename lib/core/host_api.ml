@@ -117,8 +117,11 @@ let set_field c field index value =
 
 (* The helpers QUIC owns outright: frame-scheduler reservations, FEC
    packet access/recovery, multipath path creation. Installed on each PRE
-   after the shared table, through the HOST record below. *)
-let install_extra_helpers c (inst : instance) (pre : Pre.t) =
+   after the shared table, through the HOST record below.
+   [process_recovered] hands a FEC-recovered packet image back to the
+   receive path, which lives above this module in [Connection]. *)
+let install_extra_helpers ~process_recovered c (inst : instance)
+    (pre : Pre.t) =
   let reg ?arity id f = Pre.register_helper ?arity pre id f in
   reg ~arity:4 Api.h_reserve_frames (fun _ a ->
       let flags = to_i a.(2) in
@@ -148,14 +151,14 @@ let install_extra_helpers c (inst : instance) (pre : Pre.t) =
         Bytes.blit src soff area off len;
         Fun.protect
           ~finally:(fun () -> ignore (Memory_pool.free pool off))
-          (fun () -> !process_recovered_ref c area ~off ~len)
+          (fun () -> process_recovered c area ~off ~len)
       | None ->
         let data = Bytes.sub src soff len in
-        !process_recovered_ref c data ~off:0 ~len);
+        process_recovered c data ~off:0 ~len);
       0L);
   reg ~arity:2 Api.h_packet_bytes (fun vm a ->
       let max = to_i a.(1) in
-      let total = 4 + current_payload_length c in
+      let total = 4 + c.cur_payload_len in
       if total > max then 0L
       else begin
         (* pn prefix + payload blitted straight into plugin memory — the
@@ -201,8 +204,9 @@ let install_extra_helpers c (inst : instance) (pre : Pre.t) =
 
 (* The HOST record: how PQUIC presents itself to the transport-neutral
    plugin machinery. Everything [Pluginop] needs from a connection —
-   fields, clock, sanction, stats — goes through these closures. *)
-let host : Conn_types.t Pluginop.Types.host =
+   fields, clock, sanction, stats — goes through these closures.
+   [Connection] builds it once, handing in its receive path. *)
+let host ~process_recovered : Conn_types.t Pluginop.Types.host =
   {
     Pluginop.Types.host_name = "pquic";
     now = (fun c -> Sim.now c.sim);
@@ -220,8 +224,5 @@ let host : Conn_types.t Pluginop.Types.host =
     on_fallback =
       (fun c -> c.stats.plugin_fallbacks <- c.stats.plugin_fallbacks + 1);
     on_detach = (fun c name -> Scheduler.drop_plugin c.sched name);
-    install_extra_helpers;
+    install_extra_helpers = install_extra_helpers ~process_recovered;
   }
-
-let install_helpers c inst (pre : Pre.t) =
-  Pluginop.Host_api.install_helpers c.po c inst pre

@@ -16,12 +16,12 @@ val set_field : t -> int -> int -> int64 -> unit
 (** Write one of {!Api.writable_fields}; any other field is a policy
     violation. @raise Ebpf.Vm.Helper_failure on a read-only field. *)
 
-val host : t Pluginop.Types.host
+val host :
+  process_recovered:(t -> Bytes.t -> off:int -> len:int -> unit) ->
+  t Pluginop.Types.host
 (** PQUIC as a pluginop host: the closures the transport-neutral plugin
     machinery dispatches through (fields, clock, message channel,
-    sanction/stats hooks, QUIC-specific helpers). *)
-
-val install_helpers : t -> instance -> Pre.t -> unit
-(** Install the full helper table on a PRE, closing over the connection and
-    the plugin instance (its memory pool and opaque-data table): the shared
-    {!Pluginop.Host_api} table plus the QUIC extras. *)
+    sanction/stats hooks, QUIC-specific helpers). The recover_packet
+    helper hands a FEC-recovered packet image [pn(4) || payload] to
+    [process_recovered]; the bytes are borrowed for the duration of the
+    call. *)

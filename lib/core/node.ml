@@ -11,18 +11,19 @@ type t = {
   available : (string, Plugin.t) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
   mutable outstanding : (Connection.t * Connection.instance) list;
-  mutable instance_capacity : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-let create ?(instance_capacity = 256) () =
+(* Wiped instances cached per plugin. *)
+let instance_capacity = 256
+
+let create () =
   {
     available = Hashtbl.create 8;
     instances = Hashtbl.create 8;
     outstanding = [];
-    instance_capacity = max 1 instance_capacity;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -67,7 +68,7 @@ let recycle t =
             Hashtbl.replace t.instances name q;
             q
         in
-        if Queue.length q >= t.instance_capacity then
+        if Queue.length q >= instance_capacity then
           t.evictions <- t.evictions + 1
         else Queue.push inst q)
     recyclable

@@ -17,14 +17,13 @@ type t = {
       (** recycled instances by plugin name, ready for re-attachment *)
   mutable outstanding : (Connection.t * Connection.instance) list;
       (** instances bound to live connections, reclaimed by {!recycle} *)
-  mutable instance_capacity : int;  (** cached instances kept per plugin *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-val create : ?instance_capacity:int -> unit -> t
-(** [instance_capacity] bounds cached instances per plugin (default 256). *)
+val create : unit -> t
+(** A node caching at most 256 wiped instances per plugin. *)
 
 val add_plugin : t -> Plugin.t -> unit
 val has_plugin : t -> string -> bool

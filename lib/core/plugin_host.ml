@@ -1,35 +1,14 @@
-(* Plugin lifecycle on a PQUIC connection, and the over-the-connection
-   plugin exchange of Section 3.4 (PLUGIN_VALIDATE / PLUGIN_PROOF / PLUGIN
-   chunk transfer) together with the both-sides plugin negotiation.
-
-   The lifecycle itself — building instances (PREs verified and compiled),
+(* The over-the-connection plugin exchange of Section 3.4
+   (PLUGIN_VALIDATE / PLUGIN_PROOF / PLUGIN chunk transfer) together with
+   the both-sides plugin negotiation — QUIC wire-format business. The
+   lifecycle itself — building instances (PREs verified and compiled),
    attaching them to the protoop registry, sanctioning misbehaving plugins
-   — is transport-neutral and lives in [Pluginop.Plugin_host]; this module
-   pairs it with the connection's plugin state [c.po]. The exchange and
-   negotiation are QUIC wire-format business and stay here. *)
+   — is transport-neutral and lives in [Pluginop.Plugin_host]. *)
 
 module F = Quic.Frame
 module TP = Quic.Transport_params
 module PH = Pluginop.Plugin_host
 open Conn_types
-
-(* Remove a plugin's pluglets from the registry and scheduler. The paper's
-   sanction for a misbehaving pluglet is the removal of its plugin and the
-   termination of the connection. *)
-let remove_plugin c name = PH.remove_plugin c.po c name
-let kill_plugin c name reason = PH.kill_plugin c.po c name reason
-
-(* ------------------------------------------------------------------ *)
-(* Plugin injection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-exception Injection_failed = PH.Injection_failed
-
-let plugin_heap_size = PH.plugin_heap_size
-let build_instance = PH.build_instance
-let attach_instance c inst = PH.attach_instance c.po c inst
-let inject_plugin c plugin = PH.inject_plugin c.po c plugin
-let has_plugin c name = PH.has_plugin c.po name
 
 (* ------------------------------------------------------------------ *)
 (* Plugin negotiation                                                  *)
@@ -62,19 +41,19 @@ let negotiate_plugins c =
            hold it (Section 3.4, outcome (a)); otherwise it is transferred
            for use on subsequent connections (outcome (b)) *)
         let peer_has = List.mem name peer.TP.supported_plugins in
-        if has_plugin c name then begin
+        if PH.has_plugin c.po name then begin
           if not peer_has then begin
             Log.info (fun m ->
                 m "rolling back plugin %s: peer does not hold it" name);
-            remove_plugin c name
+            PH.remove_plugin c.po c name
           end
         end
         else if peer_has then
           match c.acquire_instance name with
           | Some inst -> (
-            match attach_instance c inst with
+            match PH.attach_instance c.po c inst with
             | _ -> Log.info (fun m -> m "injected local plugin %s" name)
-            | exception Injection_failed e ->
+            | exception PH.Injection_failed e ->
               Log.warn (fun m -> m "failed to inject %s: %s" name e))
           | None ->
             (* not cached locally: ask the peer to provide it *)
@@ -89,11 +68,11 @@ let negotiate_plugins c =
 let inject_local_plugins c =
   List.iter
     (fun name ->
-      if not (has_plugin c name) then
+      if not (PH.has_plugin c.po name) then
         match c.acquire_instance name with
         | Some inst -> (
-          try ignore (attach_instance c inst)
-          with Injection_failed e ->
+          try ignore (PH.attach_instance c.po c inst)
+          with PH.Injection_failed e ->
             Log.warn (fun m -> m "failed to inject %s: %s" name e))
         | None -> ())
     c.local_params.TP.plugins_to_inject

@@ -1,33 +1,9 @@
-(** Plugin lifecycle on a connection: instance construction, attachment to
-    the protoop registry, sanctions, negotiation and the over-the-connection
-    plugin exchange of Section 3.4. *)
+(** Plugin negotiation and the over-the-connection plugin exchange of
+    Section 3.4. The transport-neutral lifecycle (instance construction,
+    attachment, sanctions) is {!Pluginop.Plugin_host}, bound on
+    [Connection]. *)
 
 open Conn_types
-
-exception Injection_failed of string
-
-val plugin_heap_size : int
-
-val build_instance : Plugin.t -> instance
-(** Build a fresh instance: every pluglet compiled (if needed) and
-    statically verified, its PRE created over the shared heap.
-    @raise Pre.Rejected when verification fails
-    @raise Plc.Compile.Error when source compilation fails *)
-
-val attach_instance : t -> instance -> instance
-(** Attach a built instance: wipe its heap, install the helper table on
-    every PRE, and bind the pluglets to their anchors. Rolls the whole
-    plugin back if a replace anchor is already taken.
-    @raise Injection_failed on anchor conflicts or double injection. *)
-
-val inject_plugin : t -> Plugin.t -> (unit, string) result
-(** [build_instance] + [attach_instance], with failures as [Error]. *)
-
-val remove_plugin : t -> string -> unit
-(** Remove a plugin's pluglets from the registry and scheduler. *)
-
-val kill_plugin : t -> string -> string -> unit
-(** Sanction a misbehaving plugin: remove it and fail the connection. *)
 
 val inject_local_plugins : t -> unit
 (** Inject the locally available plugins this host wants on the connection

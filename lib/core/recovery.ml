@@ -380,7 +380,7 @@ let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
 (* Loss alarm behaviour                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let on_loss_alarm c =
+let on_loss_alarm ~reprobe c =
   let default c _ =
     if Hashtbl.length c.sent > 0 then begin
       (* cap the exponent: the timer already clamps its multiplier at
@@ -412,7 +412,7 @@ let on_loss_alarm c =
            rebinding behind a stateful middlebox): a client with spare
            CIDs rotates and revalidates the path (no-op with
            cid_pool = 0 — see [Sender.rotate_and_reprobe]) *)
-        !reprobe_ref c
+        reprobe c
       end;
       set_loss_alarm c;
       wake c

@@ -65,5 +65,7 @@ val index_may_lose : t -> now:Netsim.Sim.time -> bool
 (** Whether any in-flight packet meets {!meets_loss}, from the heads
     alone. *)
 
-val on_loss_alarm : t -> unit
-(** The loss-timer expiry behaviour: probe first, full RTO on backoff. *)
+val on_loss_alarm : reprobe:(t -> unit) -> t -> unit
+(** The loss-timer expiry behaviour: probe first, full RTO on backoff.
+    A full RTO also calls [reprobe], the client-side stall escape
+    ([Sender.rotate_and_reprobe], which sits above this module). *)

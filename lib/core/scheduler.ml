@@ -19,12 +19,14 @@ type queue_state = { q : reservation Queue.t; mutable deficit : int }
 type t = {
   queues : (string, queue_state) Hashtbl.t;
   mutable order : string list; (* round-robin order, oldest plugin first *)
-  quantum : int;
   core_fraction : float;       (* guaranteed share for core frames *)
 }
 
-let create ?(quantum = 600) ?(core_fraction = 0.5) () =
-  { queues = Hashtbl.create 4; order = []; quantum; core_fraction }
+(* DRR credit per plugin per round, bytes. *)
+let quantum = 600
+
+let create ~core_fraction =
+  { queues = Hashtbl.create 4; order = []; core_fraction }
 
 let queue_for t plugin =
   match Hashtbl.find_opt t.queues plugin with
@@ -65,7 +67,7 @@ let take ?(max_frame = 1400) t ~budget ~core_has_data =
         (fun plugin ->
           let qs = Hashtbl.find t.queues plugin in
           if not (Queue.is_empty qs.q) then begin
-            qs.deficit <- qs.deficit + t.quantum;
+            qs.deficit <- qs.deficit + quantum;
             let continue = ref true in
             while !continue && not (Queue.is_empty qs.q) do
               let r = Queue.peek qs.q in

@@ -15,9 +15,10 @@ type reservation = {
 
 type t
 
-val create : ?quantum:int -> ?core_fraction:float -> unit -> t
-(** [quantum] (default 600 bytes) is the DRR credit per round;
-    [core_fraction] (default 0.5) the share guaranteed to core frames. *)
+val create : core_fraction:float -> t
+(** [core_fraction] is the share of the window guaranteed to core frames
+    (the connection's [config.core_fraction]). The DRR credit per plugin
+    per round is a fixed 600 bytes. *)
 
 val reserve : t -> reservation -> unit
 val pending : t -> int

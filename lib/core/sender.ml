@@ -67,7 +67,6 @@ let get_stream c id =
         sendb = Quic.Sendbuf.create ();
         recvb = Quic.Recvbuf.create ();
         max_stream_data_remote = c.local_params.Quic.Transport_params.initial_max_stream_data;
-        max_stream_data_local = c.local_params.Quic.Transport_params.initial_max_stream_data;
         fin_delivered = false;
         flow_sent = 0;
       }
@@ -161,7 +160,7 @@ let build_and_send_packet c =
      straight into a pooled wire buffer behind reserved header room, and
      stream/crypto/plugin payloads are blitted from their send buffers —
      no intermediate frame strings or payload Buffer. The wire image is
-     byte-identical to the old serialize-then-protect path
+     byte-identical to [Packet.protect] of the concatenated frames
      (differentially tested in test_datapath). *)
   let ptype = if long then Quic.Packet.Initial else Quic.Packet.One_rtt in
   let w = Quic.Writer.acquire () in
@@ -375,13 +374,11 @@ let build_and_send_packet c =
     c.cur_pn <- pn;
     c.cur_path <- p.path_id;
     c.cur_size <- size;
-    c.cur_payload <- "";
     c.cur_wire <- wire;
     c.cur_payload_off <- hsize;
     c.cur_payload_len <- payload_len;
     c.stats.pkts_sent <- c.stats.pkts_sent + 1;
     c.stats.bytes_sent <- c.stats.bytes_sent + size;
-    c.largest_sent_at <- Sim.now c.sim;
     let ack_eliciting = !any_ae in
     (* RFC 9000 §10.1: the idle clock restarts on the *first* ack-eliciting
        send since the last receive, not on every send — otherwise PTO
@@ -582,5 +579,3 @@ let rotate_and_reprobe c =
            [ F.Path_challenge (next_challenge c) ])
     end
   end
-
-let () = reprobe_ref := rotate_and_reprobe

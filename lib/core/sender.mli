@@ -31,7 +31,8 @@ val send_path_probe : t -> path_candidate -> unit
     candidate (§8.1 anti-amplification). *)
 
 val rotate_and_reprobe : t -> unit
-(** Client-side stall escape (bound to {!Conn_types.reprobe_ref}): on a
-    full RTO, rotate to a spare destination CID — at most once per stall
-    episode — and send a long-header PATH_CHALLENGE probe that re-opens
-    stateful middlebox pinholes on the path. No-op when [cid_pool] is 0. *)
+(** Client-side stall escape, run by the stall watchdog and, on a full
+    RTO, by the loss alarm: rotate to a spare destination CID — at most
+    once per stall episode — and send a long-header PATH_CHALLENGE probe
+    that re-opens stateful middlebox pinholes on the path. No-op when
+    [cid_pool] is 0. *)

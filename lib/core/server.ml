@@ -17,10 +17,10 @@ type t = {
    CIDs on the wire, not the owning worker. *)
 let shard_of c = Int64.to_int (Connection.local_cid c) land max_int
 
-let create ?cfg ?node ?(shards = 8) ?batch ~sim ~net ~addr ~seed () =
+let create ?cfg ?node ?(shards = 8) ~sim ~net ~addr ~seed () =
   let ep = Endpoint.create ?cfg ?node ~sim ~net ~addr ~seed () in
   let shards =
-    Shard.create sim ~shards ?batch (fun _shard (c, dg) ->
+    Shard.create sim ~shards (fun _shard (c, dg) ->
         Connection.receive_datagram c dg)
   in
   { ep; wheel = TW.shared sim; shards; routed = 0 }

@@ -19,15 +19,14 @@ val create :
   ?cfg:Connection.config ->
   ?node:Node.t ->
   ?shards:int ->
-  ?batch:int ->
   sim:Netsim.Sim.t ->
   net:Netsim.Net.t ->
   addr:Netsim.Net.addr ->
   seed:int64 ->
   unit ->
   t
-(** [shards] worker queues (default 8), [batch] datagrams drained per
-    shard event (default 64). [node] shares the plugin cache with other
+(** [shards] worker queues (default 8), each draining at most 64
+    datagrams per simulator event. [node] shares the plugin cache with other
     endpoints of the host. *)
 
 val handle_datagram : t -> Netsim.Net.datagram -> unit

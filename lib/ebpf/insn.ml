@@ -252,6 +252,3 @@ let pp ppf = function
     Fmt.pf ppf "%s %a, %a, %+d" (cond_name c) pp_reg d pp_operand o off
   | Call id -> Fmt.pf ppf "call %d" id
   | Exit -> Fmt.string ppf "exit"
-
-let pp_program ppf prog =
-  Array.iteri (fun i insn -> Fmt.pf ppf "%4d: %a@." i pp insn) prog

@@ -66,4 +66,3 @@ val decode : string -> t array
     @raise Decode_error on malformed input. *)
 
 val pp : t Fmt.t
-val pp_program : t array Fmt.t

@@ -2,19 +2,20 @@ type 'a t = {
   sim : Netsim.Sim.t;
   queues : 'a Queue.t array;
   scheduled : bool array;
-  batch : int;
   process : int -> 'a -> unit;
   mutable dispatched : int;
   mutable batches : int;
 }
 
-let create sim ~shards ?(batch = 64) process =
+(* Items drained per simulator event. *)
+let batch = 64
+
+let create sim ~shards process =
   if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
   {
     sim;
     queues = Array.init shards (fun _ -> Queue.create ());
     scheduled = Array.make shards false;
-    batch;
     process;
     dispatched = 0;
     batches = 0;
@@ -26,7 +27,7 @@ let rec drain t i () =
   let q = t.queues.(i) in
   t.batches <- t.batches + 1;
   let n = ref 0 in
-  while !n < t.batch && not (Queue.is_empty q) do
+  while !n < batch && not (Queue.is_empty q) do
     let item = Queue.pop q in
     incr n;
     t.dispatched <- t.dispatched + 1;

@@ -7,12 +7,10 @@
 
 type 'a t
 
-val create :
-  Netsim.Sim.t -> shards:int -> ?batch:int -> (int -> 'a -> unit) -> 'a t
+val create : Netsim.Sim.t -> shards:int -> (int -> 'a -> unit) -> 'a t
 (** [create sim ~shards process]: [process shard item] is called for
-    each drained item. [batch] (default 64) bounds items drained per
-    simulator event; a shard left non-empty reschedules itself at
-    delay 0. *)
+    each drained item, at most 64 per simulator event; a shard left
+    non-empty reschedules itself at delay 0. *)
 
 val shards : 'a t -> int
 val enqueue : 'a t -> int -> 'a -> unit

@@ -83,7 +83,6 @@ let alarm fire = mk_node fire
 let set_fire a fire = a.fire <- fire
 let is_armed a = a.armed
 let deadline a = Int64.of_int a.at
-let armed_count t = t.armed_total
 
 let counters t =
   { arms = t.c_arms; cancels = t.c_cancels; fires = t.c_fires;

@@ -55,8 +55,6 @@ val is_armed : alarm -> bool
 val deadline : alarm -> Netsim.Sim.time
 (** Deadline of an armed alarm (meaningless when disarmed). *)
 
-val armed_count : t -> int
-
 type counters = {
   arms : int;
   cancels : int;

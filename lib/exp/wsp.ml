@@ -48,8 +48,12 @@ let wsp_pass candidates dmin =
   done;
   List.rev_map (fun idx -> candidates.(idx)) !kept
 
+(* The candidate set: [candidates] uniform points drawn from [seed]. *)
+let seed = 0xD0E5L
+let candidates = 4096
+
 (* Sample [count] points covering the given ranges. *)
-let design ?(seed = 0xD0E5L) ?(candidates = 4096) ~count ranges =
+let design ~count ranges =
   let dims = Array.length ranges in
   let rng = Netsim.Rng.create seed in
   let cand =

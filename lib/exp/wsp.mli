@@ -6,7 +6,7 @@
 
 type range = { lo : float; hi : float }
 
-val design :
-  ?seed:int64 -> ?candidates:int -> count:int -> range array -> float array list
+val design : count:int -> range array -> float array list
 (** [design ~count ranges] returns exactly [count] points (arrays indexed
-    like [ranges]), deterministically for a given seed. *)
+    like [ranges]), chosen deterministically from 4096 candidates drawn
+    from a fixed seed. *)

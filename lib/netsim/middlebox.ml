@@ -96,9 +96,6 @@ let nat_down t =
 
 let nat_rebindings t = t.rebindings
 
-let nat_public t =
-  match t.binding with Some b -> Some b.public | None -> None
-
 (* Age the current binding far into the past so the very next outbound
    packet rebinds (and inbound traffic to the old public address dies) —
    a deterministic stand-in for waiting out the idle timer. *)

@@ -37,8 +37,6 @@ val nat_down : nat -> Net.node
 val nat_rebindings : nat -> int
 (** Times an expired binding was replaced by a fresh public address. *)
 
-val nat_public : nat -> Net.addr option
-(** The public address of the current binding, if any. *)
 
 val nat_force_expire : nat -> unit
 (** Age the current binding into the past so the next outbound packet

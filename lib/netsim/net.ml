@@ -109,7 +109,6 @@ let interpose_fallback t ~src nodes =
 
 let attach t addr handler = Hashtbl.replace t.handlers addr handler
 
-let detach t addr = Hashtbl.remove t.handlers addr
 
 let stats t = t.st
 

@@ -67,7 +67,6 @@ val interpose_fallback : t -> src:addr -> node list -> unit
 (** Install a middlebox chain on the fallback route of [src]. *)
 
 val attach : t -> addr -> (datagram -> unit) -> unit
-val detach : t -> addr -> unit
 
 val send : t -> datagram -> unit
 (** Runs the route's middlebox chain, then the links. Send-time drops

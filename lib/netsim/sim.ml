@@ -16,7 +16,6 @@ let sec = 1_000_000_000L
 let of_ms f = Int64.of_float (f *. 1e6)
 let of_sec f = Int64.of_float (f *. 1e9)
 let to_sec t = Int64.to_float t /. 1e9
-let to_ms t = Int64.to_float t /. 1e6
 
 type event = { at : int; seq : int; fn : unit -> unit; mutable cancelled : bool }
 

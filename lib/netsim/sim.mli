@@ -13,7 +13,6 @@ val sec : time
 
 val of_ms : float -> time
 val of_sec : float -> time
-val to_ms : time -> float
 val to_sec : time -> float
 
 type event

@@ -30,7 +30,3 @@ and check_stmt loop_vars = function
 let check (f : Ast.func) = check_block [] f.body
 
 let is_proven f = check f = Proven
-
-let pp_verdict ppf = function
-  | Proven -> Fmt.string ppf "proven terminating"
-  | Unproven why -> Fmt.pf ppf "not proven (%s)" why

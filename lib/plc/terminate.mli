@@ -12,4 +12,3 @@ type verdict = Proven | Unproven of string
 
 val check : Ast.func -> verdict
 val is_proven : Ast.func -> bool
-val pp_verdict : verdict Fmt.t

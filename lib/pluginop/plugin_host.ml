@@ -58,7 +58,6 @@ let create_state ~host () =
 let has_plugin st name = Hashtbl.mem st.plugins name
 let find_plugin st name = Hashtbl.find_opt st.plugins name
 let plugin_names st = st.plugin_order
-let plugin_count st = Hashtbl.length st.plugins
 
 (* ------------------------------------------------------------------ *)
 (* Plugin injection                                                    *)

@@ -24,16 +24,6 @@ let pow a n =
 
 let inv a = if a = 0 then 0 else pow a 254
 
-(* dst ^= coef * src, byte by byte: the specification for the
-   word-parallel kernel below, and the oracle its parity test checks
-   against. *)
-let mulvec_ref ~coef ~src ~dst ~len =
-  let coef = coef land 0xff in
-  for k = 0 to len - 1 do
-    Bytes.set_uint8 dst k
-      (Bytes.get_uint8 dst k lxor mul coef (Bytes.get_uint8 src k))
-  done
-
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 

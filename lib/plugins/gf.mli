@@ -13,7 +13,7 @@ val inv : int -> int
 val mulvec : coef:int -> src:Bytes.t -> dst:Bytes.t -> len:int -> unit
 (** [dst.(k) <- dst.(k) lxor coef*src.(k)] for [k < len] — the FEC
     XOR-accumulate step — computed eight byte lanes per native word
-    (SWAR xtime). Equivalent to {!mulvec_ref}.
+    (SWAR xtime).
     @raise Invalid_argument when [len] overruns either buffer. *)
 
 val mulvec_off :
@@ -22,10 +22,6 @@ val mulvec_off :
 (** {!mulvec} over the sub-ranges starting at [soff]/[doff]: the in-place
     form the host helpers use to accumulate straight between VM regions
     with no staging copies. The ranges must not partially overlap. *)
-
-val mulvec_ref : coef:int -> src:Bytes.t -> dst:Bytes.t -> len:int -> unit
-(** Byte-at-a-time specification of {!mulvec}, kept as the parity
-    oracle. *)
 
 val rlc_coef : seed:int64 -> sid:int64 -> row:int -> int
 (** The deterministic coding coefficient in 1..255 both peers regenerate

@@ -32,7 +32,6 @@ let in_slow_start t = t.cwnd < t.ssthresh
 
 let available t = max 0 (t.cwnd - t.bytes_in_flight)
 
-let can_send t size = t.bytes_in_flight + size <= t.cwnd
 
 let on_packet_sent t ~size = t.bytes_in_flight <- t.bytes_in_flight + size
 

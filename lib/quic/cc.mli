@@ -21,7 +21,6 @@ val ssthresh : t -> int
 val bytes_in_flight : t -> int
 val in_slow_start : t -> bool
 val available : t -> int
-val can_send : t -> int -> bool
 
 val on_packet_sent : t -> size:int -> unit
 

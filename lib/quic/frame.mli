@@ -67,7 +67,6 @@ val type_plugin_chunk : int
 val type_datagram : int
 val type_add_address : int
 val type_mp_ack : int
-val type_fec_id : int
 val type_fec_rs : int
 
 val frame_type : t -> int
@@ -76,26 +75,22 @@ val is_ack_eliciting : t -> bool
 (** Everything except PADDING, ACK and CONNECTION_CLOSE. Plugin frames use
     the reservation's flag instead (e.g. MP_ACK is not ack-eliciting). *)
 
-val serialize : Buffer.t -> t -> unit
-val to_string : t -> string
+(** {2 Encoding}
 
-val wire_size : t -> int
-(** Wire size by serializing into a scratch buffer — the reference
-    semantics the pooled fast path is differentially tested against. *)
-
-(** {2 Pooled fast path}
-
-    Arithmetic sizes and direct-to-writer encoders, byte-identical to
-    {!serialize}/{!wire_size} (enforced by the differential tests). The
-    [*_header] variants write the data-bearing frames apart from their
-    payload so the sender can blit stream/crypto/plugin bytes straight
-    from the send buffer into the wire buffer. *)
+    Arithmetic sizes and direct-to-writer encoders. The [*_header]
+    variants write the data-bearing frames apart from their payload so
+    the sender can blit stream/crypto/plugin bytes straight from the send
+    buffer into the wire buffer. test/frame_ref.ml holds the independent
+    reference codec the differential tests compare these against. *)
 
 val size : t -> int
-(** Equals {!wire_size}, computed without serializing. *)
+(** Wire size of the frame, computed without encoding it. *)
 
 val write : Writer.t -> t -> unit
-(** Byte-identical to {!serialize}. *)
+
+val to_string : t -> string
+(** The frame's wire image: {!write} into a fresh writer of {!size}
+    bytes, outside the pool — for callers that forge packets by hand. *)
 
 val write_ack :
   Writer.t -> Ackranges.t -> max_ranges:int -> delay_us:int -> unit
@@ -119,13 +114,13 @@ val write_plugin_chunk_header :
 
 (** {2 Zero-copy view parsing}
 
-    The receive-side mirror of the pooled fast path: data-bearing frames
+    The receive-side mirror of the encoders: data-bearing frames
     parse as {e views} — offsets + lengths into the datagram a {!Reader}
     walks — with no payload copy; payload-free control frames parse into
     their usual {!t} shape. A view borrows the datagram: it is valid only
     while that string is alive, and payload that must survive packet
     processing is blitted out at the reassembly boundary
-    ([Recvbuf.insert_sub]) or materialized with {!of_view}. *)
+    ([Recvbuf.insert_sub]). *)
 
 type view =
   | V_frame of t  (** a payload-free frame, parsed eagerly *)
@@ -149,22 +144,14 @@ type view =
           parse protoop decides how much the frame consumed *)
 
 val parse_view : Reader.t -> view
-(** Parse one frame through the reader, advancing it. Agrees with the
-    reference {!parse} on every input — value, cursor advance and raising
-    alike (differentially tested).
+(** Parse one frame through the reader, advancing it. For unknown types
+    the view spans the remainder of the payload and the reader moves to
+    its end; the engine re-adjusts from the plugin's parse result. Agrees
+    with the reference parser in test/frame_ref.ml on every input — value,
+    cursor advance and raising alike (differentially tested).
     @raise Varint.Truncated on malformed input. *)
 
 val view_type : view -> int
 val view_is_ack_eliciting : view -> bool
-
-val of_view : string -> view -> t
-(** Materialize a view into the equivalent allocating frame; the string is
-    the datagram the view indexes. *)
-
-val parse : string -> int -> t * int
-(** Parse one frame; returns it and the next position. For unknown types
-    the remainder of the payload is captured raw and the position is the
-    buffer end — the engine re-adjusts from the plugin's parse result.
-    @raise Varint.Truncated on malformed input. *)
 
 val pp : t Fmt.t

@@ -8,8 +8,9 @@
    Every primitive bounds-checks against [limit], not the string length:
    the payload window of a protected packet ends before the
    authentication tag, and a read running past [limit] must fail exactly
-   like the reference parser fails on a truncated [String.sub] payload —
-   so all reads raise [Varint.Truncated] at the window edge.
+   like the reference parser (test/frame_ref.ml) fails on a truncated
+   [String.sub] payload — so all reads raise [Varint.Truncated] at the
+   window edge.
 
    Readers are recycled through a free list ([acquire]/[release])
    bracketing each datagram, the same fixed-footprint discipline as

@@ -5,8 +5,8 @@
     (offsets + lengths into the datagram) instead of [String.sub]
     copies. All reads bounds-check against [limit] — not the string
     length — and raise [Varint.Truncated] at the window edge, exactly
-    as the reference parser behaves on a copied payload that ends
-    there.
+    as the reference parser (test/frame_ref.ml) behaves on a copied
+    payload that ends there.
 
     Views borrowed through a reader are valid only while the datagram
     is alive (and, for pooled readers, until {!release}); data that

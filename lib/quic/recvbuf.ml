@@ -95,4 +95,3 @@ let is_finished t =
 
 let fin_seen t = t.fin_offset <> None
 
-let final_size t = t.fin_offset

@@ -30,4 +30,3 @@ val read : t -> string
 val contiguous : t -> int
 val is_finished : t -> bool
 val fin_seen : t -> bool
-val final_size : t -> int option

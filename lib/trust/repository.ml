@@ -80,11 +80,6 @@ let record_str t (s : Validator.str) =
         Ok ()
     end
 
-let latest_str t pv_id =
-  match Hashtbl.find_opt t.str_logs pv_id with
-  | Some (e :: _) -> Some e.str
-  | _ -> None
-
 let str_at_epoch t pv_id epoch =
   match Hashtbl.find_opt t.str_logs pv_id with
   | None -> None
@@ -113,4 +108,3 @@ let report_alert t msg = t.alerts <- msg :: t.alerts
 
 let alerts t = t.alerts
 
-let developer_of t name = Hashtbl.find_opt t.developers name

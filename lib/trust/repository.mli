@@ -23,7 +23,6 @@ val publish : t -> developer:string -> Pquic.Plugin.t -> unit
 
 val fetch : t -> string -> string option
 val plugin_names : t -> string list
-val developer_of : t -> string -> string option
 
 val register_pv : t -> id:string -> key:string -> unit
 val pv_key : t -> string -> string option
@@ -32,7 +31,6 @@ val record_str : t -> Validator.str -> (unit, string) result
 (** Append-only: a second, different STR for an already-logged epoch is
     equivocation — it is refused and an alert is raised. *)
 
-val latest_str : t -> string -> Validator.str option
 val str_at_epoch : t -> string -> int -> Validator.str option
 
 val audit_log : t -> string -> bool

@@ -109,7 +109,7 @@ let inject_exn inject host plugin =
    the host survived. *)
 let observe_quic prog =
   let c = make_quic () in
-  inject_exn Pquic.Plugin_host.inject_plugin c (plugin_of prog);
+  inject_exn Pquic.Connection.inject_plugin c (plugin_of prog);
   let r = C.run_op c op_probe [||] in
   let fields = List.map (fun f -> Pquic.Host_api.get_field c f 0) readable in
   let alive = match C.state c with C.Failed _ -> false | _ -> true in
@@ -144,7 +144,7 @@ let test_readonly_write_sanction () =
     }
   in
   let c = make_quic () in
-  inject_exn Pquic.Plugin_host.inject_plugin c bad;
+  inject_exn Pquic.Connection.inject_plugin c bad;
   ignore (C.run_op c op_probe [||]);
   check Alcotest.bool "pquic: plugin killed" false (C.has_plugin c "org.test.rogue");
   check Alcotest.bool "pquic: connection failed" true
@@ -161,7 +161,7 @@ let test_readonly_write_sanction () =
 let test_unknown_field_sanction () =
   let prog = [ Get_field 999 ] in
   let c = make_quic () in
-  inject_exn Pquic.Plugin_host.inject_plugin c (plugin_of prog);
+  inject_exn Pquic.Connection.inject_plugin c (plugin_of prog);
   ignore (C.run_op c op_probe [||]);
   let t = make_tcp () in
   inject_exn Tcp.inject_plugin t (plugin_of prog);

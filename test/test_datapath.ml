@@ -4,7 +4,8 @@
    encoding, native-int varints, ACKs written straight from the range
    set, header-then-blit stream/crypto/plugin writes, in-place packet
    sealing, the word-wise packet tag) must stay byte-identical to the
-   allocating reference paths they replaced — the experiment figures
+   allocating reference paths they replaced (the frame codec in
+   frame_ref.ml, [Packet.protect], [tag_reference]) — the experiment figures
    are bit-for-bit reproductions and any wire drift would silently skew
    them. Packet protection must reject every single-byte change,
    truncation and wrong key, and allocate nothing but its result. The
@@ -114,14 +115,14 @@ module R = Quic.Reader
    the view parser: the materialized frame plus the cursor advance, or
    the exception the parser raised. *)
 let reference_step s pos =
-  match F.parse s pos with
+  match Frame_ref.parse s pos with
   | f, next -> Ok (f, next)
   | exception Quic.Varint.Truncated -> Error "truncated"
   | exception Invalid_argument _ -> Error "invalid"
 
 let view_step s r =
   match F.parse_view r with
-  | v -> Ok (F.of_view s v, R.pos r)
+  | v -> Ok (Frame_ref.of_view s v, R.pos r)
   | exception Quic.Varint.Truncated -> Error "truncated"
   | exception Invalid_argument _ -> Error "invalid"
 
@@ -131,13 +132,14 @@ let step_eq = function
   | _ -> false
 
 (* Well-formed frame sequences: [parse_view] must agree with the
-   reference [parse] on every step — same frame once materialized, same
-   cursor advance — all the way to the end of the payload. *)
+   reference [Frame_ref.parse] on every step — same frame once
+   materialized, same cursor advance — all the way to the end of the
+   payload. *)
 let view_matches_parse =
   qtest ~count:500 "Frame.parse_view = parse"
     QCheck2.Gen.(list_size (int_range 1 8) gen_frame)
     (fun frames ->
-      let s = String.concat "" (List.map F.to_string frames) in
+      let s = String.concat "" (List.map Frame_ref.to_string frames) in
       let r = R.acquire () in
       R.reset r s ~pos:0 ~limit:(String.length s);
       let ok = ref true in
@@ -161,7 +163,7 @@ let view_truncation_matches =
   qtest ~count:500 "parse_view at limit = parse of prefix"
     QCheck2.Gen.(pair gen_frame (int_range 0 1000))
     (fun (f, cut) ->
-      let s = F.to_string f in
+      let s = Frame_ref.to_string f in
       let cut = cut mod (String.length s + 1) in
       let reference = reference_step (String.sub s 0 cut) 0 in
       let r = R.acquire () in
@@ -191,7 +193,7 @@ let view_damaged_frame_matches =
     QCheck2.Gen.(
       pair gen_frame (list_size (int_range 1 4) (pair nat (int_range 0 255))))
     (fun (f, hits) ->
-      let b = Bytes.of_string (F.to_string f) in
+      let b = Bytes.of_string (Frame_ref.to_string f) in
       let n = Bytes.length b in
       List.iter (fun (i, v) -> Bytes.set b (i mod n) (Char.chr v)) hits;
       let s = Bytes.to_string b in
@@ -204,15 +206,17 @@ let view_damaged_frame_matches =
 (* ---------------------- encoder differentials ------------------------ *)
 
 let size_matches_wire_size =
-  qtest "Frame.size = wire_size" gen_frame (fun f -> F.size f = F.wire_size f)
+  qtest "Frame.size = wire_size" gen_frame (fun f ->
+      F.size f = Frame_ref.wire_size f)
 
 let write_matches_serialize =
   qtest "Frame.write = serialize" gen_frame (fun f ->
       let buf = Buffer.create 256 in
-      F.serialize buf f;
+      Frame_ref.serialize buf f;
       let w = W.create () in
       F.write w f;
-      W.contents w = Buffer.contents buf)
+      W.contents w = Buffer.contents buf
+      && F.to_string f = Frame_ref.to_string f)
 
 (* Native-int varints: byte-identical to the reference [Varint.write] at
    and around every width boundary, and rejecting exactly the values it
@@ -307,7 +311,7 @@ let write_ack_matches =
       let w = W.create () in
       W.string w "hdr";
       F.write_ack w acks ~max_ranges ~delay_us;
-      W.contents w = "hdr" ^ F.to_string reference)
+      W.contents w = "hdr" ^ Frame_ref.to_string reference)
 
 let stream_header_matches =
   qtest "stream header writer = serialize"
@@ -318,7 +322,7 @@ let stream_header_matches =
         (string_size ~gen:printable (int_range 0 300)))
     (fun (id, offset, fin, data) ->
       let len = String.length data in
-      let reference = F.to_string (F.Stream { id; offset; fin; data }) in
+      let reference = Frame_ref.to_string (F.Stream { id; offset; fin; data }) in
       let w = W.create () in
       F.write_stream_header w ~id ~offset ~fin ~len;
       W.string w data;
@@ -333,7 +337,7 @@ let crypto_header_matches =
         (string_size ~gen:printable (int_range 0 300)))
     (fun (offset, data) ->
       let len = String.length data in
-      let reference = F.to_string (F.Crypto { offset; data }) in
+      let reference = Frame_ref.to_string (F.Crypto { offset; data }) in
       let w = W.create () in
       F.write_crypto_header w ~offset ~len;
       W.string w data;
@@ -350,7 +354,9 @@ let plugin_chunk_header_matches =
         (string_size ~gen:printable (int_range 0 300)))
     (fun (plugin, offset, fin, data) ->
       let len = String.length data in
-      let reference = F.to_string (F.Plugin_chunk { plugin; offset; fin; data }) in
+      let reference =
+        Frame_ref.to_string (F.Plugin_chunk { plugin; offset; fin; data })
+      in
       let w = W.create () in
       F.write_plugin_chunk_header w ~plugin ~offset ~fin ~len;
       W.string w data;
@@ -374,7 +380,7 @@ let seal_matches_protect =
         match pt with 0 -> P.Initial | 1 -> P.Handshake | _ -> P.One_rtt
       in
       let header = { P.ptype; spin; dcid; scid; pn } in
-      let payload = String.concat "" (List.map F.to_string frames) in
+      let payload = String.concat "" (List.map Frame_ref.to_string frames) in
       let reference = P.protect ~key { P.header; payload } in
       let w = W.acquire () in
       let hoff = P.reserve_header w header in

@@ -347,6 +347,68 @@ let test_hostile_rebinding () =
     check Alcotest.int "no server sanctions" 0 st.Pquic.Connection.plugin_sanctions;
     check Alcotest.int "no client sanctions" 0 ct.Pquic.Connection.plugin_sanctions)
 
+let test_loss_alarm_reprobe () =
+  (* an uploading client with spare CIDs whose packets are blackholed for
+     far longer than two PTOs, while the server's keep reaching it: the
+     second loss-alarm expiry is a full RTO, whose stall escape
+     ([Sender.rotate_and_reprobe], handed to [Recovery.on_loss_alarm] by
+     the alarm's fire closure) rotates to a spare CID and reprobes the
+     path. The server echoes what it receives, so the client is never
+     silent long enough for the downlink-stall watchdog to rotate first:
+     the rotation is counted while the uplink is still dark. The upload
+     completes once the uplink is back. *)
+  let module Net = Netsim.Net in
+  let dark_from = Sim.of_ms 200. and dark_until = Sim.of_ms 800. in
+  let topo =
+    Topology.single_path ~seed:5L
+      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let addr1 = List.hd topo.Topology.client_addrs in
+  let srv = topo.Topology.server_addr in
+  Net.interpose net ~src:addr1 ~dst:srv
+    [
+      {
+        Net.node_name = "uplink-blackout";
+        process =
+          (fun ~now dg ->
+            if now >= dark_from && now < dark_until then Error "dark"
+            else Ok dg);
+      };
+    ];
+  let cfg =
+    { Pquic.Connection.default_config with Pquic.Connection.cid_pool = 2 }
+  in
+  let server = Pquic.Endpoint.create ~cfg ~sim ~net ~addr:srv ~seed:1L () in
+  let client = Pquic.Endpoint.create ~cfg ~sim ~net ~addr:addr1 ~seed:2L () in
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  let upload = 1_000_000 in
+  server.Pquic.Endpoint.on_connection <-
+    (fun c ->
+      c.Pquic.Connection.on_stream_data <-
+        (fun id data ~fin -> Pquic.Connection.write_stream c ~id ~fin data));
+  let conn = Pquic.Endpoint.connect client ~remote_addr:srv in
+  let echoed = ref 0 and done_ = ref false in
+  conn.Pquic.Connection.on_established <-
+    (fun () ->
+      Pquic.Connection.write_stream conn ~id:0 ~fin:true
+        (String.make upload 'u'));
+  conn.Pquic.Connection.on_stream_data <-
+    (fun _ data ~fin ->
+      echoed := !echoed + String.length data;
+      if fin then done_ := true);
+  let rotated_in_dark = ref 0 in
+  ignore
+    (Sim.schedule sim ~delay:dark_until (fun () ->
+         rotated_in_dark :=
+           (Pquic.Connection.stats conn).Pquic.Connection.cids_rotated));
+  ignore (Sim.run ~until:(Sim.of_sec 10.) sim);
+  check Alcotest.bool "client rotated to a spare CID during the blackout"
+    true (!rotated_in_dark >= 1);
+  check Alcotest.bool "upload completes after the blackout" true !done_;
+  check Alcotest.int "every byte echoed back" upload !echoed
+
 let test_oversized_transport_params () =
   (* hundreds of plugin names make the params blob span several CRYPTO
      packets: the handshake must reassemble it *)
@@ -430,6 +492,7 @@ let tests =
       Alcotest.test_case "forged packet ignored" `Quick test_wrong_key_ignored;
       Alcotest.test_case "nat rebinding" `Quick test_nat_rebinding;
       Alcotest.test_case "hostile rebinding" `Quick test_hostile_rebinding;
+      Alcotest.test_case "loss-alarm reprobe" `Quick test_loss_alarm_reprobe;
       Alcotest.test_case "oversized transport params" `Quick test_oversized_transport_params;
       Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
       Alcotest.test_case "activity defeats idle" `Quick test_active_connection_never_idles;

@@ -79,14 +79,14 @@ let reservation ?(size = 100) ?(plugin = "p") ?(ae = true) cookie =
     ack_eliciting = ae; cookie = Int64.of_int cookie; plugin }
 
 let test_scheduler_fifo_per_plugin () =
-  let s = Pquic.Scheduler.create () in
+  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
   List.iter (fun k -> Pquic.Scheduler.reserve s (reservation k)) [ 1; 2; 3 ];
   let taken = Pquic.Scheduler.take s ~budget:1000 ~core_has_data:false in
   check (Alcotest.list Alcotest.int) "fifo order" [ 1; 2; 3 ]
     (List.map (fun r -> Int64.to_int r.Pquic.Scheduler.cookie) taken)
 
 let test_scheduler_core_guarantee () =
-  let s = Pquic.Scheduler.create ~core_fraction:0.5 () in
+  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
   List.iter (fun k -> Pquic.Scheduler.reserve s (reservation ~size:400 k)) [ 1; 2; 3 ];
   (* with core data pending, plugins only get half the 1000-byte budget *)
   let taken = Pquic.Scheduler.take s ~budget:1000 ~core_has_data:true in
@@ -94,7 +94,7 @@ let test_scheduler_core_guarantee () =
     (List.length taken)
 
 let test_scheduler_drr_fairness () =
-  let s = Pquic.Scheduler.create () in
+  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
   (* plugin a floods; plugin b reserves a little: b must not starve *)
   for k = 0 to 19 do
     Pquic.Scheduler.reserve s (reservation ~plugin:"a" ~size:500 k)
@@ -111,7 +111,7 @@ let test_scheduler_drr_fairness () =
     (List.exists (fun r -> r.Pquic.Scheduler.plugin = "b") taken)
 
 let test_scheduler_oversize_dropped () =
-  let s = Pquic.Scheduler.create () in
+  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
   Pquic.Scheduler.reserve s (reservation ~size:5000 1);
   Pquic.Scheduler.reserve s (reservation ~size:100 2);
   let taken = Pquic.Scheduler.take s ~max_frame:1400 ~budget:1200 ~core_has_data:false in

@@ -71,40 +71,54 @@ let gen_frame =
         str off (pair bool str);
     ]
 
+(* The production encoder read back by the independent reference parser
+   in frame_ref.ml. *)
 let frame_roundtrip =
   qtest "frame serialize/parse roundtrip" gen_frame (fun f ->
       let wire = F.to_string f in
-      let parsed, consumed = F.parse wire 0 in
+      let parsed, consumed = Frame_ref.parse wire 0 in
       parsed = f && consumed = String.length wire)
 
 let frames_concatenated =
   qtest ~count:100 "multiple frames parse back in order"
     QCheck2.Gen.(list_size (int_range 1 8) gen_frame)
     (fun frames ->
-      let buf = Buffer.create 256 in
-      List.iter (F.serialize buf) frames;
-      let wire = Buffer.contents buf in
+      let w = Quic.Writer.create () in
+      List.iter (F.write w) frames;
+      let wire = Quic.Writer.contents w in
       let rec parse_all pos acc =
         if pos >= String.length wire then List.rev acc
         else
-          let f, next = F.parse wire pos in
+          let f, next = Frame_ref.parse wire pos in
           parse_all next (f :: acc)
       in
       parse_all 0 [] = frames)
 
+(* [parse_view] of [wire] from [pos]: the view and the reader position
+   after it. *)
+let parse_view_at wire pos =
+  let r = Quic.Reader.acquire () in
+  Quic.Reader.reset r wire ~pos ~limit:(String.length wire);
+  let v = F.parse_view r in
+  let next = Quic.Reader.pos r in
+  Quic.Reader.release r;
+  (v, next)
+
 let test_unknown_frame () =
   let wire = "\x30rest-of-payload" in
-  match F.parse wire 0 with
-  | F.Unknown { ftype = 0x30; raw }, _ ->
-    check Alcotest.string "raw captures remainder" "rest-of-payload" raw
+  match parse_view_at wire 0 with
+  | F.V_unknown { ftype = 0x30; off; len }, next ->
+    check Alcotest.string "raw captures remainder" "rest-of-payload"
+      (String.sub wire off len);
+    check Alcotest.int "reader at the payload end" (String.length wire) next
   | _ -> Alcotest.fail "expected Unknown"
 
 let test_padding_run () =
   let wire = "\x00\x00\x00\x00\x01" (* 4 padding bytes then PING *) in
-  let f1, pos = F.parse wire 0 in
-  (match f1 with F.Padding 4 -> () | _ -> Alcotest.fail "padding run");
-  let f2, _ = F.parse wire pos in
-  match f2 with F.Ping -> () | _ -> Alcotest.fail "ping after padding"
+  let f1, pos = parse_view_at wire 0 in
+  (match f1 with F.V_frame (F.Padding 4) -> () | _ -> Alcotest.fail "padding run");
+  let f2, _ = parse_view_at wire pos in
+  match f2 with F.V_frame F.Ping -> () | _ -> Alcotest.fail "ping after padding"
 
 let test_ack_eliciting () =
   check Alcotest.bool "ack not eliciting" false
