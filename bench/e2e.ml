@@ -50,7 +50,7 @@ let scenario ~multipath ~fec ~size seed =
     else begin
       let f = Plugins.Fec.xor_eos in
       let fec_part =
-        if fec then [ (f, (f : Pquic.Plugin.t).Pquic.Plugin.name) ] else []
+        if fec then [ (f, f.Pluginop.Plugin.name) ] else []
       in
       let mp_part =
         if multipath then [ (Plugins.Multipath.plugin, Plugins.Multipath.name) ]

@@ -66,7 +66,7 @@ let pre_rtt_program =
         ];
     }
   in
-  Plc.Compile.compile ~helpers:Pquic.Api.helper_names f
+  Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f
 
 let pre_vm =
   let prog, stack = pre_rtt_program in
@@ -121,7 +121,7 @@ let bytecode_direct_vm =
         ];
     }
   in
-  let prog, stack = Plc.Compile.compile ~helpers:Pquic.Api.helper_names f in
+  let prog, stack = Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
   let region =
     Ebpf.Vm.map_region vm ~name:"state" ~perm:Ebpf.Vm.Rw (Bytes.make 16 '\x07')
@@ -154,17 +154,17 @@ let getset_vm =
                 Assign
                   ( "acc",
                     v "acc"
-                    +: Call ("get", [ i Pquic.Api.f_cwnd; i 0 ])
-                    +: Call ("get", [ i Pquic.Api.f_srtt; i 0 ]) );
+                    +: Call ("get", [ i Pluginop.Api.f_cwnd; i 0 ])
+                    +: Call ("get", [ i Pluginop.Api.f_srtt; i 0 ]) );
               ] );
           Return (v "acc");
         ];
     }
   in
-  let prog, stack = Plc.Compile.compile ~helpers:Pquic.Api.helper_names f in
+  let prog, stack = Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
-  Ebpf.Vm.register_helper vm Pquic.Api.h_get (fun _ a ->
-      if Int64.to_int a.(0) = Pquic.Api.f_cwnd then direct_state.cwnd
+  Ebpf.Vm.register_helper vm Pluginop.Api.h_get (fun _ a ->
+      if Int64.to_int a.(0) = Pluginop.Api.f_cwnd then direct_state.cwnd
       else direct_state.srtt);
   (vm, Ebpf.Vm.jit ~stack_size:stack prog)
 
@@ -203,7 +203,7 @@ let plugin_load_cached () =
 
 let merkle_tree, merkle_root, merkle_proof, binding_code =
   let t = Trust.Merkle.create ~empty_constant:(Trust.Sha256.digest "c") () in
-  let code = Pquic.Plugin.serialize Plugins.Fec.rlc_full in
+  let code = Pluginop.Plugin.serialize Plugins.Fec.rlc_full in
   for k = 0 to 199 do
     Trust.Merkle.add t
       { Trust.Merkle.name = Printf.sprintf "plugin-%d" k; code = "code" }
@@ -238,7 +238,7 @@ let dispatch_vm =
         ];
     }
   in
-  let prog, stack = Plc.Compile.compile ~helpers:Pquic.Api.helper_names f in
+  let prog, stack = Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f in
   (Ebpf.Vm.create ~stack_size:stack (), Ebpf.Vm.jit ~stack_size:stack prog)
 
 let ebpf_dispatch () =
@@ -252,39 +252,39 @@ let gf256_mulvec_1300 () =
   (* the per-repair-symbol work of the RLC FEC code *)
   Gf.mulvec ~coef:0x53 ~src:gf_b ~dst:gf_a ~len:1300
 
-let plugin_bytes = Pquic.Plugin.serialize Plugins.Fec.rlc_full
+let plugin_bytes = Pluginop.Plugin.serialize Plugins.Fec.rlc_full
 
 let lzss_compress_plugin () = Compress.Lzss.compress plugin_bytes
 
-let pool = Pquic.Memory_pool.create ~size:(256 * 1024) ()
+let pool = Pluginop.Memory_pool.create ~size:(256 * 1024) ()
 
 let pool_alloc_free () =
-  match Pquic.Memory_pool.alloc pool 1300 with
-  | Some off -> ignore (Pquic.Memory_pool.free pool off)
+  match Pluginop.Memory_pool.alloc pool 1300 with
+  | Some off -> ignore (Pluginop.Memory_pool.free pool off)
   | None -> ()
 
 let verify_fec_plugin () =
   (* the admission cost a PRE pays per pluglet *)
   List.iter
-    (fun (p : Pquic.Plugin.pluglet) ->
-      let prog, stack_size = Pquic.Plugin.compiled p in
+    (fun (p : Pluginop.Plugin.pluglet) ->
+      let prog, stack_size = Pluginop.Plugin.compiled p in
       match
-        Ebpf.Verifier.verify ~stack_size ~known_helper:Pquic.Api.is_known_helper
+        Ebpf.Verifier.verify ~stack_size ~known_helper:Pluginop.Api.is_known_helper
           prog
       with
       | Ok () -> ()
       | Error _ -> assert false)
-    (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.pluglets
+    (Plugins.Fec.rlc_full : Pluginop.Plugin.t).Pluginop.Plugin.pluglets
 
 let compile_fec_plugin () =
   (* clang's role in the paper: plc source -> eBPF bytecode *)
   List.iter
-    (fun (p : Pquic.Plugin.pluglet) ->
-      match p.Pquic.Plugin.code with
-      | Pquic.Plugin.Source f ->
-        ignore (Plc.Compile.compile ~helpers:Pquic.Api.helper_names f)
-      | Pquic.Plugin.Bytecode _ -> ())
-    (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.pluglets
+    (fun (p : Pluginop.Plugin.pluglet) ->
+      match p.Pluginop.Plugin.code with
+      | Pluginop.Plugin.Source f ->
+        ignore (Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f)
+      | Pluginop.Plugin.Bytecode _ -> ())
+    (Plugins.Fec.rlc_full : Pluginop.Plugin.t).Pluginop.Plugin.pluglets
 
 let transfer_1mb () =
   (* macro reference: a complete 1 MB PQUIC transfer over the simulator *)

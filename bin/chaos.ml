@@ -245,7 +245,7 @@ let run_case ~seed ?(mbox = No_mbox) ?scenario ?(cid_pool = 0) (p : profile) =
     | Mp_fec ->
       let fec = Plugins.Fec.xor_eos in
       ( [ Plugins.Multipath.plugin; fec ],
-        [ Plugins.Multipath.name; (fec : Pquic.Plugin.t).Pquic.Plugin.name ] )
+        [ Plugins.Multipath.name; fec.Pluginop.Plugin.name ] )
   in
   List.iter
     (fun pl ->

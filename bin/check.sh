@@ -83,6 +83,12 @@ bad=$(deps_of pquic | grep -Ex 'tcpsim' || true)
 if [ -n "$bad" ]; then
   echo "pquic (lib/core) depends on tcpsim"; rm -f "$desc"; exit 1
 fi
+# Plugin manifests and the helper id space live in pluginop: the trust
+# library names them there and never links the QUIC engine.
+bad=$(deps_of trust | grep -Ex 'pquic' || true)
+if [ -n "$bad" ]; then
+  echo "trust depends on pquic"; rm -f "$desc"; exit 1
+fi
 rm -f "$desc"
 if grep -rn 'Quic\.\|Tcpsim\.\|Netsim\.\|Pquic\.' lib/pluginop \
      --include='*.ml' --include='*.mli' | grep -v '(\*'; then
@@ -91,6 +97,19 @@ fi
 if grep -rn 'Tcpsim\.' lib/core --include='*.ml' --include='*.mli' \
      | grep -v '(\*'; then
   echo "lib/core references tcpsim"; exit 1
+fi
+
+# Re-export lint: a module has one public path. A file whose only code
+# line is `include <Module>` gives an existing module a second name, so
+# callers drift between the two; callers name the module where it lives.
+echo "== re-export lint (lib/)"
+bad=$(find lib -name '*.ml' | sort | xargs perl -0777 -ne '
+  1 while s/\(\*(?:(?!\(\*|\*\)).)*\*\)//s;
+  my @code = grep { /\S/ } split /\n/;
+  print "$ARGV\n" if @code == 1 && $code[0] =~ /^\s*include\s+[A-Z][\w.]*\s*$/')
+if [ -n "$bad" ]; then
+  echo "include-only re-export modules in lib/:"
+  echo "$bad"; exit 1
 fi
 
 # Committed benchmark artifacts must stay well-formed: right schema tag,
@@ -190,7 +209,6 @@ lib/core/conn_types.ml:rx_clock       rx profile clock, until ROADMAP 1c
 lib/core/conn_types.ml:rx_seconds     rx profile accumulator, until ROADMAP 1c
 lib/core/conn_types.ml:rx_minor_words rx profile accumulator, until ROADMAP 1c
 lib/core/conn_types.ml:rx_packets     rx profile accumulator, until ROADMAP 1c
-lib/pluginop/dispatch.ml:vm_args_scratch  argument vector, copied into registers before any re-entry
 lib/ebpf/vm.ml:jit_dummy_vm           placeholder VM of a fresh JIT environment until a run binds one
 '
 found=$(grep -rnE "^let [a-z_0-9']+( *:[^=]*)? *= *(ref\b|Hashtbl\.create|Queue\.create|Array\.make|Bytes\.create|Bytes\.make|lazy\b)" \

@@ -31,13 +31,13 @@ let table2 () =
   pf "Table 2: statistics for each implemented plugin\n";
   pf "%-28s %6s %9s %7s %10s %12s\n" "Plugin" "LoC" "Pluglets"
     "Proven" "ELF size" "Compressed";
-  let row (p : Pquic.Plugin.t) =
-    let s = Pquic.Plugin.stats p in
-    let serialized = Pquic.Plugin.serialize p in
+  let row (p : Pluginop.Plugin.t) =
+    let s = Pluginop.Plugin.stats p in
+    let serialized = Pluginop.Plugin.serialize p in
     let compressed = Compress.Lzss.compress serialized in
-    pf "%-28s %6d %9d %7d %9dB %11dB\n" s.Pquic.Plugin.name
-      s.Pquic.Plugin.loc s.Pquic.Plugin.pluglet_count
-      s.Pquic.Plugin.proven_terminating s.Pquic.Plugin.elf_size
+    pf "%-28s %6d %9d %7d %9dB %11dB\n" s.Pluginop.Plugin.name
+      s.Pluginop.Plugin.loc s.Pluginop.Plugin.pluglet_count
+      s.Pluginop.Plugin.proven_terminating s.Pluginop.Plugin.elf_size
       (String.length compressed)
   in
   row Plugins.Monitoring.plugin;
@@ -56,18 +56,18 @@ let table2 () =
   let loc, pl, pr, elf, comp =
     List.fold_left
       (fun (loc, pl, pr, elf, comp) p ->
-        let s = Pquic.Plugin.stats p in
-        ( loc + s.Pquic.Plugin.loc,
-          pl + s.Pquic.Plugin.pluglet_count,
-          pr + s.Pquic.Plugin.proven_terminating,
-          elf + s.Pquic.Plugin.elf_size,
-          comp + String.length (Compress.Lzss.compress (Pquic.Plugin.serialize p)) ))
+        let s = Pluginop.Plugin.stats p in
+        ( loc + s.Pluginop.Plugin.loc,
+          pl + s.Pluginop.Plugin.pluglet_count,
+          pr + s.Pluginop.Plugin.proven_terminating,
+          elf + s.Pluginop.Plugin.elf_size,
+          comp + String.length (Compress.Lzss.compress (Pluginop.Plugin.serialize p)) ))
       (0, 0, 0, 0, 0) fec_all
   in
   pf "%-28s %6d %9d %7d %9dB %11dB\n" "FEC (all variants summed)" loc pl pr
     elf comp;
   pf "\nProtocol operations in the engine: %d (4 parameterized)\n"
-    Pquic.Protoop.count
+    Pluginop.Protoop.count
 
 (* ------------------------------------------------------------------ *)
 
@@ -157,7 +157,7 @@ let fig10 ~points ~cdf ~sizes () =
     let topo = Topology.single_path ~seed p in
     let plugins, to_inject =
       match plugin with
-      | Some pl -> ([ pl ], [ (pl : Pquic.Plugin.t).Pquic.Plugin.name ])
+      | Some (pl : Pluginop.Plugin.t) -> ([ pl ], [ pl.name ])
       | None -> ([], [])
     in
     match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size () with
@@ -241,13 +241,13 @@ let table3 ~runs ~size () =
         [ Plugins.Monitoring.plugin; Plugins.Multipath.plugin ],
         [ Plugins.Monitoring.name; Plugins.Multipath.name ] );
       ("FEC XOR EOS", [ Plugins.Fec.xor_eos ],
-       [ (Plugins.Fec.xor_eos : Pquic.Plugin.t).Pquic.Plugin.name ]);
+       [ Plugins.Fec.xor_eos.Pluginop.Plugin.name ]);
       ("FEC RLC EOS", [ Plugins.Fec.rlc_eos ],
-       [ (Plugins.Fec.rlc_eos : Pquic.Plugin.t).Pquic.Plugin.name ]);
+       [ Plugins.Fec.rlc_eos.Pluginop.Plugin.name ]);
       ("FEC XOR", [ Plugins.Fec.xor_full ],
-       [ (Plugins.Fec.xor_full : Pquic.Plugin.t).Pquic.Plugin.name ]);
+       [ Plugins.Fec.xor_full.Pluginop.Plugin.name ]);
       ("FEC RLC", [ Plugins.Fec.rlc_full ],
-       [ (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.name ]);
+       [ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]);
     ]
   in
   pf "%-22s %14s %8s %14s %14s\n" "Plugin" "x~ Goodput" "sigma/x~"
@@ -341,7 +341,7 @@ let ablations () =
       in
       match
         Exp.Runner.quic_transfer ~cfg ~plugins:[ Plugins.Fec.rlc_full ]
-          ~to_inject:[ (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.name ]
+          ~to_inject:[ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
           ~topo ~size:400_000 ()
       with
       | Some r ->
@@ -361,7 +361,7 @@ let ablations () =
       in
       match
         Exp.Runner.quic_transfer ~plugins:[ plugin ]
-          ~to_inject:[ plugin.Pquic.Plugin.name ] ~topo ~size:400_000 ()
+          ~to_inject:[ plugin.Pluginop.Plugin.name ] ~topo ~size:400_000 ()
       with
       | Some res ->
         pf "%5d/%-2d %8.3f s %11d %8.2f\n" k r res.Exp.Runner.dct

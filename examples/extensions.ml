@@ -16,7 +16,7 @@ let dct ?(ecn_threshold = 0) ?(loss = 0.) ?(size = 500_000) ~plugins () =
     Topology.single_path ~ecn_threshold ~seed:21L
       { Topology.d_ms = 20.; bw_mbps = 10.; loss }
   in
-  let to_inject = List.map (fun (p : Pquic.Plugin.t) -> p.Pquic.Plugin.name) plugins in
+  let to_inject = List.map (fun (p : Pluginop.Plugin.t) -> p.name) plugins in
   match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size () with
   | Some r -> (r.Exp.Runner.dct, topo)
   | None -> failwith "transfer failed"
@@ -24,11 +24,11 @@ let dct ?(ecn_threshold = 0) ?(loss = 0.) ?(size = 500_000) ~plugins () =
 let () =
   pf "Plugin sizes (the paper's <100-LoC claim):\n";
   List.iter
-    (fun (p : Pquic.Plugin.t) ->
-      let s = Pquic.Plugin.stats p in
+    (fun (p : Pluginop.Plugin.t) ->
+      let s = Pluginop.Plugin.stats p in
       pf "  %-20s %3d LoC, %d pluglets, %d proven terminating\n"
-        s.Pquic.Plugin.name s.Pquic.Plugin.loc s.Pquic.Plugin.pluglet_count
-        s.Pquic.Plugin.proven_terminating)
+        s.Pluginop.Plugin.name s.Pluginop.Plugin.loc s.Pluginop.Plugin.pluglet_count
+        s.Pluginop.Plugin.proven_terminating)
     [ Plugins.Extras.Tlp.plugin; Plugins.Extras.Ecn.plugin;
       Plugins.Extras.Aimd.plugin ];
 
@@ -37,7 +37,7 @@ let () =
     let topo =
       Topology.single_path ~seed { Topology.d_ms = 20.; bw_mbps = 10.; loss = 0.06 }
     in
-    let to_inject = List.map (fun (p : Pquic.Plugin.t) -> p.Pquic.Plugin.name) plugins in
+    let to_inject = List.map (fun (p : Pluginop.Plugin.t) -> p.name) plugins in
     match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size:12_000 () with
     | Some r -> r.Exp.Runner.dct
     | None -> nan
@@ -61,7 +61,7 @@ let () =
       Topology.single_path ~buffer:30_000 ~ecn_threshold:12_000 ~seed:31L
         { Topology.d_ms = 20.; bw_mbps = 10.; loss = 0. }
     in
-    let to_inject = List.map (fun (p : Pquic.Plugin.t) -> p.Pquic.Plugin.name) plugins in
+    let to_inject = List.map (fun (p : Pluginop.Plugin.t) -> p.name) plugins in
     match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size:3_000_000 () with
     | Some r ->
       let _, down = List.hd topo.Topology.mid_links in

@@ -11,7 +11,7 @@ let run ~plugin ~size =
   let topo = Netsim.Topology.single_path ~seed:17L p in
   let plugins, to_inject =
     match plugin with
-    | Some (pl : Pquic.Plugin.t) -> ([ pl ], [ pl.Pquic.Plugin.name ])
+    | Some (pl : Pluginop.Plugin.t) -> ([ pl ], [ pl.Pluginop.Plugin.name ])
     | None -> ([], [])
   in
   match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size () with

@@ -62,7 +62,7 @@ let () =
     (fun ~name ~formula -> Trust.Pvsystem.prover system ~name ~formula);
   client.Pquic.Endpoint.verifier <- Trust.Pvsystem.verifier system ~formula;
   (* the server wants FEC active on its connections *)
-  server.Pquic.Endpoint.plugins_to_inject <- [ plugin.Pquic.Plugin.name ];
+  server.Pquic.Endpoint.plugins_to_inject <- [ plugin.Pluginop.Plugin.name ];
   Pquic.Endpoint.listen server;
   Pquic.Endpoint.listen client;
   let conn1 =
@@ -80,10 +80,10 @@ let () =
   ignore (Netsim.Sim.run ~until:(Netsim.Sim.of_sec 30.) sim);
   pf "\nAfter connection 1:\n";
   pf "  client cached the plugin: %b\n"
-    (Pquic.Endpoint.has_plugin client plugin.Pquic.Plugin.name);
+    (Pquic.Endpoint.has_plugin client plugin.Pluginop.Plugin.name);
   pf "  plugin active on connection 1 (must be false; Section 3.4 only\n";
   pf "  offers remote plugins to subsequent connections): %b\n"
-    (Pquic.Connection.has_plugin conn1 plugin.Pquic.Plugin.name);
+    (Pquic.Connection.has_plugin conn1 plugin.Pluginop.Plugin.name);
 
   (* --- second connection: the plugin is local now -------------------- *)
   let conn2 =
@@ -99,7 +99,7 @@ let () =
   ignore (Netsim.Sim.run ~until:(Netsim.Sim.of_sec 60.) sim);
   pf "\nAfter connection 2:\n";
   pf "  plugin active on connection 2: %b\n"
-    (Pquic.Connection.has_plugin conn2 plugin.Pquic.Plugin.name);
+    (Pquic.Connection.has_plugin conn2 plugin.Pluginop.Plugin.name);
   pf "  packets recovered by FEC on the lossy link: %d\n" !recovered;
 
   (* --- the security properties of Appendix B ------------------------- *)
@@ -107,8 +107,8 @@ let () =
   let pv1 = List.assoc "PV1" pvs in
   (* developer lookup before tampering *)
   let verdict =
-    Trust.Validator.developer_check pv1 ~name:plugin.Pquic.Plugin.name
-      ~code:(Pquic.Plugin.serialize plugin)
+    Trust.Validator.developer_check pv1 ~name:plugin.Pluginop.Plugin.name
+      ~code:(Pluginop.Plugin.serialize plugin)
   in
   pf "  developer lookup (clean tree): %s\n"
     (match verdict with
@@ -116,12 +116,12 @@ let () =
     | Trust.Validator.Spurious _ -> "SPURIOUS"
     | Trust.Validator.Tampered -> "TAMPERED");
   (* a malicious PV injects a spurious binding under the developer's name *)
-  Trust.Validator.inject_spurious pv1 ~name:plugin.Pquic.Plugin.name
+  Trust.Validator.inject_spurious pv1 ~name:plugin.Pluginop.Plugin.name
     ~code:"malicious bytecode";
   ignore (Trust.Validator.publish pv1);
   let verdict =
-    Trust.Validator.developer_check pv1 ~name:plugin.Pquic.Plugin.name
-      ~code:(Pquic.Plugin.serialize plugin)
+    Trust.Validator.developer_check pv1 ~name:plugin.Pluginop.Plugin.name
+      ~code:(Pluginop.Plugin.serialize plugin)
   in
   pf "  developer lookup after spurious injection: %s\n"
     (match verdict with

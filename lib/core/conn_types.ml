@@ -1,12 +1,11 @@
 (* Shared record types of the connection engine.
 
-   Every layer of the engine — protoop dispatch ([Dispatch]), the PRE↔host
-   boundary ([Host_api]), loss recovery ([Recovery]), plugin lifecycle
-   ([Plugin_host]), packet assembly ([Sender]) and the orchestration core
-   ([Connection]) — operates on the same connection record [t]. This module
-   owns the type definitions, the tiny state accessors, and the forward
-   references the lower layers use to call back up into the orchestrator
-   without a dependency cycle. *)
+   Every layer of the engine — the PRE↔host boundary ([Host_api]), loss
+   recovery ([Recovery]), plugin lifecycle ([Plugin_host]), packet
+   assembly ([Sender]) and the orchestration core ([Connection]) —
+   operates on the same connection record [t]. This module owns the type
+   definitions, the tiny state accessors, and the two calls every layer
+   makes into the protoop registry [c.po] ({!Pluginop.Dispatch}). *)
 
 module F = Quic.Frame
 module TP = Quic.Transport_params
@@ -147,7 +146,7 @@ type arg = Pluginop.Types.arg =
 
 type 'c host_impl = 'c Pluginop.Types.impl =
   | Native of string * ('c -> arg array -> int64)
-  | Pluglet of Pre.t
+  | Pluglet of Pluginop.Pre.t
 
 type 'c host_op_entry = 'c Pluginop.Types.op_entry = {
   mutable replace : 'c host_impl option;
@@ -157,9 +156,9 @@ type 'c host_op_entry = 'c Pluginop.Types.op_entry = {
 }
 
 type 'c host_instance = 'c Pluginop.Types.instance = {
-  plugin : Plugin.t;
-  pool : Memory_pool.t;
-  mutable pres : Pre.t list;
+  plugin : Pluginop.Plugin.t;
+  pool : Pluginop.Memory_pool.t;
+  mutable pres : Pluginop.Pre.t list;
   opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
   mutable bound : 'c option;     (* connection the instance is bound to *)
 }
@@ -293,7 +292,7 @@ type t = {
   mutable plugin_proofs : (string * string) list; (* name -> received proof *)
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
-  mutable on_plugin_received : Plugin.t -> unit;
+  mutable on_plugin_received : Pluginop.Plugin.t -> unit;
   mutable acquire_instance : string -> instance option;
       (* endpoint-provided: a cached instance (Section 2.5) or a freshly
          built one for a locally available plugin; None if unavailable *)
@@ -396,12 +395,17 @@ let next_challenge c =
     ~key:(Int64.logxor c.key c.local_cid)
     (Int64.to_string c.challenge_ctr)
 
+let run_op c op ?param ?default args =
+  Pluginop.Dispatch.run_op c.po c op ?param ?default args
+
+let call_external c op args = Pluginop.Dispatch.call_external c.po c op args
+
 (* Ask for a send pass: run [set_next_wake_time] and schedule the
    connection's [send_pass] as one delay-0 event, unless one is pending.
    Deferring the pass lets a burst of wakes share it. *)
 let wake c =
   if (not c.wake_pending) && is_open c then begin
-    ignore (Pluginop.Dispatch.run_op c.po c Protoop.set_next_wake_time [||]);
+    ignore (run_op c Pluginop.Protoop.set_next_wake_time [||]);
     c.wake_pending <- true;
     ignore (Sim.schedule c.sim ~delay:0L c.send_pass)
   end

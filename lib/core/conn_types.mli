@@ -1,8 +1,9 @@
 (** Shared record types of the layered connection engine.
 
-    All engine layers ([Dispatch], [Host_api], [Recovery], [Plugin_host],
-    [Sender], [Connection]) operate on the connection record {!t} defined
-    here. [Connection] re-exports everything in this interface, so external
+    All engine layers ([Host_api], [Recovery], [Plugin_host], [Sender],
+    [Connection]) operate on the connection record {!t} defined here, and
+    reach the protoop registry through {!run_op} and {!call_external}.
+    [Connection] re-exports everything in this interface, so external
     code keeps addressing the engine through [Pquic.Connection]. *)
 
 module Log : Logs.LOG
@@ -135,7 +136,7 @@ type arg = Pluginop.Types.arg =
 
 type 'c host_impl = 'c Pluginop.Types.impl =
   | Native of string * ('c -> arg array -> int64)
-  | Pluglet of Pre.t
+  | Pluglet of Pluginop.Pre.t
 
 type 'c host_op_entry = 'c Pluginop.Types.op_entry = {
   mutable replace : 'c host_impl option;
@@ -145,9 +146,9 @@ type 'c host_op_entry = 'c Pluginop.Types.op_entry = {
 }
 
 type 'c host_instance = 'c Pluginop.Types.instance = {
-  plugin : Plugin.t;
-  pool : Memory_pool.t;
-  mutable pres : Pre.t list;
+  plugin : Pluginop.Plugin.t;
+  pool : Pluginop.Memory_pool.t;
+  mutable pres : Pluginop.Pre.t list;
   opaque : (int, int) Hashtbl.t; (** opaque-data id -> heap offset *)
   mutable bound : 'c option;     (** connection the instance is bound to *)
 }
@@ -268,7 +269,7 @@ type t = {
   mutable plugin_proofs : (string * string) list;
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
-  mutable on_plugin_received : Plugin.t -> unit;
+  mutable on_plugin_received : Pluginop.Plugin.t -> unit;
   mutable acquire_instance : string -> instance option;
   (* app interface *)
   mutable on_stream_data : int -> string -> fin:bool -> unit;
@@ -331,6 +332,18 @@ val adopt_remote_cid : t -> int64 * int64 -> unit
 
 val adoptable_spare : t -> (int64 * int64) option
 (** A spare eligible for rotation: unused and ahead of [remote_cid_seq]. *)
+
+val run_op :
+  t -> Pluginop.Protoop.id -> ?param:int -> ?default:(t -> arg array -> int64) ->
+  arg array -> int64
+(** {!Pluginop.Dispatch.run_op} on the connection's registry [c.po]: pre
+    anchors, then the replace anchor (pluglet override or [default]), then
+    post anchors. Re-entering a running operation is the Figure 3 loop
+    and terminates the connection. *)
+
+val call_external : t -> Pluginop.Protoop.id -> arg array -> int64 option
+(** Call a plugin-defined external operation (Section 2.4); [None] when no
+    pluglet sits on the external anchor. *)
 
 val wake : t -> unit
 (** Ask for a send pass: run [set_next_wake_time] and schedule

@@ -1,13 +1,14 @@
 (* The PQUIC connection engine — orchestration core.
 
    A QUIC connection whose workflow is expressed as a succession of
-   protocol operations ([Protoop]); each operation dispatches through a
-   registry where protocol plugins may have replaced the default behaviour
-   or attached passive pre/post pluglets. The engine is layered:
-   [Conn_types] owns the shared records, [Dispatch] the protoop registry
-   and hot-path dispatch, [Host_api] the PRE↔host helper boundary,
-   [Recovery] RTT/ACK/loss handling, [Plugin_host] the plugin lifecycle
-   and exchange, [Sender] the packet assembly loop. This module wires the
+   protocol operations ([Pluginop.Protoop]); each operation dispatches
+   through the connection's registry ([Pluginop.Dispatch], reached through
+   [Conn_types.run_op]) where protocol plugins may have replaced the
+   default behaviour or attached passive pre/post pluglets. The engine is
+   layered: [Conn_types] owns the shared records and the two registry
+   calls, [Host_api] the PRE↔host helper boundary, [Recovery]
+   RTT/ACK/loss handling, [Plugin_host] the plugin exchange and
+   negotiation, [Sender] the packet assembly loop. This module wires the
    layers together: construction, handshake, the receive path and the
    application interface. It re-exports the shared types and the plugin
    entry points, so external code addresses the whole engine as
@@ -23,12 +24,10 @@ module TP = Quic.Transport_params
 module Sim = Netsim.Sim
 module Net = Netsim.Net
 
-include Conn_types
+module Protoop = Pluginop.Protoop
+module D = Pluginop.Dispatch
 
-(* Layered engine entry points re-exported on the connection facade. *)
-let run_op = Dispatch.run_op
-let register_native = Dispatch.register_native
-let call_external = Dispatch.call_external
+include Conn_types
 
 (* The plugin lifecycle is transport-neutral: bound here once, over the
    connection's plugin state [c.po]. *)
@@ -39,8 +38,8 @@ exception Injection_failed = PH.Injection_failed
 let build_instance = PH.build_instance
 let attach_instance c inst = PH.attach_instance c.po c inst
 let inject_plugin c plugin = PH.inject_plugin c.po c plugin
-let remove_plugin c name = PH.remove_plugin c.po c name
-let kill_plugin c name reason = PH.kill_plugin c.po c name reason
+let remove_plugin c name = D.remove_plugin c.po c name
+let kill_plugin c name reason = D.kill_plugin c.po c name reason
 let inject_local_plugins = Plugin_host.inject_local_plugins
 
 (* ------------------------------------------------------------------ *)
@@ -366,7 +365,7 @@ let process_payload c ~pn buf ~off ~limit =
       fail_connection c "malformed frame";
       Quic.Reader.seek r limit
     | F.V_unknown { ftype; off = foff; len = flen } ->
-      if not (Dispatch.has_entry c Protoop.parse_frame (Some ftype)) then begin
+      if not (D.has_entry c.po Protoop.parse_frame (Some ftype)) then begin
         fail_connection c (Printf.sprintf "unknown frame type 0x%x" ftype);
         Quic.Reader.seek r limit
       end
@@ -388,7 +387,7 @@ let process_payload c ~pn buf ~off ~limit =
         end
         else begin
           Log.debug (fun m -> m "plugin frame 0x%x consumed %d" ftype consumed);
-          if Dispatch.is_running c Protoop.process_frame (Some ftype) then
+          if D.is_running c.po Protoop.process_frame (Some ftype) then
             (* replaying a recovered packet from inside this very frame
                type's handler: a repair symbol can protect a packet that
                itself carries a repair symbol (stream data and FEC_RS

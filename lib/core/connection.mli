@@ -2,10 +2,10 @@
 
     A QUIC connection whose workflow is a succession of protocol
     operations; protocol plugins may replace or observe each operation
-    (see {!Dispatch}). This module re-exports the shared engine types of
-    {!Conn_types} plus the plugin entry points, so a connection is
-    addressed as [Pquic.Connection] regardless of which layer implements
-    the behaviour. *)
+    (see {!Pluginop.Dispatch}). This module re-exports the shared engine
+    types and registry calls of {!Conn_types} plus the plugin entry
+    points, so a connection is addressed as [Pquic.Connection] regardless
+    of which layer implements the behaviour. *)
 
 include module type of struct include Conn_types end
 
@@ -40,23 +40,13 @@ val rebind : t -> new_local:Netsim.Net.addr -> unit
 
 val write_stream : t -> id:int -> ?fin:bool -> string -> unit
 
-(** {2 Protocol operations} *)
-
-val run_op :
-  t -> Protoop.id -> ?param:int -> ?default:(t -> arg array -> int64) ->
-  arg array -> int64
-(** See {!Dispatch.run_op}. *)
-
-val register_native : t -> Protoop.id -> string -> native -> unit
-val call_external : t -> Protoop.id -> arg array -> int64 option
-
 (** {2 Plugins} *)
 
 exception Injection_failed of string
 
-val build_instance : Plugin.t -> instance
+val build_instance : Pluginop.Plugin.t -> instance
 val attach_instance : t -> instance -> instance
-val inject_plugin : t -> Plugin.t -> (unit, string) result
+val inject_plugin : t -> Pluginop.Plugin.t -> (unit, string) result
 val remove_plugin : t -> string -> unit
 val kill_plugin : t -> string -> string -> unit
 val inject_local_plugins : t -> unit

@@ -76,7 +76,7 @@ let provide_plugin t name ~formula =
     match t.prover ~name ~formula with
     | None -> None
     | Some proof ->
-      let compressed = Compress.Lzss.compress (Plugin.serialize plugin) in
+      let compressed = Compress.Lzss.compress (Pluginop.Plugin.serialize plugin) in
       Some (compressed, proof))
 
 let setup_conn t c =

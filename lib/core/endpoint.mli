@@ -39,7 +39,7 @@ val create :
   unit ->
   t
 
-val add_plugin : t -> Plugin.t -> unit
+val add_plugin : t -> Pluginop.Plugin.t -> unit
 (** Make a plugin available in the node's local plugin cache. *)
 
 val has_plugin : t -> string -> bool

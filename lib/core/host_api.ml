@@ -18,7 +18,7 @@ let helper_fail fmt = Fmt.kstr (fun s -> raise (Ebpf.Vm.Helper_failure s)) fmt
    allocated on every call — and [h_get] runs a dozen times per received
    packet on a pluginized connection. *)
 let get_path_field c field index =
-  let open Api in
+  let open Pluginop.Api in
   match path c index with
   | None -> -1L
   | Some p ->
@@ -40,7 +40,7 @@ let get_path_field c field index =
         (Ebpf.Vm.Helper_failure (Printf.sprintf "get: unknown field %d" field))
 
 let get_field c field index =
-  let open Api in
+  let open Pluginop.Api in
   if (field >= f_cwnd && field <= f_path_remote_addr && field <> f_rtt_sample)
      || field = f_ssthresh
   then get_path_field c field index
@@ -104,7 +104,7 @@ let get_field c field index =
   else raise (Ebpf.Vm.Helper_failure (Printf.sprintf "get: unknown field %d" field))
 
 let set_field c field index value =
-  let open Api in
+  let open Pluginop.Api in
   if not (List.mem field writable_fields) then
     raise (Ebpf.Vm.Helper_failure (Printf.sprintf "set: field %d is read-only" field));
   match path c index with
@@ -121,22 +121,27 @@ let set_field c field index value =
    [process_recovered] hands a FEC-recovered packet image back to the
    receive path, which lives above this module in [Connection]. *)
 let install_extra_helpers ~process_recovered c (inst : instance)
-    (pre : Pre.t) =
-  let reg ?arity id f = Pre.register_helper ?arity pre id f in
-  reg ~arity:4 Api.h_reserve_frames (fun _ a ->
+    (pre : Pluginop.Pre.t) =
+  let reg ?arity id f = Pluginop.Pre.register_helper ?arity pre id f in
+  reg ~arity:4 Pluginop.Api.h_reserve_frames (fun _ a ->
+      (* a frame type keys write_frame/notify_frame entries: it must fit
+         the manifest's u16 param field *)
+      let ftype = to_i a.(0) in
+      if ftype < 0 || ftype > Pluginop.Dispatch.max_param then
+        helper_fail "reserve_frames: frame type 0x%x out of range" ftype;
       let flags = to_i a.(2) in
       Scheduler.reserve c.sched
         {
-          Scheduler.ftype = to_i a.(0);
+          Scheduler.ftype;
           size = to_i a.(1);
           retransmittable = flags land 1 <> 0;
           ack_eliciting = flags land 2 = 0;
           cookie = a.(3);
-          plugin = inst.plugin.Plugin.name;
+          plugin = inst.plugin.Pluginop.Plugin.name;
         };
       wake c;
       0L);
-  reg ~arity:2 Api.h_recover_packet (fun vm a ->
+  reg ~arity:2 Pluginop.Api.h_recover_packet (fun vm a ->
       let len = to_i a.(1) in
       if len < 4 || len > 65536 then helper_fail "recover_packet: bad length %d" len;
       let src, soff = Ebpf.Vm.direct vm ~write:false a.(0) len in
@@ -145,18 +150,18 @@ let install_extra_helpers ~process_recovered c (inst : instance)
          under the borrowed range. Pooled scratch; heap only if a burst
          of nested recoveries exhausts the pool. *)
       let pool = rx_scratch c in
-      (match Memory_pool.alloc pool len with
+      (match Pluginop.Memory_pool.alloc pool len with
       | Some off ->
-        let area = Memory_pool.area pool in
+        let area = Pluginop.Memory_pool.area pool in
         Bytes.blit src soff area off len;
         Fun.protect
-          ~finally:(fun () -> ignore (Memory_pool.free pool off))
+          ~finally:(fun () -> ignore (Pluginop.Memory_pool.free pool off))
           (fun () -> process_recovered c area ~off ~len)
       | None ->
         let data = Bytes.sub src soff len in
         process_recovered c data ~off:0 ~len);
       0L);
-  reg ~arity:2 Api.h_packet_bytes (fun vm a ->
+  reg ~arity:2 Pluginop.Api.h_packet_bytes (fun vm a ->
       let max = to_i a.(1) in
       let total = 4 + c.cur_payload_len in
       if total > max then 0L
@@ -168,7 +173,7 @@ let install_extra_helpers ~process_recovered c (inst : instance)
         blit_current_payload c dst (off + 4);
         i64 total
       end);
-  reg ~arity:1 Api.h_create_path (fun _ a ->
+  reg ~arity:1 Pluginop.Api.h_create_path (fun _ a ->
       let remote = to_i a.(0) in
       (* reuse an existing path to the same remote if present *)
       let existing = ref (-1) in
@@ -198,7 +203,9 @@ let install_extra_helpers ~process_recovered c (inst : instance)
           }
         in
         c.paths <- Array.append c.paths [| p |];
-        ignore (Dispatch.run_op c Protoop.create_new_path [| I (i64 p.path_id) |]);
+        ignore
+          (Pluginop.Dispatch.run_op c.po c Pluginop.Protoop.create_new_path
+             [| I (i64 p.path_id) |]);
         i64 p.path_id
       end)
 

@@ -13,7 +13,7 @@ val get_field : t -> int -> int -> int64
     @raise Ebpf.Vm.Helper_failure on an unknown field. *)
 
 val set_field : t -> int -> int -> int64 -> unit
-(** Write one of {!Api.writable_fields}; any other field is a policy
+(** Write one of {!Pluginop.Api.writable_fields}; any other field is a policy
     violation. @raise Ebpf.Vm.Helper_failure on a read-only field. *)
 
 val host :

@@ -8,7 +8,7 @@ let src = Logs.Src.create "pquic.node"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type t = {
-  available : (string, Plugin.t) Hashtbl.t;
+  available : (string, Pluginop.Plugin.t) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
   mutable outstanding : (Connection.t * Connection.instance) list;
   mutable hits : int;
@@ -29,8 +29,8 @@ let create () =
     evictions = 0;
   }
 
-let add_plugin t (plugin : Plugin.t) =
-  Hashtbl.replace t.available plugin.Plugin.name plugin
+let add_plugin t (plugin : Pluginop.Plugin.t) =
+  Hashtbl.replace t.available plugin.Pluginop.Plugin.name plugin
 
 let has_plugin t name = Hashtbl.mem t.available name
 let find_plugin t name = Hashtbl.find_opt t.available name
@@ -59,7 +59,7 @@ let recycle t =
       match Connection.state c with
       | Connection.Failed _ -> ()
       | _ ->
-        let name = (inst.Connection.plugin : Plugin.t).Plugin.name in
+        let name = inst.Connection.plugin.Pluginop.Plugin.name in
         let q =
           match Hashtbl.find_opt t.instances name with
           | Some q -> q
@@ -86,7 +86,7 @@ let acquire_instance t ?bind name =
       | Some plugin -> (
         t.misses <- t.misses + 1;
         try Some (Connection.build_instance plugin) with
-        | Pre.Rejected msg ->
+        | Pluginop.Pre.Rejected msg ->
           Log.warn (fun m -> m "plugin %s rejected: %s" name msg);
           None
         | Plc.Compile.Error msg ->

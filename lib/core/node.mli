@@ -7,12 +7,12 @@
     verifies, compiles and instantiates each distinct plugin once, and
     recycled instances are reusable by any connection on the node. The
     compiled-program layer below this (bytecode digest → verified + jitted
-    program, see {!Pre.cache_counters}) is process-global already; this
+    program, see {!Pluginop.Pre.cache_counters}) is process-global already; this
     module adds the instance layer (plugin name → wiped, reusable
     instances) with hit/miss/evict accounting. *)
 
 type t = {
-  available : (string, Plugin.t) Hashtbl.t;
+  available : (string, Pluginop.Plugin.t) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
       (** recycled instances by plugin name, ready for re-attachment *)
   mutable outstanding : (Connection.t * Connection.instance) list;
@@ -25,9 +25,9 @@ type t = {
 val create : unit -> t
 (** A node caching at most 256 wiped instances per plugin. *)
 
-val add_plugin : t -> Plugin.t -> unit
+val add_plugin : t -> Pluginop.Plugin.t -> unit
 val has_plugin : t -> string -> bool
-val find_plugin : t -> string -> Plugin.t option
+val find_plugin : t -> string -> Pluginop.Plugin.t option
 val supported_plugins : t -> string list
 
 val recycle : t -> unit

@@ -45,7 +45,7 @@ let negotiate_plugins c =
           if not peer_has then begin
             Log.info (fun m ->
                 m "rolling back plugin %s: peer does not hold it" name);
-            PH.remove_plugin c.po c name
+            Pluginop.Dispatch.remove_plugin c.po c name
           end
         end
         else if peer_has then
@@ -59,7 +59,8 @@ let negotiate_plugins c =
             (* not cached locally: ask the peer to provide it *)
             request_plugin_transfer c name)
       wanted;
-    ignore (Dispatch.run_op c Protoop.plugin_negotiated [||])
+    ignore
+      (Pluginop.Dispatch.run_op c.po c Pluginop.Protoop.plugin_negotiated [||])
 
 (* Inject the locally available plugins this host wants on the connection
    (its own plugins_to_inject): local plugins are active from the start so
@@ -134,11 +135,11 @@ let handle_plugin_chunk c ~name ~offset ~fin ~data =
     | exception Compress.Lzss.Corrupt ->
       Log.warn (fun m -> m "plugin %s: corrupt transfer" name)
     | bytes -> (
-      match Plugin.deserialize bytes with
-      | exception Plugin.Malformed msg ->
+      match Pluginop.Plugin.deserialize bytes with
+      | exception Pluginop.Plugin.Malformed msg ->
         Log.warn (fun m -> m "plugin %s: malformed (%s)" name msg)
       | plugin ->
-        if plugin.Plugin.name <> name then
+        if plugin.Pluginop.Plugin.name <> name then
           Log.warn (fun m -> m "plugin name mismatch in transfer")
         else if c.verify_plugin ~name ~bytes ~proof then begin
           Log.info (fun m ->

@@ -5,9 +5,8 @@
 
 module F = Quic.Frame
 module Sim = Netsim.Sim
+module Protoop = Pluginop.Protoop
 open Conn_types
-
-let run_op = Dispatch.run_op
 
 (* The oldest in-flight packet by [sent_at], ties going to the first one
    [Hashtbl.iter] meets: a fold over the whole in-flight table. A burst

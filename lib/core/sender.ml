@@ -6,9 +6,8 @@
 module F = Quic.Frame
 module Sim = Netsim.Sim
 module Net = Netsim.Net
+module Protoop = Pluginop.Protoop
 open Conn_types
-
-let run_op = Dispatch.run_op
 
 (* ------------------------------------------------------------------ *)
 (* Packet building blocks                                              *)

@@ -169,7 +169,7 @@ let tcp_vpn ?(multipath = false) ~topo ~size () =
   server.Pquic.Endpoint.on_connection <- (fun c -> server_conn := Some c);
   let conn =
     Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
-      ~plugins_to_inject:(List.map (fun (p : Pquic.Plugin.t) -> p.Pquic.Plugin.name) plugin_set)
+      ~plugins_to_inject:(List.map (fun (p : Pluginop.Plugin.t) -> p.name) plugin_set)
   in
   let completed = ref false in
   let t0 = ref nan in

@@ -15,7 +15,7 @@ type quic_result = {
 val quic_transfer :
   ?cfg:Pquic.Connection.config ->
   ?server_cfg:Pquic.Connection.config option ->
-  ?plugins:Pquic.Plugin.t list ->
+  ?plugins:Pluginop.Plugin.t list ->
   ?to_inject:string list ->
   ?multipath:bool ->
   topo:Netsim.Topology.t ->

@@ -6,30 +6,48 @@
    hot path, so the built-in unparameterized operations resolve through a
    dense array indexed by protoop id — no hashing, no allocation on the
    lookup. Parameterized operations (frame types) and plugin-registered
-   ids go through the hashtable.
+   ids go through the hashtable. [run_op] only reads the registry; on a
+   connection without plugins an operation nothing hooks is a plain call
+   of its built-in behaviour.
 
    Each function takes the host-side plugin state [st] and the opaque
    connection handle [c]; the two travel together (the transport keeps
-   [st] inside its connection record). *)
+   [st] inside its connection record). This module is the whole protoop
+   surface: hosts call it on their state directly. *)
 
 open Types
 
 let is_builtin st op param =
   param = None && op >= 0 && op < Array.length st.builtin_ops
 
+(* Operation parameters are frame types, which a plugin manifest carries
+   as u16 ({!Plugin.deserialize}). A larger one — a frame type a peer
+   chose off the wire — names no entry. *)
+let max_param = 0xffff
+
+let param_in_range = function Some p -> p >= 0 && p <= max_param | None -> true
+
 (* The (op, param) pair packed into one immediate int — shared by the
-   running-operation stack and the hashed registry (see {!Types.state}). *)
+   running-operation stack and the hashed registry (see {!Types.state}).
+   Injective only for params up to [max_param]: [find_entry] resolves no
+   larger one, and the hosts reject larger frame types before they reach
+   the op stack. *)
 let stack_key op param =
   (op lsl 21) lor (match param with None -> 0 | Some p -> p + 1)
 
 let find_entry st op param =
   if is_builtin st op param then st.builtin_ops.(op)
-  else Hashtbl.find_opt st.ops (stack_key op param)
+  else if param_in_range param then Hashtbl.find_opt st.ops (stack_key op param)
+  else None
 
+(* Get or create the entry for (op, param): only attaching a plugin and
+   [register_native] call this, never dispatch. *)
 let entry st op param =
   match find_entry st op param with
   | Some e -> e
   | None ->
+    if not (param_in_range param) then
+      invalid_arg "Dispatch.entry: param outside the u16 frame-type range";
     let e = { replace = None; pre = []; post = []; ext = None } in
     if is_builtin st op param then st.builtin_ops.(op) <- Some e
     else Hashtbl.replace st.ops (stack_key op param) e;
@@ -37,13 +55,20 @@ let entry st op param =
 
 let has_entry st op param = find_entry st op param <> None
 
+(* The entry serving (op, param): the parameterized one, else the
+   operation's unparameterized entry. *)
+let lookup st op param =
+  match (param, find_entry st op param) with
+  | Some _, None -> find_entry st op None
+  | _, e -> e
+
 (* Whether (op, param) sits on the running-operation stack. Hosts use this
    to avoid re-dispatching an operation from within itself — e.g. a
    FEC-recovered packet replaying a frame of the very type whose handler
    triggered the recovery — which [run_op] would sanction as a loop.
 
-   Stack frames are int-encoded ([op lsl 21 lor (param + 1)], see
-   {!Types.state}) so pushing and scanning allocate nothing. *)
+   Stack frames are int-encoded ([stack_key]) so pushing and scanning
+   allocate nothing. *)
 let on_stack st key =
   let rec scan i = i >= 0 && (st.op_stack.(i) = key || scan (i - 1)) in
   scan (st.op_sp - 1)
@@ -66,27 +91,23 @@ let hashed_entries st = Hashtbl.length st.ops
    every protoop invocation, and protoops take at most five arguments. *)
 let arg_region_names = [| "arg0"; "arg1"; "arg2"; "arg3"; "arg4" |]
 
-(* Reusable marshalling scratch for the VM argument vector. Protoops take
-   at most five arguments; both run tiers copy the vector into the VM's
-   registers in their prologue, before the first instruction (and so
-   before any helper can re-enter dispatch), which makes one shared
-   scratch safe even when pluglets nest through run_protoop. Unused slots
-   are zeroed so the registers end up exactly as a right-sized vector
-   would leave them. *)
-let vm_args_scratch = Array.make 5 0L
-
 (* Execute one pluglet implementation with the given arguments. Buffers are
    mapped into the PRE for the duration of the call; pre/post pluglets get
    read-only views (the paper grants passive pluglets no write access).
    [View] arguments map a read-only sub-view of a host buffer — the
    zero-copy path for wire-borrowed frame bodies. The whole marshalling
    path is imperative and allocation-free apart from the region records
-   themselves: this runs several times per received packet. *)
-let exec_pluglet pre ~read_only (args : arg array) =
+   themselves: this runs several times per received packet. Up to five
+   arguments marshal through the connection's [st.vm_args] scratch (see
+   {!Types.state}); unused slots are zeroed so the registers end up
+   exactly as a right-sized vector would leave them. *)
+let exec_pluglet st pre ~read_only (args : arg array) =
   let vm = pre.Pre.vm in
   let mark = Ebpf.Vm.rid_mark vm in
   let n = Array.length args in
-  let vargs = if n <= 5 then vm_args_scratch else Array.make n 0L in
+  let vargs =
+    if n <= Array.length st.vm_args then st.vm_args else Array.make n 0L
+  in
   let nregions = ref 0 in
   match
     for i = 0 to n - 1 do
@@ -138,14 +159,54 @@ let exec_pluglet pre ~read_only (args : arg array) =
     Ebpf.Vm.unmap_above vm mark;
     raise e
 
+(* Remove a plugin's pluglets from the registry. The paper's sanction for
+   a misbehaving pluglet is the removal of its plugin and the termination
+   of the connection. The transport cleans up its own side (e.g. PQUIC
+   drops the plugin's scheduler reservations) through [on_detach]. An
+   entry the removal leaves empty leaves the registry too, so its
+   operation is a plain call again once no plugin is attached. *)
+let remove_plugin st c name =
+  match Hashtbl.find_opt st.plugins name with
+  | None -> ()
+  | Some inst ->
+    inst.bound <- None;
+    Hashtbl.remove st.plugins name;
+    st.plugin_order <- List.filter (fun n -> n <> name) st.plugin_order;
+    st.host.on_detach c name;
+    let keep = function
+      | Pluglet pre -> pre.Pre.plugin_name <> name
+      | Native _ -> true
+    in
+    let strip e =
+      (match e.replace with Some i when not (keep i) -> e.replace <- None | _ -> ());
+      (match e.ext with Some i when not (keep i) -> e.ext <- None | _ -> ());
+      e.pre <- List.filter keep e.pre;
+      e.post <- List.filter keep e.post;
+      match e with
+      | { replace = None; pre = []; post = []; ext = None } -> None
+      | e -> Some e
+    in
+    Array.iteri
+      (fun op -> function
+        | Some e -> st.builtin_ops.(op) <- strip e
+        | None -> ())
+      st.builtin_ops;
+    Hashtbl.filter_map_inplace (fun _ e -> strip e) st.ops
+
+let kill_plugin st c name reason =
+  Log.warn (fun m -> m "killing plugin %s: %s" name reason);
+  st.host.on_sanction c;
+  remove_plugin st c name;
+  st.host.fail c (Printf.sprintf "plugin %s misbehaved: %s" name reason)
+
 let run_impl st c impl ~read_only args =
   match impl with
   | Native (_, fn) -> fn c args
   | Pluglet pre -> (
-    match exec_pluglet pre ~read_only args with
+    match exec_pluglet st pre ~read_only args with
     | Ok v -> v
     | Error reason ->
-      st.kill c pre.Pre.plugin_name reason;
+      kill_plugin st c pre.Pre.plugin_name reason;
       0L)
 
 (* Run the replace anchor. A native implementation (or none) is the plain
@@ -164,7 +225,7 @@ let run_replace st c e ~default args =
         (function Buf (b, `Rw) -> Some (Bytes.copy b) | _ -> None)
         args
     in
-    match exec_pluglet pre ~read_only:false args with
+    match exec_pluglet st pre ~read_only:false args with
     | Ok v -> v
     | Error reason ->
       Array.iteri
@@ -179,13 +240,9 @@ let run_replace st c e ~default args =
           m "pluglet %s trapped (%s): state rolled back, builtin serves the op"
             pre.Pre.plugin_name reason);
       let v = default c args in
-      st.kill c pre.Pre.plugin_name reason;
+      kill_plugin st c pre.Pre.plugin_name reason;
       v)
 
-(* Run a protocol operation: pre anchors, then the replace anchor (pluglet
-   override or built-in behaviour), then post anchors. The call stack of
-   running operations is tracked; re-entering a running operation would
-   create a loop in the call graph (Fig. 3) and terminates the connection. *)
 (* Pre/post anchor lists are stored most-recently-attached first; the
    anchors run in attachment order, i.e. reversed — walked recursively so
    the common empty/singleton cases build no intermediate list. *)
@@ -197,39 +254,43 @@ let rec run_anchors st c impls args =
     run_anchors st c rest args;
     ignore (run_impl st c i ~read_only:true args)
 
-and run_op st c op ?param ?(default = fun _ _ -> 0L) (args : arg array) =
-  let key = stack_key op param in
-  if on_stack st key then begin
-    st.host.fail c
-      (Printf.sprintf "protocol operation loop detected on %s" (Protoop.name op));
-    0L
-  end
-  else if st.op_sp >= Array.length st.op_stack then begin
-    st.host.fail c "protocol operation stack overflow";
-    0L
-  end
-  else begin
-    st.op_stack.(st.op_sp) <- key;
-    st.op_sp <- st.op_sp + 1;
-    let e =
-      match find_entry st op param with
-      | Some e -> e
-      | None -> (
-        (* parameterized op with no specific entry: fall back to the
-           unparameterized default entry *)
-        match param with
-        | Some _ -> (
-          match find_entry st op None with
-          | Some e -> e
-          | None -> entry st op None)
-        | None -> entry st op None)
-    in
-    run_anchors st c e.pre args;
-    let result = run_replace st c e ~default args in
-    run_anchors st c e.post args;
-    st.op_sp <- st.op_sp - 1;
-    result
-  end
+(* Run a protocol operation: pre anchors, then the replace anchor (pluglet
+   override or built-in behaviour), then post anchors. On a connection
+   without plugins, an operation with no entry is a plain call of
+   [default]. Otherwise every operation, hooked or not, is tracked on the
+   stack of running operations, so a pluglet re-entering a running
+   operation — a loop in the call graph (Fig. 3) — terminates the
+   connection, and [is_running] sees every running operation. *)
+let run_op st c op ?param ?(default = fun _ _ -> 0L) (args : arg array) =
+  match (lookup st op param, st.plugin_order) with
+  | None, [] -> default c args
+  | e, _ ->
+    let key = stack_key op param in
+    if on_stack st key then begin
+      st.host.fail c
+        (Printf.sprintf "protocol operation loop detected on %s"
+           (Protoop.name op));
+      0L
+    end
+    else if st.op_sp >= Array.length st.op_stack then begin
+      st.host.fail c "protocol operation stack overflow";
+      0L
+    end
+    else begin
+      st.op_stack.(st.op_sp) <- key;
+      st.op_sp <- st.op_sp + 1;
+      let result =
+        match e with
+        | None -> default c args
+        | Some e ->
+          run_anchors st c e.pre args;
+          let v = run_replace st c e ~default args in
+          run_anchors st c e.post args;
+          v
+      in
+      st.op_sp <- st.op_sp - 1;
+      result
+    end
 
 (* Call a plugin-defined external operation (Section 2.4): only the
    application may invoke these. *)

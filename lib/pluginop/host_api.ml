@@ -79,6 +79,8 @@ let install_helpers st c inst (pre : Pre.t) =
   reg ~arity:5 Api.h_run_protoop (fun _ a ->
       let op = to_i a.(0) in
       let param = if a.(1) < 0L then None else Some (to_i a.(1)) in
+      if not (Dispatch.param_in_range param) then
+        helper_fail "run_protoop: param 0x%Lx out of range" a.(1);
       Dispatch.run_op st c op ?param [| I a.(2); I a.(3); I a.(4) |]);
   reg ~arity:0 Api.h_get_time (fun _ _ -> st.host.now c);
   reg ~arity:2 Api.h_push_message (fun vm a ->

@@ -1,58 +1,24 @@
 (* Plugin lifecycle on a host connection: building instances (PREs
-   verified and compiled), attaching them to the protoop registry, and
-   sanctioning misbehaving plugins. Transport-neutral — the
-   over-the-connection plugin exchange and negotiation of Section 3.4 are
-   wire-format business and stay with the transport (lib/core for PQUIC). *)
+   verified and compiled) and attaching them to the protoop registry.
+   Removal and the sanction live in [Dispatch], which runs the pluglets
+   that trap. Transport-neutral — the over-the-connection plugin exchange
+   and negotiation of Section 3.4 are wire-format business and stay with
+   the transport (lib/core for PQUIC). *)
 
 open Types
 
-(* Remove a plugin's pluglets from the registry. The paper's sanction for
-   a misbehaving pluglet is the removal of its plugin and the termination
-   of the connection. The transport cleans up its own side (e.g. PQUIC
-   drops the plugin's scheduler reservations) through [on_detach]. *)
-let remove_plugin st c name =
-  match Hashtbl.find_opt st.plugins name with
-  | None -> ()
-  | Some inst ->
-    inst.bound <- None;
-    Hashtbl.remove st.plugins name;
-    st.plugin_order <- List.filter (fun n -> n <> name) st.plugin_order;
-    st.host.on_detach c name;
-    let belongs = function
-      | Pluglet pre -> pre.Pre.plugin_name = name
-      | Native _ -> false
-    in
-    Dispatch.iter_entries st
-      (fun e ->
-        (match e.replace with Some i when belongs i -> e.replace <- None | _ -> ());
-        (match e.ext with Some i when belongs i -> e.ext <- None | _ -> ());
-        e.pre <- List.filter (fun i -> not (belongs i)) e.pre;
-        e.post <- List.filter (fun i -> not (belongs i)) e.post)
-
-let kill_plugin st c name reason =
-  Log.warn (fun m -> m "killing plugin %s: %s" name reason);
-  st.host.on_sanction c;
-  remove_plugin st c name;
-  st.host.fail c (Printf.sprintf "plugin %s misbehaved: %s" name reason)
-
-(* Fresh per-connection plugin state. [Dispatch] sanctions through
-   [st.kill], bound here: removal lives above dispatch in the module
-   graph. *)
+(* Fresh per-connection plugin state: an empty registry. *)
 let create_state ~host () =
-  let st =
-    {
-      host;
-      builtin_ops = Array.make Protoop.first_plugin_op None;
-      ops = Hashtbl.create 16;
-      op_stack = Array.make 256 0;
-      op_sp = 0;
-      plugins = Hashtbl.create 4;
-      plugin_order = [];
-      kill = (fun _ _ _ -> ());
-    }
-  in
-  st.kill <- (fun c name reason -> kill_plugin st c name reason);
-  st
+  {
+    host;
+    builtin_ops = Array.make Protoop.first_plugin_op None;
+    ops = Hashtbl.create 16;
+    op_stack = Array.make 256 0;
+    op_sp = 0;
+    plugins = Hashtbl.create 4;
+    plugin_order = [];
+    vm_args = Array.make 5 0L;
+  }
 
 (* Registry introspection without exposing the state record's fields. *)
 let has_plugin st name = Hashtbl.mem st.plugins name

@@ -66,7 +66,7 @@ type 'c host = {
   on_fallback : 'c -> unit;         (* stats hook: builtin served a trap *)
   on_detach : 'c -> string -> unit;
       (* transport-side cleanup when a plugin leaves (e.g. PQUIC drops its
-         scheduler reservations); called by [Plugin_host.remove_plugin] *)
+         scheduler reservations); called by [Dispatch.remove_plugin] *)
   install_extra_helpers : 'c -> 'c instance -> Pre.t -> unit;
       (* transport-specific helpers beyond the generic table (PQUIC:
          reserve_frames, packet_bytes, recover_packet, create_path) *)
@@ -76,7 +76,8 @@ type 'c host = {
    instances. Built-in (unparameterized, id < [Protoop.first_plugin_op])
    operations dispatch through a dense array so the per-packet hot path
    never hashes; parameterized and plugin-registered ids live in the
-   hashtable. *)
+   hashtable. Only attaching a plugin and [Dispatch.register_native]
+   create entries: dispatch itself only reads the registry. *)
 type 'c state = {
   host : 'c host;
   builtin_ops : 'c op_entry option array;
@@ -95,7 +96,10 @@ type 'c state = {
   mutable op_sp : int;
   plugins : (string, 'c instance) Hashtbl.t;
   mutable plugin_order : string list;
-  mutable kill : 'c -> string -> string -> unit;
-      (* the sanction entry point; bound by [Plugin_host.create_state] so
-         [Dispatch] (below it in the module graph) can sanction *)
+  vm_args : int64 array;
+  (* Marshalling scratch for the VM argument vector. Protoops take at
+     most five arguments; both run tiers copy the vector into the VM's
+     registers in their prologue, before the first instruction (and so
+     before any helper can re-enter dispatch), which makes one scratch per
+     connection safe even when pluglets nest through run_protoop. *)
 }

@@ -300,11 +300,10 @@ let host : sender Pluginop.Types.host =
 let run_op t op ?param ?default args =
   Pluginop.Dispatch.run_op t.po t op ?param ?default args
 
-let register_native t op name fn = Pluginop.Dispatch.register_native t.po op name fn
 let call_external t op args = Pluginop.Dispatch.call_external t.po t op args
 let inject_plugin t plugin = Pluginop.Plugin_host.inject_plugin t.po t plugin
 let attach_instance t inst = Pluginop.Plugin_host.attach_instance t.po t inst
-let remove_plugin t name = Pluginop.Plugin_host.remove_plugin t.po t name
+let remove_plugin t name = Pluginop.Dispatch.remove_plugin t.po t name
 let has_plugin t name = Pluginop.Plugin_host.has_plugin t.po name
 let plugin_names t = Pluginop.Plugin_host.plugin_names t.po
 let failure t = t.failed

@@ -127,9 +127,6 @@ val run_op :
   Pluginop.Types.arg array ->
   int64
 
-val register_native :
-  sender -> int -> string -> (sender -> Pluginop.Types.arg array -> int64) -> unit
-
 val call_external : sender -> int -> Pluginop.Types.arg array -> int64 option
 (** Run an External-anchor pluglet; [None] when no plugin provides one. *)
 

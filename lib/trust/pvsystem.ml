@@ -124,7 +124,7 @@ let verifier t ~formula =
       Policy.satisfied f ~valid
 
 (* Convenience: run the full developer → PR → PV pipeline for a plugin. *)
-let publish_and_validate t ~developer (plugin : Pquic.Plugin.t) =
+let publish_and_validate t ~developer (plugin : Pluginop.Plugin.t) =
   Repository.publish t.repo ~developer plugin;
   List.map
     (fun (id, v) ->

@@ -34,7 +34,7 @@ val verifier :
     satisfied by the validators with valid proofs. *)
 
 val publish_and_validate :
-  t -> developer:string -> Pquic.Plugin.t -> (string * (unit, string) result) list
+  t -> developer:string -> Pluginop.Plugin.t -> (string * (unit, string) result) list
 (** Developer → PR → every PV, returning each validator's verdict. *)
 
 val publish_epoch : t -> unit

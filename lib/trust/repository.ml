@@ -27,14 +27,14 @@ exception Rejected of string
 
 (* A developer publishes a plugin; the name is globally unique, so a second
    publish under the same name must come from the same developer. *)
-let publish t ~developer (plugin : Pquic.Plugin.t) =
-  let name = plugin.Pquic.Plugin.name in
+let publish t ~developer (plugin : Pluginop.Plugin.t) =
+  let name = plugin.Pluginop.Plugin.name in
   (match Hashtbl.find_opt t.developers name with
   | Some owner when owner <> developer ->
     raise (Rejected (Printf.sprintf "name %s is owned by %s" name owner))
   | _ -> ());
   Hashtbl.replace t.developers name developer;
-  Hashtbl.replace t.plugins name (Pquic.Plugin.serialize plugin)
+  Hashtbl.replace t.plugins name (Pluginop.Plugin.serialize plugin)
 
 let fetch t name = Hashtbl.find_opt t.plugins name
 

@@ -16,7 +16,7 @@ val create : unit -> t
 
 exception Rejected of string
 
-val publish : t -> developer:string -> Pquic.Plugin.t -> unit
+val publish : t -> developer:string -> Pluginop.Plugin.t -> unit
 (** Names are globally unique: a second publish under the same name must
     come from the owning developer.
     @raise Rejected on a takeover attempt. *)

@@ -51,14 +51,14 @@ let check_str ~key (s : str) =
   = s.signature
 
 (* The actual validation work on a submitted plugin. *)
-let validate_plugin t (plugin : Pquic.Plugin.t) =
-  let check_pluglet (p : Pquic.Plugin.pluglet) =
-    match Pquic.Plugin.compiled p with
+let validate_plugin t (plugin : Pluginop.Plugin.t) =
+  let check_pluglet (p : Pluginop.Plugin.pluglet) =
+    match Pluginop.Plugin.compiled p with
     | exception Plc.Compile.Error m -> Error ("compilation failed: " ^ m)
     | prog, stack_size -> (
       match
         Ebpf.Verifier.verify ~stack_size
-          ~known_helper:Pquic.Api.is_known_helper prog
+          ~known_helper:Pluginop.Api.is_known_helper prog
       with
       | Error errs ->
         Error
@@ -66,13 +66,13 @@ let validate_plugin t (plugin : Pquic.Plugin.t) =
            ^ String.concat "; " (List.map Ebpf.Verifier.error_to_string errs))
       | Ok () ->
         if t.require_termination_proof then
-          match p.Pquic.Plugin.code with
-          | Pquic.Plugin.Source f -> (
+          match p.Pluginop.Plugin.code with
+          | Pluginop.Plugin.Source f -> (
             match Plc.Terminate.check f with
             | Plc.Terminate.Proven -> Ok ()
             | Plc.Terminate.Unproven why ->
               Error ("termination not proven: " ^ why))
-          | Pquic.Plugin.Bytecode _ ->
+          | Pluginop.Plugin.Bytecode _ ->
             Error "termination proof requires source"
         else Ok ())
   in
@@ -80,22 +80,22 @@ let validate_plugin t (plugin : Pquic.Plugin.t) =
     | [] -> Ok ()
     | p :: rest -> ( match check_pluglet p with Ok () -> all rest | e -> e)
   in
-  all plugin.Pquic.Plugin.pluglets
+  all plugin.Pluginop.Plugin.pluglets
 
 (* Submit a plugin for validation at the current epoch. On success its
    binding enters the tree; on failure the cause is recorded for the PR. *)
-let submit t (plugin : Pquic.Plugin.t) =
+let submit t (plugin : Pluginop.Plugin.t) =
   match validate_plugin t plugin with
   | Ok () ->
     Merkle.add t.tree
       {
-        Merkle.name = plugin.Pquic.Plugin.name;
-        code = Pquic.Plugin.serialize plugin;
+        Merkle.name = plugin.Pluginop.Plugin.name;
+        code = Pluginop.Plugin.serialize plugin;
       };
     Ok ()
   | Error reason ->
     t.failures <-
-      { plugin = plugin.Pquic.Plugin.name; epoch = t.epoch; reason }
+      { plugin = plugin.Pluginop.Plugin.name; epoch = t.epoch; reason }
       :: t.failures;
     Error reason
 

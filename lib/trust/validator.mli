@@ -27,9 +27,9 @@ val check_str : key:string -> str -> bool
 (** STR signature check, runnable by anyone holding the PV's verification
     key (registered at the repository). *)
 
-val validate_plugin : t -> Pquic.Plugin.t -> (unit, string) result
+val validate_plugin : t -> Pluginop.Plugin.t -> (unit, string) result
 
-val submit : t -> Pquic.Plugin.t -> (unit, string) result
+val submit : t -> Pluginop.Plugin.t -> (unit, string) result
 (** Validate at the current epoch; success puts the binding in the tree,
     failure records the cause for the repository. *)
 

@@ -25,11 +25,11 @@ let run_transfer ?(size = 50_000) ~plugins ~to_inject () =
    a memory violation and the plugin dies with the connection *)
 let nosy_plugin =
   {
-    Pquic.Plugin.name = "org.test.nosy";
+    Pluginop.Plugin.name = "org.test.nosy";
     pluglets =
       [
-        pluglet ~op:Pquic.Protoop.process_frame ~param:Quic.Frame.type_stream
-          ~anchor:Pquic.Protoop.Pre
+        pluglet ~op:Pluginop.Protoop.process_frame ~param:Quic.Frame.type_stream
+          ~anchor:Pluginop.Protoop.Pre
           (func "nosy" [ "buf"; "len"; "pn" ]
              [ Store (Ebpf.Insn.W8, Var "buf", i 0); Return (i 0) ]);
       ];
@@ -41,13 +41,13 @@ let _ = nosy_plugin
 
 let nosy_parse_plugin =
   {
-    Pquic.Plugin.name = "org.test.nosy-parse";
+    Pluginop.Plugin.name = "org.test.nosy-parse";
     pluglets =
       [
         (* passive observer on the datagram parse operation: gets the frame
            buffer and tries to corrupt it *)
-        pluglet ~op:Pquic.Protoop.parse_frame ~param:Quic.Frame.type_datagram
-          ~anchor:Pquic.Protoop.Pre
+        pluglet ~op:Pluginop.Protoop.parse_frame ~param:Quic.Frame.type_datagram
+          ~anchor:Pluginop.Protoop.Pre
           (func "nosy_parse" [ "buf"; "len" ]
              [ Store (Ebpf.Insn.W8, Var "buf", i 255); Return (i 0) ]);
       ];
@@ -92,19 +92,19 @@ let test_passive_pluglets_cannot_write_buffers () =
    one operation *)
 let multi_observer name field_off =
   {
-    Pquic.Plugin.name;
+    Pluginop.Plugin.name;
     pluglets =
       [
-        pluglet ~op:Pquic.Protoop.packet_was_sent ~anchor:Pquic.Protoop.Pre
+        pluglet ~op:Pluginop.Protoop.packet_was_sent ~anchor:Pluginop.Protoop.Pre
           (func "obs_pre" [ "pn"; "path"; "size" ]
              (Plugins.Dsl.with_state ~id:9 ~size:32
                 [ Plugins.Dsl.bump field_off; Return (i 0) ]));
-        pluglet ~op:Pquic.Protoop.packet_was_sent ~anchor:Pquic.Protoop.Post
+        pluglet ~op:Pluginop.Protoop.packet_was_sent ~anchor:Pluginop.Protoop.Post
           (func "obs_post" [ "pn"; "path"; "size" ]
              (Plugins.Dsl.with_state ~id:9 ~size:32
                 [ Plugins.Dsl.bump (field_off + 8); Return (i 0) ]));
         (* export both counters when the connection ends *)
-        pluglet ~op:Pquic.Protoop.connection_closed ~anchor:Pquic.Protoop.Post
+        pluglet ~op:Pluginop.Protoop.connection_closed ~anchor:Pluginop.Protoop.Post
           (func "obs_export" []
              (Plugins.Dsl.with_state ~id:9 ~size:32
                 [ Plugins.Dsl.push_message (v "st") (i 32); Return (i 0) ]));
@@ -158,10 +158,10 @@ let test_pre_and_post_both_fire () =
    update_rtt that drops the sample leaves srtt at its default *)
 let rtt_muzzle =
   {
-    Pquic.Plugin.name = "org.test.rtt-muzzle";
+    Pluginop.Plugin.name = "org.test.rtt-muzzle";
     pluglets =
       [
-        pluglet ~op:Pquic.Protoop.update_rtt ~anchor:Pquic.Protoop.Replace
+        pluglet ~op:Pluginop.Protoop.update_rtt ~anchor:Pluginop.Protoop.Replace
           (func "muzzle" [ "sample"; "path" ] [ Return (i 0) ]);
       ];
   }
@@ -183,12 +183,12 @@ let op_entry_point = 131
 
 let composing_plugin =
   {
-    Pquic.Plugin.name = "org.test.composer";
+    Pluginop.Plugin.name = "org.test.composer";
     pluglets =
       [
-        pluglet ~op:op_square ~anchor:Pquic.Protoop.Replace
+        pluglet ~op:op_square ~anchor:Pluginop.Protoop.Replace
           (func "square" [ "x" ] [ Return (Var "x" *: Var "x") ]);
-        pluglet ~op:op_entry_point ~anchor:Pquic.Protoop.External
+        pluglet ~op:op_entry_point ~anchor:Pluginop.Protoop.External
           (func "entry" [ "x" ]
              [
                Return

@@ -180,15 +180,15 @@ let make_conn () =
 let trapping_replace_plugin op =
   let open Plc.Ast in
   {
-    Pquic.Plugin.name = "org.test.trap-replace";
+    Pluginop.Plugin.name = "org.test.trap-replace";
     pluglets =
       [
         {
-          Pquic.Plugin.op;
+          Pluginop.Plugin.op;
           param = None;
-          anchor = Pquic.Protoop.Replace;
+          anchor = Pluginop.Protoop.Replace;
           code =
-            Pquic.Plugin.Source
+            Pluginop.Plugin.Source
               {
                 name = "scribble_then_trap";
                 params = [ "buf" ];
@@ -211,7 +211,7 @@ let test_trap_falls_back_to_builtin () =
   let plugin = trapping_replace_plugin op in
   let inst = C.build_instance plugin in
   ignore (C.attach_instance c inst);
-  check Alcotest.bool "attached" true (C.has_plugin c plugin.Pquic.Plugin.name);
+  check Alcotest.bool "attached" true (C.has_plugin c plugin.Pluginop.Plugin.name);
   let buf = Bytes.make 8 'a' in
   let default_ran = ref false in
   let default _ args =
@@ -232,7 +232,7 @@ let test_trap_falls_back_to_builtin () =
   check Alcotest.int "one fallback counted" 1 (C.stats c).C.plugin_fallbacks;
   check Alcotest.int "one sanction counted" 1 (C.stats c).C.plugin_sanctions;
   check Alcotest.bool "plugin removed" false
-    (C.has_plugin c plugin.Pquic.Plugin.name);
+    (C.has_plugin c plugin.Pluginop.Plugin.name);
   (match c.C.state with
   | C.Failed _ -> ()
   | _ -> Alcotest.fail "connection not failed by the sanction")

@@ -622,21 +622,21 @@ let test_reader_pool () =
   R.release c
 
 let test_memory_pool_balance () =
-  let pool = Pquic.Memory_pool.create ~size:4096 () in
-  check Alcotest.int "fresh pool empty" 0 (Pquic.Memory_pool.allocated_bytes pool);
+  let pool = Pluginop.Memory_pool.create ~size:4096 () in
+  check Alcotest.int "fresh pool empty" 0 (Pluginop.Memory_pool.allocated_bytes pool);
   let offs =
-    List.filter_map (fun n -> Pquic.Memory_pool.alloc pool n) [ 10; 64; 100; 200 ]
+    List.filter_map (fun n -> Pluginop.Memory_pool.alloc pool n) [ 10; 64; 100; 200 ]
   in
   check Alcotest.int "all allocations served" 4 (List.length offs);
   Alcotest.(check bool)
     "bytes accounted" true
-    (Pquic.Memory_pool.allocated_bytes pool > 0);
+    (Pluginop.Memory_pool.allocated_bytes pool > 0);
   List.iter
     (fun o ->
-      Alcotest.(check bool) "free accepted" true (Pquic.Memory_pool.free pool o))
+      Alcotest.(check bool) "free accepted" true (Pluginop.Memory_pool.free pool o))
     offs;
   check Alcotest.int "returns balance to zero" 0
-    (Pquic.Memory_pool.allocated_bytes pool)
+    (Pluginop.Memory_pool.allocated_bytes pool)
 
 (* ----------------------- whole-transfer fences ----------------------- *)
 

@@ -49,19 +49,19 @@ let test_net_ce_propagates () =
 let test_extras_are_tiny () =
   (* the paper's claim: these extensions are well under 100 lines *)
   List.iter
-    (fun (p : Pquic.Plugin.t) ->
-      let s = Pquic.Plugin.stats p in
+    (fun (p : Pluginop.Plugin.t) ->
+      let s = Pluginop.Plugin.stats p in
       check Alcotest.bool
-        (Printf.sprintf "%s is %d LoC (< 100)" s.Pquic.Plugin.name s.Pquic.Plugin.loc)
-        true (s.Pquic.Plugin.loc < 100))
+        (Printf.sprintf "%s is %d LoC (< 100)" s.Pluginop.Plugin.name s.Pluginop.Plugin.loc)
+        true (s.Pluginop.Plugin.loc < 100))
     [ Plugins.Extras.Tlp.plugin; Plugins.Extras.Ecn.plugin;
       Plugins.Extras.Aimd.plugin ];
   List.iter
-    (fun (p : Pquic.Plugin.t) ->
-      let s = Pquic.Plugin.stats p in
+    (fun (p : Pluginop.Plugin.t) ->
+      let s = Pluginop.Plugin.stats p in
       check Alcotest.int
-        (Printf.sprintf "%s fully proven" s.Pquic.Plugin.name)
-        s.Pquic.Plugin.pluglet_count s.Pquic.Plugin.proven_terminating)
+        (Printf.sprintf "%s fully proven" s.Pluginop.Plugin.name)
+        s.Pluginop.Plugin.pluglet_count s.Pluginop.Plugin.proven_terminating)
     [ Plugins.Extras.Tlp.plugin; Plugins.Extras.Ecn.plugin;
       Plugins.Extras.Aimd.plugin ]
 
@@ -166,7 +166,7 @@ let test_tlp_with_fec_combination () =
       ~plugins:[ Plugins.Extras.Tlp.plugin; Plugins.Fec.rlc_full ]
       ~to_inject:
         [ Plugins.Extras.Tlp.name;
-          (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.name ]
+          Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
       ()
   with
   | Some r ->

@@ -31,7 +31,7 @@ let test_lzss_corrupt () =
 
 let test_lzss_plugin_ratio () =
   (* pluglets share code: the paper's Table 2 relies on this compressing *)
-  let bytes = Pquic.Plugin.serialize Plugins.Fec.rlc_full in
+  let bytes = Pluginop.Plugin.serialize Plugins.Fec.rlc_full in
   let ratio =
     float_of_int (String.length (Compress.Lzss.compress bytes))
     /. float_of_int (String.length bytes)

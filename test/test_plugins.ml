@@ -69,9 +69,9 @@ let test_monitoring_counters_match_engine () =
 
 let test_monitoring_all_proven () =
   (* the monitoring pluglets are simple enough for the checker *)
-  let s = Pquic.Plugin.stats Plugins.Monitoring.plugin in
-  check Alcotest.int "14 pluglets" 14 s.Pquic.Plugin.pluglet_count;
-  check Alcotest.int "all proven terminating" 14 s.Pquic.Plugin.proven_terminating
+  let s = Pluginop.Plugin.stats Plugins.Monitoring.plugin in
+  check Alcotest.int "14 pluglets" 14 s.Pluginop.Plugin.pluglet_count;
+  check Alcotest.int "all proven terminating" 14 s.Pluginop.Plugin.proven_terminating
 
 (* ------------------------------ datagram ------------------------------ *)
 
@@ -255,7 +255,7 @@ let fec_transfer ~plugin ~loss ~size ~seed =
   let topo = Topology.single_path ~seed p in
   let plugins, to_inject =
     match plugin with
-    | Some (pl : Pquic.Plugin.t) -> ([ pl ], [ pl.Pquic.Plugin.name ])
+    | Some (pl : Pluginop.Plugin.t) -> ([ pl ], [ pl.Pluginop.Plugin.name ])
     | None -> ([], [])
   in
   Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size ()
@@ -307,7 +307,7 @@ let test_fec_data_integrity () =
           if fin then Pquic.Connection.write_stream c ~id ~fin:true payload));
   let conn =
     Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
-      ~plugins_to_inject:[ (Plugins.Fec.rlc_full : Pquic.Plugin.t).Pquic.Plugin.name ]
+      ~plugins_to_inject:[ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
   in
   let received = Buffer.create 300_000 in
   let finished = ref false in
@@ -327,12 +327,12 @@ let test_fec_data_integrity () =
 let test_fec_termination_verdicts () =
   (* the RLC receiver pluglet contains a Gauss-Jordan while loop: its
      termination must NOT be provable, as for the paper's hard pluglets *)
-  let stats = Pquic.Plugin.stats Plugins.Fec.rlc_full in
+  let stats = Pluginop.Plugin.stats Plugins.Fec.rlc_full in
   check Alcotest.bool "at least one unproven pluglet" true
-    (stats.Pquic.Plugin.proven_terminating < stats.Pquic.Plugin.pluglet_count);
-  let xstats = Pquic.Plugin.stats Plugins.Fec.xor_full in
+    (stats.Pluginop.Plugin.proven_terminating < stats.Pluginop.Plugin.pluglet_count);
+  let xstats = Pluginop.Plugin.stats Plugins.Fec.xor_full in
   check Alcotest.int "XOR variant fully proven"
-    xstats.Pquic.Plugin.pluglet_count xstats.Pquic.Plugin.proven_terminating
+    xstats.Pluginop.Plugin.pluglet_count xstats.Pluginop.Plugin.proven_terminating
 
 (* ------------------------- plugin combination ------------------------- *)
 

@@ -641,7 +641,7 @@ let fec_integrity_multi_seed =
       let conn =
         Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
           ~plugins_to_inject:
-            [ (Plugins.Fec.rlc_full : Pluginop.Plugin.t).Pluginop.Plugin.name ]
+            [ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
       in
       let received = Buffer.create 150_000 in
       let finished = ref false in

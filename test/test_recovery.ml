@@ -117,7 +117,7 @@ let transfer_size = 100_000
 let checked_transfer ~seed ~dual ~loss =
   let t = { may_lose = 0; ties = 0; diff = None } in
   let inspect_before_detection c =
-    (Pquic.Dispatch.entry c Pquic.Protoop.detect_lost_packets None).C.pre <-
+    (Pluginop.Dispatch.entry c.C.po Pluginop.Protoop.detect_lost_packets None).C.pre <-
       [ C.Native ("index-vs-fold", fun c _ -> inspect t c; 0L) ]
   in
   let p = { Topology.d_ms = 10.; bw_mbps = 5.; loss } in
@@ -258,7 +258,7 @@ let test_sent_times_bounded () =
    order [packet_acknowledged] reports them. *)
 let send_pings c n =
   let acked = ref [] in
-  (Pquic.Dispatch.entry c Pquic.Protoop.packet_acknowledged None).C.pre <-
+  (Pluginop.Dispatch.entry c.C.po Pluginop.Protoop.packet_acknowledged None).C.pre <-
     [ C.Native
         ( "record-acked",
           fun _ args ->

@@ -299,7 +299,7 @@ let test_find_sub_in_place () =
    of the process-global verified/jitted program cache. *)
 let test_one_compile_across_endpoints () =
   let plugin = Plugins.Monitoring.plugin in
-  let np = List.length plugin.Pquic.Plugin.pluglets in
+  let np = List.length plugin.Pluginop.Plugin.pluglets in
   let sim = Sim.create () in
   let net = Net.create sim in
   let node = Pquic.Node.create () in

@@ -194,14 +194,14 @@ let mk_system () =
 let test_validator_rejects_broken_plugin () =
   let broken =
     {
-      Pquic.Plugin.name = "org.test.broken";
+      Pluginop.Plugin.name = "org.test.broken";
       pluglets =
         [
           {
-            Pquic.Plugin.op = 1;
+            Pluginop.Plugin.op = 1;
             param = None;
-            anchor = Pquic.Protoop.Post;
-            code = Pquic.Plugin.Bytecode ([| Ebpf.Insn.Ja 5 |], 512);
+            anchor = Pluginop.Protoop.Post;
+            code = Pluginop.Plugin.Bytecode ([| Ebpf.Insn.Ja 5 |], 512);
           };
         ];
     }
@@ -265,13 +265,13 @@ let test_developer_lookup_detects_spurious () =
   let plugin = Plugins.Datagram.plugin in
   ignore (Trust.Validator.submit v plugin);
   ignore (Trust.Validator.publish v);
-  let code = Pquic.Plugin.serialize plugin in
-  (match Trust.Validator.developer_check v ~name:plugin.Pquic.Plugin.name ~code with
+  let code = Pluginop.Plugin.serialize plugin in
+  (match Trust.Validator.developer_check v ~name:plugin.Pluginop.Plugin.name ~code with
   | Trust.Validator.Clean -> ()
   | _ -> Alcotest.fail "clean tree flagged");
-  Trust.Validator.inject_spurious v ~name:plugin.Pquic.Plugin.name ~code:"evil";
+  Trust.Validator.inject_spurious v ~name:plugin.Pluginop.Plugin.name ~code:"evil";
   ignore (Trust.Validator.publish v);
-  match Trust.Validator.developer_check v ~name:plugin.Pquic.Plugin.name ~code with
+  match Trust.Validator.developer_check v ~name:plugin.Pluginop.Plugin.name ~code with
   | Trust.Validator.Clean -> Alcotest.fail "spurious binding missed"
   | Trust.Validator.Spurious _ | Trust.Validator.Tampered -> ()
 
@@ -280,8 +280,8 @@ let test_pvsystem_formula_enforced () =
   let plugin = Plugins.Datagram.plugin in
   ignore (Trust.Pvsystem.publish_and_validate system ~developer:"dev" plugin);
   Trust.Pvsystem.publish_epoch system;
-  let name = plugin.Pquic.Plugin.name in
-  let bytes = Pquic.Plugin.serialize plugin in
+  let name = plugin.Pluginop.Plugin.name in
+  let bytes = Pluginop.Plugin.serialize plugin in
   (* prover can satisfy PV1&PV2 *)
   (match Trust.Pvsystem.prover system ~name ~formula:"PV1&PV2" with
   | Some proof ->
