@@ -187,15 +187,19 @@ let load_conn () =
 let fresh_conn = load_conn ()
 
 let plugin_load_fresh () =
-  (* full pipeline: compile every pluglet, verify, create PREs, attach *)
-  let inst = Pquic.Connection.build_instance Plugins.Monitoring.plugin in
+  (* full pipeline: prepare the template (compile and key every pluglet,
+     admit it through the program cache), build the PREs, attach *)
+  let inst =
+    Pquic.Connection.(build_instance (prepare Plugins.Monitoring.plugin))
+  in
   ignore (Pquic.Connection.attach_instance fresh_conn inst);
   Pquic.Connection.remove_plugin fresh_conn Plugins.Monitoring.name
 
-let cached_instance = Pquic.Connection.build_instance Plugins.Monitoring.plugin
+let cached_instance =
+  Pquic.Connection.(build_instance (prepare Plugins.Monitoring.plugin))
 
 let plugin_load_cached () =
-  (* Section 2.5 fast path: reuse the PREs, wipe the heap, rebind helpers *)
+  (* Section 2.5 fast path: reuse the PREs, wipe the heap, bind helpers *)
   ignore (Pquic.Connection.attach_instance fresh_conn cached_instance);
   Pquic.Connection.remove_plugin fresh_conn Plugins.Monitoring.name
 

@@ -183,6 +183,22 @@ if grep -n 'String\.sub' lib/quic/frame.ml; then
   echo "String.sub in lib/quic/frame.ml"; exit 1
 fi
 
+# One-compile lint: a plugin is compiled and keyed once, when its
+# template is prepared (Pre.admit), so building an instance for another
+# connection compiles and hashes nothing. Outside the template builder
+# only Plugin.serialize/stats (inside plugin.ml) and the trust
+# validator, which compiles a plugin once to vouch for it and builds no
+# instance, may call Plugin.compiled or Plugin.code_key. Tests and
+# benches are not scanned.
+echo "== one-compile lint (Plugin.compiled, Plugin.code_key)"
+bad=$(grep -rnE 'Plugin\.(compiled|code_key)\b' lib bin examples \
+        --include='*.ml' --include='*.mli' \
+      | grep -vE '^lib/pluginop/pre\.ml:|^lib/trust/validator\.ml:' || true)
+if [ -n "$bad" ]; then
+  echo "Plugin.compiled or Plugin.code_key called outside the template builder:"
+  echo "$bad"; exit 1
+fi
+
 # Mutable-global lint: a top-level ref, table, queue, array, byte buffer
 # or lazy value in lib/ is process-wide state that hides a dependency and
 # blocks per-domain engines. Each one left is listed below with the

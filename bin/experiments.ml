@@ -298,14 +298,16 @@ let table3 ~runs ~size () =
                       (fun p ->
                         ignore
                           (Pquic.Connection.attach_instance c
-                             (Pquic.Connection.build_instance p)))
+                             Pquic.Connection.(build_instance (prepare p))))
                       plugins))
           in
           let cached_samples =
             List.init 7 (fun k ->
                 let c = conn k in
                 let insts =
-                  List.map Pquic.Connection.build_instance plugins
+                  List.map
+                    Pquic.Connection.(fun p -> build_instance (prepare p))
+                    plugins
                 in
                 (* simulate the cache hit: PREs exist, heap is wiped and the
                    helpers rebound on attach *)

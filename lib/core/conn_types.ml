@@ -158,7 +158,8 @@ type 'c host_op_entry = 'c Pluginop.Types.op_entry = {
 type 'c host_instance = 'c Pluginop.Types.instance = {
   plugin : Pluginop.Plugin.t;
   pool : Pluginop.Memory_pool.t;
-  mutable pres : Pluginop.Pre.t list;
+  mutable heap : Bytes.t;        (* pool backing the PREs map *)
+  pres : Pluginop.Pre.t list;
   opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
   mutable bound : 'c option;     (* connection the instance is bound to *)
 }

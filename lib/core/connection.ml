@@ -35,6 +35,7 @@ module PH = Pluginop.Plugin_host
 
 exception Injection_failed = PH.Injection_failed
 
+let prepare = PH.prepare
 let build_instance = PH.build_instance
 let attach_instance c inst = PH.attach_instance c.po c inst
 let inject_plugin c plugin = PH.inject_plugin c.po c plugin

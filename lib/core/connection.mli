@@ -44,7 +44,15 @@ val write_stream : t -> id:int -> ?fin:bool -> string -> unit
 
 exception Injection_failed of string
 
-val build_instance : Pluginop.Plugin.t -> instance
+val prepare : Pluginop.Plugin.t -> Pluginop.Plugin_host.template
+(** Compile, verify and jit every pluglet once (see
+    {!Pluginop.Plugin_host.prepare}).
+    @raise Pluginop.Pre.Rejected when verification fails
+    @raise Plc.Compile.Error when source compilation fails *)
+
+val build_instance : Pluginop.Plugin_host.template -> instance
+(** A fresh instance of a template: compiles nothing. *)
+
 val attach_instance : t -> instance -> instance
 val inject_plugin : t -> Pluginop.Plugin.t -> (unit, string) result
 val remove_plugin : t -> string -> unit

@@ -116,13 +116,12 @@ let set_field c field index value =
     else if field = f_cwnd then Quic.Cc.set_cwnd p.cc (Int64.to_int value)
 
 (* The helpers QUIC owns outright: frame-scheduler reservations, FEC
-   packet access/recovery, multipath path creation. Installed on each PRE
-   after the shared table, through the HOST record below.
-   [process_recovered] hands a FEC-recovered packet image back to the
-   receive path, which lives above this module in [Connection]. *)
-let install_extra_helpers ~process_recovered c (inst : instance)
-    (pre : Pluginop.Pre.t) =
-  let reg ?arity id f = Pluginop.Pre.register_helper ?arity pre id f in
+   packet access/recovery, multipath path creation. Added to the
+   instance's helper table after the shared ones, through the HOST record
+   below. [process_recovered] hands a FEC-recovered packet image back to
+   the receive path, which lives above this module in [Connection]. *)
+let install_extra_helpers ~process_recovered c (inst : instance) tbl =
+  let reg ?arity id f = Ebpf.Vm.add_helper ?arity tbl id f in
   reg ~arity:4 Pluginop.Api.h_reserve_frames (fun _ a ->
       (* a frame type keys write_frame/notify_frame entries: it must fit
          the manifest's u16 param field *)

@@ -1,14 +1,22 @@
-(* Node-scope plugin machinery: the available-plugin cache and the
-   cross-connection instance (PRE) cache of Section 2.5, shared by every
-   endpoint created with the same node. See node.mli for the layering
-   relative to the process-global compiled-program cache in [Pre]. *)
+(* Node-scope plugin machinery: the available plugins with their
+   templates and the cross-connection instance (PRE) cache of Section 2.5,
+   shared by every endpoint created with the same node. See node.mli for
+   the layering relative to the process-global compiled-program cache in
+   [Pre]. *)
 
 let src = Logs.Src.create "pquic.node"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* An available plugin and its template, prepared on the first
+   [acquire_instance] that misses the instance cache. *)
+type available = {
+  plugin : Pluginop.Plugin.t;
+  mutable template : Pluginop.Plugin_host.template option;
+}
+
 type t = {
-  available : (string, Pluginop.Plugin.t) Hashtbl.t;
+  available : (string, available) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
   mutable outstanding : (Connection.t * Connection.instance) list;
   mutable hits : int;
@@ -30,10 +38,21 @@ let create () =
   }
 
 let add_plugin t (plugin : Pluginop.Plugin.t) =
-  Hashtbl.replace t.available plugin.Pluginop.Plugin.name plugin
+  Hashtbl.replace t.available plugin.Pluginop.Plugin.name
+    { plugin; template = None }
 
 let has_plugin t name = Hashtbl.mem t.available name
-let find_plugin t name = Hashtbl.find_opt t.available name
+
+let find_plugin t name =
+  Option.map (fun a -> a.plugin) (Hashtbl.find_opt t.available name)
+
+let template a =
+  match a.template with
+  | Some tpl -> tpl
+  | None ->
+    let tpl = Connection.prepare a.plugin in
+    a.template <- Some tpl;
+    tpl
 
 let supported_plugins t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.available []
@@ -83,9 +102,9 @@ let acquire_instance t ?bind name =
     | _ -> (
       match Hashtbl.find_opt t.available name with
       | None -> None
-      | Some plugin -> (
+      | Some a -> (
         t.misses <- t.misses + 1;
-        try Some (Connection.build_instance plugin) with
+        try Some (Connection.build_instance (template a)) with
         | Pluginop.Pre.Rejected msg ->
           Log.warn (fun m -> m "plugin %s rejected: %s" name msg);
           None

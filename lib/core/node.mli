@@ -8,11 +8,20 @@
     recycled instances are reusable by any connection on the node. The
     compiled-program layer below this (bytecode digest → verified + jitted
     program, see {!Pluginop.Pre.cache_counters}) is process-global already; this
-    module adds the instance layer (plugin name → wiped, reusable
-    instances) with hit/miss/evict accounting. *)
+    module adds the template layer (plugin name → its admitted programs,
+    so building an instance compiles and hashes nothing) and the instance
+    layer (plugin name → wiped, reusable instances) with hit/miss/evict
+    accounting. *)
+
+type available = {
+  plugin : Pluginop.Plugin.t;
+  mutable template : Pluginop.Plugin_host.template option;
+      (** every pluglet compiled and admitted once, on the first
+          {!acquire_instance} that has to build an instance *)
+}
 
 type t = {
-  available : (string, Pluginop.Plugin.t) Hashtbl.t;
+  available : (string, available) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
       (** recycled instances by plugin name, ready for re-attachment *)
   mutable outstanding : (Connection.t * Connection.instance) list;
@@ -38,7 +47,9 @@ val acquire_instance :
   t -> ?bind:Connection.t -> string -> Connection.instance option
 (** Fetch an injectable instance: a cached one when available (no
     verification, no compilation — the Section 2.5 fast path), otherwise
-    a fresh build of a locally available plugin. With [bind] the
+    a fresh build from the plugin's template, which the first such build
+    prepares. A plugin that fails verification or compilation is logged
+    and yields [None]. With [bind] the
     instance is tracked as outstanding against that connection and
     reclaimed by {!recycle} when it closes. *)
 

@@ -47,14 +47,7 @@ type t = {
   mutable last_region : region; (* memo for same-region access streaks *)
   mutable free_windows : int list; (* windows recycled after unmap *)
   mutable next_window : int;
-  mutable helpers : helper option array; (* dense, indexed by helper id *)
-  mutable helper_arity : int array; (* parallel to [helpers]: how many of
-                                       r1..r5 the helper reads (0..5). The
-                                       call opcode copies only that many
-                                       into [scratch_args] and zeroes the
-                                       rest — most helpers take one or two
-                                       arguments, so the default of 5
-                                       boxes int64s that are never read. *)
+  mutable helpers : helper_table; (* may be shared with other VMs *)
   stack : region; (* persistent pluglet stack, zeroed between runs *)
   stack_size : int;
   regb : Bytes.t; (* fast-path register file: 11 x 8 raw bytes, reset per
@@ -71,11 +64,26 @@ type t = {
   mutable executed : int; (* instructions executed over the VM lifetime *)
 }
 
+(* The helpers a VM calls. A table is bound once and may be shared: the
+   PREs of one plugin instance all point at the table built when the
+   instance is attached. *)
+and helper_table = {
+  mutable fns : helper option array; (* dense, indexed by helper id *)
+  mutable arity : int array; (* parallel to [fns]: how many of r1..r5 the
+                                helper reads (0..5). The call opcode copies
+                                only that many into [scratch_args] and
+                                zeroes the rest — most helpers take one or
+                                two arguments, so the default of 5 boxes
+                                int64s that are never read. *)
+}
+
 and helper = t -> int64 array -> int64
 
 let region_alignment = 0x0001_0000_0000L (* 4 GiB of address space per region *)
 
 let window_bits = 32
+
+let helper_table () = { fns = [||]; arity = [||] }
 
 (* Window 0 is never handed out, so null-ish pluglet pointers fault. The
    stack occupies window 1 from creation: every VM — and therefore every
@@ -101,8 +109,7 @@ let create ?(stack_size = 512) ?(max_insns = 4_000_000) () =
     last_region = stack;
     free_windows = [];
     next_window = 2;
-    helpers = Array.make 64 None;
-    helper_arity = Array.make 64 5;
+    helpers = helper_table ();
     stack;
     stack_size;
     regb = Bytes.make 88 '\000';
@@ -113,21 +120,23 @@ let create ?(stack_size = 512) ?(max_insns = 4_000_000) () =
     executed = 0;
   }
 
-let register_helper ?(arity = 5) vm id f =
-  if id < 0 then invalid_arg "Vm.register_helper: negative helper id";
-  if arity < 0 || arity > 5 then
-    invalid_arg "Vm.register_helper: arity outside 0..5";
-  if id >= Array.length vm.helpers then begin
-    let n = max (id + 1) (2 * Array.length vm.helpers) in
+let add_helper ?(arity = 5) tbl id f =
+  if id < 0 then invalid_arg "Vm.add_helper: negative helper id";
+  if arity < 0 || arity > 5 then invalid_arg "Vm.add_helper: arity outside 0..5";
+  if id >= Array.length tbl.fns then begin
+    let n = max (id + 1) (max 16 (2 * Array.length tbl.fns)) in
     let grown = Array.make n None in
-    Array.blit vm.helpers 0 grown 0 (Array.length vm.helpers);
-    vm.helpers <- grown;
+    Array.blit tbl.fns 0 grown 0 (Array.length tbl.fns);
+    tbl.fns <- grown;
     let grown_a = Array.make n 5 in
-    Array.blit vm.helper_arity 0 grown_a 0 (Array.length vm.helper_arity);
-    vm.helper_arity <- grown_a
+    Array.blit tbl.arity 0 grown_a 0 (Array.length tbl.arity);
+    tbl.arity <- grown_a
   end;
-  vm.helpers.(id) <- Some f;
-  vm.helper_arity.(id) <- arity
+  tbl.fns.(id) <- Some f;
+  tbl.arity.(id) <- arity
+
+let set_helpers vm tbl = vm.helpers <- tbl
+let register_helper ?arity vm id f = add_helper ?arity vm.helpers id f
 
 (* [off]/[len] map a sub-view of [mem]: the pluglet sees addresses
    base..base+len covering mem[off..off+len). The default is the whole
@@ -185,6 +194,21 @@ let unmap_region vm r =
       vm.free_windows <- r.window :: vm.free_windows;
       if vm.last_region.rid = r.rid then vm.last_region <- vm.stack
     | _ -> ()
+
+(* Point a mapped region at a new backing buffer, keeping its rid, window
+   and base, so addresses pluglets already hold stay valid. The view spans
+   the whole new buffer. *)
+let remap vm r mem =
+  match
+    if r.window < Array.length vm.region_tbl then vm.region_tbl.(r.window)
+    else None
+  with
+  | Some cur when cur.rid = r.rid ->
+    let r' = { cur with mem; roff = 0; rlen = Bytes.length mem } in
+    vm.region_tbl.(r.window) <- Some r';
+    if vm.last_region.rid = r.rid then vm.last_region <- r';
+    r'
+  | _ -> invalid_arg "Vm.remap: region not mapped"
 
 (* Bulk unmap for the marshalling fast path: capture a mark before mapping
    the call's transient regions, unmap everything at-or-above it after —
@@ -394,13 +418,11 @@ let interp vm prog regs pc0 fuel0 =
       if jump_taken c regs.(dst) (operand_value operand) then goto off
       else pc := next
     | Insn.Call id -> (
-      match
-        (if id >= 0 && id < Array.length vm.helpers then vm.helpers.(id)
-         else None)
-      with
+      let h = vm.helpers in
+      match (if id >= 0 && id < Array.length h.fns then h.fns.(id) else None) with
       | None -> raise (Helper_failure (Printf.sprintf "helper %d missing" id))
       | Some f ->
-        let ar = vm.helper_arity.(id) in
+        let ar = h.arity.(id) in
         let call_args =
           Array.init 5 (fun i -> if i < ar then regs.(i + 1) else 0L)
         in
@@ -1787,9 +1809,9 @@ let jit ?(stack_size = 512) prog =
         fun env ->
           let vm = env.jvm in
           vm.executed <- env.jk - env.jfuel - ci;
+          let h = vm.helpers in
           (match
-             (if a1 >= 0 && a1 < Array.length vm.helpers then vm.helpers.(a1)
-              else None)
+             (if a1 >= 0 && a1 < Array.length h.fns then h.fns.(a1) else None)
            with
           | None ->
             raise (Helper_failure (Printf.sprintf "helper %d missing" a1))
@@ -1798,7 +1820,7 @@ let jit ?(stack_size = 512) prog =
             let call_args = vm.scratch_args in
             (* Copy (and box) only the helper's declared arity, zero the
                rest with the constant. *)
-            let ar = vm.helper_arity.(a1) in
+            let ar = h.arity.(a1) in
             for j = 0 to ar - 1 do
               call_args.(j) <- rget rb (j + 1)
             done;

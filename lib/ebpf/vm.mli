@@ -50,14 +50,27 @@ val create : ?stack_size:int -> ?max_insns:int -> unit -> t
     (always the first window, so every PRE of an instance has the same
     layout) and zeroed between runs. *)
 
-val register_helper : ?arity:int -> t -> int -> helper -> unit
-(** Bind a helper id to its implementation in the VM's dense helper table;
-    re-registering an id replaces the previous binding. Helper ids are
+type helper_table
+(** A dense table of helpers by id. Every VM starts with an empty table of
+    its own; {!set_helpers} points a VM at another one, so many VMs can
+    share one table (the PREs of a plugin instance do). *)
+
+val helper_table : unit -> helper_table
+
+val add_helper : ?arity:int -> helper_table -> int -> helper -> unit
+(** Bind a helper id to its implementation; re-adding an id replaces the
+    previous binding, for every VM using the table. Helper ids are
     non-negative. [arity] (0–5, default 5) declares how many argument
     registers the helper reads: the call opcode copies only that many into
     the argument array and zeroes the rest, so helpers with a declared
     arity never observe stale register contents — and the common one- and
     two-argument helpers skip most of the per-call r1–r5 boxing. *)
+
+val set_helpers : t -> helper_table -> unit
+(** Make the VM call the helpers of the given table. *)
+
+val register_helper : ?arity:int -> t -> int -> helper -> unit
+(** {!add_helper} on the VM's current table. *)
 
 val map_region :
   t -> name:string -> perm:perm -> ?off:int -> ?len:int -> Bytes.t -> region
@@ -71,6 +84,12 @@ val map_region :
     buffers are exposed zero-copy with the bounds of the old copied slice. *)
 
 val unmap_region : t -> region -> unit
+
+val remap : t -> region -> Bytes.t -> region
+(** Point a mapped region at a new backing buffer: the region keeps its
+    rid, window and base (addresses into it stay valid) and its view now
+    spans the whole new buffer. Returns the updated region.
+    @raise Invalid_argument if the region is not mapped in this VM. *)
 
 val map_sub :
   t -> name:string -> perm:perm -> Bytes.t -> off:int -> len:int -> region

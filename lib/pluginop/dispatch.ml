@@ -159,12 +159,35 @@ let exec_pluglet st pre ~read_only (args : arg array) =
     Ebpf.Vm.unmap_above vm mark;
     raise e
 
-(* Remove a plugin's pluglets from the registry. The paper's sanction for
-   a misbehaving pluglet is the removal of its plugin and the termination
+(* Take a plugin's pluglets off every anchor. An entry this leaves empty
+   leaves the registry too, so its operation is a plain call again once
+   no plugin is attached. Removal and the rollback of a refused attach
+   both go through here. *)
+let unhook st name =
+  let keep = function
+    | Pluglet pre -> pre.Pre.plugin_name <> name
+    | Native _ -> true
+  in
+  let strip e =
+    (match e.replace with Some i when not (keep i) -> e.replace <- None | _ -> ());
+    (match e.ext with Some i when not (keep i) -> e.ext <- None | _ -> ());
+    e.pre <- List.filter keep e.pre;
+    e.post <- List.filter keep e.post;
+    match e with
+    | { replace = None; pre = []; post = []; ext = None } -> None
+    | e -> Some e
+  in
+  Array.iteri
+    (fun op -> function
+      | Some e -> st.builtin_ops.(op) <- strip e
+      | None -> ())
+    st.builtin_ops;
+  Hashtbl.filter_map_inplace (fun _ e -> strip e) st.ops
+
+(* Remove a plugin from the connection. The paper's sanction for a
+   misbehaving pluglet is the removal of its plugin and the termination
    of the connection. The transport cleans up its own side (e.g. PQUIC
-   drops the plugin's scheduler reservations) through [on_detach]. An
-   entry the removal leaves empty leaves the registry too, so its
-   operation is a plain call again once no plugin is attached. *)
+   drops the plugin's scheduler reservations) through [on_detach]. *)
 let remove_plugin st c name =
   match Hashtbl.find_opt st.plugins name with
   | None -> ()
@@ -173,25 +196,7 @@ let remove_plugin st c name =
     Hashtbl.remove st.plugins name;
     st.plugin_order <- List.filter (fun n -> n <> name) st.plugin_order;
     st.host.on_detach c name;
-    let keep = function
-      | Pluglet pre -> pre.Pre.plugin_name <> name
-      | Native _ -> true
-    in
-    let strip e =
-      (match e.replace with Some i when not (keep i) -> e.replace <- None | _ -> ());
-      (match e.ext with Some i when not (keep i) -> e.ext <- None | _ -> ());
-      e.pre <- List.filter keep e.pre;
-      e.post <- List.filter keep e.post;
-      match e with
-      | { replace = None; pre = []; post = []; ext = None } -> None
-      | e -> Some e
-    in
-    Array.iteri
-      (fun op -> function
-        | Some e -> st.builtin_ops.(op) <- strip e
-        | None -> ())
-      st.builtin_ops;
-    Hashtbl.filter_map_inplace (fun _ e -> strip e) st.ops
+    unhook st name
 
 let kill_plugin st c name reason =
   Log.warn (fun m -> m "killing plugin %s: %s" name reason);

@@ -1,8 +1,9 @@
 (* The PRE↔host boundary (Section 2.3), transport-neutral half: the Table 1
-   helper implementations every host shares, installed on each pluglet's
-   PRE when an instance is attached. Getters and setters abstract the
-   connection internals from pluglets: bytecode never hard-codes structure
-   offsets, and the host monitors (and refuses) access to specific fields.
+   helper implementations every host shares, bound once per attach into
+   one table that every PRE of the instance calls. Getters and setters
+   abstract the connection internals from pluglets: bytecode never
+   hard-codes structure offsets, and the host monitors (and refuses)
+   access to specific fields.
 
    Field access funnels through the HOST record ([Types.host]); what a
    field *means* is the transport's business, but the id space, the
@@ -25,18 +26,34 @@ let set_field st c field index value =
       (Ebpf.Vm.Helper_failure (Printf.sprintf "set: field %d is read-only" field));
   st.host.set_field c field index value
 
-let install_helpers st c inst (pre : Pre.t) =
-  let heap = Memory_pool.area inst.pool in
+(* Point the instance's PREs at the pool's current backing after an
+   allocation: one physical compare unless the allocation grew it. *)
+let sync_heap inst =
+  let area = Memory_pool.area inst.pool in
+  if area != inst.heap then begin
+    inst.heap <- area;
+    List.iter (fun pre -> Pre.remap_heap pre area) inst.pres
+  end
+
+(* Build the instance's helper table for connection [c] and point every
+   PRE at it. Only the heap helpers need a PRE's view, and the heap sits
+   at the same base in all of them. *)
+let bind_helpers st c inst =
+  let tbl = Ebpf.Vm.helper_table () in
+  let heap_base =
+    match inst.pres with pre :: _ -> Pre.heap_base pre | [] -> 0L
+  in
+  let heap_addr off = Int64.add heap_base (i64 off) in
   let heap_off vm_addr =
-    let off = Pre.heap_offset pre vm_addr in
-    if off < 0 || off > Bytes.length heap then
+    let off = to_i (Int64.sub vm_addr heap_base) in
+    if off < 0 || off > Memory_pool.size inst.pool then
       helper_fail "address 0x%Lx outside plugin memory" vm_addr;
     off
   in
   (* [arity] declares how many argument registers each helper reads, so
      the call opcode skips boxing the registers the helper ignores —
      [h_get] alone runs a dozen times per received packet. *)
-  let reg ?arity id f = Pre.register_helper ?arity pre id f in
+  let reg ?arity id f = Ebpf.Vm.add_helper ?arity tbl id f in
   reg ~arity:2 Api.h_get (fun _ a ->
       st.host.get_field c (to_i a.(0)) (to_i a.(1)));
   reg ~arity:3 Api.h_set (fun _ a ->
@@ -44,7 +61,9 @@ let install_helpers st c inst (pre : Pre.t) =
       0L);
   reg ~arity:1 Api.h_pl_malloc (fun _ a ->
       match Memory_pool.alloc inst.pool (to_i a.(0)) with
-      | Some off -> Pre.heap_addr pre off
+      | Some off ->
+        sync_heap inst;
+        heap_addr off
       | None -> 0L);
   reg ~arity:1 Api.h_pl_free (fun _ a ->
       if Memory_pool.free inst.pool (heap_off a.(0)) then 0L
@@ -52,14 +71,15 @@ let install_helpers st c inst (pre : Pre.t) =
   reg ~arity:2 Api.h_get_opaque_data (fun _ a ->
       let id = to_i a.(0) and size = to_i a.(1) in
       match Hashtbl.find_opt inst.opaque id with
-      | Some off -> Pre.heap_addr pre off
+      | Some off -> heap_addr off
       | None -> (
         match Memory_pool.alloc inst.pool size with
         | Some off ->
+          sync_heap inst;
           (* opaque areas start zeroed even when the pool recycles blocks *)
-          Bytes.fill (Memory_pool.area inst.pool) off size '\000';
+          Bytes.fill inst.heap off size '\000';
           Hashtbl.replace inst.opaque id off;
-          Pre.heap_addr pre off
+          heap_addr off
         | None -> 0L));
   reg ~arity:3 Api.h_pl_memcpy (fun vm a ->
       let len = to_i a.(2) in
@@ -134,4 +154,5 @@ let install_helpers st c inst (pre : Pre.t) =
   reg ~arity:1 Api.h_gf256_inv (fun _ a -> i64 (Gf.inv (to_i a.(0) land 0xff)));
   reg ~arity:3 Api.h_rng_coef (fun _ a ->
       i64 (Gf.rlc_coef ~seed:a.(0) ~sid:a.(1) ~row:(to_i a.(2))));
-  st.host.install_extra_helpers c inst pre
+  st.host.install_extra_helpers c inst tbl;
+  List.iter (fun pre -> Ebpf.Vm.set_helpers pre.Pre.vm tbl) inst.pres

@@ -4,10 +4,18 @@
    pools). Offsets returned are relative to the start of the area; the PRE
    maps the area as a region so offsets translate directly to VM
    addresses. Allocations larger than one block take contiguous blocks
-   (first-fit over the bitmap — still cheap at our pool sizes). *)
+   (first-fit over the bitmap — still cheap at our pool sizes).
+
+   The bitmap always spans the full [size], so offsets and exhaustion are
+   exactly those of a full-size pool. Only the backing buffer is sized by
+   use: it starts at [initial_backing] bytes and doubles, up to [size],
+   whenever an allocation ends beyond it. Bytes past the backing were
+   never handed out since the last [reset], so they read zero in a
+   full-size pool too. *)
 
 type t = {
-  area : Bytes.t;
+  mutable area : Bytes.t;      (* backing: covers every live allocation *)
+  initial : Bytes.t;           (* the backing after [create] and [reset] *)
   block_size : int;
   nblocks : int;
   used : Bytes.t;              (* one byte per block: 0 free, 1 head, 2 cont *)
@@ -15,11 +23,15 @@ type t = {
   mutable allocated_blocks : int;
 }
 
+let initial_backing = 4096
+
 let create ?(block_size = 64) ~size () =
   let nblocks = size / block_size in
   if nblocks <= 0 then invalid_arg "Memory_pool.create";
+  let initial = Bytes.make (min initial_backing (nblocks * block_size)) '\000' in
   {
-    area = Bytes.make (nblocks * block_size) '\000';
+    area = initial;
+    initial;
     block_size;
     nblocks;
     used = Bytes.make nblocks '\000';
@@ -28,7 +40,7 @@ let create ?(block_size = 64) ~size () =
   }
 
 let area t = t.area
-let size t = Bytes.length t.area
+let size t = t.nblocks * t.block_size
 
 let blocks_needed t len = (len + t.block_size - 1) / t.block_size
 
@@ -53,6 +65,16 @@ let find_run t need =
   in
   scan t.free_hint 0
 
+(* Double the backing until it covers [limit] bytes, keeping its contents. *)
+let grow t limit =
+  let len = ref (Bytes.length t.area) in
+  while !len < limit do
+    len := 2 * !len
+  done;
+  let bigger = Bytes.make (min !len (size t)) '\000' in
+  Bytes.blit t.area 0 bigger 0 (Bytes.length t.area);
+  t.area <- bigger
+
 (* Allocate [len] bytes; returns the byte offset in the area, or None when
    the pool is exhausted — which only hurts the plugin itself. *)
 let alloc t len =
@@ -68,6 +90,8 @@ let alloc t len =
       done;
       t.free_hint <- start + need;
       t.allocated_blocks <- t.allocated_blocks + need;
+      let limit = (start + need) * t.block_size in
+      if limit > Bytes.length t.area then grow t limit;
       Some (start * t.block_size)
 
 (* Free the allocation starting at byte offset [off]. Freeing an address
@@ -91,9 +115,10 @@ let free t off =
 
 (* Wipe contents and allocation state — used when a cached plugin is reused
    on a new connection, so no information leaks between connections
-   (Section 2.5). *)
+   (Section 2.5). The backing drops back to the initial buffer. *)
 let reset t =
-  Bytes.fill t.area 0 (Bytes.length t.area) '\000';
+  Bytes.fill t.initial 0 (Bytes.length t.initial) '\000';
+  t.area <- t.initial;
   Bytes.fill t.used 0 t.nblocks '\000';
   t.free_hint <- 0;
   t.allocated_blocks <- 0

@@ -2,7 +2,12 @@
     constant-size blocks with Θ(1) allocation and release while limiting
     fragmentation (after Kenwright's fixed-size pools). Offsets are
     relative to the area start; the PRE maps the area as a VM region so
-    offsets translate directly to bytecode addresses. *)
+    offsets translate directly to bytecode addresses.
+
+    The allocator spans the full [size]: offsets and exhaustion are those of
+    a full-size pool. The backing buffer is sized by use instead: it starts
+    at 4 KiB (or [size], if smaller) and doubles, up to [size], whenever an
+    allocation ends beyond it. *)
 
 type t
 
@@ -11,7 +16,12 @@ val create : ?block_size:int -> size:int -> unit -> t
     take contiguous blocks. *)
 
 val area : t -> Bytes.t
+(** The current backing: it covers every live allocation, and is replaced
+    (contents kept) when an allocation grows it, so read it after
+    {!alloc}. *)
+
 val size : t -> int
+(** The capacity the allocator spans; the backing never exceeds it. *)
 
 val alloc : t -> int -> int option
 (** Byte offset of a fresh allocation, or [None] when the pool is
@@ -24,6 +34,6 @@ val free : t -> int -> bool
 val reset : t -> unit
 (** Wipe contents and allocation state — used when a cached plugin is
     reused on a new connection so nothing leaks between connections
-    (Section 2.5). *)
+    (Section 2.5). The backing drops back to its initial size. *)
 
 val allocated_bytes : t -> int

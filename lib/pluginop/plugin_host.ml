@@ -33,55 +33,52 @@ exception Injection_failed of string
 
 let plugin_heap_size = 256 * 1024
 
-(* Build a fresh instance for [plugin]: every pluglet is admitted here —
-   compiled, verified and jitted through the PREs'
-   content-addressed program cache, so building the same bytecode again
-   (another connection, a reload) reuses the compiled closures and only
-   pays for fresh run environments. Attaching the instance to a
-   connection (including re-attaching a cached instance, the Section 2.5
-   reload fast path) only wipes the heap and rebinds helpers — the
-   jitted programs are reused as-is. *)
-let build_instance (plugin : Plugin.t) =
+(* A plugin made ready to instantiate: every pluglet compiled, keyed,
+   verified and jitted once (through the PREs' content-addressed program
+   cache). The host keeps it beside the available plugin, so building
+   another instance — another connection — compiles and hashes nothing. *)
+type template = { plugin : Plugin.t; programs : Pre.program list }
+
+let prepare (plugin : Plugin.t) =
+  { plugin; programs = List.map Pre.admit plugin.Plugin.pluglets }
+
+(* A fresh instance of a template: one run environment per pluglet over a
+   shared heap that starts small and grows with the plugin's allocations
+   (see [Memory_pool]). Attaching the instance to a connection
+   (including re-attaching a cached instance, the Section 2.5 reload fast
+   path) only wipes the heap and binds helpers — the jitted programs are
+   reused as-is. *)
+let build_instance tpl =
   let pool = Memory_pool.create ~size:plugin_heap_size () in
-  let inst = { plugin; pool; pres = []; opaque = Hashtbl.create 8; bound = None } in
-  let pres =
-    List.map
-      (fun pluglet ->
-        Pre.create ~plugin_name:plugin.Plugin.name ~pluglet
-          ~heap:(Memory_pool.area pool))
-      plugin.Plugin.pluglets
-  in
-  inst.pres <- pres;
-  inst
+  let heap = Memory_pool.area pool in
+  let plugin_name = tpl.plugin.Plugin.name in
+  {
+    plugin = tpl.plugin;
+    pool;
+    heap;
+    pres = List.map (fun p -> Pre.instantiate ~plugin_name p ~heap) tpl.programs;
+    opaque = Hashtbl.create 8;
+    bound = None;
+  }
 
 (* Attach a built instance to this connection. Rolls the whole plugin back
    if a replace anchor is already taken (Section 2.2). *)
-let attach_instance st c inst =
+let attach_instance st c (inst : _ instance) =
   let name = inst.plugin.Plugin.name in
   if Hashtbl.mem st.plugins name then
     raise (Injection_failed (name ^ " already injected"));
   Memory_pool.reset inst.pool;
+  Host_api.sync_heap inst;
   Hashtbl.reset inst.opaque;
   inst.bound <- Some c;
-  List.iter (fun pre -> Host_api.install_helpers st c inst pre) inst.pres;
-  let attached = ref [] in
-  let rollback () =
-    List.iter
-      (fun (e, pre, anchor) ->
-        match (anchor : Protoop.anchor) with
-        | Protoop.Replace -> e.replace <- None
-        | Protoop.External -> e.ext <- None
-        | Protoop.Pre -> e.pre <- List.filter (fun i -> i != Pluglet pre) e.pre
-        | Protoop.Post -> e.post <- List.filter (fun i -> i != Pluglet pre) e.post)
-      !attached
-  in
+  Host_api.bind_helpers st c inst;
   (try
      List.iter
        (fun pre ->
          let e = Dispatch.entry st pre.Pre.op pre.Pre.param in
-         (match pre.Pre.anchor with
-         | Protoop.Replace ->
-           (match e.replace with
+         match pre.Pre.anchor with
+         | Protoop.Replace -> (
+           match e.replace with
            | Some (Pluglet other) ->
              raise
                (Injection_failed
@@ -91,11 +88,10 @@ let attach_instance st c inst =
            | _ -> e.replace <- Some (Pluglet pre))
          | Protoop.External -> e.ext <- Some (Pluglet pre)
          | Protoop.Pre -> e.pre <- Pluglet pre :: e.pre
-         | Protoop.Post -> e.post <- Pluglet pre :: e.post);
-         attached := (e, pre, pre.Pre.anchor) :: !attached)
+         | Protoop.Post -> e.post <- Pluglet pre :: e.post)
        inst.pres
    with Injection_failed _ as e ->
-     rollback ();
+     Dispatch.unhook st name;
      inst.bound <- None;
      raise e);
   Hashtbl.replace st.plugins name inst;
@@ -105,7 +101,7 @@ let attach_instance st c inst =
 
 let inject_plugin st c plugin =
   try
-    let inst = build_instance plugin in
+    let inst = build_instance (prepare plugin) in
     ignore (attach_instance st c inst);
     Ok ()
   with

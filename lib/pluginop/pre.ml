@@ -3,12 +3,14 @@
    points to the area shared by all pluglets of the plugin. Every VM maps
    its stack at the same window and the heap is the first region mapped
    after it, so heap pointers have the same value in every PRE of the
-   instance. The admission pipeline — decode, static verification, closure
-   JIT — runs here, once per distinct bytecode; per-packet execution then
-   runs the jitted program with no setup work, and runtime memory
-   monitoring lives in the VM. Caching instances (Section 2.5) therefore
-   caches the compiled programs too, which is what keeps plugin reload
-   cheap. *)
+   instance. The admission pipeline — compile, decode, static
+   verification, closure JIT — runs in [admit], once per pluglet of a
+   plugin template and once per distinct bytecode process-wide; building
+   a PRE from an admitted program ([instantiate]) only creates its run
+   environment. Per-packet execution then runs the jitted program with no
+   setup work, and runtime memory monitoring lives in the VM. Caching
+   instances (Section 2.5) therefore caches the compiled programs too,
+   which is what keeps plugin reload cheap. *)
 
 exception Rejected of string
 
@@ -17,10 +19,9 @@ type t = {
   op : Protoop.id;
   param : int option;
   anchor : Protoop.anchor;
-  prog : Ebpf.Insn.t array;
   jit : Ebpf.Vm.jit_prog;
   vm : Ebpf.Vm.t;
-  heap_base : int64;
+  mutable heap : Ebpf.Vm.region; (* the plugin heap, mapped at one base *)
 }
 
 (* Content-addressed program cache: bytecode digest + stack size
@@ -55,12 +56,22 @@ let cache_counters () =
     evictions = !cache_evictions;
   }
 
-let admit prog stack_size =
+(* One pluglet, admitted: its bytecode verified and jitted (or found in
+   the program cache). A plugin template holds one per pluglet. *)
+type program = {
+  pluglet : Plugin.pluglet;
+  stack_size : int;
+  master : Ebpf.Vm.jit_prog;
+  mutable unclaimed : bool;
+      (* the admission's own hit or miss still stands for one PRE *)
+}
+
+let lookup_or_compile prog stack_size =
   let key = Plugin.code_key prog stack_size in
   match Hashtbl.find_opt program_cache key with
   | Some master ->
     incr cache_hits;
-    Ebpf.Vm.jit_clone master
+    master
   | None ->
     incr cache_misses;
     (match
@@ -82,32 +93,39 @@ let admit prog stack_size =
     done;
     Hashtbl.add program_cache key master;
     Queue.push key admission_order;
-    Ebpf.Vm.jit_clone master
+    master
 
-(* Verify, jit and instantiate (through the program cache). [heap]
-   is the plugin's shared memory area. *)
-let create ~plugin_name ~(pluglet : Plugin.pluglet) ~heap =
+(* Compile (PLC source), key and admit one pluglet: the only place a
+   pluglet is compiled or hashed on the way to a PRE. *)
+let admit (pluglet : Plugin.pluglet) =
   let prog, stack_size = Plugin.compiled pluglet in
-  let jit = admit prog stack_size in
-  let vm = Ebpf.Vm.create ~stack_size () in
-  let heap_region = Ebpf.Vm.map_region vm ~name:"plugin_heap" ~perm:Ebpf.Vm.Rw heap in
+  let master = lookup_or_compile prog stack_size in
+  { pluglet; stack_size; master; unclaimed = true }
+
+(* A fresh PRE running an admitted program, with [heap] (the plugin's
+   shared memory area) mapped first after the stack. The first PRE built
+   from an admission is the one its hit or miss counted; every further
+   one counts the hit that re-admitting the same bytecode would have. *)
+let instantiate ~plugin_name program ~heap =
+  if program.unclaimed then program.unclaimed <- false else incr cache_hits;
+  let vm = Ebpf.Vm.create ~stack_size:program.stack_size () in
+  let heap = Ebpf.Vm.map_region vm ~name:"plugin_heap" ~perm:Ebpf.Vm.Rw heap in
   {
     plugin_name;
-    op = pluglet.op;
-    param = pluglet.param;
-    anchor = pluglet.anchor;
-    prog;
-    jit;
+    op = program.pluglet.op;
+    param = program.pluglet.param;
+    anchor = program.pluglet.anchor;
+    jit = Ebpf.Vm.jit_clone program.master;
     vm;
-    heap_base = heap_region.Ebpf.Vm.base;
+    heap;
   }
 
-let register_helper ?arity t id f = Ebpf.Vm.register_helper ?arity t.vm id f
+(* The plugin heap moved to a bigger backing: same window, same base. *)
+let remap_heap t mem = t.heap <- Ebpf.Vm.remap t.vm t.heap mem
 
-(* Translate a plugin-heap offset to the address pluglets see. *)
-let heap_addr t off = Int64.add t.heap_base (Int64.of_int off)
-
-let heap_offset t addr = Int64.to_int (Int64.sub addr t.heap_base)
+(* The address pluglets see for heap offset 0: the same in every PRE of
+   an instance, and unchanged by [remap_heap]. *)
+let heap_base t = t.heap.Ebpf.Vm.base
 
 (* The per-packet fast path. In-engine a protoop dispatch arrives with
    cold caches — the engine touches packets, frame tables and timers

@@ -4,11 +4,12 @@
     points to the area shared by all pluglets of the plugin, mapped at the
     same window in every VM so heap pointers have the same value in every
     PRE of an instance. The admission pipeline — compile if needed, static
-    verification, closure JIT — runs once per distinct bytecode: a
-    content-addressed program cache shares the compiled program between
-    identical pluglets, so re-admission only pays for a fresh run
-    environment. {!run} then executes the program with no per-call setup,
-    and runtime memory monitoring lives in the VM. *)
+    verification, closure JIT — runs in {!admit}, once per pluglet of a
+    plugin template: a content-addressed program cache shares the compiled
+    program between identical pluglets process-wide. {!instantiate} then
+    builds a PRE from an admitted program by creating its run environment
+    only. {!run} executes the program with no per-call setup, and runtime
+    memory monitoring lives in the VM. *)
 
 exception Rejected of string
 (** The verifier refused the bytecode: the whole plugin is rejected. *)
@@ -18,16 +19,32 @@ type t = {
   op : Protoop.id;
   param : int option;
   anchor : Protoop.anchor;
-  prog : Ebpf.Insn.t array;
   jit : Ebpf.Vm.jit_prog;
     (** compiled once per distinct bytecode (content-addressed cache) *)
   vm : Ebpf.Vm.t;
-  heap_base : int64;
+  mutable heap : Ebpf.Vm.region;
+    (** the plugin heap: same window and base in every PRE of an instance *)
 }
 
-val create : plugin_name:string -> pluglet:Plugin.pluglet -> heap:Bytes.t -> t
-(** @raise Rejected when verification fails
+type program
+(** One pluglet, compiled, verified and jitted: a plugin template holds one
+    per pluglet. *)
+
+val admit : Plugin.pluglet -> program
+(** Compile (PLC source), key and admit a pluglet through the program
+    cache. Counts one cache hit or miss.
+    @raise Rejected when verification fails
     @raise Plc.Compile.Error when source compilation fails *)
+
+val instantiate : plugin_name:string -> program -> heap:Bytes.t -> t
+(** A fresh PRE running the program, with [heap] mapped as the plugin
+    heap. The first PRE built from an admission is the one {!admit}
+    counted; each further one counts a cache hit, as re-admitting the same
+    bytecode would. *)
+
+val remap_heap : t -> Bytes.t -> unit
+(** Swap the heap region's backing for a grown one ({!Ebpf.Vm.remap}):
+    heap addresses pluglets hold stay valid. *)
 
 type cache_counters = {
   entries : int;
@@ -37,18 +54,13 @@ type cache_counters = {
 }
 
 val cache_counters : unit -> cache_counters
-(** Full counters of the node-scope program cache: [hits] admissions
-    served from cache, [misses] full verify+jit compilations,
+(** Full counters of the node-scope program cache: [hits] PREs served from
+    cache (no compilation), [misses] full verify+jit compilations,
     [evictions] entries dropped by the FIFO bound of 4096 entries. *)
 
-val register_helper : ?arity:int -> t -> int -> Ebpf.Vm.helper -> unit
-(** See {!Ebpf.Vm.register_helper}: [arity] declares how many argument
-    registers the helper reads (default 5), trimming per-call boxing. *)
-
-val heap_addr : t -> int -> int64
-(** Translate a plugin-heap offset to the address pluglets see. *)
-
-val heap_offset : t -> int64 -> int
+val heap_base : t -> int64
+(** The address pluglets see for heap offset 0: the same in every PRE of
+    an instance, and unchanged by {!remap_heap}. *)
 
 val run : t -> args:int64 array -> int64
 (** Execute the pluglet's jitted program on its VM (the per-packet fast

@@ -34,13 +34,15 @@ type 'c op_entry = {
   mutable ext : 'c impl option;
 }
 
-(* A built plugin instance: every pluglet compiled, verified and jitted
-   once; the pool is the plugin's shared heap. Instances are host-typed
-   because attaching installs helpers that close over the connection. *)
+(* A built plugin instance: one PRE per pluglet, running the programs of
+   the plugin's template; the pool is the plugin's shared heap and [heap]
+   the pool backing its PREs map. Instances are host-typed because
+   attaching installs helpers that close over the connection. *)
 type 'c instance = {
   plugin : Plugin.t;
   pool : Memory_pool.t;
-  mutable pres : Pre.t list;
+  mutable heap : Bytes.t;
+  pres : Pre.t list;
   opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
   mutable bound : 'c option;     (* connection the instance is bound to *)
 }
@@ -67,9 +69,10 @@ type 'c host = {
   on_detach : 'c -> string -> unit;
       (* transport-side cleanup when a plugin leaves (e.g. PQUIC drops its
          scheduler reservations); called by [Dispatch.remove_plugin] *)
-  install_extra_helpers : 'c -> 'c instance -> Pre.t -> unit;
+  install_extra_helpers : 'c -> 'c instance -> Ebpf.Vm.helper_table -> unit;
       (* transport-specific helpers beyond the generic table (PQUIC:
-         reserve_frames, packet_bytes, recover_packet, create_path) *)
+         reserve_frames, packet_bytes, recover_packet, create_path), added
+         to the table every PRE of the instance shares *)
 }
 
 (* Per-connection plugin state: the protoop registry and the attached

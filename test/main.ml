@@ -10,6 +10,7 @@ let () =
     @ prefixed "netsim" Test_netsim.tests
     @ prefixed "quic" Test_quic.tests
     @ prefixed "pquic" Test_pquic.tests
+    @ prefixed "pluginop" Test_pluginop.tests
     @ prefixed "plugins" Test_plugins.tests
     @ prefixed "trust" Test_trust.tests
     @ prefixed "tcpsim" Test_tcpsim.tests

@@ -209,7 +209,7 @@ let test_trap_falls_back_to_builtin () =
   let op = 150 (* plugin id range, clear of built-ins *) in
   let c = make_conn () in
   let plugin = trapping_replace_plugin op in
-  let inst = C.build_instance plugin in
+  let inst = C.build_instance (C.prepare plugin) in
   ignore (C.attach_instance c inst);
   check Alcotest.bool "attached" true (C.has_plugin c plugin.Pluginop.Plugin.name);
   let buf = Bytes.make 8 'a' in

@@ -209,6 +209,32 @@ let test_attach_then_remove_mid_connection () =
   check Alcotest.bool "transfer completes" true !done_;
   check Alcotest.int "removed pluglets no longer run" attached (executed inst)
 
+(* A refused attach leaves the registry as it found it: the plugin hooks
+   a built-in op, then claims one replace anchor twice and is rolled
+   back. An empty entry left behind would send [update_rtt] through the
+   op stack for the rest of the connection. *)
+let conflicting_plugin =
+  let open Plugins.Dsl in
+  let body = [ ret0 ] in
+  {
+    Pluginop.Plugin.name = "org.test.conflict";
+    pluglets =
+      [
+        pluglet ~op:Pluginop.Protoop.update_rtt ~anchor:Pluginop.Protoop.Post
+          (func "post" [] body);
+        pluglet ~op:op_a ~anchor:Pluginop.Protoop.Replace (func "r1" [] body);
+        pluglet ~op:op_a ~anchor:Pluginop.Protoop.Replace (func "r2" [] body);
+      ];
+  }
+
+let test_refused_attach_leaves_no_entries () =
+  let c = make_conn () in
+  (match C.inject_plugin c conflicting_plugin with
+  | Ok () -> Alcotest.fail "conflicting replace anchors were accepted"
+  | Error _ -> ());
+  check Alcotest.(list string) "no plugin attached" [] (C.plugin_names c);
+  check Alcotest.int "registry empty after the rollback" 0 (count_entries c)
+
 (* A replace pluglet that traps is the only plugin: the built-in behaviour
    serves the op, the sanction names the plugin, and the op stack
    unwinds. *)
@@ -347,6 +373,8 @@ let tests =
         test_plugin_free_registry_empty;
       Alcotest.test_case "attach then remove mid-connection" `Quick
         test_attach_then_remove_mid_connection;
+      Alcotest.test_case "refused attach leaves no entries" `Quick
+        test_refused_attach_leaves_no_entries;
       Alcotest.test_case "trapping replace sanctioned" `Quick
         test_trapping_replace_sanctioned;
       Alcotest.test_case "wide param names no entry" `Quick

@@ -810,14 +810,14 @@ let test_program_cache () =
   let module Pre = Pluginop.Pre in
   let prog = [| I.Alu64 (I.Mov, 0, I.Imm 7l); I.Exit |] in
   let mk () =
-    Pre.create ~plugin_name:"org.test.cache"
-      ~pluglet:
-        {
-          P.op = 150;
-          param = None;
-          anchor = Pluginop.Protoop.Replace;
-          code = P.Bytecode (prog, 64);
-        }
+    Pre.instantiate ~plugin_name:"org.test.cache"
+      (Pre.admit
+         {
+           P.op = 150;
+           param = None;
+           anchor = Pluginop.Protoop.Replace;
+           code = P.Bytecode (prog, 64);
+         })
       ~heap:(Bytes.create 64)
   in
   let a = mk () in

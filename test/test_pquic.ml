@@ -42,6 +42,77 @@ let pool_free_reuse =
         (* after freeing everything, the same allocation succeeds again *)
         Pluginop.Memory_pool.alloc pool size <> None)
 
+(* The pool's backing grows on demand; a reference pool full size from
+   the start ([Pool_ref]) must agree on every offset, every exhaustion,
+   the allocated byte count and the contents, while the backing stays
+   within the capacity, covers every live allocation, and drops back to
+   its initial size, zeroed, on reset. *)
+type pool_op = Alloc of int * char | Free of int | Free_at of int | Reset
+
+let pool_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map2 (fun n c -> Alloc (n, c)) (int_range 1 600) printable);
+        (3, map2 (fun n c -> Alloc (n, c)) (int_range 601 9000) printable);
+        (2, map2 (fun n c -> Alloc (n, c)) (int_range 9001 70000) printable);
+        (4, map (fun k -> Free k) nat);
+        (1, map (fun off -> Free_at off) (int_range 0 300_000));
+        (1, return Reset);
+      ])
+
+let pool_model =
+  let module MP = Pluginop.Memory_pool in
+  qtest ~count:200 "lazily grown pool matches a full-size pool"
+    QCheck2.Gen.(list_size (int_range 1 40) pool_op_gen)
+    (fun ops ->
+      let cap = 256 * 1024 in
+      let pool = MP.create ~size:cap () and model = Pool_ref.create ~size:cap () in
+      let initial = Bytes.length (MP.area pool) in
+      let live = ref [] in
+      let zero b = Bytes.for_all (fun c -> c = '\000') b in
+      let contents_agree () =
+        let backing = MP.area pool and full = Pool_ref.area model in
+        let len = Bytes.length backing in
+        Bytes.equal backing (Bytes.sub full 0 len)
+        && zero (Bytes.sub full len (Bytes.length full - len))
+      in
+      let step op =
+        (match op with
+        | Alloc (n, c) -> (
+          let got = MP.alloc pool n and want = Pool_ref.alloc model n in
+          if got <> want then QCheck2.Test.fail_reportf "alloc %d: offsets differ" n;
+          match got with
+          | Some off ->
+            Bytes.fill (MP.area pool) off n c;
+            Bytes.fill (Pool_ref.area model) off n c;
+            live := (off, n) :: !live
+          | None -> ())
+        | Free k when !live <> [] ->
+          let off, _ = List.nth !live (k mod List.length !live) in
+          if MP.free pool off <> Pool_ref.free model off then
+            QCheck2.Test.fail_reportf "free %d: results differ" off;
+          live := List.filter (fun (o, _) -> o <> off) !live
+        | Free _ -> ()
+        | Free_at off ->
+          if MP.free pool off <> Pool_ref.free model off then
+            QCheck2.Test.fail_reportf "free at %d: results differ" off;
+          live := List.filter (fun (o, _) -> o <> off) !live
+        | Reset ->
+          if not (contents_agree ()) then
+            QCheck2.Test.fail_report "contents differ before reset";
+          MP.reset pool;
+          Pool_ref.reset model;
+          live := [];
+          if Bytes.length (MP.area pool) <> initial || not (zero (MP.area pool))
+          then QCheck2.Test.fail_report "reset: backing not back to initial, zeroed");
+        let len = Bytes.length (MP.area pool) in
+        MP.allocated_bytes pool = Pool_ref.allocated_bytes model
+        && len <= MP.size pool
+        && List.for_all (fun (off, n) -> off + n <= len) !live
+      in
+      List.for_all step ops && contents_agree ())
+
 let test_pool_exhaustion () =
   let pool = Pluginop.Memory_pool.create ~size:1024 () in
   (match Pluginop.Memory_pool.alloc pool 2048 with
@@ -331,7 +402,7 @@ let sanction_conn () =
 let run_sanction (plugin : Pluginop.Plugin.t) =
   let name = plugin.Pluginop.Plugin.name in
   let c = sanction_conn () in
-  let inst = Pquic.Connection.build_instance plugin in
+  let inst = Pquic.Connection.(build_instance (prepare plugin)) in
   ignore (Pquic.Connection.attach_instance c inst);
   check Alcotest.bool (name ^ " attached") true (Pquic.Connection.has_plugin c name);
   let executed () =
@@ -684,6 +755,7 @@ let tests =
       Alcotest.test_case "reset wipes" `Quick test_pool_reset_wipes;
       pool_no_overlap;
       pool_free_reuse;
+      pool_model;
     ]);
     ("scheduler", [
       Alcotest.test_case "fifo per plugin" `Quick test_scheduler_fifo_per_plugin;
