@@ -219,7 +219,6 @@ lib/pluginop/pre.ml:admission_order   Pre program cache eviction order
 lib/pluginop/pre.ml:cache_hits        Pre program cache counter, read by perfbench
 lib/pluginop/pre.ml:cache_misses      Pre program cache counter, read by perfbench
 lib/pluginop/pre.ml:cache_evictions   Pre program cache counter, read by perfbench
-lib/engine/timer_wheel.ml:registry    one wheel per simulator behind TW.shared, which perfbench calls
 lib/core/conn_types.ml:rx_profile     rx profile for bench/e2e.ml, until its retirement (ROADMAP 1c)
 lib/core/conn_types.ml:rx_clock       rx profile clock, until ROADMAP 1c
 lib/core/conn_types.ml:rx_seconds     rx profile accumulator, until ROADMAP 1c
@@ -239,6 +238,71 @@ fi
 stale=$(for g in $names; do echo "$found" | grep -qxF "$g" || echo "$g"; done)
 if [ -n "$stale" ]; then
   echo "allow-listed globals no longer in lib/ (drop them from bin/check.sh):"
+  echo "$stale"; exit 1
+fi
+
+# Write-only-field lint: a mutable record field in lib/ that no code in
+# the repo reads (as `x.f`) is state that only costs memory, and on a
+# path a peer drives it is state the peer can grow. A read on the right
+# of the field's own assignment (`t.f <- t.f + 1`) does not count. Each
+# field left is listed below with the reason it stays; any other fails,
+# and so does an entry that no longer matches.
+echo "== write-only-field lint (lib/)"
+allowed='
+lib/netsim/link.ml:bytes_delivered  test/link_ref.ml differential compares it with the whole record
+'
+found=$(perl -e '
+  my (%src, @decl, %read);
+  for my $f (@ARGV) {
+    local $/; open my $h, "<", $f or die "$f: $!"; my $s = <$h>; close $h;
+    1 while $s =~ s/\(\*(?:(?!\(\*|\*\)).)*\*\)/ /s;
+    $s =~ s/"(?:[^"\\]|\\.)*"/""/g;
+    $src{$f} = $s;
+    if ($f =~ m{^lib/}) {
+      push @decl, "$f:$1" while $s =~ /\bmutable\s+([a-z_][\w\x27]*)\s*:/g;
+    }
+  }
+  for my $s (values %src) {
+    # Blank the field name inside the right-hand side of its own
+    # assignment, which ends at a ; or | at bracket depth 0, at an
+    # unmatched closer, or at a keyword that ends the expression.
+    my @cut;
+    while ($s =~ /\.([a-z_][\w\x27]*)\s*<-/g) {
+      my ($name, $i, $d) = ($1, pos($s), 0);
+      my $start = $i;
+      for (; $i < length $s; $i++) {
+        my $rest = substr($s, $i, 6);
+        my $word = substr($s, $i - 1, 1) !~ /[\w.\x27]/;
+        if ($rest =~ /^[(\[{]/) { $d++ }
+        elsif ($rest =~ /^[)\]}]/) { last if $d == 0; $d-- }
+        elsif ($word && $rest =~ /^begin\b/) { $d++ }
+        elsif ($word && $rest =~ /^(end|done|in|then|else|with|and|let)\b/) {
+          last if $d == 0;
+          $d-- if $1 eq "end";
+        }
+        elsif ($rest =~ /^[;|]/) { last if $d == 0 }
+      }
+      push @cut, [$start, $i, $name];
+    }
+    for (@cut) {
+      my ($a, $b, $name) = @$_;
+      my $seg = substr($s, $a, $b - $a);
+      $seg =~ s/\.\Q$name\E\b/"." . ("\x00" x length $name)/ge;
+      substr($s, $a, $b - $a) = $seg;
+    }
+    $read{$1} = 1 while $s =~ /\.([a-z_][\w\x27]*)\b(?!\s*<-)/g;
+  }
+  for (@decl) { my ($n) = /:(.*)$/; print "$_\n" unless $read{$n} }
+' $(find lib bin bench examples perfbench test -name '*.ml' | sort))
+names=$(echo "$allowed" | awk 'NF {print $1}')
+bad=$(for g in $found; do echo "$names" | grep -qxF "$g" || echo "$g"; done)
+if [ -n "$bad" ]; then
+  echo "mutable fields in lib/ that nothing reads:"
+  echo "$bad"; exit 1
+fi
+stale=$(for g in $names; do echo "$found" | grep -qxF "$g" || echo "$g"; done)
+if [ -n "$stale" ]; then
+  echo "allow-listed write-only fields now read or gone (drop them from bin/check.sh):"
   echo "$stale"; exit 1
 fi
 

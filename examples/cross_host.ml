@@ -98,7 +98,7 @@ let run_tcp () =
       { Net.src; dst; size = String.length pkt; payload = Net.Raw pkt }
   in
   let receiver =
-    Tcpsim.Tcp.create_receiver ~sim
+    Tcpsim.Tcp.create_receiver
       ~transport:(send ~src:client_addr ~dst:server_addr)
       ~on_complete:(fun () -> ())
       ()

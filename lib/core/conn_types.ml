@@ -20,6 +20,10 @@ type Net.payload += Quic_packet of string
 
 let ip_udp_overhead = 28
 
+(* How long a received packet may wait for its ACK (the ack alarm), also
+   the max_ack_delay term of the PTO and persistent-congestion spans. *)
+let max_ack_delay = Sim.of_ms 25.
+
 type role = Client | Server
 
 type state = Handshaking | Established | Closing | Closed | Failed of string
@@ -27,10 +31,7 @@ type state = Handshaking | Established | Closing | Closed | Failed of string
 type config = {
   mtu : int;                (* max QUIC packet size (before IP/UDP) *)
   initial_window : int;
-  ack_delay_ms : float;
   trust_formula : string;   (* validation requirement sent with PLUGIN_VALIDATE *)
-  core_fraction : float;    (* share of the window guaranteed to core frames
-                               when plugins compete (Section 2.3) *)
   cid_pool : int;           (* spare CIDs issued to the peer at establish
                                (NEW_CONNECTION_ID). 0 disables the whole
                                migration machinery — RFC 9000 §9.5: an
@@ -45,8 +46,7 @@ type config = {
 
 let default_config =
   { mtu = 1280; initial_window = Quic.Cc.default_initial_window;
-    ack_delay_ms = 25.; trust_formula = "PV1"; core_fraction = 0.5;
-    cid_pool = 0; lean = false }
+    trust_formula = "PV1"; cid_pool = 0; lean = false }
 
 type path = {
   path_id : int;
@@ -72,7 +72,6 @@ type path_candidate = {
   challenge : int64;
   rotate_to : (int64 * int64) option;
       (* (seq, cid) of the spare we will adopt towards the peer on commit *)
-  mutable probes : int;
   mutable last_probe_at : Sim.time;
   mutable cand_rx : int; (* bytes received from the candidate address *)
   mutable cand_tx : int; (* probe bytes sent to it (amplification credit) *)
@@ -104,7 +103,6 @@ type stream = {
   stream_id : int;
   sendb : Quic.Sendbuf.t;
   recvb : Quic.Recvbuf.t;
-  mutable max_stream_data_remote : int64;
   mutable fin_delivered : bool;
   mutable flow_sent : int; (* highest offset+len ever put on the wire *)
 }
@@ -161,7 +159,6 @@ type 'c host_instance = 'c Pluginop.Types.instance = {
   mutable heap : Bytes.t;        (* pool backing the PREs map *)
   pres : Pluginop.Pre.t list;
   opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
-  mutable bound : 'c option;     (* connection the instance is bound to *)
 }
 
 type t = {
@@ -290,7 +287,6 @@ type t = {
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
   (* name -> reassembly and the bytes read from it so far *)
   plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
-  mutable plugin_proofs : (string * string) list; (* name -> received proof *)
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
   mutable on_plugin_received : Pluginop.Plugin.t -> unit;

@@ -13,6 +13,11 @@ type Netsim.Net.payload += Quic_packet of string
 
 val ip_udp_overhead : int
 
+val max_ack_delay : Netsim.Sim.time
+(** How long a received packet may wait for its ACK (the ack alarm), also
+    the max_ack_delay term of the PTO and persistent-congestion spans:
+    25 ms. *)
+
 type role = Client | Server
 
 type state = Handshaking | Established | Closing | Closed | Failed of string
@@ -20,10 +25,7 @@ type state = Handshaking | Established | Closing | Closed | Failed of string
 type config = {
   mtu : int;                (** max QUIC packet size (before IP/UDP) *)
   initial_window : int;
-  ack_delay_ms : float;
   trust_formula : string;   (** validation requirement sent with PLUGIN_VALIDATE *)
-  core_fraction : float;    (** share of the window guaranteed to core frames
-                                when plugins compete (Section 2.3) *)
   cid_pool : int;
       (** spare CIDs issued to the peer at establish (NEW_CONNECTION_ID).
           0 (the default) disables the whole migration machinery — RFC
@@ -57,7 +59,6 @@ type path_candidate = {
   challenge : int64;
   rotate_to : (int64 * int64) option;
       (** (seq, cid) of the spare adopted towards the peer on commit *)
-  mutable probes : int;
   mutable last_probe_at : Netsim.Sim.time;
   mutable cand_rx : int;
   mutable cand_tx : int;
@@ -93,7 +94,6 @@ type stream = {
   stream_id : int;
   sendb : Quic.Sendbuf.t;
   recvb : Quic.Recvbuf.t;
-  mutable max_stream_data_remote : int64;
   mutable fin_delivered : bool;
   mutable flow_sent : int; (** highest offset+len ever put on the wire *)
 }
@@ -151,7 +151,6 @@ type 'c host_instance = 'c Pluginop.Types.instance = {
   mutable heap : Bytes.t;        (** pool backing the PREs map *)
   pres : Pluginop.Pre.t list;
   opaque : (int, int) Hashtbl.t; (** opaque-data id -> heap offset *)
-  mutable bound : 'c option;     (** connection the instance is bound to *)
 }
 
 type t = {
@@ -267,7 +266,6 @@ type t = {
   plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
       (** incoming plugin transfers: name -> reassembly buffer and the
           bytes already read from it; dropped with the connection *)
-  mutable plugin_proofs : (string * string) list;
   mutable provide_plugin : string -> formula:string -> (string * string) option;
   mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
   mutable on_plugin_received : Pluginop.Plugin.t -> unit;

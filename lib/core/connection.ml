@@ -261,10 +261,12 @@ let commit_candidate c cand =
 let process_core_frame c frame =
   match frame with
   | F.Padding _ | F.Ping -> ()
+  | F.Max_stream_data _ | F.Plugin_proof _ ->
+    (* no stream-level flow control (only connection-level MAX_DATA is
+       enforced), and a proof travels with the plugin on its plugin
+       stream: both are no-ops, so a peer grows no state with them *)
+    ()
   | F.Max_data v -> if v > c.max_data_remote then c.max_data_remote <- v
-  | F.Max_stream_data { id; max } ->
-    let s = Sender.get_stream c id in
-    if max > s.max_stream_data_remote then s.max_stream_data_remote <- max
   | F.Connection_close { reason; _ } ->
     if c.state <> Closed then begin
       c.state <- Closed;
@@ -301,8 +303,6 @@ let process_core_frame c frame =
       if c.cfg.cid_pool > 0 && is_open c then issue_new_cid c)
   | F.Plugin_validate { plugin; formula } ->
     Plugin_host.handle_plugin_validate c ~name:plugin ~formula
-  | F.Plugin_proof { plugin; proof } ->
-    c.plugin_proofs <- (plugin, proof) :: c.plugin_proofs
   | F.Plugin_chunk { plugin; offset; fin; data } ->
     Plugin_host.handle_plugin_chunk c ~name:plugin ~offset ~fin ~data
   | F.Ack _ | F.Crypto _ | F.Stream _ | F.Unknown _ ->
@@ -465,7 +465,7 @@ let process_recovered c buf ~off ~len =
 
 let schedule_ack_alarm c =
   if not (TW.is_armed c.ack_alarm) then
-    TW.arm_delay c.wheel c.ack_alarm ~delay:(Sim.of_ms c.cfg.ack_delay_ms)
+    TW.arm_delay c.wheel c.ack_alarm ~delay:max_ack_delay
 
 (* An authenticated packet arrived from an address no path covers, with
    the migration machinery enabled: start (or keep probing) a §9 path
@@ -507,7 +507,6 @@ let note_new_source c ~src ~probe_scid ~dgsize =
         cand_addr = src;
         challenge = next_challenge c;
         rotate_to;
-        probes = 0;
         last_probe_at = 0L;
         cand_rx = dgsize;
         cand_tx = 0;
@@ -745,7 +744,7 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       peer_params = None;
       ctrl = Queue.create ();
       po = PH.create_state ~host ();
-      sched = Scheduler.create ~core_fraction:cfg.core_fraction;
+      sched = Scheduler.create ();
       plugin_turn = false;
       cur_pn = -1L;
       cur_path = 0;
@@ -759,7 +758,6 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       rx_scratch = None;
       plugin_out = Hashtbl.create 4;
       plugin_in = Hashtbl.create 4;
-      plugin_proofs = [];
       provide_plugin = (fun _ ~formula:_ -> None);
       verify_plugin = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
       on_plugin_received = ignore;

@@ -91,7 +91,7 @@ let set_loss_alarm c =
       let base_timeout =
         Int64.add
           (Int64.mul pto (Int64.of_int (1 lsl min c.pto_backoff 6)))
-          (Sim.of_ms c.cfg.ack_delay_ms)
+          max_ack_delay
       in
       (* retransmission-policy plugins (e.g. Tail Loss Probe) replace this
          operation to shorten or reshape the timer *)
@@ -179,7 +179,7 @@ let note_persistent_congestion c p sp =
     end;
     let duration =
       Int64.mul 3L
-        (Int64.add (Quic.Rtt.pto p.rtt) (Sim.of_ms c.cfg.ack_delay_ms))
+        (Int64.add (Quic.Rtt.pto p.rtt) max_ack_delay)
     in
     if
       Quic.Rtt.samples p.rtt > 0

@@ -1,9 +1,8 @@
 (* Frame scheduler (Section 2.3): plugins book frame slots with
-   reserve_frames; when a packet is built, core frames keep a guaranteed
-   fraction of the payload budget whenever application data is pending, and
-   a deficit round robin distributes the remaining budget between the
-   plugins — so no plugin can starve application data or the other
-   plugins. *)
+   reserve_frames; when a packet is built, the sender alternates between
+   core frames and plugin frames, and a deficit round robin distributes
+   the plugin share of the payload budget between the plugins — so no
+   plugin can starve application data or the other plugins. *)
 
 type reservation = {
   ftype : int;          (* frame type the write_frame protoop will receive *)
@@ -19,14 +18,12 @@ type queue_state = { q : reservation Queue.t; mutable deficit : int }
 type t = {
   queues : (string, queue_state) Hashtbl.t;
   mutable order : string list; (* round-robin order, oldest plugin first *)
-  core_fraction : float;       (* guaranteed share for core frames *)
 }
 
 (* DRR credit per plugin per round, bytes. *)
 let quantum = 600
 
-let create ~core_fraction =
-  { queues = Hashtbl.create 4; order = []; core_fraction }
+let create () = { queues = Hashtbl.create 4; order = [] }
 
 let queue_for t plugin =
   match Hashtbl.find_opt t.queues plugin with
@@ -44,20 +41,12 @@ let pending t =
 
 let has_pending t = pending t > 0
 
-(* Budget available to plugin frames in a packet whose payload capacity is
-   [budget] bytes: when the core has data to send it is guaranteed
-   [core_fraction] of the window, otherwise plugins may use it all. *)
-let plugin_budget t ~budget ~core_has_data =
-  if core_has_data then
-    int_of_float (float_of_int budget *. (1. -. t.core_fraction))
-  else budget
-
 (* Pop reservations fitting in [budget] bytes, deficit-round-robin across
    plugins. Reservations larger than [max_frame] can never ride in any
    packet of this connection and are dropped defensively rather than
    letting them block their queue forever. *)
-let take ?(max_frame = 1400) t ~budget ~core_has_data =
-  let budget = ref (plugin_budget t ~budget ~core_has_data) in
+let take ?(max_frame = 1400) t ~budget =
+  let budget = ref budget in
   let out = ref [] in
   if has_pending t && !budget > 0 then begin
     let progress = ref true in

@@ -1,8 +1,9 @@
 (** Frame scheduler (Section 2.3): plugins book frame slots with
-    reserve_frames; when a packet is built, core frames keep a guaranteed
-    fraction of the payload budget whenever application data is pending,
-    and a deficit round robin distributes the remaining budget between the
-    plugins — no plugin can starve application data or the others. *)
+    reserve_frames. When a packet is built, the sender alternates between
+    core frames and plugin frames (the connection's [plugin_turn]), and a
+    deficit round robin distributes the plugin share of the payload budget
+    between the plugins — no plugin can starve application data or the
+    others. *)
 
 type reservation = {
   ftype : int;           (** frame type the write_frame protoop receives *)
@@ -15,19 +16,15 @@ type reservation = {
 
 type t
 
-val create : core_fraction:float -> t
-(** [core_fraction] is the share of the window guaranteed to core frames
-    (the connection's [config.core_fraction]). The DRR credit per plugin
-    per round is a fixed 600 bytes. *)
+val create : unit -> t
+(** An empty scheduler. The DRR credit per plugin per round is a fixed
+    600 bytes. *)
 
 val reserve : t -> reservation -> unit
 val pending : t -> int
 val has_pending : t -> bool
 
-val plugin_budget : t -> budget:int -> core_has_data:bool -> int
-
-val take :
-  ?max_frame:int -> t -> budget:int -> core_has_data:bool -> reservation list
+val take : ?max_frame:int -> t -> budget:int -> reservation list
 (** Pop reservations fitting [budget] bytes, deficit-round-robin across
     plugins. Reservations larger than [max_frame] (default 1400) can never
     ride in any packet and are dropped rather than blocking their queue. *)

@@ -42,15 +42,14 @@ let stream_has_pending c =
 let plugin_chunks_pending c =
   Hashtbl.fold (fun _ sb acc -> acc || Quic.Sendbuf.has_pending sb) c.plugin_out false
 
-let core_has_data c =
-  stream_has_pending c
+let something_to_send c =
+  c.ack_needed
+  || stream_has_pending c
   || Quic.Sendbuf.has_pending c.crypto_send
   || plugin_chunks_pending c
   || (not (Queue.is_empty c.ctrl))
   || c.max_data_frame_pending
-
-let something_to_send c =
-  c.ack_needed || core_has_data c || Scheduler.has_pending c.sched
+  || Scheduler.has_pending c.sched
 
 (* ------------------------------------------------------------------ *)
 (* Stream table                                                        *)
@@ -65,7 +64,6 @@ let get_stream c id =
         stream_id = id;
         sendb = Quic.Sendbuf.create ();
         recvb = Quic.Recvbuf.create ();
-        max_stream_data_remote = c.local_params.Quic.Transport_params.initial_max_stream_data;
         fin_delivered = false;
         flow_sent = 0;
       }
@@ -270,14 +268,16 @@ let build_and_send_packet c =
       c.plugin_out
   in
   drain_plugin_chunks ();
-  (* plugin-reserved frames and stream data, interleaved so core frames
-     keep their guaranteed share while plugins cannot be starved either *)
+  (* plugin-reserved frames and stream data share each packet: plugins
+     fill first on their turn ([plugin_turn]) or when no stream data
+     waits, stream data fills what is left, and the other side fills
+     after it. The turn stays set while both sides wait, so a standing
+     plugin backlog leaves stream data the tail of every packet: slowed,
+     never starved. *)
   let fill_plugins () =
     let budget = min !room !room_ae in
     if budget > 0 && Scheduler.has_pending c.sched then
-      let taken =
-        Scheduler.take c.sched ~max_frame:capacity ~budget ~core_has_data:false
-      in
+      let taken = Scheduler.take c.sched ~max_frame:capacity ~budget in
       List.iter
         (fun (r : Scheduler.reservation) ->
           let out = Bytes.make r.size '\000' in
@@ -537,7 +537,6 @@ let send_path_probe c (cand : path_candidate) =
         ~dst:cand.cand_addr frames
     in
     cand.cand_tx <- cand.cand_tx + size;
-    cand.probes <- cand.probes + 1;
     cand.last_probe_at <- Sim.now c.sim
   end
 

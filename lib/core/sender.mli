@@ -1,6 +1,6 @@
 (** The send path: stream table, packet building blocks, and the packet
-    assembly loop filling each packet under the Section 2.3 scheduler
-    guarantees. [send_pending] is the body of {!Conn_types.wake}. *)
+    assembly loop, which alternates core and plugin frames (Section 2.3,
+    {!Scheduler}). [send_pending] is the body of {!Conn_types.wake}. *)
 
 open Conn_types
 
@@ -8,7 +8,6 @@ val header_overhead : t -> int
 val payload_capacity : t -> long:bool -> int
 
 val stream_has_pending : t -> bool
-val core_has_data : t -> bool
 val something_to_send : t -> bool
 
 val get_stream : t -> int -> stream

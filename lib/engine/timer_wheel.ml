@@ -367,25 +367,14 @@ let cancel t a =
     end
   end
 
-(* One wheel per simulator, shared by every endpoint on it. Physical
-   equality keyed, small bounded registry (old sims simply fall off). *)
-let registry : (Netsim.Sim.t * t) list ref = ref []
-let registry_cap = 16
+(* One wheel per simulator, shared by every endpoint on it and kept in
+   the simulator's slot, so it goes when the simulator does. *)
+type Netsim.Sim.slot += Wheel of t
 
 let shared sim =
-  let rec find = function
-    | [] -> None
-    | (s, w) :: _ when s == sim -> Some w
-    | _ :: rest -> find rest
-  in
-  match find !registry with
-  | Some w -> w
-  | None ->
-      let w = create sim in
-      let kept =
-        if List.length !registry >= registry_cap then
-          List.filteri (fun i _ -> i < registry_cap - 1) !registry
-        else !registry
-      in
-      registry := (sim, w) :: kept;
-      w
+  match Netsim.Sim.slot sim with
+  | Wheel w -> w
+  | _ ->
+    let w = create sim in
+    Netsim.Sim.set_slot sim (Wheel w);
+    w

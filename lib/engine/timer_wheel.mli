@@ -23,9 +23,9 @@ type alarm
 val create : Netsim.Sim.t -> t
 
 val shared : Netsim.Sim.t -> t
-(** One wheel per simulator, lazily created and memoised (small MRU
-    registry keyed by physical equality). All endpoints on a simulator
-    share it. *)
+(** One wheel per simulator, created on the first call and kept in the
+    simulator's {!Netsim.Sim.slot}: all endpoints on a simulator share
+    it, and it is collected with the simulator. *)
 
 val alarm : (unit -> unit) -> alarm
 (** Allocate an alarm node with the given fire callback. The node is

@@ -36,13 +36,11 @@ type quic_result = {
 (* A GET-style transfer: the client requests, the server answers with
    [size] bytes on the same stream. [plugins] are made available in both
    local caches; [to_inject] drives the plugins_to_inject parameter. *)
-let quic_transfer ?(cfg = Pquic.Connection.default_config)
-    ?(server_cfg = None) ?(plugins = []) ?(to_inject = [])
-    ?(multipath = false) ~topo ~size () =
+let quic_transfer ?(cfg = Pquic.Connection.default_config) ?(plugins = [])
+    ?(to_inject = []) ?(multipath = false) ~topo ~size () =
   let sim = topo.Topology.sim and net = topo.Topology.net in
-  let server_cfg = match server_cfg with Some c -> c | None -> cfg in
   let server =
-    Pquic.Endpoint.create ~cfg:server_cfg ~sim ~net ~addr:topo.Topology.server_addr
+    Pquic.Endpoint.create ~cfg ~sim ~net ~addr:topo.Topology.server_addr
       ~seed:0x5EedL ()
   in
   let extra_addrs =
@@ -106,7 +104,7 @@ let tcp_direct ?(mss = 1460) ~topo ~size () =
   in
   let completed = ref false in
   let receiver =
-    Tcpsim.Tcp.create_receiver ~sim
+    Tcpsim.Tcp.create_receiver
       ~transport:(send ~src:client_addr ~dst:server_addr)
       ~on_complete:(fun () -> completed := true)
       ()
@@ -186,7 +184,7 @@ let tcp_vpn ?(multipath = false) ~topo ~size () =
       let receiver_tx pkt = ignore (Plugins.Datagram.send conn pkt) in
       let sender_tx pkt = ignore (Plugins.Datagram.send sconn pkt) in
       let receiver =
-        Tcpsim.Tcp.create_receiver ~sim ~transport:receiver_tx
+        Tcpsim.Tcp.create_receiver ~transport:receiver_tx
           ~on_complete:(fun () -> completed := true)
           ()
       in

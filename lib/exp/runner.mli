@@ -14,7 +14,6 @@ type quic_result = {
 
 val quic_transfer :
   ?cfg:Pquic.Connection.config ->
-  ?server_cfg:Pquic.Connection.config option ->
   ?plugins:Pluginop.Plugin.t list ->
   ?to_inject:string list ->
   ?multipath:bool ->

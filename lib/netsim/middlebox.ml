@@ -115,12 +115,9 @@ type tracker = {
   flows : (Net.addr * Net.addr, (int64, unit) Hashtbl.t) Hashtbl.t;
       (* 4-tuple -> CIDs seen in client long headers; both directions of
          a flow share one physical table *)
-  mutable cids_learned : int;
-  mutable shorts_passed : int;
 }
 
-let flow_tracker ~wire_of () =
-  { wire_of; flows = Hashtbl.create 8; cids_learned = 0; shorts_passed = 0 }
+let flow_tracker ~wire_of () = { wire_of; flows = Hashtbl.create 8 }
 
 let tracker_flows t = Hashtbl.length t.flows / 2
 
@@ -146,17 +143,9 @@ let examine t ~learn dg =
                Hashtbl.replace t.flows (dg.Net.dst, dg.Net.src) s;
                s
            in
-           if not (Hashtbl.mem set dcid) then begin
-             Hashtbl.replace set dcid ();
-             t.cids_learned <- t.cids_learned + 1
-           end;
-           if String.length w >= 17 then begin
-             let scid = String.get_int64_be w 9 in
-             if not (Hashtbl.mem set scid) then begin
-               Hashtbl.replace set scid ();
-               t.cids_learned <- t.cids_learned + 1
-             end
-           end
+           Hashtbl.replace set dcid ();
+           if String.length w >= 17 then
+             Hashtbl.replace set (String.get_int64_be w 9) ()
          end);
         Ok dg
       end
@@ -164,11 +153,7 @@ let examine t ~learn dg =
         match Hashtbl.find_opt t.flows key with
         | None -> Error "unknown_flow"
         | Some set ->
-          if Hashtbl.mem set dcid then begin
-            t.shorts_passed <- t.shorts_passed + 1;
-            Ok dg
-          end
-          else Error "unknown_cid"
+          if Hashtbl.mem set dcid then Ok dg else Error "unknown_cid"
     end
 
 (* Client side: long headers create/extend flow state. *)

@@ -19,6 +19,11 @@ let to_sec t = Int64.to_float t /. 1e9
 
 type event = { at : int; seq : int; fn : unit -> unit; mutable cancelled : bool }
 
+(* State a layer above keeps per simulator, extended like [Net.payload]:
+   it lives and dies with the simulator, not in a process-wide table. *)
+type slot = ..
+type slot += No_slot
+
 type t = {
   mutable now : time;  (* boxed mirror of [now_ns] *)
   mutable now_ns : int;
@@ -28,6 +33,7 @@ type t = {
   mutable heap : event array;
   mutable size : int;
   mutable next_seq : int;
+  mutable slot : slot;
 }
 
 (* What [pop] returns on an empty heap, so popping allocates no option. *)
@@ -35,9 +41,11 @@ let empty = { at = max_int; seq = max_int; fn = ignore; cancelled = true }
 
 let create () =
   { now = 0L; now_ns = 0; cur_seq = -1;
-    heap = Array.make 256 empty; size = 0; next_seq = 0 }
+    heap = Array.make 256 empty; size = 0; next_seq = 0; slot = No_slot }
 
 let now t = t.now
+let slot t = t.slot
+let set_slot t s = t.slot <- s
 
 let now_ns t = t.now_ns
 

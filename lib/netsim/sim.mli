@@ -21,6 +21,16 @@ type t
 val create : unit -> t
 val now : t -> time
 
+type slot = ..
+(** One piece of state a layer above keeps per simulator (the engine's
+    timer wheel), extended like [Net.payload]. It lives and dies with the
+    simulator. *)
+
+type slot += No_slot  (** what a fresh simulator holds *)
+
+val slot : t -> slot
+val set_slot : t -> slot -> unit
+
 val now_ns : t -> int
 (** {!now} as a native int, without boxing. *)
 

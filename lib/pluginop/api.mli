@@ -38,8 +38,8 @@ val h_run_protoop : int
 
 val h_reserve_frames : int
 (** [reserve_frames(ftype, size, flags, cookie)] — book a frame slot with
-    the CBQ+DRR scheduler; flags bit 0 = retransmittable, bit 1 = not
-    ack-eliciting. *)
+    the frame scheduler (alternation + DRR); flags bit 0 =
+    retransmittable, bit 1 = not ack-eliciting. *)
 
 (** {2 Supporting helpers} *)
 

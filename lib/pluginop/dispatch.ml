@@ -189,14 +189,12 @@ let unhook st name =
    of the connection. The transport cleans up its own side (e.g. PQUIC
    drops the plugin's scheduler reservations) through [on_detach]. *)
 let remove_plugin st c name =
-  match Hashtbl.find_opt st.plugins name with
-  | None -> ()
-  | Some inst ->
-    inst.bound <- None;
+  if Hashtbl.mem st.plugins name then begin
     Hashtbl.remove st.plugins name;
     st.plugin_order <- List.filter (fun n -> n <> name) st.plugin_order;
     st.host.on_detach c name;
     unhook st name
+  end
 
 let kill_plugin st c name reason =
   Log.warn (fun m -> m "killing plugin %s: %s" name reason);

@@ -58,7 +58,6 @@ let build_instance tpl =
     heap;
     pres = List.map (fun p -> Pre.instantiate ~plugin_name p ~heap) tpl.programs;
     opaque = Hashtbl.create 8;
-    bound = None;
   }
 
 (* Attach a built instance to this connection. Rolls the whole plugin back
@@ -70,7 +69,6 @@ let attach_instance st c (inst : _ instance) =
   Memory_pool.reset inst.pool;
   Host_api.sync_heap inst;
   Hashtbl.reset inst.opaque;
-  inst.bound <- Some c;
   Host_api.bind_helpers st c inst;
   (try
      List.iter
@@ -92,7 +90,6 @@ let attach_instance st c (inst : _ instance) =
        inst.pres
    with Injection_failed _ as e ->
      Dispatch.unhook st name;
-     inst.bound <- None;
      raise e);
   Hashtbl.replace st.plugins name inst;
   st.plugin_order <- st.plugin_order @ [ name ];

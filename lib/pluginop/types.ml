@@ -36,15 +36,15 @@ type 'c op_entry = {
 
 (* A built plugin instance: one PRE per pluglet, running the programs of
    the plugin's template; the pool is the plugin's shared heap and [heap]
-   the pool backing its PREs map. Instances are host-typed because
-   attaching installs helpers that close over the connection. *)
+   the pool backing its PREs map. The host type ['c] is a tag only:
+   attaching installs helpers that close over the connection inside the
+   PREs, and the instance keeps no reference to it. *)
 type 'c instance = {
   plugin : Plugin.t;
   pool : Memory_pool.t;
   mutable heap : Bytes.t;
   pres : Pre.t list;
   opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
-  mutable bound : 'c option;     (* connection the instance is bound to *)
 }
 
 (* The HOST interface: everything the plugin machinery needs from a

@@ -146,10 +146,3 @@ let on_lost t ~offset ~len ~fin =
     refresh_retransmit_len t
   end;
   if fin && not t.fin_acked then t.fin_sent <- false
-
-let all_acked t =
-  (match t.acked with
-   | [ (0, l) ] -> l = Buffer.length t.data
-   | [] -> Buffer.length t.data = 0
-   | _ -> false)
-  && (not t.fin || t.fin_acked)

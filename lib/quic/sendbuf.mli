@@ -30,5 +30,3 @@ val next_chunk : t -> max_len:int -> (int * string * bool) option
 val on_acked : t -> offset:int -> len:int -> fin:bool -> unit
 val on_lost : t -> offset:int -> len:int -> fin:bool -> unit
 (** Requeues the range unless a later acknowledgment already covered it. *)
-
-val all_acked : t -> bool

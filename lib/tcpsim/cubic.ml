@@ -11,7 +11,6 @@ type t = {
   mutable k : float;
   mutable epoch_start : float;   (* negative: no epoch running *)
   mutable w_est : float;         (* TCP-friendly estimate *)
-  mutable acked_since : float;
   mutable min_rtt : float;       (* HyStart reference *)
 }
 
@@ -27,7 +26,6 @@ let create ?(mss = 1460) ?(initial_window_segments = 10) () =
     k = 0.;
     epoch_start = -1.;
     w_est = 0.;
-    acked_since = 0.;
     min_rtt = infinity;
   }
 
@@ -76,13 +74,11 @@ let on_ack t ~now ~acked_bytes ~rtt =
       if t.cwnd < t.w_max then
         t.k <- cbrt ((t.w_max -. t.cwnd) /. (c_cubic *. mss))
       else t.k <- 0.;
-      t.w_est <- t.cwnd;
-      t.acked_since <- 0.
+      t.w_est <- t.cwnd
     end;
     let elapsed = now -. t.epoch_start in
     let target = w_cubic t (elapsed +. rtt) in
     (* TCP-friendly region: emulate Reno's 1 MSS per RTT of acked data *)
-    t.acked_since <- t.acked_since +. float_of_int acked_bytes;
     t.w_est <-
       t.w_est
       +. (3. *. (1. -. beta) /. (1. +. beta))

@@ -26,6 +26,10 @@ let f_syn = 1
 let f_ack = 2
 let f_fin = 4
 
+(* The connection id every segment of a sender/receiver pair carries;
+   the pair owns its addresses, so one id is enough. *)
+let conn_id = 1
+
 type segment = {
   conn_id : int;
   seq : int;
@@ -83,7 +87,6 @@ let deserialize pkt =
 type sender = {
   sim : Sim.t;
   mss : int;
-  conn_id : int;
   transport : string -> unit;
   total : int;                     (* bytes of the file to transfer *)
   cubic : Cubic.t;
@@ -223,7 +226,7 @@ let get_field t field index =
         let s = Cubic.ssthresh t.cubic in
         if s = max_int then -1L else i64 s)
   else if field = f_path_active then pathf (fun () -> if t.path_active then 1L else 0L)
-  else if field = f_path_remote_addr then pathf (fun () -> i64 t.conn_id)
+  else if field = f_path_remote_addr then pathf (fun () -> i64 conn_id)
   else if field = f_nb_paths then 1L
   else if field = f_next_pn then i64 t.snd_nxt
   else if field = f_largest_acked then i64 t.snd_una
@@ -311,12 +314,11 @@ let plugin_sanctions t = t.sanctions
 let plugin_fallbacks t = t.fallbacks
 let set_on_message t f = t.on_message <- f
 
-let create_sender ?(mss = 1460) ?(conn_id = 1)
+let create_sender ?(mss = 1460)
     ?(initial_window_segments = 10) ~sim ~transport ~total ~on_done () =
   {
     sim;
     mss;
-    conn_id;
     transport;
     total;
     cubic = Cubic.create ~mss ~initial_window_segments ();
@@ -391,7 +393,7 @@ and on_rto t =
 and transmit_syn t =
   t.transport
     (serialize
-       { conn_id = t.conn_id; seq = 0; ack = 0; flags = f_syn; len = 0; sacks = [] })
+       { conn_id; seq = 0; ack = 0; flags = f_syn; len = 0; sacks = [] })
 
 and transmit_segment t ~seq ~rexmit =
   let len = min t.mss (t.total - seq) in
@@ -406,7 +408,7 @@ and transmit_segment t ~seq ~rexmit =
   t.cur_size <- header_size + len;
   t.cur_has_data <- len > 0;
   t.transport
-    (serialize { conn_id = t.conn_id; seq; ack = 0; flags; len; sacks = [] });
+    (serialize { conn_id; seq; ack = 0; flags; len; sacks = [] });
   ignore
     (run_op t Pluginop.Protoop.packet_was_sent
        [| I (Int64.of_int seq); I 0L; I (Int64.of_int (header_size + len)) |])
@@ -472,7 +474,7 @@ let sender_receive t pkt =
   match deserialize pkt with
   | None -> ()
   | Some seg ->
-    if seg.conn_id = t.conn_id && not t.done_ then begin
+    if seg.conn_id = conn_id && not t.done_ then begin
       t.acks_received <- t.acks_received + 1;
       t.cur_seq <- seg.seq;
       t.cur_size <- header_size + seg.len;
@@ -598,28 +600,22 @@ let sender_receive t pkt =
 (* ------------------------------------------------------------------ *)
 
 type receiver = {
-  r_sim : Sim.t;
-  r_conn_id : int;
   r_transport : string -> unit;
   mutable ranges : (int * int) list; (* received (start, end_) intervals *)
   mutable cum : int;                 (* contiguous frontier *)
   mutable fin_at : int;              (* sequence of FIN end, -1 unknown *)
   mutable complete : bool;
   on_complete : unit -> unit;
-  mutable segments_received : int;
 }
 
-let create_receiver ?(conn_id = 1) ~sim ~transport ~on_complete () =
+let create_receiver ~transport ~on_complete () =
   {
-    r_sim = sim;
-    r_conn_id = conn_id;
     r_transport = transport;
     ranges = [];
     cum = 0;
     fin_at = -1;
     complete = false;
     on_complete;
-    segments_received = 0;
   }
 
 let add_range ranges (s, e) =
@@ -652,15 +648,14 @@ let receiver_receive r pkt =
   match deserialize pkt with
   | None -> ()
   | Some seg ->
-    if seg.conn_id = r.r_conn_id then
+    if seg.conn_id = conn_id then
       if seg.flags land f_syn <> 0 then
         (* SYN-ACK *)
         r.r_transport
           (serialize
-             { conn_id = r.r_conn_id; seq = 0; ack = 0;
+             { conn_id; seq = 0; ack = 0;
                flags = f_syn lor f_ack; len = 0; sacks = [] })
       else begin
-        r.segments_received <- r.segments_received + 1;
         let seg_end =
           seg.seq + seg.len + (if seg.flags land f_fin <> 0 then 1 else 0)
         in
@@ -681,7 +676,7 @@ let receiver_receive r pkt =
         in
         r.r_transport
           (serialize
-             { conn_id = r.r_conn_id; seq = 0; ack = r.cum; flags = f_ack;
+             { conn_id; seq = 0; ack = r.cum; flags = f_ack;
                len = 0; sacks })
       end
 

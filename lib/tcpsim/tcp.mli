@@ -40,7 +40,6 @@ val deserialize : string -> segment option
 type sender = {
   sim : Sim.t;
   mss : int;
-  conn_id : int;
   transport : string -> unit;
   total : int;                       (** bytes of the file to transfer *)
   cubic : Cubic.t;
@@ -88,7 +87,6 @@ val min_rto : float
 
 val create_sender :
   ?mss:int ->
-  ?conn_id:int ->
   ?initial_window_segments:int ->
   sim:Sim.t ->
   transport:(string -> unit) ->
@@ -151,20 +149,15 @@ val set_on_message : sender -> (string -> unit) -> unit
 (** {2 Receiver} *)
 
 type receiver = {
-  r_sim : Sim.t;
-  r_conn_id : int;
   r_transport : string -> unit;
   mutable ranges : (int * int) list;
   mutable cum : int;
   mutable fin_at : int;
   mutable complete : bool;
   on_complete : unit -> unit;
-  mutable segments_received : int;
 }
 
 val create_receiver :
-  ?conn_id:int ->
-  sim:Sim.t ->
   transport:(string -> unit) ->
   on_complete:(unit -> unit) ->
   unit ->

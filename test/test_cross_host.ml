@@ -203,7 +203,7 @@ let test_monitoring_and_aimd_on_tcp () =
   in
   let completed = ref false in
   let receiver =
-    Tcp.create_receiver ~sim
+    Tcp.create_receiver
       ~transport:(send ~src:client_addr ~dst:server_addr)
       ~on_complete:(fun () -> completed := true)
       ()

@@ -295,6 +295,19 @@ let test_wide_param_names_no_entry () =
   check Alcotest.bool "nor does any param past u16" false
     (D.has_entry c.C.po Pluginop.Protoop.write_frame (Some (0x10000 + ft)))
 
+(* Forge a 1-RTT packet carrying [payload] and hand it to [c] as if its
+   peer had sent it. *)
+let receive_forged c payload =
+  let header =
+    { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false; dcid = 1L;
+      scid = 2L; pn = 0L }
+  in
+  let packet = Quic.Packet.protect ~key:c.C.key { Quic.Packet.header; payload } in
+  let p = c.C.paths.(0) in
+  C.receive_datagram c
+    { Netsim.Net.src = p.C.remote_addr; dst = p.C.local_addr;
+      size = String.length packet; payload = C.Quic_packet packet }
+
 (* The same frame type forged on the wire is an unknown frame: the
    connection fails on it and no plugin is blamed for the peer's bytes. *)
 let test_wide_ftype_on_wire () =
@@ -308,18 +321,34 @@ let test_wide_ftype_on_wire () =
     Buffer.add_string b "\x00\x05hello";
     Buffer.contents b
   in
-  let header =
-    { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false; dcid = 1L;
-      scid = 2L; pn = 0L }
-  in
-  let packet = Quic.Packet.protect ~key:c.C.key { Quic.Packet.header; payload } in
-  let p = c.C.paths.(0) in
-  C.receive_datagram c
-    { Netsim.Net.src = p.C.remote_addr; dst = p.C.local_addr;
-      size = String.length packet; payload = C.Quic_packet packet };
+  receive_forged c payload;
   check Alcotest.string "unknown frame type"
     (Printf.sprintf "unknown frame type 0x%x" wide_ftype) c.C.close_reason;
   check Alcotest.int "no plugin sanctioned" 0 (C.stats c).C.plugin_sanctions
+
+(* Frames that change nothing grow nothing: MAX_STREAM_DATA naming 100
+   fresh stream ids opens no stream (there is no stream-level flow
+   control), and PLUGIN_PROOF frames are not kept (a proof travels with
+   its plugin on the plugin stream). *)
+let test_hostile_frames_grow_no_state () =
+  let c = make_conn () in
+  let streams = Hashtbl.length c.C.streams in
+  let words = Obj.reachable_words (Obj.repr c) in
+  let frames =
+    List.init 100 (fun k ->
+        Quic.Frame.Max_stream_data { id = 4 * (k + 1); max = 1_000_000L })
+    @ List.init 4 (fun k ->
+          Quic.Frame.Plugin_proof
+            { plugin = Printf.sprintf "org.test.p%d" k;
+              proof = String.make 64 'p' })
+  in
+  receive_forged c (String.concat "" (List.map Frame_ref.to_string frames));
+  check Alcotest.string "connection still open" "" c.C.close_reason;
+  check Alcotest.int "no stream opened" streams (Hashtbl.length c.C.streams);
+  let grown = (Obj.reachable_words (Obj.repr c) - words) * (Sys.word_size / 8) in
+  check Alcotest.bool
+    (Printf.sprintf "connection grew %d B (< 10 kB)" grown)
+    true (grown < 10_000)
 
 (* Nor may a pluglet bring one in: reserving a frame of that type, or
    running an operation with it as the param, is an API violation. *)
@@ -383,5 +412,7 @@ let tests =
         test_wide_ftype_on_wire;
       Alcotest.test_case "wide frame type from a pluglet" `Quick
         test_wide_ftype_from_pluglet;
+      Alcotest.test_case "hostile frames grow no state" `Quick
+        test_hostile_frames_grow_no_state;
     ]);
   ]

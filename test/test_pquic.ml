@@ -150,22 +150,14 @@ let reservation ?(size = 100) ?(plugin = "p") ?(ae = true) cookie =
     ack_eliciting = ae; cookie = Int64.of_int cookie; plugin }
 
 let test_scheduler_fifo_per_plugin () =
-  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
+  let s = Pquic.Scheduler.create () in
   List.iter (fun k -> Pquic.Scheduler.reserve s (reservation k)) [ 1; 2; 3 ];
-  let taken = Pquic.Scheduler.take s ~budget:1000 ~core_has_data:false in
+  let taken = Pquic.Scheduler.take s ~budget:1000 in
   check (Alcotest.list Alcotest.int) "fifo order" [ 1; 2; 3 ]
     (List.map (fun r -> Int64.to_int r.Pquic.Scheduler.cookie) taken)
 
-let test_scheduler_core_guarantee () =
-  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
-  List.iter (fun k -> Pquic.Scheduler.reserve s (reservation ~size:400 k)) [ 1; 2; 3 ];
-  (* with core data pending, plugins only get half the 1000-byte budget *)
-  let taken = Pquic.Scheduler.take s ~budget:1000 ~core_has_data:true in
-  check Alcotest.int "only one 400B frame fits the plugin share" 1
-    (List.length taken)
-
 let test_scheduler_drr_fairness () =
-  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
+  let s = Pquic.Scheduler.create () in
   (* plugin a floods; plugin b reserves a little: b must not starve *)
   for k = 0 to 19 do
     Pquic.Scheduler.reserve s (reservation ~plugin:"a" ~size:500 k)
@@ -174,7 +166,7 @@ let test_scheduler_drr_fairness () =
   let rec drain acc n =
     if n = 0 then acc
     else
-      let taken = Pquic.Scheduler.take s ~budget:1200 ~core_has_data:false in
+      let taken = Pquic.Scheduler.take s ~budget:1200 in
       drain (acc @ taken) (n - 1)
   in
   let taken = drain [] 4 in
@@ -182,12 +174,76 @@ let test_scheduler_drr_fairness () =
     (List.exists (fun r -> r.Pquic.Scheduler.plugin = "b") taken)
 
 let test_scheduler_oversize_dropped () =
-  let s = Pquic.Scheduler.create ~core_fraction:0.5 in
+  let s = Pquic.Scheduler.create () in
   Pquic.Scheduler.reserve s (reservation ~size:5000 1);
   Pquic.Scheduler.reserve s (reservation ~size:100 2);
-  let taken = Pquic.Scheduler.take s ~max_frame:1400 ~budget:1200 ~core_has_data:false in
+  let taken = Pquic.Scheduler.take s ~max_frame:1400 ~budget:1200 in
   check (Alcotest.list Alcotest.int) "oversize dropped, next served" [ 2 ]
     (List.map (fun r -> Int64.to_int r.Pquic.Scheduler.cookie) taken)
+
+(* The scheduler in the engine: a plugin floods 20,000 full 600 B
+   reservations onto the server connection when the GET arrives. Stream
+   data shares every packet with the flood, so the 2 MB answer keeps
+   arriving in every 50 ms window while the flood is queued, and
+   completes. *)
+let test_no_starvation_in_engine () =
+  let size = 2_000_000 in
+  let topo =
+    Topology.single_path ~seed:5L
+      { Topology.d_ms = 10.; bw_mbps = 100.; loss = 0. }
+  in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let server = Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L () in
+  let client =
+    Pquic.Endpoint.create ~sim ~net ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
+  in
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  let sconn = ref None in
+  server.Pquic.Endpoint.on_connection <-
+    (fun c ->
+      sconn := Some c;
+      (* each flood frame is a PING (type 0x01) whose 599 B body of
+         zeros the peer reads as PADDING *)
+      Pluginop.Dispatch.register_native c.Pquic.Connection.po
+        Pluginop.Protoop.write_frame "flood" (fun _ _ -> 599L);
+      c.Pquic.Connection.on_stream_data <-
+        (fun id _ ~fin ->
+          if fin then begin
+            for k = 1 to 20_000 do
+              Pquic.Scheduler.reserve c.Pquic.Connection.sched
+                { (reservation ~size:600 ~plugin:"flood" k) with ftype = 0x01 }
+            done;
+            Pquic.Connection.write_stream c ~id ~fin:true (String.make size 'x')
+          end));
+  let flooding () =
+    match !sconn with
+    | Some c -> Pquic.Scheduler.has_pending c.Pquic.Connection.sched
+    | None -> false
+  in
+  let conn = Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr in
+  let received = ref 0 and finished = ref false in
+  conn.Pquic.Connection.on_established <-
+    (fun () -> Pquic.Connection.write_stream conn ~id:0 ~fin:true "GET");
+  conn.Pquic.Connection.on_stream_data <-
+    (fun _ data ~fin ->
+      received := !received + String.length data;
+      if fin then finished := true);
+  let windows = ref 0 and starved = ref 0 in
+  while (not !finished) && Sim.to_sec (Sim.now sim) < 30. do
+    let before = !received and flooded = flooding () in
+    ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_ms 50.)) sim);
+    if flooded && flooding () then begin
+      incr windows;
+      if !received = before then incr starved
+    end
+  done;
+  check Alcotest.bool "GET completes under the flood" true !finished;
+  check Alcotest.int "every byte arrives" size !received;
+  check Alcotest.bool "the flood outlasts several windows" true (!windows >= 5);
+  check Alcotest.int
+    (Printf.sprintf "windows of the flood without stream data (of %d)" !windows)
+    0 !starved
 
 (* ------------------------ plugin serialization ------------------------ *)
 
@@ -759,9 +815,9 @@ let tests =
     ]);
     ("scheduler", [
       Alcotest.test_case "fifo per plugin" `Quick test_scheduler_fifo_per_plugin;
-      Alcotest.test_case "core guarantee" `Quick test_scheduler_core_guarantee;
       Alcotest.test_case "drr fairness" `Quick test_scheduler_drr_fairness;
       Alcotest.test_case "oversize dropped" `Quick test_scheduler_oversize_dropped;
+      Alcotest.test_case "no starvation in the engine" `Quick test_no_starvation_in_engine;
     ]);
     ("plugin_format", [
       Alcotest.test_case "serialize roundtrip" `Quick plugin_serialize_roundtrip;

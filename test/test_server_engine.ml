@@ -224,6 +224,32 @@ let test_shared_wheel_per_sim () =
   check Alcotest.bool "different sim, different wheel" false
     (TW.shared s1 == TW.shared s2)
 
+(* The wheel belongs to its simulator: however many other simulators ask
+   for theirs in between, [shared] hands a simulator back the same one. *)
+let test_shared_wheel_outlives_others () =
+  let s1 = Sim.create () in
+  let w = TW.shared s1 in
+  for _ = 1 to 16 do ignore (TW.shared (Sim.create ())) done;
+  check Alcotest.bool "same wheel after 16 other simulators" true
+    (TW.shared s1 == w)
+
+(* Nor does anything outlive a simulation: once a finished transfer is
+   dropped, its simulator (and the wheel, endpoints and connections it
+   reaches) is collected. *)
+let[@inline never] finished_transfer (weak : Sim.t Weak.t) =
+  let topo =
+    Topology.single_path ~seed:3L
+      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  Weak.set weak 0 (Some topo.Topology.sim);
+  Option.is_some (Exp.Runner.quic_transfer ~topo ~size:20_000 ())
+
+let test_dropped_simulation_collected () =
+  let weak = Weak.create 1 in
+  check Alcotest.bool "transfer completes" true (finished_transfer weak);
+  Gc.full_major ();
+  check Alcotest.bool "simulator collected" false (Weak.check weak 0)
+
 (* ------------------------------------------------------------------ *)
 (* Connection table                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -470,6 +496,10 @@ let tests =
           test_arm_cancel_alloc_free;
         Alcotest.test_case "one shared wheel per sim" `Quick
           test_shared_wheel_per_sim;
+        Alcotest.test_case "wheel outlives other simulators" `Quick
+          test_shared_wheel_outlives_others;
+        Alcotest.test_case "dropped simulation collected" `Quick
+          test_dropped_simulation_collected;
       ] );
     ( "conn_table",
       [

@@ -133,7 +133,7 @@ let test_reordering_tolerance () =
   let completed = ref false in
   let receiver_tx = ref (fun _ -> ()) in
   let receiver =
-    Tcp.create_receiver ~sim ~transport:(fun pkt -> !receiver_tx pkt)
+    Tcp.create_receiver ~transport:(fun pkt -> !receiver_tx pkt)
       ~on_complete:(fun () -> completed := true) ()
   in
   let sender =
