@@ -19,7 +19,8 @@
      bytes/idle conn       GC live-word delta across the population
 
    Cells: 10k / 100k / 1M concurrent connections (--smoke: 1k, prints
-   but never writes the JSON). The 10k cell additionally re-runs with
+   but never writes the JSON, and fails when an idle connection holds
+   more than [smoke_bytes_per_conn]). The 10k cell additionally re-runs with
    every connection injecting the monitoring plugin and reports the
    global content-addressed program-cache hit rate (one verify+JIT for
    the whole population is the target: hit rate >= 99%). *)
@@ -360,6 +361,11 @@ let show c =
     | None -> ""
     | Some p -> Printf.sprintf ", plugin cache %.2f%% hit" (100. *. p.hit_rate))
 
+(* Memory gate of the smoke run: about twice the 4,435 B an idle lean
+   connection held once send buffers kept only unacknowledged bytes and
+   the protoop registry was built on first use (11,795 B before). *)
+let smoke_bytes_per_conn = 9_000.
+
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let timer = timer_micro () in
@@ -372,6 +378,11 @@ let () =
     let c = { c with plugin = Some (plugin_probe 1_000) } in
     show c;
     if c.plugin = None then exit 1;
+    if c.bytes_per_conn > smoke_bytes_per_conn then begin
+      Printf.eprintf "idle connections hold %.0f B each, ceiling %.0f\n"
+        c.bytes_per_conn smoke_bytes_per_conn;
+      exit 1
+    end;
     Printf.printf "smoke ok (no JSON written)\n"
   end
   else begin

@@ -246,7 +246,8 @@ type t = {
   stream_rr : int Queue.t; (* round-robin rotation order *)
   crypto_send : Quic.Sendbuf.t;
   crypto_recv : Quic.Recvbuf.t;
-  crypto_acc : Buffer.t; (* contiguous crypto bytes read so far *)
+  mutable crypto_acc : string;
+  (* contiguous crypto bytes read so far; emptied once [crypto_done] *)
   mutable crypto_done : bool;
   (* flow control *)
   mutable max_data_local : int64;

@@ -226,7 +226,7 @@ type t = {
   stream_rr : int Queue.t; (** round-robin rotation order *)
   crypto_send : Quic.Sendbuf.t;
   crypto_recv : Quic.Recvbuf.t;
-  crypto_acc : Buffer.t;
+  mutable crypto_acc : string;
   mutable crypto_done : bool;
   (* flow control *)
   mutable max_data_local : int64;

@@ -169,8 +169,8 @@ let encode_params params =
 
 let try_handshake_progress c =
   if not c.crypto_done then begin
-    Buffer.add_string c.crypto_acc (Quic.Recvbuf.read c.crypto_recv);
-    let blob = Buffer.contents c.crypto_acc in
+    let blob = c.crypto_acc ^ Quic.Recvbuf.read c.crypto_recv in
+    c.crypto_acc <- blob;
     begin
       if String.length blob >= 2 then begin
         let len = String.get_uint16_be blob 0 in
@@ -178,6 +178,7 @@ let try_handshake_progress c =
           let params = TP.decode (String.sub blob 2 len) in
           c.peer_params <- Some params;
           c.crypto_done <- true;
+          c.crypto_acc <- "";
           c.max_data_remote <- params.TP.initial_max_data;
           ignore (run_op c Protoop.process_transport_params [||]);
           match c.role with
@@ -733,7 +734,7 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       stream_rr = Queue.create ();
       crypto_send = Quic.Sendbuf.create ();
       crypto_recv = Quic.Recvbuf.create ();
-      crypto_acc = Buffer.create 256;
+      crypto_acc = "";
       crypto_done = false;
       max_data_local = local_params.TP.initial_max_data;
       max_data_remote = TP.default.TP.initial_max_data;

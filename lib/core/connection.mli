@@ -39,6 +39,9 @@ val rebind : t -> new_local:Netsim.Net.addr -> unit
 (** {2 Streams} *)
 
 val write_stream : t -> id:int -> ?fin:bool -> string -> unit
+(** Queue [data] on stream [id], opening the stream if needed; [~fin]
+    ends it. The string is retained by reference, not copied, until the
+    peer has acknowledged it (see {!Quic.Sendbuf}). *)
 
 (** {2 Plugins} *)
 

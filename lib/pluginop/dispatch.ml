@@ -17,8 +17,7 @@
 
 open Types
 
-let is_builtin st op param =
-  param = None && op >= 0 && op < Array.length st.builtin_ops
+let is_builtin op param = param = None && op >= 0 && op < Protoop.first_plugin_op
 
 (* Operation parameters are frame types, which a plugin manifest carries
    as u16 ({!Plugin.deserialize}). A larger one — a frame type a peer
@@ -36,7 +35,8 @@ let stack_key op param =
   (op lsl 21) lor (match param with None -> 0 | Some p -> p + 1)
 
 let find_entry st op param =
-  if is_builtin st op param then st.builtin_ops.(op)
+  if is_builtin op param then
+    if op < Array.length st.builtin_ops then st.builtin_ops.(op) else None
   else if param_in_range param then Hashtbl.find_opt st.ops (stack_key op param)
   else None
 
@@ -49,7 +49,11 @@ let entry st op param =
     if not (param_in_range param) then
       invalid_arg "Dispatch.entry: param outside the u16 frame-type range";
     let e = { replace = None; pre = []; post = []; ext = None } in
-    if is_builtin st op param then st.builtin_ops.(op) <- Some e
+    if is_builtin op param then begin
+      if Array.length st.builtin_ops = 0 then
+        st.builtin_ops <- Array.make Protoop.first_plugin_op None;
+      st.builtin_ops.(op) <- Some e
+    end
     else Hashtbl.replace st.ops (stack_key op param) e;
     e
 
@@ -86,6 +90,16 @@ let register_native st op name fn =
    exposing the record fields. *)
 let builtin_capacity st = Array.length st.builtin_ops
 let hashed_entries st = Hashtbl.length st.ops
+
+(* Called when the stack is full: allocate it, at its full depth of 256
+   (see {!Types.state}), on a connection's first tracked operation;
+   false once it is allocated, when the push overflows. *)
+let grow_stack st =
+  if Array.length st.op_stack > 0 then false
+  else begin
+    st.op_stack <- Array.make 256 0;
+    true
+  end
 
 (* Region names for pluglet argument buffers, precomputed: this runs on
    every protoop invocation, and protoops take at most five arguments. *)
@@ -275,7 +289,8 @@ let run_op st c op ?param ?(default = fun _ _ -> 0L) (args : arg array) =
            (Protoop.name op));
       0L
     end
-    else if st.op_sp >= Array.length st.op_stack then begin
+    else if st.op_sp >= Array.length st.op_stack && not (grow_stack st)
+    then begin
       st.host.fail c "protocol operation stack overflow";
       0L
     end

@@ -7,13 +7,14 @@
 
 open Types
 
-(* Fresh per-connection plugin state: an empty registry. *)
+(* Fresh per-connection plugin state: an empty registry, whose dense
+   array and operation stack [Dispatch] allocates on first use. *)
 let create_state ~host () =
   {
     host;
-    builtin_ops = Array.make Protoop.first_plugin_op None;
+    builtin_ops = [||];
     ops = Hashtbl.create 16;
-    op_stack = Array.make 256 0;
+    op_stack = [||];
     op_sp = 0;
     plugins = Hashtbl.create 4;
     plugin_order = [];

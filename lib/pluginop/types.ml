@@ -80,22 +80,26 @@ type 'c host = {
    operations dispatch through a dense array so the per-packet hot path
    never hashes; parameterized and plugin-registered ids live in the
    hashtable. Only attaching a plugin and [Dispatch.register_native]
-   create entries: dispatch itself only reads the registry. *)
+   create entries: dispatch itself only reads the registry. The dense
+   array and the running-operation stack start empty and are allocated
+   on first use, so a connection nothing hooks pays for neither. *)
 type 'c state = {
   host : 'c host;
-  builtin_ops : 'c op_entry option array;
+  mutable builtin_ops : 'c op_entry option array;
+  (* [||] until the first built-in entry, then one slot per built-in id *)
   ops : (int, 'c op_entry) Hashtbl.t;
   (* keyed by the same [op lsl 21 lor (param + 1)] encoding as [op_stack]
      below: an immediate int key hashes in a few instructions and the
      lookup allocates nothing, where an [(int * int option)] tuple key
      cost a 3-word allocation plus a structural hash on every dispatch *)
-  (* The running-operation stack, as a preallocated int stack: each frame
-     is [op lsl 21 lor (param + 1)] ([lor 0] when unparameterized). The
-     encoding keeps the per-dispatch bookkeeping allocation-free — run_op
-     sits on every frame of every packet. Depth is bounded by the op-graph
-     loop check itself (a repeated op terminates the connection), 256 is
-     far beyond any legal chain. *)
-  op_stack : int array;
+  (* The running-operation stack, as an int stack allocated at full depth
+     on the first push: each frame is [op lsl 21 lor (param + 1)] ([lor 0]
+     when unparameterized). The encoding keeps the per-dispatch
+     bookkeeping allocation-free — run_op sits on every frame of every
+     packet. Depth is bounded by the op-graph loop check itself (a
+     repeated op terminates the connection), 256 is far beyond any legal
+     chain. *)
+  mutable op_stack : int array;
   mutable op_sp : int;
   plugins : (string, 'c instance) Hashtbl.t;
   mutable plugin_order : string list;

@@ -85,7 +85,8 @@ let read t =
     (* drop fully consumed segments *)
     t.segments <-
       List.filter (fun (o, d) -> o + String.length d > t.read_offset) t.segments;
-    Bytes.to_string out
+    (* [out] is fresh and never written again: hand it over uncopied *)
+    Bytes.unsafe_to_string out
   end
 
 let contiguous t = t.highest

@@ -1,11 +1,21 @@
 (** Sender-side stream buffer: application data queued at increasing
     offsets, chunked for transmission, retransmitted on loss and released
-    once acknowledged. Offsets are absolute from the stream start. *)
+    once acknowledged. Offsets are absolute from the stream start.
+
+    The buffer holds the written strings themselves, not a copy, and
+    starts empty. After each {!on_acked} it releases every written string
+    that lies wholly below both the end of the acknowledged prefix (the
+    bytes from offset 0 up to the first gap) and the offset of the first
+    queued retransmission. A string straddling that limit stays whole
+    until the limit passes its end. *)
 
 type t
 
 val create : unit -> t
 val write : t -> string -> unit
+(** Queue a string. It is retained by reference, not copied, until it is
+    released. *)
+
 val finish : t -> unit
 (** Mark the stream end; the FIN rides on (or after) the last chunk. *)
 
@@ -21,7 +31,10 @@ val next_span : t -> max_len:int -> (int * int * bool) option
     with {!blit}. *)
 
 val blit : t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
-(** Copy queued bytes straight into a wire buffer. *)
+(** Copy queued bytes straight into a wire buffer. The range may span
+    several written strings.
+    @raise Invalid_argument if it reaches into released bytes or past
+    the end of the written data. *)
 
 val next_chunk : t -> max_len:int -> (int * string * bool) option
 (** Copying variant of {!next_span}, for callers outside the pooled

@@ -11,6 +11,7 @@ let () =
     @ prefixed "quic" Test_quic.tests
     @ prefixed "pquic" Test_pquic.tests
     @ prefixed "pluginop" Test_pluginop.tests
+    @ prefixed "core" Test_core.tests
     @ prefixed "plugins" Test_plugins.tests
     @ prefixed "trust" Test_trust.tests
     @ prefixed "tcpsim" Test_tcpsim.tests

@@ -5,8 +5,8 @@ module F = Quic.Frame
 
 let check = Alcotest.check
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 300) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* ----------------------------- varint -------------------------------- *)
 
@@ -421,6 +421,134 @@ let test_sendbuf_acked_not_retransmitted () =
   Quic.Sendbuf.on_lost sb ~offset:0 ~len:100 ~fin:false;
   check Alcotest.bool "ack wins over loss" false (Quic.Sendbuf.has_pending sb)
 
+(* Differential test against [Sendbuf_ref], the Buffer-backed send
+   buffer that keeps every byte: random writes (empty ones and runs of
+   small ones included), FIN, spans of random size, and each emitted span
+   acknowledged or lost once, in any order — the transport's discipline
+   (a packet leaves the in-flight table when it is acked or declared
+   lost). Both must hand out the same spans and bytes and answer every
+   query alike; the real buffer must also have released every written
+   string lying wholly below the release limit. *)
+type sendbuf_op =
+  | Sb_write of string
+  | Sb_writes of int * int (* that many writes of that size *)
+  | Sb_finish
+  | Sb_send of int (* max_len *)
+  | Sb_resolve of int * bool (* in-flight span index, acked? *)
+
+let sendbuf_op_to_string = function
+  | Sb_write s -> Printf.sprintf "write %d" (String.length s)
+  | Sb_writes (n, len) -> Printf.sprintf "writes %dx%d" n len
+  | Sb_finish -> "finish"
+  | Sb_send m -> Printf.sprintf "send %d" m
+  | Sb_resolve (i, a) -> Printf.sprintf "%s #%d" (if a then "ack" else "lose") i
+
+let gen_sendbuf_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Sb_write s) (string_size ~gen:printable (int_range 0 300)));
+        (1, map2 (fun n len -> Sb_writes (n, len)) (int_range 1 20) (int_range 0 4));
+        (1, return Sb_finish);
+        (5, map (fun m -> Sb_send m) (int_range 0 150));
+        (5, map2 (fun i a -> Sb_resolve (i, a)) nat (frequency [ (3, return true); (1, return false) ]));
+      ])
+
+(* The limit below which every chunk must be gone: the end of the
+   acknowledged prefix, capped by the first queued retransmission. *)
+let release_limit (m : Sendbuf_ref.t) =
+  let prefix = match m.Sendbuf_ref.acked with (0, l) :: _ -> l | _ -> 0 in
+  match m.Sendbuf_ref.retransmit with (o, _) :: _ -> min o prefix | [] -> prefix
+
+let released sb off =
+  match Quic.Sendbuf.blit sb ~off ~len:1 (Bytes.create 1) ~dst_off:0 with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let sendbuf_matches_reference =
+  qtest ~count:500 "sendbuf matches its Buffer-backed reference"
+    ~print:(fun ops -> String.concat "; " (List.map sendbuf_op_to_string ops))
+    QCheck2.Gen.(list_size (int_range 0 120) gen_sendbuf_op)
+    (fun ops ->
+      let sb = Quic.Sendbuf.create () and m = Sendbuf_ref.create () in
+      let finished = ref false in
+      let written = ref [] (* (start, len) of non-empty writes, newest first *) in
+      let inflight = ref [] in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+      let write s =
+        if not !finished then begin
+          if s <> "" then written := (Quic.Sendbuf.total_written sb, String.length s) :: !written;
+          Quic.Sendbuf.write sb s;
+          Sendbuf_ref.write m s
+        end
+      in
+      let resolve (off, len, fin) acked =
+        if acked then begin
+          Quic.Sendbuf.on_acked sb ~offset:off ~len ~fin;
+          Sendbuf_ref.on_acked m ~offset:off ~len ~fin
+        end
+        else begin
+          Quic.Sendbuf.on_lost sb ~offset:off ~len ~fin;
+          Sendbuf_ref.on_lost m ~offset:off ~len ~fin
+        end
+      in
+      let step = function
+        | Sb_write s -> write s
+        | Sb_writes (n, len) ->
+          for i = 1 to n do write (String.make len (Char.chr (97 + (i mod 26)))) done
+        | Sb_finish ->
+          finished := true;
+          Quic.Sendbuf.finish sb;
+          Sendbuf_ref.finish m
+        | Sb_send max_len -> (
+          let got = Quic.Sendbuf.next_span sb ~max_len in
+          if got <> Sendbuf_ref.next_span m ~max_len then fail "spans differ";
+          match got with
+          | None -> ()
+          | Some ((off, len, _) as span) ->
+            let a = Bytes.make len '?' and b = Bytes.make len '!' in
+            Quic.Sendbuf.blit sb ~off ~len a ~dst_off:0;
+            Sendbuf_ref.blit m ~off ~len b ~dst_off:0;
+            if not (Bytes.equal a b) then fail "bytes differ at %d+%d" off len;
+            inflight := !inflight @ [ span ])
+        | Sb_resolve (i, acked) -> (
+          match !inflight with
+          | [] -> ()
+          | l ->
+            let k = i mod List.length l in
+            resolve (List.nth l k) acked;
+            inflight := List.filteri (fun j _ -> j <> k) l)
+      in
+      let agree () =
+        if Quic.Sendbuf.has_pending sb <> Sendbuf_ref.has_pending m then fail "has_pending";
+        if Quic.Sendbuf.has_new sb <> Sendbuf_ref.has_new m then fail "has_new";
+        if Quic.Sendbuf.has_retransmissions sb <> Sendbuf_ref.has_retransmissions m then
+          fail "has_retransmissions";
+        if Quic.Sendbuf.pending_bytes sb <> Sendbuf_ref.pending_bytes m then fail "pending_bytes";
+        if Quic.Sendbuf.total_written sb <> Sendbuf_ref.total_written m then fail "total_written";
+        let limit = release_limit m in
+        List.iter
+          (fun (start, len) ->
+            if start + len <= limit && not (released sb (start + len - 1)) then
+              fail "string at %d+%d retained below the release limit %d" start len limit)
+          !written
+      in
+      List.iter (fun op -> step op; agree ()) ops;
+      (* drain: every span sent and acknowledged leaves nothing behind *)
+      let rec drain n =
+        if n > 0 && (Quic.Sendbuf.has_pending sb || !inflight <> []) then begin
+          step (Sb_send 97);
+          (match !inflight with span :: rest -> resolve span true; inflight := rest | [] -> ());
+          agree ();
+          drain (n - 1)
+        end
+      in
+      drain 100_000;
+      List.iter
+        (fun (start, _) -> if not (released sb start) then fail "%d retained after the drain" start)
+        !written;
+      true)
+
 (* ----------------------------- packets -------------------------------- *)
 
 let packet_roundtrip =
@@ -561,6 +689,7 @@ let tests =
     ("streambuf", [
       Alcotest.test_case "retransmit priority" `Quick test_sendbuf_retransmit_priority;
       Alcotest.test_case "ack beats loss" `Quick test_sendbuf_acked_not_retransmitted;
+      sendbuf_matches_reference;
       sendbuf_recvbuf_roundtrip;
       recvbuf_reassembly;
       recvbuf_overlapping;
