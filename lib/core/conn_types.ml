@@ -99,6 +99,115 @@ type sent_packet = {
   ack_eliciting : bool;
 }
 
+(* The in-flight table, keyed by packet number. Same hash, bucket index
+   and resize as a generic [Hashtbl] with an unrandomized seed, so
+   bucket placement and iter/fold order are those of a generic table
+   given the same operations — the order the loss detector's folds (and
+   so the recorded experiments) depend on — with [Int64.equal] in place
+   of polymorphic compare. *)
+module Pn_table = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Send times of ack-eliciting packets, kept past their removal from the
+   in-flight table for the plugins' [sent_time] helper. A ring of
+   (pn, sent_at) int pairs at slot [pn land (cap - 1)], empty slots
+   holding pn -1. Once per 4096 pns — on the first record at or past
+   each boundary — the horizon moves to [boundary - 8192]; a pn answers
+   iff its slot holds exactly that pn and pn >= horizon. A record never
+   overwrites an answering pn: it doubles the ring first. Answering pns
+   lie within 12,288 of the newest, so two of them never share a slot
+   of a 16,384-slot ring, and that is the most the ring grows to; a
+   sender whose ack-eliciting packets are sparse keeps a small one. *)
+module Sent_times = struct
+  type t = {
+    mutable slots : int array;
+    mutable horizon : int;  (* no pn below this answers *)
+    mutable sweep_at : int; (* the first record at or past this pn moves [horizon] *)
+  }
+
+  let min_cap = 4
+  let sweep_every = 4096
+  let keep_below = 8192
+
+  let create () =
+    { slots = Array.make (2 * min_cap) (-1); horizon = 0; sweep_at = 0 }
+
+  let capacity t = Array.length t.slots / 2
+  let slot t pn = 2 * (pn land (capacity t - 1))
+
+  (* Re-slot every answering pair into a ring of [cap] slots; the caller
+     guarantees no two of them share a slot there. *)
+  let resize t cap =
+    let old = t.slots in
+    t.slots <- Array.make (2 * cap) (-1);
+    for i = 0 to (Array.length old / 2) - 1 do
+      let pn = old.(2 * i) in
+      if pn >= t.horizon then begin
+        let j = slot t pn in
+        t.slots.(j) <- pn;
+        t.slots.(j + 1) <- old.((2 * i) + 1)
+      end
+    done
+
+  (* The lowest answering pn, [max_int] when none answers. *)
+  let lowest t =
+    let lo = ref max_int in
+    for i = 0 to capacity t - 1 do
+      let pn = t.slots.(2 * i) in
+      if pn >= t.horizon && pn < !lo then lo := pn
+    done;
+    !lo
+
+  (* Record the send of ack-eliciting packet [pn] at [at]; pns are
+     recorded in increasing order. *)
+  let record t pn at =
+    let pn = Int64.to_int pn in
+    if pn >= t.sweep_at then begin
+      let boundary = pn - (pn mod sweep_every) in
+      t.sweep_at <- boundary + sweep_every;
+      let horizon = boundary - keep_below in
+      if horizon > t.horizon then begin
+        t.horizon <- horizon;
+        (* the answering window shrank: a ring of the smallest power of
+           two covering it holds each of its pns in a slot of its own *)
+        let window = pn - min pn (lowest t) + 1 in
+        if capacity t > min_cap && 2 * window <= capacity t then begin
+          let cap = ref min_cap in
+          while !cap < window do cap := 2 * !cap done;
+          resize t !cap
+        end
+      end
+    end;
+    (* doubling keeps apart pns that were apart *)
+    while t.slots.(slot t pn) >= t.horizon do
+      resize t (2 * capacity t)
+    done;
+    let j = slot t pn in
+    t.slots.(j) <- pn;
+    t.slots.(j + 1) <- Int64.to_int at
+
+  (* The send time of [pn], or -1 when it does not answer (never
+     recorded, swept, or no pn at all: negative or outside [int]). *)
+  let find t pn =
+    let p = Int64.to_int pn in
+    if Int64.of_int p <> pn || p < t.horizon then -1L
+    else
+      let j = slot t p in
+      if t.slots.(j) = p then Int64.of_int t.slots.(j + 1) else -1L
+
+  (* How many pns answer. *)
+  let length t =
+    let n = ref 0 in
+    for i = 0 to capacity t - 1 do
+      if t.slots.(2 * i) >= t.horizon then incr n
+    done;
+    !n
+end
+
 type stream = {
   stream_id : int;
   sendb : Quic.Sendbuf.t;
@@ -191,7 +300,7 @@ type t = {
   mutable on_cid_retired : int64 -> unit;
   (* recovery *)
   mutable next_pn : int64;
-  sent : (int64, sent_packet) Hashtbl.t;
+  sent : sent_packet Pn_table.t;
   mutable inflight : sent_packet Queue.t array;
       (* [sent] in send order: one FIFO per path_id, created on the
          path's first ack-eliciting send. Acked and lost packets are not
@@ -206,10 +315,7 @@ type t = {
   mutable largest_acked : int64;
   mutable largest_acked_per_path : int64 array; (* per-path largest path_seq acked *)
   mutable next_path_seq : int64 array;
-  sent_times : (int64, Sim.time) Hashtbl.t; (* retained past c.sent removal *)
-  mutable sent_times_sweep_at : int64;
-      (* the first ack-eliciting send at or past this pn prunes
-         [sent_times] *)
+  sent_times : Sent_times.t; (* retained past c.sent removal *)
   mutable pto_backoff : int;
   (* Alarms are intrusive nodes in the node-wide hierarchical timer
      wheel (one wheel per simulator, shared by every connection on it):

@@ -90,6 +90,48 @@ type sent_packet = {
   ack_eliciting : bool;
 }
 
+module Pn_table : Hashtbl.S with type key = int64
+(** The in-flight table, keyed by packet number. It hashes, indexes
+    buckets and resizes as a generic [Hashtbl] with an unrandomized seed
+    does, so for the same sequence of operations [iter] and [fold] visit
+    the keys in the same order as over a generic [(int64, _) Hashtbl.t]
+    — the order the loss detector's folds, and so the recorded
+    experiments, depend on. Keys compare with [Int64.equal]. *)
+
+(** Send times of ack-eliciting packets, kept past their removal from
+    [sent] for the plugins' [sent_time] helper: a ring of (pn, sent_at)
+    slots indexed by [pn land (capacity - 1)].
+
+    Once per 4096 pns, on the first record at or past each multiple of
+    4096 ([boundary]), the horizon moves to [boundary - 8192]. A pn
+    answers iff its slot holds exactly that pn and pn >= horizon — the
+    same answers as a table that records every pn and drops those below
+    the horizon at each move. The ring starts at 4 slots and doubles
+    only when a record would land on an answering pn; when the horizon
+    moves it shrinks to the smallest power of two covering the pns that
+    still answer. Answering pns lie within 12,288 of the newest, so the
+    capacity never exceeds 16,384 nor twice the answering window. *)
+module Sent_times : sig
+  type t
+
+  val create : unit -> t
+
+  val record : t -> int64 -> Netsim.Sim.time -> unit
+  (** [record t pn at]: packet [pn] (>= 0), ack-eliciting, was sent at
+      [at] (>= 0). Pns are recorded in increasing order. *)
+
+  val find : t -> int64 -> Netsim.Sim.time
+  (** The send time of [pn], or -1 when it does not answer: never
+      recorded, below the horizon, or no pn at all (negative, or outside
+      [int]). *)
+
+  val capacity : t -> int
+  (** Slots in the ring. *)
+
+  val length : t -> int
+  (** How many pns answer. *)
+end
+
 type stream = {
   stream_id : int;
   sendb : Quic.Sendbuf.t;
@@ -178,7 +220,7 @@ type t = {
   mutable on_cid_retired : int64 -> unit;
   (* recovery *)
   mutable next_pn : int64;
-  sent : (int64, sent_packet) Hashtbl.t;
+  sent : sent_packet Pn_table.t;
   mutable inflight : sent_packet Queue.t array;
       (** [sent] in send order: one FIFO per path_id, created on the
           path's first ack-eliciting send; entries of acked or lost
@@ -189,10 +231,9 @@ type t = {
   mutable largest_acked : int64;
   mutable largest_acked_per_path : int64 array;
   mutable next_path_seq : int64 array;
-  sent_times : (int64, Netsim.Sim.time) Hashtbl.t;
-  mutable sent_times_sweep_at : int64;
-      (** the first ack-eliciting send at or past this pn prunes
-          [sent_times] *)
+  sent_times : Sent_times.t;
+      (** send times of ack-eliciting packets, retained past their
+          removal from [sent] *)
   mutable pto_backoff : int;
   (* Alarms live in the node-wide hierarchical timer wheel ([wheel],
      shared per simulator): each is a reusable intrusive node, so arm /

@@ -705,14 +705,13 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       on_cid_issued = ignore;
       on_cid_retired = ignore;
       next_pn = 0L;
-      sent = Hashtbl.create (if cfg.lean then 8 else 512);
+      sent = Pn_table.create (if cfg.lean then 8 else 512);
       inflight = [||];
       ack_watermark = 0L;
       largest_acked = -1L;
       largest_acked_per_path = Array.make 8 (-1L);
       next_path_seq = Array.make 8 0L;
-      sent_times = Hashtbl.create (if cfg.lean then 16 else 1024);
-      sent_times_sweep_at = 0L;
+      sent_times = Sent_times.create ();
       pto_backoff = 0;
       wheel = TW.shared sim;
       loss_alarm = TW.alarm (fun () -> ());

@@ -219,11 +219,7 @@ let host ~process_recovered : Conn_types.t Pluginop.Types.host =
     get_field;
     set_field;
     push_message = (fun c msg -> c.on_message msg);
-    sent_time =
-      (fun c pn ->
-        match Hashtbl.find_opt c.sent_times pn with
-        | Some at -> at
-        | None -> -1L);
+    sent_time = (fun c pn -> Sent_times.find c.sent_times pn);
     fail = fail_connection;
     on_sanction =
       (fun c -> c.stats.plugin_sanctions <- c.stats.plugin_sanctions + 1);

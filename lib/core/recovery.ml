@@ -9,7 +9,7 @@ module Protoop = Pluginop.Protoop
 open Conn_types
 
 (* The oldest in-flight packet by [sent_at], ties going to the first one
-   [Hashtbl.iter] meets: a fold over the whole in-flight table. A burst
+   [Pn_table.iter] meets: a fold over the whole in-flight table. A burst
    leaves the send loop at one simulated instant, so ties are common, and
    the probe in [on_loss_alarm] retransmits exactly the packet picked
    here — only the fold reproduces the tie-break the recorded experiments
@@ -17,7 +17,7 @@ open Conn_types
    and reads them from the send-order index ([oldest_for_timer]). *)
 let oldest_in_flight c =
   let best = ref None in
-  Hashtbl.iter
+  Pn_table.iter
     (fun _ sp ->
       match !best with
       | None -> best := Some sp
@@ -32,7 +32,7 @@ let oldest_in_flight c =
 (* An index entry is live while [c.sent] still maps its pn to that very
    record; any other entry is left over from an ack or a loss. *)
 let is_live c sp =
-  match Hashtbl.find c.sent sp.pn with
+  match Pn_table.find c.sent sp.pn with
   | found -> found == sp
   | exception Not_found -> false
 
@@ -73,7 +73,7 @@ let indexed_oldest c =
 (* The packet the loss timer is armed from. The timer reads only its send
    time and path, which a head holding the earliest send time alone
    provides; when heads of several paths tie, the fold decides which path
-   [Hashtbl.iter] meets first. *)
+   [Pn_table.iter] meets first. *)
 let oldest_for_timer c =
   match indexed_oldest c with
   | No_packet -> None
@@ -201,7 +201,7 @@ let note_persistent_congestion c p sp =
   end
 
 let declare_lost c sp =
-  Hashtbl.remove c.sent sp.pn;
+  Pn_table.remove c.sent sp.pn;
   let p = c.paths.(min sp.path_id (Array.length c.paths - 1)) in
   Quic.Cc.forget_in_flight p.cc ~size:sp.size;
   let default c _ =
@@ -258,13 +258,13 @@ let index_may_lose c ~now =
 let detect_losses c =
   let default c _ =
     let now = Sim.now c.sim in
-    (* the fold picks the lost packets and their order — [Hashtbl.iter]
+    (* the fold picks the lost packets and their order — [Pn_table.iter]
        order, observable through each [declare_lost] — so it stays; the
        heads only tell when it would find nothing *)
     if not (index_may_lose c ~now) then 0L
     else begin
       let lost = ref [] in
-      Hashtbl.iter
+      Pn_table.iter
         (fun _pn sp -> if meets_loss c ~now sp then lost := sp :: !lost)
         c.sent;
       List.iter (declare_lost c) !lost;
@@ -293,7 +293,7 @@ let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
      eventually spans every pn since the start of the connection and ack
      processing goes quadratic in transfer length. *)
   while
-    c.ack_watermark < c.next_pn && not (Hashtbl.mem c.sent c.ack_watermark)
+    c.ack_watermark < c.next_pn && not (Pn_table.mem c.sent c.ack_watermark)
   do
     c.ack_watermark <- Int64.add c.ack_watermark 1L
   done;
@@ -303,7 +303,7 @@ let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
   let collect ~first ~last =
     let pn = ref (min last top) in
     while !pn >= first do
-      (match Hashtbl.find_opt c.sent (Int64.of_int !pn) with
+      (match Pn_table.find_opt c.sent (Int64.of_int !pn) with
       | Some sp ->
         if Option.is_none !largest_newly then largest_newly := Some sp;
         newly := sp :: !newly
@@ -351,7 +351,7 @@ let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
     end;
     List.iter
       (fun sp ->
-        Hashtbl.remove c.sent sp.pn;
+        Pn_table.remove c.sent sp.pn;
         if sp.path_id < Array.length c.largest_acked_per_path
            && sp.path_seq > c.largest_acked_per_path.(sp.path_id)
         then c.largest_acked_per_path.(sp.path_id) <- sp.path_seq;
@@ -381,7 +381,7 @@ let process_ack c buf ~largest ~delay_us ~first_len ~count ~off =
 
 let on_loss_alarm ~reprobe c =
   let default c _ =
-    if Hashtbl.length c.sent > 0 then begin
+    if Pn_table.length c.sent > 0 then begin
       (* cap the exponent: the timer already clamps its multiplier at
          2^6, so growing the counter further only risks overflow — the
          idle alarm, not unbounded backoff, is what ends a dead
@@ -397,7 +397,7 @@ let on_loss_alarm ~reprobe c =
       else begin
         (* full retransmission timeout *)
         ignore (run_op c Protoop.retransmission_timeout [||]);
-        let all = Hashtbl.fold (fun _ sp acc -> sp :: acc) c.sent [] in
+        let all = Pn_table.fold (fun _ sp acc -> sp :: acc) c.sent [] in
         List.iter (declare_lost c) all;
         Array.iter
           (fun p ->

@@ -35,7 +35,7 @@ val detect_losses : t -> unit
 
 val oldest_in_flight : t -> sent_packet option
 (** The oldest in-flight packet by send time, ties going to the first one
-    [Hashtbl.iter] meets over [sent]: a whole-table fold. *)
+    [Pn_table.iter] meets over [sent]: a whole-table fold. *)
 
 val track_sent : t -> sent_packet -> unit
 (** Append a packet just added to [sent] to its path's FIFO in

@@ -42,14 +42,16 @@ let stream_has_pending c =
 let plugin_chunks_pending c =
   Hashtbl.fold (fun _ sb acc -> acc || Quic.Sendbuf.has_pending sb) c.plugin_out false
 
-let something_to_send c =
-  c.ack_needed
-  || stream_has_pending c
-  || Quic.Sendbuf.has_pending c.crypto_send
+(* Anything but ACKs and stream data waiting to be sent. *)
+let other_frames_pending c =
+  Quic.Sendbuf.has_pending c.crypto_send
   || plugin_chunks_pending c
   || (not (Queue.is_empty c.ctrl))
   || c.max_data_frame_pending
   || Scheduler.has_pending c.sched
+
+let something_to_send c =
+  c.ack_needed || stream_has_pending c || other_frames_pending c
 
 (* ------------------------------------------------------------------ *)
 (* Stream table                                                        *)
@@ -126,6 +128,8 @@ let native_set_spin_bit c _ =
 (* Stream frame wire overhead estimate: type + id + offset + length. *)
 let stream_frame_overhead = 14
 
+let hooked c op = Pluginop.Dispatch.has_entry c.po op None
+
 (* ------------------------------------------------------------------ *)
 (* Packet assembly                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -153,6 +157,26 @@ let build_and_send_packet c =
       min capacity (max 0 cc_room)
     else 0
   in
+  (* A pass with nothing to send ends here, before it takes a writer.
+     Past this point such a pass adds no frame and runs no pluglet: no ACK
+     is owed, the control queue, crypto, plugin-transfer and reservation
+     backlogs are empty, no MAX_DATA waits, nothing hooks
+     [before_sending_packet], and [fill_streams] either cannot start (no
+     room) or its built-in scheduler finds no stream with pending data —
+     a fruitless full rotation of [stream_rr] restores its order. The
+     operation-stack pushes it would make are undone before it returns,
+     so stopping here is exact with plugins attached too. *)
+  if
+    (not (c.ack_needed && not (Quic.Ackranges.is_empty c.acks)))
+    && (not (other_frames_pending c))
+    && (not (hooked c Protoop.before_sending_packet))
+    && (ae_room <= stream_frame_overhead + 1
+       || not (stream_has_pending c || hooked c Protoop.schedule_next_stream))
+  then begin
+    c.cur_has_stream <- false;
+    false
+  end
+  else
   (* The packet is encoded as it is assembled: frames are written
      straight into a pooled wire buffer behind reserved header room, and
      stream/crypto/plugin payloads are blitted from their send buffers —
@@ -388,22 +412,7 @@ let build_and_send_packet c =
       c.last_activity <- Sim.now c.sim
     end;
     if ack_eliciting then begin
-      Hashtbl.replace c.sent_times pn (Sim.now c.sim);
-      if pn >= c.sent_times_sweep_at then begin
-        (* bound the retained history once per 4096 pns, on the first
-           ack-eliciting send at or past each boundary (the boundary pn
-           itself may carry only an ACK); collect then remove, without
-           copying the whole table *)
-        let boundary = Int64.sub pn (Int64.rem pn 4096L) in
-        c.sent_times_sweep_at <- Int64.add boundary 4096L;
-        let horizon = Int64.sub boundary 8192L in
-        let stale =
-          Hashtbl.fold
-            (fun k _ acc -> if k < horizon then k :: acc else acc)
-            c.sent_times []
-        in
-        List.iter (Hashtbl.remove c.sent_times) stale
-      end;
+      Sent_times.record c.sent_times pn (Sim.now c.sim);
       let path_seq =
         if p.path_id < Array.length c.next_path_seq then begin
           let s = c.next_path_seq.(p.path_id) in
@@ -423,7 +432,7 @@ let build_and_send_packet c =
           ack_eliciting;
         }
       in
-      Hashtbl.replace c.sent pn sp;
+      Pn_table.replace c.sent pn sp;
       Recovery.track_sent c sp;
       let default _ _ =
         Quic.Cc.on_packet_sent p.cc ~size;

@@ -10,8 +10,10 @@
    them. Packet protection must reject every single-byte change,
    truncation and wrong key, and allocate nothing but its result. The
    writer free list must balance acquires and releases across whole
-   transfers, and the engine's per-packet allocation rate is fenced with
-   a ceiling so the zero-copy datapath cannot rot unnoticed. *)
+   transfers, the send loop's last pass, which assembles nothing, must
+   take no writer unless a hook could still act on it, and the engine's
+   per-packet allocation rate is fenced with a ceiling so the zero-copy
+   datapath cannot rot unnoticed. *)
 
 module F = Quic.Frame
 module W = Quic.Writer
@@ -665,7 +667,9 @@ let test_transfer_pool_balance () =
    3k minor words per packet end to end (send + receive + recovery, in a
    no-flambda build where Int64 temporaries box); the pre-pooling
    datapath sat near 8k. Encoding ACKs from the flat range set and
-   processing them off the wire took it from ~1.39k to ~1.10k. The
+   processing them off the wire took it from ~1.39k to ~1.10k; ending
+   the empty last pass of the send loop before it takes a writer and
+   keeping send times in an int ring took it from ~890 to ~810. The
    ceiling is set with ~2x headroom so noisy GC accounting cannot flake,
    while a return of the range lists or per-packet copies would still
    trip it. *)
@@ -679,8 +683,8 @@ let test_minor_words_per_packet () =
   | Some r ->
     let words = Gc.minor_words () -. w0 in
     let per_pkt = words /. float_of_int (max 1 (packets_of r)) in
-    if per_pkt >= 2200. then
-      Alcotest.failf "minor words per packet %.0f over the 2200 ceiling" per_pkt
+    if per_pkt >= 1650. then
+      Alcotest.failf "minor words per packet %.0f over the 1650 ceiling" per_pkt
 
 (* Receive-side allocation fence, on the engine's own [rx_profile]
    counters (wall spent inside [process_datagram] plus the minor words it
@@ -706,6 +710,56 @@ let test_rx_minor_words_per_packet () =
     if per_pkt >= 800. then
       Alcotest.failf "rx minor words per packet %.0f over the 800 ceiling"
         per_pkt
+
+(* ---------------------- the send loop's last pass -------------------- *)
+
+(* [send_pending] stops at the first pass that assembles nothing; that
+   pass ends before it takes a writer, unless something it skips could
+   still act: a hook on [before_sending_packet], or a hooked
+   [schedule_next_stream] with window room free. *)
+
+let writers () = W.created () + W.reused ()
+
+let test_empty_pass_takes_no_writer () =
+  let c = Test_recovery.fresh_sender () in
+  Queue.push F.Ping c.Pquic.Connection.ctrl;
+  let sent0 = c.Pquic.Connection.stats.Pquic.Connection.pkts_sent in
+  let w0 = writers () in
+  Pquic.Sender.send_pending c;
+  check Alcotest.int "one packet sent" (sent0 + 1)
+    c.Pquic.Connection.stats.Pquic.Connection.pkts_sent;
+  check Alcotest.int "one writer, for that packet" (w0 + 1) (writers ());
+  let created = W.created () and reused = W.reused () in
+  Pquic.Sender.send_pending c;
+  check Alcotest.int "no writer created" created (W.created ());
+  check Alcotest.int "no writer reused" reused (W.reused ())
+
+let counting_native c op =
+  let calls = ref 0 in
+  Pluginop.Dispatch.register_native c.Pquic.Connection.po op "count"
+    (fun _ _ ->
+      incr calls;
+      -1L);
+  calls
+
+let test_hooked_before_sending_runs () =
+  let c = Test_recovery.fresh_sender () in
+  let calls = counting_native c Pluginop.Protoop.before_sending_packet in
+  for _ = 1 to 3 do
+    Pquic.Sender.send_pending c
+  done;
+  check Alcotest.int "dispatched on every empty pass" 3 !calls;
+  Queue.push F.Ping c.Pquic.Connection.ctrl;
+  Pquic.Sender.send_pending c;
+  check Alcotest.int "and on the pass that sends" 5 !calls
+
+let test_hooked_scheduler_runs () =
+  let c = Test_recovery.fresh_sender () in
+  let calls = counting_native c Pluginop.Protoop.schedule_next_stream in
+  let w0 = writers () in
+  Pquic.Sender.send_pending c;
+  check Alcotest.int "scheduler asked on the empty pass" 1 !calls;
+  check Alcotest.int "the pass took a writer" (w0 + 1) (writers ())
 
 let tests =
   [
@@ -746,6 +800,15 @@ let tests =
           test_memory_pool_balance;
         Alcotest.test_case "writer pool balanced across transfer" `Quick
           test_transfer_pool_balance;
+      ] );
+    ( "send_loop",
+      [
+        Alcotest.test_case "empty pass takes no writer" `Quick
+          test_empty_pass_takes_no_writer;
+        Alcotest.test_case "hooked before_sending_packet still runs" `Quick
+          test_hooked_before_sending_runs;
+        Alcotest.test_case "hooked scheduler with room still runs" `Quick
+          test_hooked_scheduler_runs;
       ] );
     ( "alloc",
       [

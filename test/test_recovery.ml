@@ -6,10 +6,13 @@
    simulator event at a time and, after every event, checks on both
    endpoints that the FIFOs are in send order and that the heads answer
    as the fold does. The next group bounds the retained send-time
-   history of a sender whose packet-number boundaries carry only ACKs;
-   the last checks that ACK processing, which stops walking ranges at
-   the lowest live packet number, credits exactly what a full walk
-   would and still rejects truncated ACKs. *)
+   history of a sender whose packet-number boundaries carry only ACKs,
+   drives the send-time ring against the swept hashtable it replaced
+   ([Sent_times_ref]) and checks that a sparse sender keeps a small
+   ring; then the in-flight table's iteration order is checked against
+   a generic [Hashtbl]'s; the last group checks that ACK processing,
+   which stops walking ranges at the lowest live packet number, credits
+   exactly what a full walk would and still rejects truncated ACKs. *)
 
 module Sim = Netsim.Sim
 module Topology = Netsim.Topology
@@ -42,7 +45,7 @@ type tally = {
    never decreasing — and every in-flight packet is in a FIFO. *)
 let in_send_order (c : C.t) =
   let live (sp : C.sent_packet) =
-    match Hashtbl.find_opt c.C.sent sp.C.pn with
+    match C.Pn_table.find_opt c.C.sent sp.C.pn with
     | Some x -> x == sp
     | None -> false
   in
@@ -64,7 +67,7 @@ let in_send_order (c : C.t) =
           end)
         q)
     c.C.inflight;
-  !ordered && !indexed = Hashtbl.length c.C.sent
+  !ordered && !indexed = C.Pn_table.length c.C.sent
 
 let show_packet (sp : C.sent_packet) =
   Printf.sprintf "(sent_at %Ld, path %d)" sp.C.sent_at sp.C.path_id
@@ -74,7 +77,7 @@ let inspect t (c : C.t) =
   let now = Sim.now c.C.sim in
   let index_lose = R.index_may_lose c ~now in
   let fold_lose =
-    Hashtbl.fold (fun _ sp acc -> acc || R.meets_loss c ~now sp) c.C.sent false
+    C.Pn_table.fold (fun _ sp acc -> acc || R.meets_loss c ~now sp) c.C.sent false
   in
   let index_oldest = R.indexed_oldest c in
   let fold_oldest = R.oldest_in_flight c in
@@ -237,7 +240,7 @@ let test_sent_times_bounded () =
   let newest = Int64.pred c.C.next_pn in
   check Alcotest.int64 "one pn per packet" (Int64.of_int ((2 * pairs) - 1))
     newest;
-  let retained = Hashtbl.length c.C.sent_times in
+  let retained = C.Sent_times.length c.C.sent_times in
   check Alcotest.bool
     (Printf.sprintf "history bounded (%d entries)" retained)
     true
@@ -245,12 +248,199 @@ let test_sent_times_bounded () =
   let recent_missing = ref 0 and ack_only_kept = ref 0 in
   for i = 0 to 8192 do
     let pn = Int64.sub newest (Int64.of_int i) in
-    let kept = Hashtbl.mem c.C.sent_times pn in
+    let kept = C.Sent_times.find c.C.sent_times pn >= 0L in
     if Int64.rem pn 2L = 1L then (if not kept then incr recent_missing)
     else if kept then incr ack_only_kept
   done;
   check Alcotest.int "recent ack-eliciting pns answer" 0 !recent_missing;
   check Alcotest.int "ACK-only pns never recorded" 0 !ack_only_kept
+
+(* Differential test against [Sent_times_ref], the hashtable swept once
+   per 4096 pns: random runs of ack-eliciting sends, of ACK-only pns
+   (which take a pn and record nothing) and of sends spaced apart by
+   ACK-only pns, long enough to cross several 4096 boundaries, with
+   queries of arbitrary int64s — negative, past the int range, future,
+   swept and recent — after every run. Both must answer every query and
+   count their entries alike; the ring must stay within 16,384 slots and
+   within twice the retained window. *)
+type st_query = Q_at of int64 | Q_back of int (* newest pn minus this *)
+
+type st_step =
+  | St_send of int (* that many ack-eliciting sends, one pn each *)
+  | St_skip of int (* that many ACK-only pns *)
+  | St_spaced of int * int (* that many sends, each after that many ACK-only pns *)
+  | St_query of st_query list
+
+let st_step_to_string = function
+  | St_send n -> Printf.sprintf "send %d" n
+  | St_skip n -> Printf.sprintf "skip %d" n
+  | St_spaced (n, gap) -> Printf.sprintf "spaced %dx%d" n gap
+  | St_query qs ->
+    "query "
+    ^ String.concat ","
+        (List.map
+           (function
+             | Q_at v -> Int64.to_string v
+             | Q_back k -> Printf.sprintf "newest-%d" k)
+           qs)
+
+let gen_st_query =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 1,
+          map (fun v -> Q_at v)
+            (oneofl
+               [ -1L; Int64.min_int; Int64.max_int; 0x4000_0000_0000_0000L;
+                 Int64.neg 0x4000_0000_0000_0001L; Int64.of_int max_int;
+                 0L ]) );
+        (1, map (fun v -> Q_at v) int64);
+        (1, map (fun v -> Q_at (Int64.of_int v)) (int_range (-10) 60_000));
+        (4, map (fun k -> Q_back k) (int_range (-20) 14_000));
+      ])
+
+let gen_st_step =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun n -> St_send n) (int_range 1 3_000));
+        (2, map (fun n -> St_send n) (int_range 1 8));
+        (2, map (fun n -> St_skip n) (int_range 1 6_000));
+        (2, map (fun n -> St_skip n) (int_range 1 8));
+        (2, map2 (fun n gap -> St_spaced (n, gap)) (int_range 1 60) (int_range 1 700));
+        (3, map (fun qs -> St_query qs) (list_size (int_range 1 30) gen_st_query));
+      ])
+
+let ring_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"ring answers as the swept table"
+       ~print:(fun steps -> String.concat "; " (List.map st_step_to_string steps))
+       QCheck2.Gen.(list_size (int_range 0 40) gen_st_step)
+       (fun steps ->
+         let ring = C.Sent_times.create () and m = Sent_times_ref.create () in
+         let next = ref 0 in
+         let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+         let query pn =
+           let a = C.Sent_times.find ring pn and b = Sent_times_ref.find m pn in
+           if a <> b then fail "pn %Ld: ring %Ld, reference %Ld" pn a b
+         in
+         let send () =
+           let pn = Int64.of_int !next in
+           let at = Int64.of_int ((3 * !next) + 11) in
+           C.Sent_times.record ring pn at;
+           Sent_times_ref.record m pn at;
+           incr next
+         in
+         let step = function
+           | St_send n ->
+             for _ = 1 to n do
+               send ()
+             done
+           | St_skip n -> next := !next + n
+           | St_spaced (n, gap) ->
+             for _ = 1 to n do
+               next := !next + gap;
+               send ()
+             done
+           | St_query qs ->
+             List.iter
+               (function
+                 | Q_at v -> query v
+                 | Q_back k -> query (Int64.of_int (!next - 1 - k)))
+               qs
+         in
+         List.iter
+           (fun s ->
+             step s;
+             let n = C.Sent_times.length ring and n' = Sent_times_ref.length m in
+             if n <> n' then fail "ring holds %d pns, reference %d" n n';
+             let cap = C.Sent_times.capacity ring
+             and window = Sent_times_ref.window m in
+             if cap > 16_384 || cap > max 4 (2 * window) then
+               fail "capacity %d for a window of %d pns" cap window)
+           steps;
+         (* every pn up to the newest answers alike *)
+         for pn = 0 to !next - 1 do
+           query (Int64.of_int pn)
+         done;
+         true))
+
+(* A sender whose ack-eliciting packets are sparse — one every 500 pns,
+   as a receiver's occasional MAX_DATA among its ACKs — keeps ~25 pns
+   answering across a 12,000-pn window. The ring grows only when two of
+   them would share a slot, so it stays far below the 16,384 slots that
+   window would take densely. *)
+let test_sparse_sender_small_ring () =
+  let t = C.Sent_times.create () in
+  let last = 40_000 in
+  for k = 0 to last / 500 do
+    C.Sent_times.record t (Int64.of_int (500 * k)) (Int64.of_int k)
+  done;
+  let cap = C.Sent_times.capacity t in
+  check Alcotest.bool (Printf.sprintf "small ring (%d slots)" cap) true (cap <= 256);
+  let horizon = (last - (last mod 4096)) - 8192 in
+  for k = 0 to last / 500 do
+    let expect = if 500 * k >= horizon then Int64.of_int k else -1L in
+    check Alcotest.int64
+      (Printf.sprintf "pn %d" (500 * k))
+      expect
+      (C.Sent_times.find t (Int64.of_int (500 * k)))
+  done
+
+(* [Pn_table] keeps the iteration order of a generic [Hashtbl] under the
+   same operations, resizes included: the property the loss detector's
+   folds, and through them the recorded experiments, rely on. *)
+type pn_op = Pn_replace of int64 | Pn_remove of int64
+
+let gen_pn_key =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map Int64.of_int (int_range 0 5_000));
+        (1, int64);
+      ])
+
+let pn_table_order_matches_hashtbl =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"Pn_table folds in Hashtbl order"
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "create %d; %d ops: %s" size (List.length ops)
+           (String.concat "; "
+              (List.map
+                 (function
+                   | Pn_replace k -> "replace " ^ Int64.to_string k
+                   | Pn_remove k -> "remove " ^ Int64.to_string k)
+                 ops)))
+       QCheck2.Gen.(
+         pair (oneofl [ 1; 8; 16; 512 ])
+           (list_size (int_range 0 3_000)
+              (frequency
+                 [
+                   (3, map (fun k -> Pn_replace k) gen_pn_key);
+                   (1, map (fun k -> Pn_remove k) gen_pn_key);
+                 ])))
+       (fun (size, ops) ->
+         let t = C.Pn_table.create size and h = Hashtbl.create size in
+         let agree () =
+           let a = C.Pn_table.fold (fun k v acc -> (k, v) :: acc) t []
+           and b = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+           if a <> b then QCheck2.Test.fail_report "fold orders differ"
+         in
+         List.iteri
+           (fun i op ->
+             (match op with
+             | Pn_replace k ->
+               C.Pn_table.replace t k i;
+               Hashtbl.replace h k i
+             | Pn_remove k ->
+               C.Pn_table.remove t k;
+               Hashtbl.remove h k);
+             if i mod 97 = 0 then agree ())
+           ops;
+         agree ();
+         true))
 
 (* ------------------------ the watermark stop ------------------------ *)
 
@@ -276,7 +466,7 @@ let observed c acked =
     Quic.Cc.cwnd p.C.cc,
     Quic.Cc.bytes_in_flight p.C.cc,
     c.C.largest_acked,
-    Hashtbl.length c.C.sent,
+    C.Pn_table.length c.C.sent,
     c.C.stats )
 
 (* pns 0..149 acked in one range, 150..199 still in flight: the next ACK
@@ -356,7 +546,11 @@ let tests =
       [
         Alcotest.test_case "bounded when boundaries are ACK-only" `Quick
           test_sent_times_bounded;
+        ring_matches_reference;
+        Alcotest.test_case "sparse sender keeps a small ring" `Quick
+          test_sparse_sender_small_ring;
       ] );
+    ("pn_table", [ pn_table_order_matches_hashtbl ]);
     ( "watermark",
       [
         Alcotest.test_case "stop below the watermark is exact" `Quick
