@@ -107,8 +107,8 @@ let timer_micro () =
   let n = 200_000 in
   let fired = ref 0 in
   let alarms = Array.init n (fun _ -> TW.alarm (fun () -> incr fired)) in
-  (* deterministic scatter over ~1 simulated second, hitting all levels;
-     deadlines pre-boxed so the measured loops allocate nothing *)
+  (* deterministic scatter over ~1 simulated second; deadlines
+     pre-boxed so the measured loops allocate nothing *)
   let deadlines =
     Array.init n (fun i ->
         Int64.of_int (((i * 2654435761) land 0x3FFFFFFF) lor 1))
@@ -118,7 +118,7 @@ let timer_micro () =
     TW.arm w alarms.(i) ~at:deadlines.(i)
   done;
   let arm_cpu = Sys.time () -. t0 in
-  (* steady-state re-arm allocates nothing: unlink + relink in place *)
+  (* steady-state re-arm allocates nothing: a sift in place *)
   Gc.minor ();
   let w0 = Gc.minor_words () in
   for i = 0 to n - 1 do

@@ -224,7 +224,6 @@ lib/core/conn_types.ml:rx_clock       rx profile clock, until ROADMAP 1c
 lib/core/conn_types.ml:rx_seconds     rx profile accumulator, until ROADMAP 1c
 lib/core/conn_types.ml:rx_minor_words rx profile accumulator, until ROADMAP 1c
 lib/core/conn_types.ml:rx_packets     rx profile accumulator, until ROADMAP 1c
-lib/ebpf/vm.ml:jit_dummy_vm           placeholder VM of a fresh JIT environment until a run binds one
 '
 found=$(grep -rnE "^let [a-z_0-9']+( *:[^=]*)? *= *(ref\b|Hashtbl\.create|Queue\.create|Array\.make|Bytes\.create|Bytes\.make|lazy\b)" \
           lib --include='*.ml' \

@@ -317,10 +317,10 @@ type t = {
   mutable next_path_seq : int64 array;
   sent_times : Sent_times.t; (* retained past c.sent removal *)
   mutable pto_backoff : int;
-  (* Alarms are intrusive nodes in the node-wide hierarchical timer
-     wheel (one wheel per simulator, shared by every connection on it):
-     arm / cancel / re-arm are allocation-free pointer surgery instead
-     of one simulator-heap event per armed alarm. *)
+  (* Alarms are reusable nodes in the node-wide timer heap (one per
+     simulator, shared by every connection on it): arm / cancel / re-arm
+     are allocation-free sifts instead of one simulator-heap event per
+     armed alarm. *)
   wheel : Engine.Timer_wheel.t;
   loss_alarm : Engine.Timer_wheel.alarm;
   ack_alarm : Engine.Timer_wheel.alarm;
@@ -386,10 +386,6 @@ type t = {
   mutable cur_has_stream : bool;
   mutable cur_ecn_ce : bool;
   mutable recover_depth : int;
-  mutable rx_scratch : Pluginop.Memory_pool.t option;
-  (* pooled receive scratch, created lazily on the first FEC recovery:
-     stages the recovered packet image across the frame replay so the
-     fast path never allocates it *)
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
   (* name -> reassembly and the bytes read from it so far *)
@@ -453,17 +449,6 @@ let fail_connection c reason =
    image. *)
 let blit_current_payload c dst dst_off =
   Bytes.blit_string c.cur_wire c.cur_payload_off dst dst_off c.cur_payload_len
-
-(* The per-connection receive scratch pool: 16 KiB, enough to stage the
-   deepest recovery recursion the engine allows, and only ever created
-   when a repair actually fires. *)
-let rx_scratch c =
-  match c.rx_scratch with
-  | Some p -> p
-  | None ->
-    let p = Pluginop.Memory_pool.create ~block_size:64 ~size:16384 () in
-    c.rx_scratch <- Some p;
-    p
 
 let make_stats () =
   {

@@ -235,10 +235,9 @@ type t = {
       (** send times of ack-eliciting packets, retained past their
           removal from [sent] *)
   mutable pto_backoff : int;
-  (* Alarms live in the node-wide hierarchical timer wheel ([wheel],
-     shared per simulator): each is a reusable intrusive node, so arm /
-     cancel / re-arm are allocation-free pointer surgery instead of
-     simulator-heap churn. *)
+  (* Alarms live in the node-wide timer heap ([wheel], shared per
+     simulator): each is a reusable node, so arm / cancel / re-arm are
+     allocation-free sifts instead of simulator-heap churn. *)
   wheel : Engine.Timer_wheel.t;
   loss_alarm : Engine.Timer_wheel.alarm;
   ack_alarm : Engine.Timer_wheel.alarm;
@@ -299,9 +298,6 @@ type t = {
   mutable cur_has_stream : bool;
   mutable cur_ecn_ce : bool;
   mutable recover_depth : int;
-  mutable rx_scratch : Pluginop.Memory_pool.t option;
-      (** pooled receive scratch, created lazily on the first FEC
-          recovery; stages the recovered image across the frame replay *)
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
   plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
@@ -351,9 +347,6 @@ val blit_current_payload : t -> Bytes.t -> int -> unit
 (** Copy the payload of the packet currently built or processed into a
     buffer at the given offset — the packet_bytes helper serves plugins
     straight from the wire image. *)
-
-val rx_scratch : t -> Pluginop.Memory_pool.t
-(** The connection's receive scratch pool, created on first use. *)
 
 val make_stats : unit -> stats
 

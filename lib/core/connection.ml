@@ -428,17 +428,17 @@ let process_payload c ~pn buf ~off ~limit =
   done;
   !ae
 
-(* A FEC plugin recovered a lost packet: [buf]'s [off, off+len) window is
-   pn(4 bytes) || payload, staged in the connection's rx scratch pool and
-   borrowed for the duration of this call. The packet is processed as if
-   it had been received, and its number is acknowledged so the peer does
-   not retransmit (QUIC-FEC behaviour). The replay points the current-
+(* A FEC plugin recovered a lost packet: [image] is a copy of
+   pn(4 bytes) || payload. The packet is processed as if it had been
+   received, and its number is acknowledged so the peer does not
+   retransmit (QUIC-FEC behaviour). The replay points the current-
    packet scratch at the recovered image and restores the interrupted
    packet's scratch afterwards. *)
-let process_recovered c buf ~off ~len =
+let process_recovered c image =
+  let len = String.length image in
   if len >= 4 && c.recover_depth < 8 then begin
     let pn =
-      Int64.logand (Int64.of_int32 (Bytes.get_int32_be buf off)) 0xffffffffL
+      Int64.logand (Int64.of_int32 (String.get_int32_be image 0)) 0xffffffffL
     in
     if not (Quic.Ackranges.contains c.acks pn) then begin
       c.recover_depth <- c.recover_depth + 1;
@@ -449,12 +449,11 @@ let process_recovered c buf ~off ~len =
       and saved_wire = c.cur_wire
       and saved_off = c.cur_payload_off
       and saved_len = c.cur_payload_len in
-      let image = Bytes.unsafe_to_string buf in
       c.cur_pn <- pn;
       c.cur_wire <- image;
-      c.cur_payload_off <- off + 4;
+      c.cur_payload_off <- 4;
       c.cur_payload_len <- len - 4;
-      ignore (process_payload c ~pn image ~off:(off + 4) ~limit:(off + len));
+      ignore (process_payload c ~pn image ~off:4 ~limit:len);
       c.cur_pn <- saved_pn;
       c.cur_wire <- saved_wire;
       c.cur_payload_off <- saved_off;
@@ -755,7 +754,6 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       cur_has_stream = false;
       cur_ecn_ce = false;
       recover_depth = 0;
-      rx_scratch = None;
       plugin_out = Hashtbl.create 4;
       plugin_in = Hashtbl.create 4;
       provide_plugin = (fun _ ~formula:_ -> None);

@@ -62,10 +62,17 @@ val setup_conn : t -> Connection.t -> unit
     (CID issue/retire, plugin provisioning). Exposed for the server
     engine; [connect] and the accept path call it themselves. *)
 
-val accept_initial :
-  t -> Netsim.Net.datagram -> string -> dcid:int64 -> unit
-(** Accept path: authenticate an Initial to an unknown CID and create
-    the server-side connection. Exposed for the server engine. *)
+val accept_initial : t -> Netsim.Net.datagram -> string -> unit
+(** Accept path: authenticate an Initial whose wire image (at least 9
+    bytes) names an unknown destination CID and create the server-side
+    connection. Exposed for the server engine. *)
+
+val routable_wire : Netsim.Net.datagram -> string
+(** The wire image a datagram is routed on: the inner packet of a
+    CE-marked datagram, the damaged bytes of a corrupted one, [""] when
+    it carries no QUIC packet. Routing needs 9 bytes (the destination
+    CID ends at byte 8). Allocates nothing on a clean datagram. Shared
+    with the server engine. *)
 
 val handle_datagram : t -> Netsim.Net.datagram -> unit
 

@@ -144,21 +144,10 @@ let install_extra_helpers ~process_recovered c (inst : instance) tbl =
       let len = to_i a.(1) in
       if len < 4 || len > 65536 then helper_fail "recover_packet: bad length %d" len;
       let src, soff = Ebpf.Vm.direct vm ~write:false a.(0) len in
-      (* stage the recovered image out of the VM region before replaying:
+      (* copy the recovered image out of the VM region before replaying:
          the replay re-enters pluglets that may rewrite plugin memory
-         under the borrowed range. Pooled scratch; heap only if a burst
-         of nested recoveries exhausts the pool. *)
-      let pool = rx_scratch c in
-      (match Pluginop.Memory_pool.alloc pool len with
-      | Some off ->
-        let area = Pluginop.Memory_pool.area pool in
-        Bytes.blit src soff area off len;
-        Fun.protect
-          ~finally:(fun () -> ignore (Pluginop.Memory_pool.free pool off))
-          (fun () -> process_recovered c area ~off ~len)
-      | None ->
-        let data = Bytes.sub src soff len in
-        process_recovered c data ~off:0 ~len);
+         under the borrowed range. Runs only on a FEC repair. *)
+      process_recovered c (Bytes.sub_string src soff len);
       0L);
   reg ~arity:2 Pluginop.Api.h_packet_bytes (fun vm a ->
       let max = to_i a.(1) in

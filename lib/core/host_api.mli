@@ -17,11 +17,10 @@ val set_field : t -> int -> int -> int64 -> unit
     violation. @raise Ebpf.Vm.Helper_failure on a read-only field. *)
 
 val host :
-  process_recovered:(t -> Bytes.t -> off:int -> len:int -> unit) ->
+  process_recovered:(t -> string -> unit) ->
   t Pluginop.Types.host
 (** PQUIC as a pluginop host: the closures the transport-neutral plugin
     machinery dispatches through (fields, clock, message channel,
     sanction/stats hooks, QUIC-specific helpers). The recover_packet
-    helper hands a FEC-recovered packet image [pn(4) || payload] to
-    [process_recovered]; the bytes are borrowed for the duration of the
-    call. *)
+    helper hands a copy of a FEC-recovered packet image
+    [pn(4) || payload] to [process_recovered]. *)

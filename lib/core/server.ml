@@ -1,5 +1,5 @@
 (* Server engine: CID-routed connection table + sharded workers +
-   shared timer wheel, fronting the endpoint's accept path. *)
+   shared timer heap, fronting the endpoint's accept path. *)
 
 module Net = Netsim.Net
 module Table = Engine.Conn_table
@@ -26,23 +26,13 @@ let create ?cfg ?node ?(shards = 8) ~sim ~net ~addr ~seed () =
   { ep; wheel = TW.shared sim; shards; routed = 0 }
 
 let handle_datagram t (dg : Net.datagram) =
-  (* same unwrap discipline as [Endpoint.handle_datagram]: route on the
-     wire image the network delivered, damage included *)
-  let route wire =
-    if String.length wire >= 9 then begin
-      match Table.find_sub t.ep.Endpoint.conns wire 1 8 with
-      | Some c ->
-        t.routed <- t.routed + 1;
-        Shard.enqueue t.shards (shard_of c) (c, dg)
-      | None ->
-        Endpoint.accept_initial t.ep dg wire ~dcid:(String.get_int64_be wire 1)
-    end
-  in
-  match (match dg.Net.payload with Net.Ce p -> p | p -> p) with
-  | Connection.Quic_packet wire -> route wire
-  | Net.Corrupt (Connection.Quic_packet clean, descr) ->
-    route (Net.corrupt_string descr clean)
-  | _ -> ()
+  let wire = Endpoint.routable_wire dg in
+  if String.length wire >= 9 then
+    match Table.find_sub t.ep.Endpoint.conns wire 1 8 with
+    | Some c ->
+      t.routed <- t.routed + 1;
+      Shard.enqueue t.shards (shard_of c) (c, dg)
+    | None -> Endpoint.accept_initial t.ep dg wire
 
 let listen t =
   List.iter

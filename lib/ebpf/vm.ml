@@ -1193,6 +1193,8 @@ type jit_prog = {
   jstack : int; (* stack size the stack-direct closures are baked for *)
   jentry : jit_env -> int64;
   jenv : jit_env; (* swapped to the running VM per run; not re-entrant *)
+  jplace : t; (* placeholder [jvm] of a fresh environment until a run
+                 binds one; shared by the program's clones *)
 }
 
 (* Coded operands/commit values for the template closures: a handful of
@@ -1247,11 +1249,9 @@ let jit_resume env prog i fuel =
   vm.executed <- env.jk - fuel - 1;
   interp vm prog (Array.init 11 (fun r -> rget vm.regb r)) i fuel
 
-let jit_dummy_vm = lazy (create ~stack_size:8 ())
-
-let jit_fresh_env () =
+let jit_fresh_env place =
   {
-    jvm = Lazy.force jit_dummy_vm;
+    jvm = place;
     jregb = Bytes.create 88;
     jstk = Bytes.create 0;
     jk = 0;
@@ -1260,7 +1260,8 @@ let jit_fresh_env () =
   }
 
 let jit ?(stack_size = 512) prog =
-  let env = jit_fresh_env () in
+  let place = create ~stack_size:8 () in
+  let env = jit_fresh_env place in
   if Sys.big_endian then
     (* The templates read guest memory with native-endian primitives:
        big-endian hosts run every program in the reference interpreter. *)
@@ -1269,6 +1270,7 @@ let jit ?(stack_size = 512) prog =
       jstack = stack_size;
       jentry = (fun env -> jit_resume env prog 0 env.jfuel);
       jenv = env;
+      jplace = place;
     }
   else begin
     let { ops; pool } = link prog in
@@ -2582,7 +2584,8 @@ let jit ?(stack_size = 512) prog =
     cells.(blk_id.(n)) <- (fun env -> jit_resume env prog n env.jfuel);
     let entry = cells.(blk_id.(0)) in
     if !maxtmp > 0 then env.jseg <- Bytes.create (8 * !maxtmp);
-    { jprog = prog; jstack = stack_size; jentry = entry; jenv = env }
+    { jprog = prog; jstack = stack_size; jentry = entry; jenv = env;
+      jplace = place }
   end
 
 (* Share one compilation between PREs: the block closures only ever touch
@@ -2591,7 +2594,7 @@ let jit ?(stack_size = 512) prog =
    thus its own non-re-entrancy domain) for the cost of two small
    allocations. The content-addressed program cache relies on this. *)
 let jit_clone jp =
-  let env = jit_fresh_env () in
+  let env = jit_fresh_env jp.jplace in
   env.jseg <- Bytes.create (Bytes.length jp.jenv.jseg);
   { jp with jenv = env }
 

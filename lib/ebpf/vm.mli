@@ -135,10 +135,11 @@ type jit_prog
     chains of OCaml closures specialised per opcode and operand kind,
     threaded by direct closure reference, with stack bounds checks
     resolved at compile time where the frame pointer is provably never
-    rewritten. A [jit_prog] holds no VM state, so one compilation is
-    shared by every VM running the same bytecode (the content-addressed
-    plugin cache relies on this) — but execution is not re-entrant: one
-    run at a time per [jit_prog]. *)
+    rewritten. A [jit_prog] holds no VM state beyond an idle placeholder
+    its environments start from, so one compilation is shared by every
+    VM running the same bytecode (the content-addressed plugin cache
+    relies on this) — but execution is not re-entrant: one run at a
+    time per [jit_prog]. *)
 
 val jit : ?stack_size:int -> Insn.t array -> jit_prog
 (** Compile a program for {!run_jit}. [stack_size] (default 512) must

@@ -1,21 +1,20 @@
-(** Hierarchical timer wheel driven by a {!Netsim.Sim} clock.
+(** Alarm heap driven by a {!Netsim.Sim} clock.
 
-    Alarms are intrusive doubly-linked nodes parked in per-level slot
-    rings; arming, re-arming and cancelling are O(1) pointer surgery
-    with no allocation. The wheel keeps at most a handful of simulator
-    events ("drivers") pending — always at an exact alarm deadline —
-    instead of one heap event per armed alarm, so a node with a million
-    idle connections costs a million wheel nodes but O(1) simulator
-    heap entries.
-
-    Geometry: 5 levels x 256 slots over a 65.536 us tick, covering
-    deltas up to 2^56 ns (~2.3 years); longer deadlines are parked in
-    the farthest slot and re-sorted on cascade.
+    Alarms sit in an indexed binary min-heap ordered by (deadline, arm
+    sequence), and each alarm knows its own heap position: arming,
+    re-arming and cancelling are O(log n) sift operations with no
+    allocation. The heap keeps at most a handful of simulator events
+    ("drivers") pending — always at an exact alarm deadline — instead
+    of one event per armed alarm, so a node with a million idle
+    connections costs a million heap slots but O(1) simulator events.
+    The module keeps the name [Timer_wheel] because the perfbench
+    harness names it.
 
     Determinism contract (relied on by the pquic fingerprint tests):
     drivers only ever fire at exact armed deadlines, and alarms sharing
     a deadline fire in arm order, so replacing per-alarm [Sim.event]s
-    with a shared wheel does not perturb event interleaving. *)
+    with a shared heap does not perturb event interleaving. Alarms armed
+    for one instant share the first driver scheduled for it. *)
 
 type t
 type alarm
@@ -37,18 +36,18 @@ val set_fire : alarm -> (unit -> unit) -> unit
 
 val arm : t -> alarm -> at:Netsim.Sim.time -> unit
 (** Arm (or re-arm) the alarm to fire at absolute simulated time [at].
-    Deadlines in the past clamp to now, matching
-    [Sim.schedule_at]. Allocation-free unless the new deadline precedes
-    every pending driver, in which case one simulator event is
-    scheduled. *)
+    Deadlines in the past clamp to now, matching [Sim.schedule_at].
+    Allocation-free once the heap has room for every armed alarm,
+    unless the new deadline precedes every pending driver, in which
+    case one simulator event is scheduled. *)
 
 val arm_delay : t -> alarm -> delay:Netsim.Sim.time -> unit
 (** [arm] at now + delay. *)
 
 val cancel : t -> alarm -> unit
-(** Disarm. O(1), allocation-free, idempotent. A cancelled alarm never
-    fires, even if cancellation happens from another alarm's callback
-    in the same fire batch. *)
+(** Disarm. O(log n), allocation-free, idempotent. A cancelled alarm
+    never fires, even if cancellation happens from another alarm's
+    callback in the same fire batch. *)
 
 val is_armed : alarm -> bool
 
@@ -59,7 +58,8 @@ type counters = {
   arms : int;
   cancels : int;
   fires : int;
-  cascades : int;  (** node relinks during slot cascades *)
+  cascades : int;
+      (** always 0: the heap never relinks; kept for readers outside [lib/] *)
   drivers : int;  (** simulator events scheduled on behalf of the wheel *)
 }
 

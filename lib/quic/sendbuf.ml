@@ -84,7 +84,7 @@ let total_written t = t.total
 let has_retransmissions t = t.retransmit <> []
 
 (* Re-derive the cached retransmit byte count after the (rare) queue
-   rewrites in [on_acked]/[on_lost]; the hot-path queries stay O(1). *)
+   rewrite in [on_lost]; the hot-path queries stay O(1). *)
 let refresh_retransmit_len t =
   t.retransmit_len <- List.fold_left (fun acc (_, l) -> acc + l) 0 t.retransmit
 
@@ -229,15 +229,6 @@ let release t =
 let on_acked t ~offset ~len ~fin =
   t.acked <- merge_range t.acked (offset, len);
   if fin then t.fin_acked <- true;
-  (* drop queued retransmissions now covered by the ack *)
-  t.retransmit <-
-    List.concat_map
-      (fun (o, l) ->
-        let covered (ao, al) = o >= ao && o + l <= ao + al in
-        if List.exists covered t.acked then []
-        else [ (o, l) ])
-      t.retransmit;
-  refresh_retransmit_len t;
   release t
 
 let on_lost t ~offset ~len ~fin =

@@ -41,5 +41,10 @@ val next_chunk : t -> max_len:int -> (int * string * bool) option
     datapath (tests, reference paths). *)
 
 val on_acked : t -> offset:int -> len:int -> fin:bool -> unit
+(** Records the range as acknowledged. Precondition: no part of it is
+    queued for retransmission. A range is requeued only by {!on_lost},
+    after its packet has left the in-flight set, so a packet that can
+    still be acknowledged never carries a queued range. *)
+
 val on_lost : t -> offset:int -> len:int -> fin:bool -> unit
 (** Requeues the range unless a later acknowledgment already covered it. *)

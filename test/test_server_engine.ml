@@ -1,7 +1,8 @@
-(* Server-engine subsystems: the hierarchical timer wheel (parity with
-   plain simulator alarms, cascade boundaries, fire order, allocation
-   freedom), the full-CID connection table, the node-scope / global
-   plugin caches, and the sharded server front-end. *)
+(* Server-engine subsystems: the timer heap (parity with plain
+   simulator alarms, far and power-of-two deadlines, fire order, the
+   driver contract, allocation freedom), the full-CID connection table,
+   the node-scope / global plugin caches, and the sharded server
+   front-end. *)
 
 module Sim = Netsim.Sim
 module Net = Netsim.Net
@@ -145,12 +146,12 @@ let test_cascade_boundaries () =
   let max_span = 1 lsl 56 in
   let deadlines =
     [ 1; 2; 100;
-      65_535; 65_536; 65_537;                       (* level 0/1 tick edge *)
-      (1 lsl 24) - 1; 1 lsl 24; (1 lsl 24) + 1;     (* level 1 boundary *)
-      (1 lsl 32) - 1; 1 lsl 32; (1 lsl 32) + 1;     (* level 2 boundary *)
-      (1 lsl 40) - 1; 1 lsl 40; (1 lsl 40) + 1;     (* level 3 boundary *)
-      (1 lsl 48) + 17;                              (* level 4 *)
-      max_span - 1; max_span; max_span + 123_456;   (* beyond the horizon *)
+      65_535; 65_536; 65_537;                       (* 2^16 edge *)
+      (1 lsl 24) - 1; 1 lsl 24; (1 lsl 24) + 1;     (* 2^24 edge *)
+      (1 lsl 32) - 1; 1 lsl 32; (1 lsl 32) + 1;     (* 2^32 edge *)
+      (1 lsl 40) - 1; 1 lsl 40; (1 lsl 40) + 1;     (* 2^40 edge *)
+      (1 lsl 48) + 17;                              (* far *)
+      max_span - 1; max_span; max_span + 123_456;   (* past 2^56 *)
     ]
   in
   let fired = ref [] in
@@ -188,6 +189,44 @@ let test_same_deadline_order () =
   check (Alcotest.list Alcotest.int) "same-deadline alarms fire in arm order"
     order
     (List.rev !fired)
+
+(* An alarm cancelled by an earlier alarm's callback in the same fire
+   batch never fires, and the rest of the batch still does. *)
+let test_cancel_within_batch () =
+  let sim = Sim.create () in
+  let w = TW.create sim in
+  let fired = ref [] in
+  let mk i = TW.alarm (fun () -> fired := i :: !fired) in
+  let b = mk 1 and c = mk 2 in
+  let a =
+    TW.alarm (fun () ->
+        fired := 0 :: !fired;
+        TW.cancel w b)
+  in
+  List.iter (fun x -> TW.arm w x ~at:5_000L) [ a; b; c ];
+  ignore (Sim.run sim);
+  check (Alcotest.list Alcotest.int) "b cancelled by a's callback" [ 0; 2 ]
+    (List.rev !fired);
+  check Alcotest.bool "b disarmed" false (TW.is_armed b);
+  check Alcotest.int "fires" 2 (TW.counters w).TW.fires
+
+(* Alarms armed for one instant share the first driver scheduled for it,
+   so an event scheduled between two such arms runs after both: A, B, E.
+   Per-alarm simulator events would give A, E, B and move every
+   fingerprint. *)
+let test_one_driver_per_instant () =
+  let sim = Sim.create () in
+  let w = TW.create sim in
+  let order = ref [] in
+  let note s () = order := s :: !order in
+  let a = TW.alarm (note "A") and b = TW.alarm (note "B") in
+  TW.arm w a ~at:7_000L;
+  ignore (Sim.schedule_at sim ~at:7_000L (note "E"));
+  TW.arm w b ~at:7_000L;
+  ignore (Sim.run sim);
+  check (Alcotest.list Alcotest.string) "fire order" [ "A"; "B"; "E" ]
+    (List.rev !order);
+  check Alcotest.int "drivers" 1 (TW.counters w).TW.drivers
 
 let test_arm_cancel_alloc_free () =
   let sim = Sim.create () in
@@ -492,6 +531,10 @@ let tests =
           test_cascade_boundaries;
         Alcotest.test_case "same-deadline arm order" `Quick
           test_same_deadline_order;
+        Alcotest.test_case "cancel within a fire batch" `Quick
+          test_cancel_within_batch;
+        Alcotest.test_case "one driver per instant" `Quick
+          test_one_driver_per_instant;
         Alcotest.test_case "arm/cancel allocation-free" `Quick
           test_arm_cancel_alloc_free;
         Alcotest.test_case "one shared wheel per sim" `Quick
