@@ -50,8 +50,9 @@ dune exec bench/server.exe -- --smoke >/dev/null
 
 # Dependency-direction lint for the pluginop layering: the transport-
 # neutral host library must not depend on any transport (quic, tcpsim,
-# netsim, or the hosts built on it), and the PQUIC core must not reach
-# into tcpsim. Checked both at the dune library graph (dune describe) and
+# netsim, or the hosts built on it), the PQUIC core must not reach into
+# tcpsim, and the QUIC wire library depends on none of netsim, pluginop
+# or pquic. Checked both at the dune library graph (dune describe) and
 # at the source level (module-path references).
 echo "== dependency-direction lint (pluginop layering)"
 desc=$(mktemp)
@@ -82,6 +83,10 @@ fi
 bad=$(deps_of pquic | grep -Ex 'tcpsim' || true)
 if [ -n "$bad" ]; then
   echo "pquic (lib/core) depends on tcpsim"; rm -f "$desc"; exit 1
+fi
+bad=$(deps_of quic | grep -Ex 'netsim|pluginop|pquic' || true)
+if [ -n "$bad" ]; then
+  echo "quic depends on $bad"; rm -f "$desc"; exit 1
 fi
 # Plugin manifests and the helper id space live in pluginop: the trust
 # library names them there and never links the QUIC engine.

@@ -103,10 +103,9 @@ let get_field c field index =
   else if field = f_ecn_ce then if c.cur_ecn_ce then 1L else 0L
   else raise (Ebpf.Vm.Helper_failure (Printf.sprintf "get: unknown field %d" field))
 
+(* Writable fields (the generic layer already rejected read-only ids). *)
 let set_field c field index value =
   let open Pluginop.Api in
-  if not (List.mem field writable_fields) then
-    raise (Ebpf.Vm.Helper_failure (Printf.sprintf "set: field %d is read-only" field));
   match path c index with
   | None -> raise (Ebpf.Vm.Helper_failure "set: bad path index")
   | Some p ->

@@ -16,8 +16,8 @@
      specification the JIT is differentially tested against, and the
      JIT's deoptimisation target.
    - [jit] + [run_jit], the production path: the program is compiled once
-     into a graph of OCaml closures and each run enters it with no
-     per-run setup work.
+     into a graph of OCaml closures, one per instruction, and each run
+     enters it with no per-run setup work.
 
    Regions occupy disjoint 4 GiB-aligned windows of address space, so the
    window index [addr lsr 32] identifies the region: resolution is a dense
@@ -280,24 +280,15 @@ let store vm addr sz v =
   | Insn.W32 -> Bytes.set_int32_le r.mem off (Int64.to_int32 v)
   | Insn.W64 -> Bytes.set_int64_le r.mem off v
 
-(* Reads [len] bytes crossing no region boundary; used by helpers
-   (pl_memcpy & co) which must obey the same monitor as bytecode. *)
-let read_bytes vm addr len =
-  let r, off = resolve vm ~write:false addr len in
-  Bytes.sub r.mem off len
-
-let write_bytes vm addr b =
-  let len = Bytes.length b in
-  let r, off = resolve vm ~write:true addr len in
-  Bytes.blit b 0 r.mem off len
-
+(* [pl_memset] obeys the same monitor as bytecode: the range must lie
+   inside one mapped region. *)
 let fill_bytes vm addr len c =
   let r, off = resolve vm ~write:true addr len in
   Bytes.fill r.mem off len c
 
-(* Borrow the backing bytes of a range: same monitor checks as
-   [read_bytes]/[write_bytes] but no copy. The returned offset is valid
-   only until the region is unmapped. *)
+(* Borrow the backing bytes of a range: the monitor checks of a bytecode
+   access of [len] bytes, and no copy. The returned offset is valid only
+   until the region is unmapped. *)
 let direct vm ~write addr len =
   let r, off = resolve vm ~write addr len in
   (r.mem, off)
@@ -1013,17 +1004,16 @@ let[@inline always] store64_m vm stk lim execd addr v =
 (* ------------------------------------------------------------------ *)
 
 (* The program's basic blocks are translated, once, into a graph of OCaml
-   closures of type [jit_env -> int64]: each instruction, or each
-   statement of a symbolically evaluated block, becomes one closure
-   specialised to its shape and operand kinds, holding its operands in
-   its environment, and control threads by tail-calling the next closure
-   directly — no fetch, no decode, no dispatch table. Every block edge
-   lands the block's register commits and then enters the target's
-   gated cell. All mutable run state lives in [jit_env] so
-   the compiled closures are independent of any particular VM: the same
-   [jit_prog] is shared by every PRE running the same bytecode (the
-   content-addressed plugin cache relies on this). A jitted program is
-   not re-entrant — one run at a time per [jit_prog].
+   closures of type [jit_env -> int64]: each instruction becomes one
+   closure specialised to its opcode and operand kinds, holding its
+   operands in its environment, and control threads by tail-calling the
+   next closure directly — no fetch, no decode, no dispatch table.
+   Instructions write the register file as they run, and a block ends by
+   entering its successor's gated cell. All mutable run state lives in
+   [jit_env] so the compiled closures are independent of any particular
+   VM: the same [jit_prog] is shared by every PRE running the same
+   bytecode (the content-addressed plugin cache relies on this). A jitted
+   program is not re-entrant — one run at a time per [jit_prog].
 
    Fuel is prepaid per block: the block head subtracts the whole block
    length once, so instructions inside a block touch no counter, and the
@@ -1038,153 +1028,12 @@ let[@inline always] store64_m vm stk lim execd addr v =
    then agree bit-for-bit on results, traps and accounting even on
    unverified programs. *)
 
-(* ------------------------------------------------------------------ *)
-(* Symbolic block IR for the closure JIT                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Within one basic block, registers are evaluated symbolically into
-   pure expression trees over the block's entry state: stack slots
-   ([Jslot], a byte offset into the stack bytes), registers as of block
-   entry ([Jreg]), temporaries holding materialized risky loads
-   ([Jtmp], a byte offset into the scratch segment), and constants.
-   Slot stores and risky memory accesses stay in program order as
-   statements; everything else fuses into the trees, which the template
-   compiler then collapses into a handful of wide closures. *)
-type sx =
-  | Jcst of int64
-  | Jslot of int
-  | Jreg of int
-  | Jtmp of int
-  | Jbin of int * sx * sx (* alu index (linked opcode / 2), lhs, rhs *)
-  | Jneg of sx
-
-(* Block statements, in original program order. [Jst]/[Jtm]/[Jrg] are
-   non-trapping; [Jld]/[Jsd] carry the [ci = stop - i] needed to sync
-   [executed] exactly when the monitored access leaves the stack fast
-   path (and may therefore trap). *)
-type jstmt =
-  | Jst of int * sx (* stack slot := tree *)
-  | Jtm of int * sx (* scratch tmp := tree (pure) *)
-  | Jrg of int * sx (* register := tree (commit to the register file) *)
-  | Jld of int * sx * int64 * int (* tmp := load64 [base + off], ci *)
-  | Jsd of sx * int64 * sx * int (* store64 [base + off] := tree, ci *)
-  | Jnop
-
-type jterm =
-  | Jexit of sx * int (* return tree; ci of the exit instruction *)
-  | Jjmp of int (* unconditional, target instruction index *)
-  | Jcnd of int * sx * sx * int * int (* cond code, lhs, rhs, taken, fall *)
-  | Jdeo of int * int (* deoptimize at instruction i with ci *)
-
-(* Exact 64-bit ALU semantics, shared by compile-time constant folding
-   and the generic tree evaluator; must mirror the reference [alu64]. *)
-let jx_alu c a b =
-  match c with
-  | 0 -> Int64.add a b
-  | 1 -> Int64.sub a b
-  | 2 -> Int64.mul a b
-  | 3 -> if Int64.equal b 0L then 0L else udiv64 a b
-  | 5 -> Int64.logor a b
-  | 6 -> Int64.logand a b
-  | 7 -> Int64.logxor a b
-  | 8 -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | 9 -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
-  | 10 -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
-  | 11 -> if Int64.equal b 0L then a else urem64 a b
-  | _ -> b (* 4, Mov *)
-
-(* Condition codes are (linked opcode - 41) / 2; must mirror
-   [jump_taken]. Inlined into the terminator
-   closures, where [c] is a captured immediate. *)
-let[@inline always] jx_cond c a b =
-  match c with
-  | 0 -> Int64.equal a b
-  | 1 -> not (Int64.equal a b)
-  | 2 -> ucmp a b > 0
-  | 3 -> ucmp a b >= 0
-  | 4 -> ucmp a b < 0
-  | 5 -> ucmp a b <= 0
-  | 6 -> Int64.compare a b > 0
-  | 7 -> Int64.compare a b >= 0
-  | 8 -> Int64.compare a b < 0
-  | 9 -> Int64.compare a b <= 0
-  | _ -> not (Int64.equal (Int64.logand a b) 0L) (* 10, Jset *)
-
-let jx_log2 v =
-  (* [Some k] iff v = 2^k, v > 0. *)
-  if Int64.compare v 0L <= 0 || not (Int64.equal (Int64.logand v (Int64.pred v)) 0L)
-  then None
-  else begin
-    let k = ref 0 and x = ref v in
-    while not (Int64.equal !x 1L) do
-      x := Int64.shift_right_logical !x 1;
-      incr k
-    done;
-    Some !k
-  end
-
-(* Smart constructor: folds constants with the exact [jx_alu] semantics
-   and strength-reduces unsigned division/modulo by a power of two (the
-   unsigned semantics make the shift/mask rewrite exact). *)
-let jx_bin c a b =
-  match (a, b) with
-  | Jcst x, Jcst y -> Jcst (jx_alu c x y)
-  | _ -> (
-    match (c, b) with
-    | 3, Jcst 0L -> Jcst 0L
-    | 11, Jcst 0L -> a
-    | 3, Jcst d -> (
-      match jx_log2 d with
-      | Some 0 -> a
-      | Some k -> Jbin (9, a, Jcst (Int64.of_int k))
-      | None -> Jbin (c, a, b))
-    | 11, Jcst d -> (
-      match jx_log2 d with
-      | Some _ -> Jbin (6, a, Jcst (Int64.pred d))
-      | None -> Jbin (c, a, b))
-    | (0 | 1 | 8 | 9 | 10), Jcst 0L -> a
-    | 2, Jcst 1L -> a
-    | _ -> Jbin (c, a, b))
-
-let rec jx_size = function
-  | Jcst _ | Jslot _ | Jreg _ | Jtmp _ -> 1
-  | Jneg t -> 1 + jx_size t
-  | Jbin (_, a, b) -> 1 + jx_size a + jx_size b
-
-let rec jx_refs_slot o = function
-  | Jslot o' -> o = o'
-  | Jbin (_, a, b) -> jx_refs_slot o a || jx_refs_slot o b
-  | Jneg t -> jx_refs_slot o t
-  | _ -> false
-
-let rec jx_refs_any_slot = function
-  | Jslot _ -> true
-  | Jbin (_, a, b) -> jx_refs_any_slot a || jx_refs_any_slot b
-  | Jneg t -> jx_refs_any_slot t
-  | _ -> false
-
-let rec jx_refs_reg r = function
-  | Jreg r' -> r = r'
-  | Jbin (_, a, b) -> jx_refs_reg r a || jx_refs_reg r b
-  | Jneg t -> jx_refs_reg r t
-  | _ -> false
-
-(* Every slot read by a tree, for DSE read-tracking. *)
-let rec jx_iter_slots f = function
-  | Jslot o -> f o
-  | Jbin (_, a, b) ->
-    jx_iter_slots f a;
-    jx_iter_slots f b
-  | Jneg t -> jx_iter_slots f t
-  | _ -> ()
-
 type jit_env = {
   mutable jvm : t;
   mutable jregb : Bytes.t;
   mutable jstk : Bytes.t;
   mutable jk : int; (* executed + fuel0 + 1: [executed] = jk - fuel - 1 *)
   mutable jfuel : int;
-  mutable jseg : Bytes.t; (* scratch temporaries for materialized loads *)
 }
 
 type jit_prog = {
@@ -1196,48 +1045,6 @@ type jit_prog = {
   jplace : t; (* placeholder [jvm] of a fresh environment until a run
                  binds one; shared by the program's clones *)
 }
-
-(* Coded operands/commit values for the template closures: a handful of
-   small runtime matches on captured immediates (perfectly predicted
-   per call site) instead of a combinatorial explosion of build-time
-   specializations. *)
-type jopd = Kc of int64 | Ks of int | Kt of int | Kr of int
-
-type jcv = Vc of int64 | Vs of int | Vt of int | Vshr of int * int
-
-let jx_opd = function
-  | Jcst v -> Some (Kc v)
-  | Jslot o -> Some (Ks o)
-  | Jtmp o -> Some (Kt o)
-  | Jreg r -> Some (Kr r)
-  | _ -> None
-
-let jx_cv = function
-  | Jcst v -> Some (Vc v)
-  | Jslot o -> Some (Vs o)
-  | Jtmp o -> Some (Vt o)
-  | Jbin (9, Jslot o, Jcst k) ->
-    Some (Vshr (o, Int64.to_int (Int64.logand k 63L)))
-  | _ -> None
-
-let[@inline always] jopd_get env = function
-  | Kc v -> v
-  | Ks o -> bytes_get64 env.jstk o
-  | Kt o -> bytes_get64 env.jseg o
-  | Kr r -> rget env.jregb r
-
-let[@inline always] jcv_commit env r = function
-  | Vc v -> rset env.jregb r v
-  | Vs o -> rset env.jregb r (bytes_get64 env.jstk o)
-  | Vt o -> rset env.jregb r (bytes_get64 env.jseg o)
-  | Vshr (o, k) ->
-    rset env.jregb r (Int64.shift_right_logical (bytes_get64 env.jstk o) k)
-
-let[@inline always] jrun_commits env (carr : (int * jcv) array) =
-  for i = 0 to Array.length carr - 1 do
-    let r, v = Array.unsafe_get carr i in
-    jcv_commit env r v
-  done
 
 (* Deoptimisation: resume the reference interpreter at instruction [i]
    holding [fuel], the budget its per-instruction loop would hold on
@@ -1256,7 +1063,6 @@ let jit_fresh_env place =
     jstk = Bytes.create 0;
     jk = 0;
     jfuel = 0;
-    jseg = Bytes.create 0;
   }
 
 let jit ?(stack_size = 512) prog =
@@ -1982,587 +1788,12 @@ let jit ?(stack_size = 512) prog =
         end
       | _ (* trap_badreg and anything unspecialised *) -> deopt i ci
     in
-    (* ---------------- symbolic block compiler ---------------- *)
-    let maxtmp = ref 0 in
-    (* Symbolically evaluate one block into (statements, count,
-       terminator, coded register commits, tmp count). Returns [None]
-       when the block contains a shape the symbolic tier does not
-       handle (calls, 32-bit ALU, sub-64-bit memory, fp writes); the
-       per-instruction chain then compiles it instead. *)
-    let exception Jbail in
-    let symbolize start stop =
-      if fp_written then None
-      else begin
-        try
-          let regs =
-            Array.init 11 (fun r -> if r = 10 then Jcst fpv else Jreg r)
-          in
-          let cap = (8 * (stop - start)) + 24 in
-          let stms = Array.make cap Jnop in
-          let nst = ref 0 in
-          let memo : (int, sx) Hashtbl.t = Hashtbl.create 16 in
-          let last_store : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          let last_read : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          let barrier = ref (-1) in
-          let ntmp = ref 0 in
-          let mark_reads t =
-            jx_iter_slots (fun o -> Hashtbl.replace last_read o !nst) t
-          in
-          let emit st =
-            if !nst >= cap then raise Jbail;
-            stms.(!nst) <- st;
-            incr nst
-          in
-          let new_tmp () =
-            let t = 8 * !ntmp in
-            incr ntmp;
-            t
-          in
-          let drop_memo_refs pred =
-            let stale =
-              Hashtbl.fold
-                (fun o mt acc -> if pred mt then o :: acc else acc)
-                memo []
-            in
-            List.iter (Hashtbl.remove memo) stale
-          in
-          (* Commit register [j]'s pending tree to the register file now.
-             Any other live tree reading [Jreg j] would silently change
-             meaning, so bail on cross-references (rare in practice). *)
-          let materialize j =
-            match regs.(j) with
-            | Jreg j' when j' = j -> ()
-            | t ->
-              for j2 = 0 to 9 do
-                if j2 <> j && jx_refs_reg j regs.(j2) then raise Jbail
-              done;
-              drop_memo_refs (jx_refs_reg j);
-              mark_reads t;
-              emit (Jrg (j, t));
-              regs.(j) <- Jreg j
-          in
-          (* A non-leaf tree physically equal to a slot's current memo
-             reads back as a cheap copy of that slot. *)
-          let norm_memo t =
-            match t with
-            | Jbin _ | Jneg _ ->
-              let found = ref t in
-              Hashtbl.iter (fun o mt -> if mt == t then found := Jslot o) memo;
-              !found
-            | _ -> t
-          in
-          let store_slot soff t0 =
-            let t =
-              match t0 with
-              | Jbin _ | Jneg _ ->
-                let found = ref t0 in
-                Hashtbl.iter
-                  (fun o mt -> if mt == t0 && o <> soff then found := Jslot o)
-                  memo;
-                !found
-              | _ -> t0
-            in
-            drop_memo_refs (jx_refs_slot soff);
-            for j = 0 to 9 do
-              match regs.(j) with
-              | Jreg j' when j' = j -> ()
-              | rt when rt == t0 || rt == t ->
-                (* The slot now holds exactly this register's value. *)
-                regs.(j) <- Jslot soff
-              | rt when jx_refs_slot soff rt -> materialize j
-              | _ -> ()
-            done;
-            mark_reads t;
-            (* DSE: the previous store to this slot is dead if nothing
-               read the slot since and no trap point intervened. *)
-            (match Hashtbl.find_opt last_store soff with
-            | Some j
-              when j > !barrier
-                   && (match Hashtbl.find_opt last_read soff with
-                      | Some rj -> rj <= j
-                      | None -> true) ->
-              stms.(j) <- Jnop
-            | _ -> ());
-            Hashtbl.replace last_store soff !nst;
-            emit (Jst (soff, t));
-            Hashtbl.replace memo soff (if jx_size t <= 24 then t else Jslot soff)
-          in
-          let split_base t off0 =
-            match t with
-            | Jbin (0, b, Jcst c) -> (b, Int64.add (Int64.of_int off0) c)
-            | Jbin (0, Jcst c, b) -> (b, Int64.add (Int64.of_int off0) c)
-            | b -> (b, Int64.of_int off0)
-          in
-          let risky_load dst srct off0 ci =
-            let base, off = split_base srct off0 in
-            (match base with
-            | Jcst _ | Jslot _ | Jreg _ | Jtmp _ -> ()
-            | _ -> raise Jbail);
-            mark_reads base;
-            let tt = new_tmp () in
-            emit (Jld (tt, base, off, ci));
-            barrier := !nst - 1;
-            regs.(dst) <- Jtmp tt
-          in
-          let risky_store dstt off0 valt ci =
-            let base, off = split_base dstt off0 in
-            (match base with
-            | Jcst _ | Jslot _ | Jreg _ | Jtmp _ -> ()
-            | _ -> raise Jbail);
-            (* The store may alias stack slots: commit every register
-               tree that reads a slot, then forget all forwarding. *)
-            for j = 0 to 9 do
-              match regs.(j) with
-              | Jreg j' when j' = j -> ()
-              | rt -> if jx_refs_any_slot rt then materialize j
-            done;
-            mark_reads base;
-            mark_reads valt;
-            emit (Jsd (base, off, valt, ci));
-            barrier := !nst - 1;
-            Hashtbl.reset memo
-          in
-          let term = ref None in
-          let i = ref start in
-          while !term = None && !i < stop do
-            let idx = !i in
-            let o = ops.(4 * idx) in
-            let a1 = ops.((4 * idx) + 1)
-            and a2 = ops.((4 * idx) + 2)
-            and a3 = ops.((4 * idx) + 3) in
-            let ci = stop - idx in
-            (match o with
-            | 8 (* mov64_rr *) -> regs.(a1) <- regs.(a2)
-            | 9 (* mov64_ri *) -> regs.(a1) <- Jcst (Int64.of_int a2)
-            | 24 (* neg64 *) ->
-              regs.(a1) <-
-                (match regs.(a1) with
-                | Jcst v -> Jcst (Int64.neg v)
-                | t -> Jneg t)
-            | 27 (* ld_imm64 *) -> regs.(a1) <- Jcst (bytes_get64 pool a2)
-            | o when o <= 23 && o land 1 = 0 (* alu64_rr *) ->
-              regs.(a1) <- jx_bin (o / 2) regs.(a1) regs.(a2)
-            | o when o <= 23 (* alu64_ri *) ->
-              regs.(a1) <- jx_bin (o / 2) regs.(a1) (Jcst (Int64.of_int a2))
-            | 31 (* ldx64 *) ->
-              if a2 = 10 then begin
-                let soff = ss + a3 in
-                if soff >= 0 && soff + 8 <= ss then
-                  regs.(a1) <-
-                    (match Hashtbl.find_opt memo soff with
-                    | Some t -> t
-                    | None -> Jslot soff)
-                else risky_load a1 (Jcst fpv) a3 ci
-              end
-              else risky_load a1 regs.(a2) a3 ci
-            | 35 (* stx64 *) ->
-              if a1 = 10 then begin
-                let soff = ss + a2 in
-                if soff >= 0 && soff + 8 <= ss then store_slot soff regs.(a3)
-                else risky_store (Jcst fpv) a2 regs.(a3) ci
-              end
-              else risky_store regs.(a1) a2 regs.(a3) ci
-            | 39 (* st64 *) ->
-              let v = Jcst (Int64.of_int a3) in
-              if a1 = 10 then begin
-                let soff = ss + a2 in
-                if soff >= 0 && soff + 8 <= ss then store_slot soff v
-                else risky_store (Jcst fpv) a2 v ci
-              end
-              else risky_store regs.(a1) a2 v ci
-            | 40 (* ja *) ->
-              term := Some (if a1 < 0 then Jdeo (idx, ci) else Jjmp a1)
-            | 64 (* exit *) -> term := Some (Jexit (regs.(0), ci))
-            | o when o >= f_jeq_rr && o <= f_jset_ri ->
-              if a3 < 0 then term := Some (Jdeo (idx, ci))
-              else begin
-                let lhs = regs.(a1) in
-                let rhs =
-                  if (o - f_jeq_rr) land 1 = 0 then regs.(a2)
-                  else Jcst (Int64.of_int a2)
-                in
-                let c = (o - f_jeq_rr) / 2 in
-                match (lhs, rhs) with
-                | Jcst a, Jcst b ->
-                  term := Some (Jjmp (if jx_cond c a b then a3 else idx + 1))
-                | _ -> term := Some (Jcnd (c, lhs, rhs, a3, idx + 1))
-              end
-            | _ -> raise Jbail);
-            incr i
-          done;
-          let term =
-            match !term with Some t -> t | None -> Jjmp stop (* fallthrough *)
-          in
-          (* Normalize conditional operands to coded form, spilling
-             complex trees to scratch temporaries (never to registers —
-             the register file must stay exact at block exits). *)
-          let norm_opd t =
-            let t = norm_memo t in
-            match jx_opd t with
-            | Some _ -> t
-            | None ->
-              mark_reads t;
-              let tt = new_tmp () in
-              emit (Jtm (tt, t));
-              Jtmp tt
-          in
-          let term =
-            match term with
-            | Jcnd (c, lhs, rhs, ti, fi) ->
-              let lhs = norm_opd lhs in
-              let rhs = norm_opd rhs in
-              Jcnd (c, lhs, rhs, ti, fi)
-            | t -> t
-          in
-          (* Exit commits: every written register must land in the
-             register file at every block exit (except [Jexit], where
-             registers are no longer observable), so a fuel-failing
-             successor can hand off to the reference interpreter exactly. *)
-          let commits =
-            match term with
-            | Jexit _ -> [||]
-            | _ ->
-              let coded = ref [] in
-              let rgs = ref [] in
-              for j = 0 to 9 do
-                match regs.(j) with
-                | Jreg j' when j' = j -> ()
-                | t -> (
-                  let t = norm_memo t in
-                  match
-                    (match term with Jdeo _ -> None | _ -> jx_cv t)
-                  with
-                  | Some cv -> coded := (j, cv) :: !coded
-                  | None -> rgs := (j, t) :: !rgs)
-              done;
-              (* [Jrg] stmts run in sequence and write the register
-                 file; a tree reading a register that another pending
-                 [Jrg] writes would change meaning. Bail on that. *)
-              List.iter
-                (fun ((j, t) : int * sx) ->
-                  List.iter
-                    (fun ((r, _) : int * sx) ->
-                      if r <> j && jx_refs_reg r t then raise Jbail)
-                    !rgs)
-                !rgs;
-              List.iter
-                (fun (j, t) ->
-                  mark_reads t;
-                  emit (Jrg (j, t)))
-                (List.rev !rgs);
-              Array.of_list (List.rev !coded)
-          in
-          Some (stms, !nst, term, commits, !ntmp)
-        with Jbail -> None
-      end
-    in
-    (* Generic tree evaluator: per-node closures, operator specialised
-       at build time. Only reached by shapes the templates miss. *)
-    let rec mk_ev t : jit_env -> int64 =
-      match t with
-      | Jcst v -> fun _ -> v
-      | Jslot o -> fun env -> bytes_get64 env.jstk o
-      | Jreg r -> fun env -> rget env.jregb r
-      | Jtmp o -> fun env -> bytes_get64 env.jseg o
-      | Jneg e ->
-        let f = mk_ev e in
-        fun env -> Int64.neg (f env)
-      | Jbin (c, a, b) -> (
-        let fa = mk_ev a and fb = mk_ev b in
-        match c with
-        | 0 -> fun env -> Int64.add (fa env) (fb env)
-        | 1 -> fun env -> Int64.sub (fa env) (fb env)
-        | 2 -> fun env -> Int64.mul (fa env) (fb env)
-        | 3 ->
-          fun env ->
-            let bv = fb env in
-            if Int64.equal bv 0L then 0L else udiv64 (fa env) bv
-        | 5 -> fun env -> Int64.logor (fa env) (fb env)
-        | 6 -> fun env -> Int64.logand (fa env) (fb env)
-        | 7 -> fun env -> Int64.logxor (fa env) (fb env)
-        | 8 ->
-          fun env ->
-            Int64.shift_left (fa env) (Int64.to_int (Int64.logand (fb env) 63L))
-        | 9 ->
-          fun env ->
-            Int64.shift_right_logical (fa env)
-              (Int64.to_int (Int64.logand (fb env) 63L))
-        | 10 ->
-          fun env ->
-            Int64.shift_right (fa env) (Int64.to_int (Int64.logand (fb env) 63L))
-        | 11 ->
-          fun env ->
-            let bv = fb env in
-            let av = fa env in
-            if Int64.equal bv 0L then av else urem64 av bv
-        | _ -> fb (* mov *))
-    in
-    (* Generic one-statement thunk for shapes without a micro-op. *)
-    let stmt_thunk st : jit_env -> unit =
-      match st with
-      | Jnop -> fun _ -> ()
-      | Jst (d, t) ->
-        let ev = mk_ev t in
-        fun env -> bytes_set64 env.jstk d (ev env)
-      | Jtm (d, t) ->
-        let ev = mk_ev t in
-        fun env -> bytes_set64 env.jseg d (ev env)
-      | Jrg (r, t) ->
-        let ev = mk_ev t in
-        fun env -> rset env.jregb r (ev env)
-      | Jld (d, base, off, ci) ->
-        let evb = mk_ev base in
-        fun env ->
-          let addr = Int64.add (evb env) off in
-          bytes_set64 env.jseg d
-            (load64_m env.jvm env.jstk lim8 (env.jk - env.jfuel - ci) addr)
-      | Jsd (base, off, v, ci) ->
-        let evb = mk_ev base and evv = mk_ev v in
-        fun env ->
-          let addr = Int64.add (evb env) off in
-          store64_m env.jvm env.jstk lim8 (env.jk - env.jfuel - ci) addr
-            (evv env)
-    in
-    (* One closure per statement, specialised on the common shapes so a
-       whole PLC statement (EWMA update, mul-store-sub, accumulate)
-       costs one call with a stable target — every link's indirect call
-       always lands on the same successor, so nothing mispredicts.
-       Links are unit-typed and compose into a chain run once per block
-       entry. *)
-    let mk_stmt_link st (rest : jit_env -> int64) : jit_env -> int64 =
-      match st with
-      | Jnop -> rest
-      | Jst (d, t) -> (
-        match t with
-        | Jcst v ->
-          fun env ->
-            bytes_set64 env.jstk d v;
-            rest env
-        | Jslot a ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (bytes_get64 s a);
-            rest env
-        | Jtmp a ->
-          fun env ->
-            bytes_set64 env.jstk d (bytes_get64 env.jseg a);
-            rest env
-        | Jreg r ->
-          fun env ->
-            bytes_set64 env.jstk d (rget env.jregb r);
-            rest env
-        | Jbin (0, Jslot a, Jcst c) | Jbin (0, Jcst c, Jslot a) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.add (bytes_get64 s a) c);
-            rest env
-        | Jbin (1, Jslot a, Jcst c) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.sub (bytes_get64 s a) c);
-            rest env
-        | Jbin (1, Jcst c, Jslot a) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.sub c (bytes_get64 s a));
-            rest env
-        | Jneg (Jslot a) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.neg (bytes_get64 s a));
-            rest env
-        | Jbin (2, Jslot a, Jcst c) | Jbin (2, Jcst c, Jslot a) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.mul (bytes_get64 s a) c);
-            rest env
-        | Jbin (6, Jslot a, Jcst c) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.logand (bytes_get64 s a) c);
-            rest env
-        | Jbin (9, Jslot a, Jcst k) ->
-          let sh = Int64.to_int (Int64.logand k 63L) in
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.shift_right_logical (bytes_get64 s a) sh);
-            rest env
-        | Jbin (8, Jslot a, Jcst k) ->
-          let sh = Int64.to_int (Int64.logand k 63L) in
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.shift_left (bytes_get64 s a) sh);
-            rest env
-        | Jbin (10, Jslot a, Jcst k) ->
-          let sh = Int64.to_int (Int64.logand k 63L) in
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.shift_right (bytes_get64 s a) sh);
-            rest env
-        | Jbin (0, Jslot a, Jslot b) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.add (bytes_get64 s a) (bytes_get64 s b));
-            rest env
-        | Jbin (1, Jslot a, Jslot b) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.sub (bytes_get64 s a) (bytes_get64 s b));
-            rest env
-        | Jbin (2, Jslot a, Jslot b) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d (Int64.mul (bytes_get64 s a) (bytes_get64 s b));
-            rest env
-        | Jbin (0, Jslot a, Jtmp tb) | Jbin (0, Jtmp tb, Jslot a) ->
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d
-              (Int64.add (bytes_get64 s a) (bytes_get64 env.jseg tb));
-            rest env
-        | Jbin (0, Jbin (0, Jslot a, Jtmp t1), Jtmp t2) ->
-          fun env ->
-            let s = env.jstk in
-            let g = env.jseg in
-            bytes_set64 s d
-              (Int64.add
-                 (Int64.add (bytes_get64 s a) (bytes_get64 g t1))
-                 (bytes_get64 g t2));
-            rest env
-        | Jbin (9, Jbin (2, Jslot a, Jcst c), Jcst k) ->
-          (* x*c >> k : the strength-reduced div-by-pow2 of a product *)
-          let sh = Int64.to_int (Int64.logand k 63L) in
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d
-              (Int64.shift_right_logical (Int64.mul (bytes_get64 s a) c) sh);
-            rest env
-        | Jbin
-            ( 0,
-              Jbin (9, Jbin (2, Jslot a, Jcst c1), Jcst k1),
-              Jbin (9, Jslot b, Jcst k2) ) ->
-          (* EWMA: (a*c1 >> k1) + (b >> k2) — the srtt/rttvar shape *)
-          let s1 = Int64.to_int (Int64.logand k1 63L) in
-          let s2 = Int64.to_int (Int64.logand k2 63L) in
-          fun env ->
-            let s = env.jstk in
-            bytes_set64 s d
-              (Int64.add
-                 (Int64.shift_right_logical (Int64.mul (bytes_get64 s a) c1) s1)
-                 (Int64.shift_right_logical (bytes_get64 s b) s2));
-            rest env
-        | _ ->
-          let th = stmt_thunk st in
-          fun env ->
-            th env;
-            rest env)
-      | Jtm (d, Jslot a) ->
-        fun env ->
-          bytes_set64 env.jseg d (bytes_get64 env.jstk a);
-          rest env
-      | Jrg (r, Jcst v) ->
-        fun env ->
-          rset env.jregb r v;
-          rest env
-      | Jrg (r, Jslot a) ->
-        fun env ->
-          rset env.jregb r (bytes_get64 env.jstk a);
-          rest env
-      | Jld (d, Jslot p, off, ci) ->
-        fun env ->
-          let s = env.jstk in
-          let addr = Int64.add (bytes_get64 s p) off in
-          bytes_set64 env.jseg d
-            (load64_m env.jvm s lim8 (env.jk - env.jfuel - ci) addr);
-          rest env
-      | Jld (d, Jcst b, off, ci) ->
-        let addr = Int64.add b off in
-        fun env ->
-          bytes_set64 env.jseg d
-            (load64_m env.jvm env.jstk lim8 (env.jk - env.jfuel - ci) addr);
-          rest env
-      | _ ->
-        let th = stmt_thunk st in
-        fun env ->
-          th env;
-          rest env
-    in
-    (* Compose the statement vector into a single closure chain ending
-       in [tail] (the block's terminator): an empty block costs
-       nothing, and every link tail-calls a fixed successor. *)
-    let mk_chain stms nstm (tail : jit_env -> int64) : jit_env -> int64 =
-      let k = ref tail in
-      for pos = nstm - 1 downto 0 do
-        k := mk_stmt_link stms.(pos) !k
-      done;
-      !k
-    in
-    (* A terminator edge: land the block's register commits, then enter
-       the target block through its gated cell, which prepays the
-       target's fuel or deoptimises with the register file exact. *)
-    let edge carr t : jit_env -> int64 =
-      let b = blk_id.(t) in
-      if Array.length carr = 0 then goto_cell b
-      else fun env ->
-        jrun_commits env carr;
-        (Array.unsafe_get cells b) env
-    in
-    (* Compile a symbolized block to a single closure: the statement
-       chain tail-calls straight into the terminator (operand-specialised
-       compare, one edge closure per successor). An empty block IS its
-       terminator. *)
-    let mk_symbolic_body stms nstm term carr =
-      let tail : jit_env -> int64 =
-        match term with
-        | Jexit (Jslot o, ci) ->
-          fun env ->
-            env.jvm.executed <- env.jk - env.jfuel - ci;
-            bytes_get64 env.jstk o
-        | Jexit (Jcst v, ci) ->
-          fun env ->
-            env.jvm.executed <- env.jk - env.jfuel - ci;
-            v
-        | Jexit (t, ci) ->
-          let ev = mk_ev t in
-          fun env ->
-            env.jvm.executed <- env.jk - env.jfuel - ci;
-            ev env
-        | Jdeo (i, ci) -> fun env -> jit_resume env prog i (env.jfuel + ci)
-        | Jjmp t -> edge carr t
-        | Jcnd (c, lhs, rhs, ti, fi) -> (
-          let kl = match jx_opd lhs with Some k -> k | None -> assert false in
-          let kr = match jx_opd rhs with Some k -> k | None -> assert false in
-          let tf = edge carr ti and ff = edge carr fi in
-          match (kl, kr) with
-          | Ks la, Ks rb ->
-            fun env ->
-              let s = env.jstk in
-              (if jx_cond c (bytes_get64 s la) (bytes_get64 s rb) then tf
-               else ff)
-                env
-          | Ks la, Kc vb ->
-            fun env ->
-              (if jx_cond c (bytes_get64 env.jstk la) vb then tf else ff) env
-          | _ ->
-            fun env ->
-              let a = jopd_get env kl and b = jopd_get env kr in
-              (if jx_cond c a b then tf else ff) env)
-      in
-      mk_chain stms nstm tail
-    in
     let compile_block start stop =
       let blen = stop - start in
-      let body =
-        match symbolize start stop with
-        | None ->
-          let rec build i next =
-            if i < start then next else build (i - 1) (ins i (stop - i) next)
-          in
-          build (stop - 1) (goto_cell blk_id.(stop))
-        | Some (stms, nstm, term, carr, ntmp) ->
-          if ntmp > !maxtmp then maxtmp := ntmp;
-          mk_symbolic_body stms nstm term carr
+      let rec build i next =
+        if i < start then next else build (i - 1) (ins i (stop - i) next)
       in
+      let body = build (stop - 1) (goto_cell blk_id.(stop)) in
       cells.(blk_id.(start)) <-
         (fun env ->
           let f = env.jfuel in
@@ -2583,7 +1814,6 @@ let jit ?(stack_size = 512) prog =
        check and failed fetch provide the exact semantics. *)
     cells.(blk_id.(n)) <- (fun env -> jit_resume env prog n env.jfuel);
     let entry = cells.(blk_id.(0)) in
-    if !maxtmp > 0 then env.jseg <- Bytes.create (8 * !maxtmp);
     { jprog = prog; jstack = stack_size; jentry = entry; jenv = env;
       jplace = place }
   end
@@ -2594,9 +1824,7 @@ let jit ?(stack_size = 512) prog =
    thus its own non-re-entrancy domain) for the cost of two small
    allocations. The content-addressed program cache relies on this. *)
 let jit_clone jp =
-  let env = jit_fresh_env jp.jplace in
-  env.jseg <- Bytes.create (Bytes.length jp.jenv.jseg);
-  { jp with jenv = env }
+  { jp with jenv = jit_fresh_env jp.jplace }
 
 (* Execute a jitted program: the same prologue as [run], into the register
    file, then the entry block closure. A VM whose stack size differs from

@@ -83,8 +83,6 @@ val map_region :
     the monitor bounds accesses to [k < len] — this is how host-owned wire
     buffers are exposed zero-copy with the bounds of the old copied slice. *)
 
-val unmap_region : t -> region -> unit
-
 val remap : t -> region -> Bytes.t -> region
 (** Point a mapped region at a new backing buffer: the region keeps its
     rid, window and base (addresses into it stay valid) and its view now
@@ -104,19 +102,17 @@ val unmap_above : t -> int -> unit
     per-call transient regions because a VM is never re-entered while its
     pluglet runs. *)
 
-val read_bytes : t -> int64 -> int -> Bytes.t
-(** Region-checked read used by helpers (pl_memcpy & co.): the access must
-    lie inside one mapped region.
-    @raise Memory_violation otherwise. *)
-
-val write_bytes : t -> int64 -> Bytes.t -> unit
 val fill_bytes : t -> int64 -> int -> char -> unit
+(** Region-checked fill used by the [pl_memset] helper: the range must
+    lie inside one mapped region.
+    @raise Memory_violation otherwise, or on a read-only region. *)
 
 val direct : t -> write:bool -> int64 -> int -> Bytes.t * int
-(** [direct vm ~write addr len] performs the same monitor checks as
-    {!read_bytes}/{!write_bytes} but returns the backing buffer and the
-    translated offset instead of copying, so helpers can blit straight
-    between regions and host buffers. The borrow is valid only until the
+(** [direct vm ~write addr len] performs the monitor checks of a bytecode
+    access of [len] bytes at [addr] (inside one mapped region, and
+    writable when [write]) and returns the backing buffer and the
+    translated offset, so helpers can blit straight between regions and
+    host buffers without a copy. The borrow is valid only until the
     region is unmapped.
     @raise Memory_violation on an out-of-region or read-only access. *)
 

@@ -725,13 +725,13 @@ let test_jit_block_edges () =
   diff_case "arg buffer underrun" [ I.Ldx (I.W64, 0, 1, -8); I.Exit ]
 
 (* Regression input (shrunk from the datagram plugin's parse pluglet): a
-   block the symbolizer refuses (sub-64-bit load) runs as a
-   per-instruction closure chain and branches into a mov/ja block that
-   leads to a jeq block. When the JIT inlined that jeq into its
+   block holding a sub-64-bit load branches into a mov/ja block that
+   leads to a jeq block. When an earlier JIT inlined that jeq into its
    predecessor's terminator, the compare read the stale register file
-   instead of the pending mov commit. Every edge now lands its commits
-   before entering the target, and the program stays as a differential
-   case for register commits across block edges. *)
+   instead of a pending mov commit. Every block now compiles to a
+   per-instruction closure chain that writes the register file as it
+   runs, and the program stays as a differential case for register state
+   across block edges. *)
 let test_jit_pending_commit_regression () =
   diff_case "per-insn head into threaded mov/jeq chain"
     [
