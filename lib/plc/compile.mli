@@ -1,10 +1,11 @@
 (** Compilation of the plugin language to eBPF bytecode.
 
-    A stack-machine strategy: locals live in fixed frame-pointer-relative
-    slots, expression temporaries in slots above them, so every memory
-    access the compiler emits is statically checkable by the
-    {!Ebpf.Verifier}. Results are produced in r0; helper calls follow the
-    eBPF convention (args r1..r5, result r0). *)
+    Register-operand code in the shape clang emits: locals live in fixed
+    frame-pointer-relative slots and the few spilled temporaries above
+    them, so every stack access is statically checkable by the
+    {!Ebpf.Verifier}; constants become immediates, conditions direct jumps
+    and [base +/- k] addresses load/store offsets. Results are produced in
+    r0; helper calls follow the eBPF convention (args r1..r5, result r0). *)
 
 exception Error of string
 

@@ -232,15 +232,22 @@ let run_impl st c impl ~read_only args =
    and the built-in behaviour serves the operation — the connection state
    stays coherent — before the existing sanction (plugin removal,
    connection failure) fires. *)
+(* A loop, not [Array.exists]: its closure would allocate on every exec. *)
+let rec has_rw args i =
+  i < Array.length args
+  && match args.(i) with Buf (_, `Rw) -> true | _ -> has_rw args (i + 1)
+
 let run_replace st c e ~default args =
   match e.replace with
   | None -> default c args
   | Some (Native (_, fn)) -> fn c args
   | Some (Pluglet pre) -> (
+    (* Only a writable buffer can carry a trapped pluglet's writes out, so
+       the rollback snapshot is taken only when one is passed. *)
     let saved =
-      Array.map
-        (function Buf (b, `Rw) -> Some (Bytes.copy b) | _ -> None)
-        args
+      if has_rw args 0 then
+        Array.map (function Buf (b, `Rw) -> Some (Bytes.copy b) | _ -> None) args
+      else [||]
     in
     match exec_pluglet st pre ~read_only:false args with
     | Ok v -> v

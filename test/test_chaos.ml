@@ -176,8 +176,9 @@ let make_conn () =
     ~remote_addr:topo.Topology.server_addr ~local_cid:1L ~remote_cid:2L
     ~local_params:Quic.Transport_params.default ()
 
-(* writes into its writable argument buffer, then traps on a wild load *)
-let trapping_replace_plugin op =
+(* writes into its writable argument buffer, then traps on a wild load;
+   [lead] integer parameters come before the buffer *)
+let trapping_replace_plugin ?(lead = []) op =
   let open Plc.Ast in
   {
     Pluginop.Plugin.name = "org.test.trap-replace";
@@ -191,9 +192,10 @@ let trapping_replace_plugin op =
             Pluginop.Plugin.Source
               {
                 name = "scribble_then_trap";
-                params = [ "buf" ];
+                params = lead @ [ "buf" ];
                 body =
-                  [
+                  List.map (fun p -> Store (Ebpf.Insn.W8, Var "buf" +: Var p, Const 0xFFL)) lead
+                  @ [
                     Store (Ebpf.Insn.W8, Var "buf", Const 0xFFL);
                     Return (Load (Ebpf.Insn.W64, Const 0xDEAD_0000L));
                   ];
@@ -237,6 +239,26 @@ let test_trap_falls_back_to_builtin () =
   | C.Failed _ -> ()
   | _ -> Alcotest.fail "connection not failed by the sanction")
 
+(* the same rollback when the writable buffer follows an integer argument:
+   the snapshot is taken by argument shape, not position *)
+let test_trap_rolls_back_buffer_after_int () =
+  let op = 150 in
+  let c = make_conn () in
+  let plugin = trapping_replace_plugin ~lead:[ "n" ] op in
+  ignore (C.attach_instance c (C.build_instance (C.prepare plugin)));
+  let buf = Bytes.make 8 'a' in
+  let seen = ref "" in
+  let default _ args =
+    (match args.(1) with C.Buf (b, _) -> seen := Bytes.to_string b | _ -> ());
+    7L
+  in
+  let v = C.run_op c op ~default [| C.I 3L; C.Buf (buf, `Rw) |] in
+  check Alcotest.int64 "builtin result returned" 7L v;
+  check Alcotest.string "builtin sees rolled-back buffer" "aaaaaaaa" !seen;
+  check Alcotest.string "both pluglet writes rolled back" "aaaaaaaa"
+    (Bytes.to_string buf);
+  check Alcotest.int "one fallback counted" 1 (C.stats c).C.plugin_fallbacks
+
 let tests =
   [
     ("faults", [
@@ -248,5 +270,7 @@ let tests =
     ("sanction", [
       Alcotest.test_case "trap falls back to builtin" `Quick
         test_trap_falls_back_to_builtin;
+      Alcotest.test_case "rw buffer after an int rolled back" `Quick
+        test_trap_rolls_back_buffer_after_int;
     ]);
   ]
