@@ -75,7 +75,7 @@ let pre_vm =
 
 let pre_rtt_update () =
   let vm, _, jp = pre_vm in
-  Ebpf.Vm.run_jit vm jp
+  Ebpf.Vm.run_jit vm ~args:[||] jp
 
 (* the same bytecode through the reference interpreter *)
 let pre_rtt_update_interp () =
@@ -163,14 +163,15 @@ let getset_vm =
   in
   let prog, stack = Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
-  Ebpf.Vm.register_helper vm Pluginop.Api.h_get (fun _ a ->
-      if Int64.to_int a.(0) = Pluginop.Api.f_cwnd then direct_state.cwnd
-      else direct_state.srtt);
+  Ebpf.Vm.register_helper vm Pluginop.Api.h_get (fun vm ->
+      Ebpf.Vm.ret vm
+        (if Ebpf.Vm.arg_int vm 1 = Pluginop.Api.f_cwnd then direct_state.cwnd
+         else direct_state.srtt));
   (vm, Ebpf.Vm.jit ~stack_size:stack prog)
 
 let getset_via_api () =
   let vm, jp = getset_vm in
-  Ebpf.Vm.run_jit vm jp
+  Ebpf.Vm.run_jit vm ~args:[||] jp
 
 (* ---- §4.6: plugin loading, fresh vs cached --------------------------- *)
 
@@ -247,7 +248,7 @@ let dispatch_vm =
 
 let ebpf_dispatch () =
   let vm, jp = dispatch_vm in
-  Ebpf.Vm.run_jit vm jp
+  Ebpf.Vm.run_jit vm ~args:[||] jp
 
 let gf_a = Bytes.make 1300 'a'
 let gf_b = Bytes.make 1300 'b'

@@ -267,7 +267,7 @@ type 'c host_instance = 'c Pluginop.Types.instance = {
   pool : Pluginop.Memory_pool.t;
   mutable heap : Bytes.t;        (* pool backing the PREs map *)
   pres : Pluginop.Pre.t list;
-  opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
+  opaque : int Pluginop.Types.Int_tbl.t; (* opaque-data id -> heap offset *)
 }
 
 type t = {

@@ -120,54 +120,51 @@ let set_field c field index value =
    below. [process_recovered] hands a FEC-recovered packet image back to
    the receive path, which lives above this module in [Connection]. *)
 let install_extra_helpers ~process_recovered c (inst : instance) tbl =
-  let reg ?arity id f = Ebpf.Vm.add_helper ?arity tbl id f in
-  reg ~arity:4 Pluginop.Api.h_reserve_frames (fun _ a ->
+  let module V = Ebpf.Vm in
+  let reg id f = V.add_helper tbl id f in
+  reg Pluginop.Api.h_reserve_frames (fun vm ->
       (* a frame type keys write_frame/notify_frame entries: it must fit
          the manifest's u16 param field *)
-      let ftype = to_i a.(0) in
+      let ftype = V.arg_int vm 1 in
       if ftype < 0 || ftype > Pluginop.Dispatch.max_param then
         helper_fail "reserve_frames: frame type 0x%x out of range" ftype;
-      let flags = to_i a.(2) in
+      let flags = V.arg_int vm 3 in
       Scheduler.reserve c.sched
         {
           Scheduler.ftype;
-          size = to_i a.(1);
+          size = V.arg_int vm 2;
           retransmittable = flags land 1 <> 0;
           ack_eliciting = flags land 2 = 0;
-          cookie = a.(3);
+          cookie = V.arg vm 4;
           plugin = inst.plugin.Pluginop.Plugin.name;
         };
-      wake c;
-      0L);
-  reg ~arity:2 Pluginop.Api.h_recover_packet (fun vm a ->
-      let len = to_i a.(1) in
+      wake c);
+  reg Pluginop.Api.h_recover_packet (fun vm ->
+      let len = V.arg_int vm 2 in
       if len < 4 || len > 65536 then helper_fail "recover_packet: bad length %d" len;
-      let src, soff = Ebpf.Vm.direct vm ~write:false a.(0) len in
+      let src, soff = V.direct vm ~write:false (V.arg vm 1) len in
       (* copy the recovered image out of the VM region before replaying:
          the replay re-enters pluglets that may rewrite plugin memory
          under the borrowed range. Runs only on a FEC repair. *)
-      process_recovered c (Bytes.sub_string src soff len);
-      0L);
-  reg ~arity:2 Pluginop.Api.h_packet_bytes (fun vm a ->
-      let max = to_i a.(1) in
+      process_recovered c (Bytes.sub_string src soff len));
+  reg Pluginop.Api.h_packet_bytes (fun vm ->
       let total = 4 + c.cur_payload_len in
-      if total > max then 0L
-      else begin
+      if total <= V.arg_int vm 2 then begin
         (* pn prefix + payload blitted straight into plugin memory — the
            packet image never materializes on the host side *)
-        let dst, off = Ebpf.Vm.direct vm ~write:true a.(0) total in
+        let dst, off = V.direct vm ~write:true (V.arg vm 1) total in
         Bytes.set_int32_be dst off (Int64.to_int32 c.cur_pn);
         blit_current_payload c dst (off + 4);
-        i64 total
+        V.ret_int vm total
       end);
-  reg ~arity:1 Pluginop.Api.h_create_path (fun _ a ->
-      let remote = to_i a.(0) in
+  reg Pluginop.Api.h_create_path (fun vm ->
+      let remote = V.arg_int vm 1 in
       (* reuse an existing path to the same remote if present *)
       let existing = ref (-1) in
       Array.iter
         (fun p -> if p.remote_addr = remote then existing := p.path_id)
         c.paths;
-      if !existing >= 0 then i64 !existing
+      if !existing >= 0 then V.ret_int vm !existing
       else begin
         let local =
           (* second client address if we own one, else our primary *)
@@ -193,7 +190,7 @@ let install_extra_helpers ~process_recovered c (inst : instance) tbl =
         ignore
           (Pluginop.Dispatch.run_op c.po c Pluginop.Protoop.create_new_path
              [| I (i64 p.path_id) |]);
-        i64 p.path_id
+        V.ret_int vm p.path_id
       end)
 
 (* The HOST record: how PQUIC presents itself to the transport-neutral

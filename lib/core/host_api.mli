@@ -4,9 +4,6 @@
 
 open Conn_types
 
-val helper_fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Raise {!Ebpf.Vm.Helper_failure} with a formatted message. *)
-
 val get_field : t -> int -> int -> int64
 (** [get_field c field index] — read a connection field ({!Api} ids); path
     fields take the path id as index.

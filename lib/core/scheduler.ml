@@ -18,12 +18,14 @@ type queue_state = { q : reservation Queue.t; mutable deficit : int }
 type t = {
   queues : (string, queue_state) Hashtbl.t;
   mutable order : string list; (* round-robin order, oldest plugin first *)
+  mutable npending : int; (* reservations over all queues: the sender asks
+                             several times per packet *)
 }
 
 (* DRR credit per plugin per round, bytes. *)
 let quantum = 600
 
-let create () = { queues = Hashtbl.create 4; order = [] }
+let create () = { queues = Hashtbl.create 4; order = []; npending = 0 }
 
 let queue_for t plugin =
   match Hashtbl.find_opt t.queues plugin with
@@ -34,12 +36,12 @@ let queue_for t plugin =
     t.order <- t.order @ [ plugin ];
     qs
 
-let reserve t (r : reservation) = Queue.push r (queue_for t r.plugin).q
+let reserve t (r : reservation) =
+  Queue.push r (queue_for t r.plugin).q;
+  t.npending <- t.npending + 1
 
-let pending t =
-  Hashtbl.fold (fun _ qs acc -> acc + Queue.length qs.q) t.queues 0
-
-let has_pending t = pending t > 0
+let pending t = t.npending
+let has_pending t = t.npending > 0
 
 (* Pop reservations fitting in [budget] bytes, deficit-round-robin across
    plugins. Reservations larger than [max_frame] can never ride in any
@@ -62,6 +64,7 @@ let take ?(max_frame = 1400) t ~budget =
               let r = Queue.peek qs.q in
               if r.size <= qs.deficit && r.size <= !budget then begin
                 ignore (Queue.pop qs.q);
+                t.npending <- t.npending - 1;
                 qs.deficit <- qs.deficit - r.size;
                 budget := !budget - r.size;
                 out := r :: !out;
@@ -71,6 +74,7 @@ let take ?(max_frame = 1400) t ~budget =
                 (* a reservation the packet can never carry is discarded *)
                 if r.size > max_frame then begin
                   ignore (Queue.pop qs.q);
+                  t.npending <- t.npending - 1;
                   progress := true
                 end
                 else continue := false
@@ -84,5 +88,8 @@ let take ?(max_frame = 1400) t ~budget =
   List.rev !out
 
 let drop_plugin t plugin =
+  (match Hashtbl.find_opt t.queues plugin with
+  | Some qs -> t.npending <- t.npending - Queue.length qs.q
+  | None -> ());
   Hashtbl.remove t.queues plugin;
   t.order <- List.filter (fun p -> p <> plugin) t.order

@@ -58,7 +58,8 @@ type t = {
                      box on every instruction. *)
   fp0 : int64; (* stack base + size: r10's initial value, boxed once at
                   creation — computing it per run boxes two temporaries *)
-  scratch_args : int64 array; (* r1..r5 view passed to helpers *)
+  mutable stack_lo : int; (* every stack byte below this offset is zero:
+                             a run wipes only [stack_lo, stack_size) *)
   mutable next_rid : int;
   max_insns : int;
   mutable executed : int; (* instructions executed over the VM lifetime *)
@@ -69,21 +70,15 @@ type t = {
    instance is attached. *)
 and helper_table = {
   mutable fns : helper option array; (* dense, indexed by helper id *)
-  mutable arity : int array; (* parallel to [fns]: how many of r1..r5 the
-                                helper reads (0..5). The call opcode copies
-                                only that many into [scratch_args] and
-                                zeroes the rest — most helpers take one or
-                                two arguments, so the default of 5 boxes
-                                int64s that are never read. *)
 }
 
-and helper = t -> int64 array -> int64
+and helper = t -> unit (* works on [regb]: see [arg] and [ret] *)
 
 let region_alignment = 0x0001_0000_0000L (* 4 GiB of address space per region *)
 
 let window_bits = 32
 
-let helper_table () = { fns = [||]; arity = [||] }
+let helper_table () = { fns = [||] }
 
 (* Window 0 is never handed out, so null-ish pluglet pointers fault. The
    stack occupies window 1 from creation: every VM — and therefore every
@@ -114,29 +109,46 @@ let create ?(stack_size = 512) ?(max_insns = 4_000_000) () =
     stack_size;
     regb = Bytes.make 88 '\000';
     fp0 = Int64.add region_alignment (Int64.of_int stack_size);
-    scratch_args = Array.make 5 0L;
+    stack_lo = stack_size;
     next_rid = 1;
     max_insns;
     executed = 0;
   }
 
-let add_helper ?(arity = 5) tbl id f =
+let add_helper tbl id f =
   if id < 0 then invalid_arg "Vm.add_helper: negative helper id";
-  if arity < 0 || arity > 5 then invalid_arg "Vm.add_helper: arity outside 0..5";
   if id >= Array.length tbl.fns then begin
-    let n = max (id + 1) (max 16 (2 * Array.length tbl.fns)) in
-    let grown = Array.make n None in
+    let grown = Array.make (max (id + 1) (max 16 (2 * Array.length tbl.fns))) None in
     Array.blit tbl.fns 0 grown 0 (Array.length tbl.fns);
-    tbl.fns <- grown;
-    let grown_a = Array.make n 5 in
-    Array.blit tbl.arity 0 grown_a 0 (Array.length tbl.arity);
-    tbl.arity <- grown_a
+    tbl.fns <- grown
   end;
-  tbl.fns.(id) <- Some f;
-  tbl.arity.(id) <- arity
+  tbl.fns.(id) <- Some f
 
 let set_helpers vm tbl = vm.helpers <- tbl
-let register_helper ?arity vm id f = add_helper ?arity vm.helpers id f
+let register_helper vm id f = add_helper vm.helpers id f
+
+(* Raw native-endian 64-bit access into the register file. Indices come
+   from linked instructions, which [link] guarantees name r0..r10 only
+   (anything else became [f_trap_badreg]), or from [arg]'s checked range,
+   so the unchecked primitives are safe — and unlike an [int64 array]
+   element store they keep the value unboxed through the whole
+   load/compute/store chain. *)
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline always] rget b r = bytes_get64 b (r lsl 3)
+let[@inline always] rset b r v = bytes_set64 b (r lsl 3) v
+
+(* The helper calling convention: both tiers hold r0..r5 in [regb] for
+   the duration of a call. [arg_int] and [ret_int] take and return plain
+   ints, so they allocate nothing even where they are not inlined. *)
+let[@inline] arg vm k =
+  if k < 1 || k > 5 then invalid_arg "Vm.arg: argument register outside r1..r5";
+  rget vm.regb k
+
+let arg_int vm k = Int64.to_int (arg vm k)
+let[@inline] ret vm v = rset vm.regb 0 v
+let ret_int vm v = rset vm.regb 0 (Int64.of_int v)
 
 (* [off]/[len] map a sub-view of [mem]: the pluglet sees addresses
    base..base+len covering mem[off..off+len). The default is the whole
@@ -220,11 +232,12 @@ let rid_mark vm = vm.next_rid
 
 let unmap_above vm mark =
   let tbl = vm.region_tbl in
-  for w = 0 to Array.length tbl - 1 do
-    match tbl.(w) with
-    | Some r when r.rid >= mark -> unmap_region vm r
-    | _ -> ()
-  done
+  if vm.next_rid > mark then
+    for w = 0 to Array.length tbl - 1 do
+      match tbl.(w) with
+      | Some r when r.rid >= mark -> unmap_region vm r
+      | _ -> ()
+    done
 
 let out_of_region len addr =
   raise
@@ -259,6 +272,8 @@ let resolve vm ~write addr len =
       (Memory_violation
          (Printf.sprintf "write of %d bytes at 0x%Lx in read-only region %s"
             len addr r.rname));
+  (* the interpreter's stack writes, [fill_bytes] and [direct] pass here *)
+  if write && r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
   (r, r.roff + off)
 
 let load vm addr sz =
@@ -348,11 +363,15 @@ let jump_taken c a b =
   | Insn.Jsle -> s <= 0
   | Insn.Jset -> Int64.logand a b <> 0L
 
-(* The stack is persistent but its contents never leak between runs. *)
+(* The stack is persistent but its contents never leak between runs: each
+   path that writes it lowers [stack_lo] first (the JIT's stack-direct
+   stores in [run_jit]), so a run wipes only what earlier runs touched. *)
 let reset_stack vm =
-  if vm.stack_size > 0 then Bytes.fill vm.stack.mem 0 vm.stack_size '\000'
-
-let fp_value vm = vm.fp0
+  let lo = vm.stack_lo in
+  if lo < vm.stack_size then begin
+    Bytes.fill vm.stack.mem lo (vm.stack_size - lo) '\000';
+    vm.stack_lo <- vm.stack_size
+  end
 
 (* Reference interpreter loop: executes the decoded form directly from
    instruction [pc0] with [fuel0] instructions of budget left, resolving
@@ -413,15 +432,15 @@ let interp vm prog regs pc0 fuel0 =
       match (if id >= 0 && id < Array.length h.fns then h.fns.(id) else None) with
       | None -> raise (Helper_failure (Printf.sprintf "helper %d missing" id))
       | Some f ->
-        let ar = h.arity.(id) in
-        let call_args =
-          Array.init 5 (fun i -> if i < ar then regs.(i + 1) else 0L)
-        in
-        regs.(0) <- f vm call_args;
-        (* r1-r5 are clobbered by calls, per the eBPF convention. *)
-        for r = 1 to 5 do
-          regs.(r) <- 0L
+        (* Stage the call through [regb] as the JIT holds it: r0 zeroed
+           (a helper that writes nothing returns 0), r1..r5 in, r0 out;
+           r1-r5 are clobbered by calls, per the eBPF convention. *)
+        for r = 0 to 5 do
+          rset vm.regb r (if r = 0 then 0L else regs.(r))
         done;
+        f vm;
+        regs.(0) <- rget vm.regb 0;
+        Array.fill regs 1 5 0L;
         pc := next)
     | Insn.Exit ->
       result := regs.(0);
@@ -433,7 +452,7 @@ let run vm ?(args = [||]) prog =
   reset_stack vm;
   let regs = Array.make 11 0L in
   Array.iteri (fun i v -> if i < 5 then regs.(i + 1) <- v) args;
-  regs.(Insn.fp) <- fp_value vm;
+  regs.(Insn.fp) <- vm.fp0;
   interp vm prog regs 0 vm.max_insns
 
 (* ------------------------------------------------------------------ *)
@@ -755,17 +774,6 @@ let link prog =
     prog;
   { ops; pool = Buffer.to_bytes pool }
 
-(* Raw native-endian 64-bit access into the register file. Indices come
-   from linked instructions, which [link] guarantees name r0..r10 only
-   (anything else became [f_trap_badreg]), so the unchecked primitives are
-   safe — and unlike an [int64 array] element store they keep the value
-   unboxed through the whole load/compute/store chain. *)
-external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let[@inline always] rget b r = bytes_get64 b (r lsl 3)
-let[@inline always] rset b r v = bytes_set64 b (r lsl 3) v
-
 (* Unsigned 64-bit comparison via sign-bias, using only comparison
    primitives the compiler evaluates on unboxed values
    ([Int64.unsigned_compare] is a plain function whose call would force
@@ -883,6 +891,7 @@ let[@inline always] store8_fast vm addr v =
   if 1 > r.rlen - off then out_of_region 1 addr;
   let off = r.roff + off in
   if r.perm == Ro then ro_violation 1 addr r;
+  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
   Bytes.unsafe_set r.mem off (Char.unsafe_chr (Int64.to_int v land 0xff))
 
 let[@inline always] store16_fast vm addr v =
@@ -891,6 +900,7 @@ let[@inline always] store16_fast vm addr v =
   if 2 > r.rlen - off then out_of_region 2 addr;
   let off = r.roff + off in
   if r.perm == Ro then ro_violation 2 addr r;
+  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
   if Sys.big_endian then Bytes.set_uint16_le r.mem off (Int64.to_int v land 0xffff)
   else bytes_set16u r.mem off (Int64.to_int v land 0xffff)
 
@@ -900,6 +910,7 @@ let[@inline always] store32_fast vm addr v =
   if 4 > r.rlen - off then out_of_region 4 addr;
   let off = r.roff + off in
   if r.perm == Ro then ro_violation 4 addr r;
+  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
   if Sys.big_endian then Bytes.set_int32_le r.mem off (Int64.to_int32 v)
   else bytes_set32u r.mem off (Int64.to_int32 v)
 
@@ -909,6 +920,7 @@ let[@inline always] store64_fast vm addr v =
   if 8 > r.rlen - off then out_of_region 8 addr;
   let off = r.roff + off in
   if r.perm == Ro then ro_violation 8 addr r;
+  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
   if Sys.big_endian then Bytes.set_int64_le r.mem off v
   else bytes_set64 r.mem off v
 
@@ -961,11 +973,16 @@ let[@inline always] load64_m vm stk lim execd addr =
   end
 
 (* The stack is always [Rw], so the stores' fast path skips the
-   permission check too. *)
+   permission check too; it lowers the stack mark instead. *)
+let[@inline always] stack_write vm d =
+  let o = Int64.to_int d in
+  if o < vm.stack_lo then vm.stack_lo <- o;
+  o
+
 let[@inline always] store8_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
   if ucmp d lim < 0 then
-    Bytes.unsafe_set stk (Int64.to_int d)
+    Bytes.unsafe_set stk (stack_write vm d)
       (Char.unsafe_chr (Int64.to_int v land 0xff))
   else begin
     vm.executed <- execd;
@@ -975,7 +992,7 @@ let[@inline always] store8_m vm stk lim execd addr v =
 let[@inline always] store16_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
   if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_set16u stk (Int64.to_int d) (Int64.to_int v land 0xffff)
+    bytes_set16u stk (stack_write vm d) (Int64.to_int v land 0xffff)
   else begin
     vm.executed <- execd;
     store16_fast vm addr v
@@ -984,7 +1001,7 @@ let[@inline always] store16_m vm stk lim execd addr v =
 let[@inline always] store32_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
   if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_set32u stk (Int64.to_int d) (Int64.to_int32 v)
+    bytes_set32u stk (stack_write vm d) (Int64.to_int32 v)
   else begin
     vm.executed <- execd;
     store32_fast vm addr v
@@ -993,7 +1010,7 @@ let[@inline always] store32_m vm stk lim execd addr v =
 let[@inline always] store64_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
   if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_set64 stk (Int64.to_int d) v
+    bytes_set64 stk (stack_write vm d) v
   else begin
     vm.executed <- execd;
     store64_fast vm addr v
@@ -1040,6 +1057,7 @@ type jit_prog = {
   jprog : Insn.t array; (* the source program: deopt target, and the
                           fallback on a stack-size mismatch *)
   jstack : int; (* stack size the stack-direct closures are baked for *)
+  jlow : int; (* lowest stack offset a stack-direct store writes *)
   jentry : jit_env -> int64;
   jenv : jit_env; (* swapped to the running VM per run; not re-entrant *)
   jplace : t; (* placeholder [jvm] of a fresh environment until a run
@@ -1074,6 +1092,7 @@ let jit ?(stack_size = 512) prog =
     {
       jprog = prog;
       jstack = stack_size;
+      jlow = stack_size;
       jentry = (fun env -> jit_resume env prog 0 env.jfuel);
       jenv = env;
       jplace = place;
@@ -1099,6 +1118,14 @@ let jit ?(stack_size = 512) prog =
           | Insn.Ldx (_, 10, _, _) -> true
           | _ -> false)
         prog
+    in
+    (* The lowest stack offset a stack-direct store writes: [run_jit]
+       lowers the VM's stack mark to it. *)
+    let jlow = ref ss in
+    let direct_store soff len =
+      let ok = soff >= 0 && soff + len <= ss in
+      if ok && soff < !jlow then jlow := soff;
+      ok
     in
     let lim1 = Int64.of_int ss
     and lim2 = Int64.of_int (max 0 (ss - 1))
@@ -1410,7 +1437,7 @@ let jit ?(stack_size = 512) prog =
       | 32 (* stx8: a1=dst a2=off a3=src *) ->
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 1 <= ss then
+          if direct_store soff 1 then
             fun env ->
               Bytes.unsafe_set env.jstk soff
                 (Char.unsafe_chr (Int64.to_int (rget env.jregb a3) land 0xff));
@@ -1435,7 +1462,7 @@ let jit ?(stack_size = 512) prog =
       | 33 (* stx16 *) ->
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 2 <= ss then
+          if direct_store soff 2 then
             fun env ->
               bytes_set16u env.jstk soff
                 (Int64.to_int (rget env.jregb a3) land 0xffff);
@@ -1460,7 +1487,7 @@ let jit ?(stack_size = 512) prog =
       | 34 (* stx32 *) ->
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 4 <= ss then
+          if direct_store soff 4 then
             fun env ->
               bytes_set32u env.jstk soff (Int64.to_int32 (rget env.jregb a3));
               next env
@@ -1484,7 +1511,7 @@ let jit ?(stack_size = 512) prog =
       | 35 (* stx64 *) ->
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 8 <= ss then
+          if direct_store soff 8 then
             fun env ->
               bytes_set64 env.jstk soff (rget env.jregb a3);
               next env
@@ -1509,7 +1536,7 @@ let jit ?(stack_size = 512) prog =
         let v = Int64.of_int a3 in
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 1 <= ss then
+          if direct_store soff 1 then
             let c = Char.unsafe_chr (a3 land 0xff) in
             fun env ->
               Bytes.unsafe_set env.jstk soff c;
@@ -1535,7 +1562,7 @@ let jit ?(stack_size = 512) prog =
         let v = Int64.of_int a3 in
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 2 <= ss then
+          if direct_store soff 2 then
             let iv = a3 land 0xffff in
             fun env ->
               bytes_set16u env.jstk soff iv;
@@ -1561,7 +1588,7 @@ let jit ?(stack_size = 512) prog =
         let v = Int64.of_int a3 in
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 4 <= ss then
+          if direct_store soff 4 then
             let iv = Int64.to_int32 v in
             fun env ->
               bytes_set32u env.jstk soff iv;
@@ -1587,7 +1614,7 @@ let jit ?(stack_size = 512) prog =
         let v = Int64.of_int a3 in
         if a1 = 10 && not fp_written then begin
           let soff = ss + a2 in
-          if soff >= 0 && soff + 8 <= ss then
+          if direct_store soff 8 then
             fun env ->
               bytes_set64 env.jstk soff v;
               next env
@@ -1624,19 +1651,10 @@ let jit ?(stack_size = 512) prog =
           | None ->
             raise (Helper_failure (Printf.sprintf "helper %d missing" a1))
           | Some f ->
+            (* r0 starts at 0: a helper that writes nothing returns 0 *)
             let rb = env.jregb in
-            let call_args = vm.scratch_args in
-            (* Copy (and box) only the helper's declared arity, zero the
-               rest with the constant. *)
-            let ar = h.arity.(a1) in
-            for j = 0 to ar - 1 do
-              call_args.(j) <- rget rb (j + 1)
-            done;
-            for j = ar to 4 do
-              call_args.(j) <- 0L
-            done;
-            let res = f vm call_args in
-            rset rb 0 res;
+            rset rb 0 0L;
+            f vm;
             (* r1-r5 are clobbered by calls, per the eBPF convention. *)
             Bytes.fill rb 8 40 '\000');
           next env
@@ -1814,8 +1832,8 @@ let jit ?(stack_size = 512) prog =
        check and failed fetch provide the exact semantics. *)
     cells.(blk_id.(n)) <- (fun env -> jit_resume env prog n env.jfuel);
     let entry = cells.(blk_id.(0)) in
-    { jprog = prog; jstack = stack_size; jentry = entry; jenv = env;
-      jplace = place }
+    { jprog = prog; jstack = stack_size; jlow = !jlow; jentry = entry;
+      jenv = env; jplace = place }
   end
 
 (* Share one compilation between PREs: the block closures only ever touch
@@ -1830,17 +1848,18 @@ let jit_clone jp =
    file, then the entry block closure. A VM whose stack size differs from
    the one the stack-direct closures were baked for runs the program in
    the reference interpreter (same semantics, no recompilation). *)
-let run_jit vm ?(args = [||]) jp =
+let run_jit vm ~args jp =
   if vm.stack_size <> jp.jstack then run vm ~args jp.jprog
   else begin
     reset_stack vm;
+    if jp.jlow < vm.stack_lo then vm.stack_lo <- jp.jlow;
     let regb = vm.regb in
     Bytes.fill regb 0 88 '\000';
     let nargs = Array.length args in
     for k = 0 to (if nargs > 5 then 4 else nargs - 1) do
       rset regb (k + 1) args.(k)
     done;
-    rset regb Insn.fp (fp_value vm);
+    rset regb Insn.fp vm.fp0;
     let fuel0 = vm.max_insns in
     let env = jp.jenv in
     (* A PRE runs its program on the same VM every time: skip the three

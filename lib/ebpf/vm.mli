@@ -13,7 +13,8 @@
     program once with {!jit} and execute it with {!run_jit}. {!run}
     interprets the decoded form directly: it is the executable
     specification the JIT is differentially tested against, and the
-    target the JIT deoptimises into. *)
+    target the JIT deoptimises into. On both, helpers work on the VM's
+    registers and box nothing ({!helper}). *)
 
 type perm = Ro | Rw
 
@@ -39,10 +40,23 @@ exception Helper_failure of string
 
 type t
 
-(** A host function callable from bytecode: receives the VM (for
-    region-checked memory access) and the five argument registers. The
-    argument array is only valid for the duration of the call. *)
-type helper = t -> int64 array -> int64
+(** A host function callable from bytecode: receives the VM, through
+    which it reads its arguments ({!arg}), writes its result ({!ret}) and
+    performs region-checked memory access. The call opcode sets r0 to 0
+    before the call, so a helper that writes no result returns 0, and
+    clears r1..r5 after it. *)
+type helper = t -> unit
+
+val arg : t -> int -> int64
+(** [arg vm k] is argument register [rk], [k] in 1..5, inside a helper
+    call. @raise Invalid_argument for any other [k]. *)
+
+val ret : t -> int64 -> unit
+(** Set the helper's result, r0. *)
+
+val arg_int : t -> int -> int
+val ret_int : t -> int -> unit
+(** {!arg} and {!ret} on [int]s: they box nothing, even uninlined. *)
 
 val create : ?stack_size:int -> ?max_insns:int -> unit -> t
 (** [stack_size] defaults to 512 bytes, [max_insns] (the per-run fuel) to
@@ -57,19 +71,15 @@ type helper_table
 
 val helper_table : unit -> helper_table
 
-val add_helper : ?arity:int -> helper_table -> int -> helper -> unit
+val add_helper : helper_table -> int -> helper -> unit
 (** Bind a helper id to its implementation; re-adding an id replaces the
     previous binding, for every VM using the table. Helper ids are
-    non-negative. [arity] (0–5, default 5) declares how many argument
-    registers the helper reads: the call opcode copies only that many into
-    the argument array and zeroes the rest, so helpers with a declared
-    arity never observe stale register contents — and the common one- and
-    two-argument helpers skip most of the per-call r1–r5 boxing. *)
+    non-negative. *)
 
 val set_helpers : t -> helper_table -> unit
 (** Make the VM call the helpers of the given table. *)
 
-val register_helper : ?arity:int -> t -> int -> helper -> unit
+val register_helper : t -> int -> helper -> unit
 (** {!add_helper} on the VM's current table. *)
 
 val map_region :
@@ -118,9 +128,9 @@ val direct : t -> write:bool -> int64 -> int -> Bytes.t * int
 
 val run : t -> ?args:int64 array -> Insn.t array -> int64
 (** Execute a program with up to five arguments in r1..r5; returns r0. The
-    stack is zeroed before the run, so stack contents never leak between
-    runs. This is the reference interpreter: it resolves jumps through
-    freshly built slot maps on every invocation — production callers use
+    stack is all zero when the run starts, so stack contents never leak
+    between runs. This is the reference interpreter: it resolves jumps
+    through freshly built slot maps on every invocation — production callers use
     {!jit} and {!run_jit}.
     @raise Memory_violation on an out-of-region or read-only access
     @raise Fuel_exhausted when the instruction budget is spent
@@ -153,11 +163,12 @@ val jit_clone : jit_prog -> jit_prog
     own non-re-entrancy domain. This is how the content-addressed program
     cache hands one compilation to many PREs. *)
 
-val run_jit : t -> ?args:int64 array -> jit_prog -> int64
-(** Execute a jitted program; semantics (results, traps, {!executed}
-    accounting) are identical to {!run} on the program it was compiled
-    from. Not re-entrant (helpers must not re-run the same VM or
-    [jit_prog]).
+val run_jit : t -> args:int64 array -> jit_prog -> int64
+(** Execute a jitted program with up to five arguments in r1..r5 (a
+    required [args]: an optional one is boxed on every run); semantics
+    (results, traps, {!executed} accounting) are identical to {!run} on
+    the program it was compiled from. Not re-entrant (helpers must not
+    re-run the same VM or [jit_prog]).
     @raise Memory_violation on an out-of-region or read-only access
     @raise Fuel_exhausted when the instruction budget is spent
     @raise Helper_failure when a helper rejects a call *)

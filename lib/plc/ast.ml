@@ -5,10 +5,11 @@ module Insn = Ebpf.Insn
    (the PQUIC API of Table 1) are called by name and resolved to eBPF helper
    ids at compile time.
 
-   [While] loops are general and defeat the termination checker; [For] loops
-   are bounded by construction (the bound is evaluated once, the induction
-   variable cannot be reassigned) and are provable — mirroring the paper's
-   trick of adding explicit sizes to bound list traversals (Section 5). *)
+   [While] loops are general and defeat the termination checker; a [For]
+   loop evaluates its bound once and is provable when its body does not
+   reassign the induction variable (a body that does is legal but
+   unproven) — mirroring the paper's trick of adding explicit sizes to
+   bound list traversals (Section 5). *)
 
 type size = Insn.size
 

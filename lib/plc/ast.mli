@@ -5,10 +5,12 @@
     ids at compile time ({!Compile}).
 
     [While] loops are general and defeat the termination checker
-    ({!Terminate}); [For] loops are bounded by construction — the bound is
-    evaluated once into a hidden local, the induction variable cannot be
-    reassigned — and are provable, mirroring the paper's trick of bounding
-    list traversals with explicit sizes (Section 5). *)
+    ({!Terminate}); a [For] loop evaluates its bound once, into a hidden
+    local, and is provable when its body leaves the induction variable
+    alone — mirroring the paper's trick of bounding list traversals with
+    explicit sizes (Section 5). A body may reassign the induction
+    variable: that is legal, the increment then applies to the value the
+    body left, and the loop is left unproven. *)
 
 module Insn = Ebpf.Insn
 
@@ -37,7 +39,8 @@ type stmt =
   | If of expr * block * block
   | While of expr * block
   | For of string * expr * expr * block
-      (** [For (v, lo, hi, body)]: v = lo; while v <u hi; v++ *)
+      (** [For (v, lo, hi, body)]: v = lo; while v <u hi do body;
+          v := v + 1 (hi evaluated once, before lo) *)
   | Return of expr
   | Expr of expr                 (** evaluate for effect *)
 

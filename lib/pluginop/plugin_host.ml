@@ -58,7 +58,7 @@ let build_instance tpl =
     pool;
     heap;
     pres = List.map (fun p -> Pre.instantiate ~plugin_name p ~heap) tpl.programs;
-    opaque = Hashtbl.create 8;
+    opaque = Int_tbl.create 8;
   }
 
 (* Attach a built instance to this connection. Rolls the whole plugin back
@@ -69,7 +69,7 @@ let attach_instance st c (inst : _ instance) =
     raise (Injection_failed (name ^ " already injected"));
   Memory_pool.reset inst.pool;
   Host_api.sync_heap inst;
-  Hashtbl.reset inst.opaque;
+  Int_tbl.reset inst.opaque;
   Host_api.bind_helpers st c inst;
   (try
      List.iter

@@ -34,6 +34,15 @@ type 'c op_entry = {
   mutable ext : 'c impl option;
 }
 
+(* Int keys hashed by themselves: the polymorphic [Hashtbl.hash] is a C
+   call, and [get_opaque_data] looks an id up several times per packet. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 (* A built plugin instance: one PRE per pluglet, running the programs of
    the plugin's template; the pool is the plugin's shared heap and [heap]
    the pool backing its PREs map. The host type ['c] is a tag only:
@@ -44,7 +53,7 @@ type 'c instance = {
   pool : Memory_pool.t;
   mutable heap : Bytes.t;
   pres : Pre.t list;
-  opaque : (int, int) Hashtbl.t; (* opaque-data id -> heap offset *)
+  opaque : int Int_tbl.t; (* opaque-data id -> heap offset *)
 }
 
 (* The HOST interface: everything the plugin machinery needs from a

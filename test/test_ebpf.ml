@@ -356,7 +356,7 @@ let test_region_bounds () =
 
 let test_helper_call () =
   let vm = Vm.create () in
-  Vm.register_helper vm 1 (fun _ args -> Int64.add args.(0) args.(1));
+  Vm.register_helper vm 1 (fun vm -> Vm.ret vm (Int64.add (Vm.arg vm 1) (Vm.arg vm 2)));
   let prog =
     [|
       I.Alu64 (I.Mov, 1, I.Imm 20l);
@@ -369,7 +369,7 @@ let test_helper_call () =
 
 let test_helper_clobbers () =
   let vm = Vm.create () in
-  Vm.register_helper vm 1 (fun _ _ -> 0L);
+  Vm.register_helper vm 1 (fun _ -> ());
   (* r1 must not survive a call *)
   let prog =
     [|
@@ -401,6 +401,33 @@ let test_stack_isolated_between_runs () =
   ignore (Vm.run vm write);
   check i64 "fresh stack per run" 0L (Vm.run vm read)
 
+(* Per-call transient regions: [unmap_above] drops every region mapped
+   at or after the mark and nothing before it, and with nothing mapped
+   since the mark it leaves the table as it is. *)
+let test_unmap_above () =
+  let vm = Vm.create () in
+  let keep = Vm.map_region vm ~name:"keep" ~perm:Vm.Rw (Bytes.make 8 'k') in
+  let read (r : Vm.region) =
+    Vm.run vm ~args:[| r.Vm.base |] [| I.Ldx (I.W8, 0, 1, 0); I.Exit |]
+  in
+  let mark = Vm.rid_mark vm in
+  Vm.unmap_above vm mark;
+  check i64 "nothing mapped since the mark" 107L (read keep);
+  let transient =
+    List.map
+      (fun name -> Vm.map_region vm ~name ~perm:Vm.Ro (Bytes.make 8 't'))
+      [ "arg0"; "arg1" ]
+  in
+  List.iter (fun r -> check i64 "transient region mapped" 116L (read r)) transient;
+  Vm.unmap_above vm mark;
+  List.iter
+    (fun r ->
+      match read r with
+      | exception Vm.Memory_violation _ -> ()
+      | _ -> Alcotest.fail "transient region still mapped")
+    transient;
+  check i64 "region mapped before the mark stays" 107L (read keep)
+
 (* ---------------- execution tiers (run, jit) ------------------------- *)
 
 (* [Vm.run] is the executable specification of pluglet semantics and the
@@ -421,8 +448,8 @@ let diff_known_helper id = id = 1 || id = 2 || id = 7
 
 let diff_vm ?(max_insns = 2_000) () =
   let vm = Vm.create ~max_insns () in
-  Vm.register_helper vm 1 (fun _ a -> Int64.add a.(0) a.(1));
-  Vm.register_helper vm 2 (fun _ a -> Int64.mul a.(0) 3L);
+  Vm.register_helper vm 1 (fun vm -> Vm.ret vm (Int64.add (Vm.arg vm 1) (Vm.arg vm 2)));
+  Vm.register_helper vm 2 (fun vm -> Vm.ret vm (Int64.mul (Vm.arg vm 1) 3L));
   let rw =
     Vm.map_region vm ~name:"rw" ~perm:Vm.Rw
       (Bytes.init 64 (fun i -> Char.chr (i * 7 mod 256)))
@@ -638,11 +665,12 @@ let test_real_pluglets () =
   let mk_vm stack_size =
     let vm = Vm.create ~stack_size ~max_insns:200_000 () in
     for id = 0 to 127 do
-      Vm.register_helper vm id (fun _ a ->
-          Array.fold_left
-            (fun h v -> Int64.mul (Int64.logxor h v) 0x100000001b3L)
-            (Int64.of_int (id * 2654435761))
-            a)
+      Vm.register_helper vm id (fun vm ->
+          let h = ref (Int64.of_int (id * 2654435761)) in
+          for k = 1 to 5 do
+            h := Int64.mul (Int64.logxor !h (Vm.arg vm k)) 0x100000001b3L
+          done;
+          Vm.ret vm !h)
     done;
     let r1 =
       Vm.map_region vm ~name:"buf1" ~perm:Vm.Rw
@@ -773,14 +801,14 @@ let test_tiers_basics () =
      before *)
   let write = [| I.St (I.W64, I.fp, -8, 77l); I.Exit |] in
   let read = [| I.Ldx (I.W64, 0, I.fp, -8); I.Exit |] in
-  ignore (Vm.run_jit vm (Vm.jit write));
+  ignore (Vm.run_jit vm ~args:[||] (Vm.jit write));
   check i64 "fresh stack for run after jit" 0L (Vm.run vm read);
   ignore (Vm.run vm write);
-  check i64 "fresh stack for jit after run" 0L (Vm.run_jit vm (Vm.jit read));
+  check i64 "fresh stack for jit after run" 0L (Vm.run_jit vm ~args:[||] (Vm.jit read));
   (* both tiers account into the same [executed] counter *)
   let before = Vm.executed vm in
   ignore (Vm.run vm prog);
-  ignore (Vm.run_jit vm jp);
+  ignore (Vm.run_jit vm ~args:[||] jp);
   check int "executed counts both tiers" 4 (Vm.executed vm - before)
 
 let test_jit_basics () =
@@ -799,8 +827,8 @@ let test_jit_basics () =
   (* the persistent stack is wiped between runs, as in the other tiers *)
   let write = Vm.jit [| I.St (I.W64, I.fp, -8, 77l); I.Exit |] in
   let read = Vm.jit [| I.Ldx (I.W64, 0, I.fp, -8); I.Exit |] in
-  ignore (Vm.run_jit vm write);
-  check i64 "fresh stack per jit run" 0L (Vm.run_jit vm read)
+  ignore (Vm.run_jit vm ~args:[||] write);
+  check i64 "fresh stack per jit run" 0L (Vm.run_jit vm ~args:[||] read)
 
 (* The PREs' content-addressed program cache: admitting the same bytecode
    twice verifies and compiles once (no second miss), and hands out clones
@@ -833,6 +861,177 @@ let test_program_cache () =
     (P.code_key prog 64 <> P.code_key prog 128);
   check i64 "first instance runs" 7L (Pre.run a ~args:[||]);
   check i64 "cached instance runs" 7L (Pre.run b ~args:[||])
+
+(* ---------------- helper calling convention ------------------------- *)
+
+(* A helper reads r1..r5 and writes r0 in the VM's register file, on both
+   tiers and across a deopt: the call sets r0 to 0 first (a helper that
+   writes nothing returns 0) and clears r1..r5 after it. The program
+   stores r0..r5 as they stand after the call into a buffer. *)
+let test_helper_abi_tiers () =
+  let prog ~deopt =
+    [
+      I.Alu64 (I.Mov, 6, I.Reg 1);
+      I.Alu64 (I.Mov, 0, I.Imm 99l);
+      I.Alu64 (I.Mov, 1, I.Imm 11l);
+      I.Alu64 (I.Mov, 2, I.Imm 22l);
+      I.Alu64 (I.Mov, 3, I.Imm 33l);
+      I.Alu64 (I.Mov, 4, I.Imm 44l);
+      I.Alu64 (I.Mov, 5, I.Imm 55l);
+    ]
+    (* an invalid target on a jump not taken: the JIT hands the run to
+       the reference interpreter here, before the call *)
+    @ (if deopt then [ I.Jcond (I.Jeq, 0, I.Imm 1l, 100) ] else [])
+    @ [ I.Call 3 ]
+    @ List.init 6 (fun r -> I.Stx (I.W64, 6, 8 * r, r))
+    @ [ I.Alu64 (I.Mov, 0, I.Imm 7l); I.Exit ]
+    |> Array.of_list
+  in
+  let run_tier name tier ~deopt =
+    let vm = Vm.create () in
+    let seen = ref [] in
+    Vm.register_helper vm 3 (fun vm ->
+        seen := List.init 5 (fun k -> Vm.arg vm (k + 1)));
+    let out = Bytes.make 48 '\xff' in
+    let r = Vm.map_region vm ~name:"out" ~perm:Vm.Rw out in
+    let args = [| r.Vm.base |] in
+    let p = prog ~deopt in
+    let v =
+      match tier with
+      | `Run -> Vm.run vm ~args p
+      | `Jit -> Vm.run_jit vm ~args (Vm.jit p)
+    in
+    check i64 (name ^ ": exits normally") 7L v;
+    check (Alcotest.list i64) (name ^ ": helper reads r1-r5")
+      [ 11L; 22L; 33L; 44L; 55L ] !seen;
+    for reg = 0 to 5 do
+      check i64
+        (Printf.sprintf "%s: r%d is 0 after the call" name reg)
+        0L (Bytes.get_int64_le out (8 * reg))
+    done
+  in
+  run_tier "run" `Run ~deopt:false;
+  run_tier "run_jit" `Jit ~deopt:false;
+  run_tier "run_jit, deopt before the call" `Jit ~deopt:true;
+  (* a helper's result lands in r0 on both tiers *)
+  let vm = Vm.create () in
+  Vm.register_helper vm 1 (fun vm ->
+      Vm.ret_int vm (Vm.arg_int vm 1 - Vm.arg_int vm 2));
+  let p = [| I.Alu64 (I.Mov, 1, I.Imm 50l); I.Alu64 (I.Mov, 2, I.Imm 8l); I.Call 1; I.Exit |] in
+  check i64 "ret_int (run)" 42L (Vm.run vm p);
+  check i64 "ret_int (jit)" 42L (Vm.run_jit vm ~args:[||] (Vm.jit p));
+  match Vm.arg vm 0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Vm.arg accepted r0"
+
+(* A run wipes only the stack bytes earlier runs may have written. Each
+   way of writing the stack that does not show in the JIT's compile-time
+   stack-direct stores — a computed pointer, [fill_bytes], a writable
+   [direct] borrow, the reference interpreter, a deopt — must still be
+   wiped: a different program on the same VM then reads zero everywhere,
+   whichever tier runs it. Each dirtier ends by loading the stack's
+   lowest byte to prove it wrote there. *)
+let test_stack_wipe_no_leak () =
+  let low = [ I.Ldx (I.W64, 0, I.fp, -512); I.Exit ] in
+  let computed =
+    (* r1 = r10 - 512, then 64 stores of -1 through it *)
+    [
+      I.Alu64 (I.Mov, 1, I.Reg I.fp);
+      I.Alu64 (I.Add, 1, I.Imm (-512l));
+      I.Alu64 (I.Mov, 3, I.Imm (-1l));
+      I.Alu64 (I.Mov, 4, I.Imm 64l);
+      I.Stx (I.W64, 1, 0, 3);
+      I.Alu64 (I.Add, 1, I.Imm 8l);
+      I.Alu64 (I.Sub, 4, I.Imm 1l);
+      I.Jcond (I.Jne, 4, I.Imm 0l, -4);
+    ]
+    @ low
+  in
+  let via_helper id =
+    [ I.Alu64 (I.Mov, 1, I.Reg I.fp); I.Alu64 (I.Add, 1, I.Imm (-512l)); I.Call id ]
+    @ low
+  in
+  let dirtiers =
+    [
+      ("computed pointer", computed);
+      ("fill_bytes", via_helper 5);
+      ("direct ~write:true", via_helper 6);
+      ("deopt", I.Jcond (I.Jeq, 0, I.Imm 1l, 100) :: computed);
+    ]
+  in
+  (* OR of all 64 stack words *)
+  let reader =
+    Array.of_list
+      ((I.Alu64 (I.Mov, 0, I.Imm 0l)
+        :: List.concat
+             (List.init 64 (fun k ->
+                  [ I.Ldx (I.W64, 2, I.fp, -8 * (k + 1)); I.Alu64 (I.Or, 0, I.Reg 2) ])))
+      @ [ I.Exit ])
+  in
+  let tier_name = function `Run -> "run" | `Jit -> "run_jit" in
+  let exec vm tier prog =
+    match tier with
+    | `Run -> Vm.run vm prog
+    | `Jit -> Vm.run_jit vm ~args:[||] (Vm.jit prog)
+  in
+  List.iter
+    (fun (name, dirty) ->
+      List.iter
+        (fun dirty_tier ->
+          List.iter
+            (fun read_tier ->
+              let vm = Vm.create () in
+              Vm.register_helper vm 5 (fun vm ->
+                  Vm.fill_bytes vm (Vm.arg vm 1) 512 '\xff');
+              Vm.register_helper vm 6 (fun vm ->
+                  let b, off = Vm.direct vm ~write:true (Vm.arg vm 1) 512 in
+                  Bytes.fill b off 512 '\xff');
+              let what =
+                Printf.sprintf "%s under %s, read under %s" name
+                  (tier_name dirty_tier) (tier_name read_tier)
+              in
+              check i64 (what ^ ": stack dirtied") (-1L)
+                (exec vm dirty_tier (Array.of_list dirty));
+              check i64 (what ^ ": no leak") 0L (exec vm read_tier reader))
+            [ `Run; `Jit ])
+        [ `Run; `Jit ])
+    dirtiers
+
+(* The helper convention allocates nothing: a jitted program making 16
+   calls to a helper that uses [arg_int]/[ret_int] allocates no more
+   minor words than the same program without the calls. This runs in the
+   dev profile, where nothing is inlined across modules. *)
+let test_helper_call_alloc_free () =
+  let call_block with_call =
+    [ I.Alu64 (I.Mov, 1, I.Reg 0); I.Alu64 (I.Mov, 2, I.Imm 3l) ]
+    @ (if with_call then [ I.Call 1 ] else [])
+  in
+  let prog with_call =
+    Array.of_list
+      ((I.Alu64 (I.Mov, 0, I.Imm 1l)
+        :: List.concat (List.init 16 (fun _ -> call_block with_call)))
+      @ [ I.Exit ])
+  in
+  let setup with_call =
+    let vm = Vm.create () in
+    Vm.register_helper vm 1 (fun vm ->
+        Vm.ret_int vm (Vm.arg_int vm 1 + Vm.arg_int vm 2));
+    (vm, Vm.jit (prog with_call))
+  in
+  let words with_call =
+    let vm, jp = setup with_call in
+    let run () = ignore (Sys.opaque_identity (Vm.run_jit vm ~args:[||] jp)) in
+    for _ = 1 to 100 do run () done;
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do run () done;
+    Gc.minor_words () -. before
+  in
+  (let vm, jp = setup true in
+   check i64 "16 calls compute" 49L (Vm.run_jit vm ~args:[||] jp));
+  let without = words false and with_calls = words true in
+  if with_calls > without then
+    Alcotest.failf "16 helper calls allocate: %.0f minor words over 1000 runs, %.0f without"
+      with_calls without
 
 let tests =
   [
@@ -869,6 +1068,8 @@ let tests =
       Alcotest.test_case "stack isolation" `Quick test_stack_isolated_between_runs;
       alu64_reference;
       jump_reference;
+      Alcotest.test_case "unmap_above drops only the call's regions" `Quick
+        test_unmap_above;
     ]);
     ("tiers", [
       Alcotest.test_case "basics" `Quick test_tiers_basics;
@@ -877,6 +1078,11 @@ let tests =
       Alcotest.test_case "deopt parity" `Quick test_deopt_parity;
       Alcotest.test_case "real pluglets" `Quick test_real_pluglets;
       jit_matches_reference;
+      Alcotest.test_case "helper calling convention" `Quick test_helper_abi_tiers;
+      Alcotest.test_case "partial stack wipe leaks nothing" `Quick
+        test_stack_wipe_no_leak;
+      Alcotest.test_case "helper calls allocation-free" `Quick
+        test_helper_call_alloc_free;
     ]);
     ("jit", [
       Alcotest.test_case "basics" `Quick test_jit_basics;

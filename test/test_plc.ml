@@ -112,14 +112,13 @@ and eval_stmt w env = function
       eval_block w env body
     done
   | For (x, lo, hi, body) ->
+    (* v = lo; while v <u hi do body; v := v + 1 — the increment applies
+       to whatever the body left in v *)
     let hi = eval_expr w env hi in
-    let lo = eval_expr w env lo in
-    Hashtbl.replace env x lo;
-    let k = ref lo in
-    while Int64.unsigned_compare !k hi < 0 do
-      Hashtbl.replace env x !k;
+    Hashtbl.replace env x (eval_expr w env lo);
+    while Int64.unsigned_compare (Hashtbl.find env x) hi < 0 do
       eval_block w env body;
-      k := Int64.add !k 1L
+      Hashtbl.replace env x (Int64.add (Hashtbl.find env x) 1L)
     done
   | Return e -> raise (Returned (eval_expr w env e))
 
@@ -230,6 +229,13 @@ let gen_stmts ?(extra = []) expr =
           expr expr expr;
         map2 (fun n e -> [ For ("k", i 0, i (abs n mod 8), [ Assign ("x", Bin (Add, Var "x", e)) ]) ])
           (int_range 0 8) expr;
+        (* a body that steps the induction variable itself: the loop
+           still ends, as k only grows *)
+        map3
+          (fun n c e ->
+            [ For ("k", i 0, i n,
+                   [ Assign ("x", Bin (Add, Var "x", e)); Assign ("k", v "k" +: i c) ]) ])
+          (int_range 0 8) (int_range 0 3) expr;
         map3
           (fun n c e ->
             let bound = v "w" <: i n in
@@ -278,10 +284,10 @@ let run_effectful ~jit f =
   let calls = ref [] in
   List.iter
     (fun (_, id, arity) ->
-      Ebpf.Vm.register_helper ~arity vm id (fun _ a ->
-          let args = Array.to_list (Array.sub a 0 arity) in
+      Ebpf.Vm.register_helper vm id (fun vm ->
+          let args = List.init arity (fun k -> Ebpf.Vm.arg vm (k + 1)) in
           calls := (id, args) :: !calls;
-          helper_result id args))
+          Ebpf.Vm.ret vm (helper_result id args)))
     test_helpers;
   let mem = Bytes.init 64 (fun k -> Char.chr ((k * 37) land 0xff)) in
   let r = Ebpf.Vm.map_region vm ~name:"buf" ~perm:Ebpf.Vm.Rw mem in
@@ -355,7 +361,15 @@ let test_for_loop () =
           Return (v "acc");
         ] }
   in
-  check i64 "sum 1..10" 55L (compile_and_run f)
+  check i64 "sum 1..10" 55L (compile_and_run f);
+  (* a body that reassigns the induction variable: the increment applies
+     to the value it left (k = 5, then 6, which ends the loop) *)
+  let f =
+    { name = "t"; params = [];
+      body = [ For ("k", i 0, i 3, [ Assign ("k", v "k" +: i 5) ]); Return (v "k") ] }
+  in
+  check i64 "reassigned induction variable" 6L (compile_and_run f);
+  check Alcotest.bool "reference agrees" true (eval_func f = Ok 6L)
 
 let test_nested_for () =
   let f =
@@ -413,7 +427,7 @@ let test_helper_call () =
   in
   check i64 "helper" 42L
     (compile_and_run
-       ~helpers:[ ("double", 5, fun _ a -> Int64.mul a.(0) 2L) ]
+       ~helpers:[ ("double", 5, fun vm -> Ebpf.Vm.ret vm (Int64.mul (Ebpf.Vm.arg vm 1) 2L)) ]
        f)
 
 let test_call_arg_order () =
@@ -423,7 +437,7 @@ let test_call_arg_order () =
   in
   check i64 "argument order" 42L
     (compile_and_run
-       ~helpers:[ ("sub", 5, fun _ a -> Int64.sub a.(0) a.(1)) ]
+       ~helpers:[ ("sub", 5, fun vm -> Ebpf.Vm.ret vm (Int64.sub (Ebpf.Vm.arg vm 1) (Ebpf.Vm.arg vm 2))) ]
        f)
 
 let test_unknown_helper_error () =

@@ -181,6 +181,53 @@ let test_scheduler_oversize_dropped () =
   check (Alcotest.list Alcotest.int) "oversize dropped, next served" [ 2 ]
     (List.map (fun r -> Int64.to_int r.Pquic.Scheduler.cookie) taken)
 
+(* The reservation count the sender reads several times per packet is
+   kept by [reserve], [take] and [drop_plugin]: random sequences of the
+   three across plugins, with reservations larger than a packet and
+   budgets that stop mid-round, must keep [pending] equal to the
+   reference's fold over its queues, and take the same frames. *)
+type sched_op = Reserve of int * int | Take of int * int | Drop of int
+
+let scheduler_counts_reservations =
+  let plugins = [| "a"; "b"; "c" |] in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (6, map2 (fun p size -> Reserve (p, size)) (int_range 0 2)
+                (oneof [ int_range 1 700; int_range 1300 2600 ]));
+          (3, map2 (fun budget max_frame -> Take (budget, max_frame))
+                (int_range 0 3000) (oneofl [ 600; 1400 ]));
+          (1, map (fun p -> Drop p) (int_range 0 2)) ])
+  in
+  qtest ~count:300 "pending counts as a fold over the queues"
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let s = Pquic.Scheduler.create () and m = Scheduler_ref.create () in
+      let cookies l = List.map (fun r -> r.Pquic.Scheduler.cookie) l in
+      List.iteri
+        (fun k op ->
+          (match op with
+          | Reserve (p, size) ->
+            let r = reservation ~plugin:plugins.(p) ~size k in
+            Pquic.Scheduler.reserve s r;
+            Scheduler_ref.reserve m r
+          | Take (budget, max_frame) ->
+            let got = Pquic.Scheduler.take s ~max_frame ~budget in
+            let want = Scheduler_ref.take m ~max_frame ~budget in
+            if cookies got <> cookies want then
+              QCheck2.Test.fail_reportf "op %d: take differs" k
+          | Drop p ->
+            Pquic.Scheduler.drop_plugin s plugins.(p);
+            Scheduler_ref.drop_plugin m plugins.(p));
+          let want = Scheduler_ref.pending m in
+          if Pquic.Scheduler.pending s <> want then
+            QCheck2.Test.fail_reportf "op %d: pending %d, fold %d" k
+              (Pquic.Scheduler.pending s) want;
+          if Pquic.Scheduler.has_pending s <> (want > 0) then
+            QCheck2.Test.fail_reportf "op %d: has_pending disagrees" k)
+        ops;
+      true)
+
 (* The scheduler in the engine: a plugin floods 20,000 full 600 B
    reservations onto the server connection when the GET arrives. Stream
    data shares every packet with the flood, so the 2 MB answer keeps
@@ -818,6 +865,7 @@ let tests =
       Alcotest.test_case "drr fairness" `Quick test_scheduler_drr_fairness;
       Alcotest.test_case "oversize dropped" `Quick test_scheduler_oversize_dropped;
       Alcotest.test_case "no starvation in the engine" `Quick test_no_starvation_in_engine;
+      scheduler_counts_reservations;
     ]);
     ("plugin_format", [
       Alcotest.test_case "serialize roundtrip" `Quick plugin_serialize_roundtrip;
