@@ -123,10 +123,8 @@ let bytecode_direct_vm =
   in
   let prog, stack = Plc.Compile.compile ~helpers:Pluginop.Api.helper_names f in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
-  let region =
-    Ebpf.Vm.map_region vm ~name:"state" ~perm:Ebpf.Vm.Rw (Bytes.make 16 '\x07')
-  in
-  (vm, prog, Ebpf.Vm.jit ~stack_size:stack prog, region.Ebpf.Vm.base)
+  Ebpf.Vm.set_heap vm (Bytes.make 16 '\x07');
+  (vm, prog, Ebpf.Vm.jit ~stack_size:stack prog, Ebpf.Vm.heap_base)
 
 let bytecode_direct_load () =
   let vm, _, jp, base = bytecode_direct_vm in

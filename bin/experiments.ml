@@ -250,24 +250,46 @@ let table3 ~runs ~size () =
        [ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]);
     ]
   in
-  pf "%-22s %14s %8s %14s %14s\n" "Plugin" "x~ Goodput" "sigma/x~"
-    "Load (fresh)" "Load (cached)";
+  pf "%-22s %14s %8s %10s %14s %14s\n" "Plugin" "x~ Goodput" "sigma/x~"
+    "insns/pkt" "Load (fresh)" "Load (cached)";
+  (* Pluglet instructions a connection's attached instances executed. *)
+  let pluglet_insns (c : Pquic.Connection.t) =
+    Hashtbl.fold
+      (fun _ (inst : Pquic.Connection.instance) acc ->
+        List.fold_left
+          (fun acc pre -> acc + Pluginop.Pre.executed_insns pre)
+          acc inst.Pquic.Connection.pres)
+      c.Pquic.Connection.po.Pluginop.Types.plugins 0
+  in
   List.iter
     (fun (label, plugins, to_inject) ->
       (* identical (seeded) workload for every repetition: like the paper,
          runs differ only in measurement noise. CPU time, not wall time,
-         so other processes on the machine do not count against a row. *)
+         so other processes on the machine do not count against a row.
+         Pluglet instructions per packet sent by both peers is the row's
+         figure that repeats exactly from run to run. *)
       let one_run () =
         let topo = Topology.fast_link ~seed:1000L in
         let t0 = Sys.time () in
         match Exp.Runner.quic_transfer ~plugins ~to_inject ~topo ~size () with
-        | Some _ ->
+        | Some r ->
           let cpu = Sys.time () -. t0 in
-          Some (float_of_int size *. 8. /. cpu /. 1e6)
+          let server_insns, server_pkts =
+            match (r.server_conn, r.server_stats) with
+            | Some c, Some st -> (pluglet_insns c, st.Pquic.Connection.pkts_sent)
+            | _ -> (0, 0)
+          in
+          let insns = pluglet_insns r.client_conn + server_insns in
+          let pkts = r.client_stats.Pquic.Connection.pkts_sent + server_pkts in
+          Some
+            ( float_of_int size *. 8. /. cpu /. 1e6,
+              float_of_int insns /. float_of_int pkts )
         | None -> None
       in
       ignore (one_run ()) (* warmup *);
-      let goodputs = List.init runs (fun _ -> one_run ()) |> List.filter_map Fun.id in
+      let samples = List.init runs (fun _ -> one_run ()) |> List.filter_map Fun.id in
+      let goodputs = List.map fst samples in
+      let insns_per_pkt = match samples with (_, x) :: _ -> x | [] -> nan in
       (* plugin loading time: verified+compiled fresh instance vs the
          Section 2.5 cache reusing PREs as-is *)
       let fresh_us, cached_us =
@@ -322,8 +344,8 @@ let table3 ~runs ~size () =
       in
       let med = Exp.Stats.median goodputs in
       let rel = Exp.Stats.stddev goodputs /. med *. 100. in
-      pf "%-22s %10.1f Mbps %7.1f%% %11.1f us %11.1f us\n" label med rel
-        fresh_us cached_us)
+      pf "%-22s %10.1f Mbps %7.1f%% %10.1f %11.1f us %11.1f us\n" label med rel
+        insns_per_pkt fresh_us cached_us)
     configs
 
 (* ------------------------------------------------------------------ *)

@@ -327,6 +327,14 @@ let process_core_view c buf view =
     Quic.Recvbuf.insert_sub c.crypto_recv ~offset:(Int64.to_int offset)
       ~fin:false buf ~off ~len;
     try_handshake_progress c
+  | F.V_stream { id; _ }
+    when Hashtbl.length c.streams >= c.local_params.max_streams
+         && not (Hashtbl.mem c.streams id) ->
+    (* the peer would open one stream more than this side advertised:
+       refuse before allocating anything for it *)
+    fail_connection c
+      (Printf.sprintf "stream limit: peer opened more than %d streams"
+         c.local_params.max_streams)
   | F.V_stream { id; offset; fin; off; len } ->
     c.cur_has_stream <- true;
     let s = Sender.get_stream c id in

@@ -14,8 +14,12 @@ open Conn_types
 (* Plugin negotiation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The transfer's reassembly state exists from the request on: PLUGIN
+   chunks for any other name are dropped ([handle_plugin_chunk]). *)
 let request_plugin_transfer c name =
   Log.info (fun m -> m "requesting plugin %s from peer" name);
+  if not (Hashtbl.mem c.plugin_in name) then
+    Hashtbl.replace c.plugin_in name (Quic.Recvbuf.create (), Buffer.create 4096);
   Queue.push
     (F.Plugin_validate { plugin = name; formula = c.cfg.trust_formula })
     c.ctrl
@@ -108,45 +112,43 @@ let handle_plugin_validate c ~name ~formula =
     wake c
 
 let handle_plugin_chunk c ~name ~offset ~fin ~data =
-  let rb, acc =
-    match Hashtbl.find_opt c.plugin_in name with
-    | Some t -> t
-    | None ->
-      let t = (Quic.Recvbuf.create (), Buffer.create 4096) in
-      Hashtbl.replace c.plugin_in name t;
-      t
-  in
-  Quic.Recvbuf.insert rb ~offset:(Int64.to_int offset) ~fin data;
-  Buffer.add_string acc (Quic.Recvbuf.read rb);
-  if Quic.Recvbuf.is_finished rb then begin
-    Hashtbl.remove c.plugin_in name;
-    let blob = Buffer.contents acc in
-    let proof, compressed =
-      if String.length blob >= 4 then begin
-        let plen = Int32.to_int (String.get_int32_be blob 0) in
-        if plen >= 0 && 4 + plen <= String.length blob then
-          ( String.sub blob 4 plen,
-            String.sub blob (4 + plen) (String.length blob - 4 - plen) )
-        else ("", blob)
-      end
-      else ("", blob)
-    in
-    match Compress.Lzss.decompress compressed with
-    | exception Compress.Lzss.Corrupt ->
-      Log.warn (fun m -> m "plugin %s: corrupt transfer" name)
-    | bytes -> (
-      match Pluginop.Plugin.deserialize bytes with
-      | exception Pluginop.Plugin.Malformed msg ->
-        Log.warn (fun m -> m "plugin %s: malformed (%s)" name msg)
-      | plugin ->
-        if plugin.Pluginop.Plugin.name <> name then
-          Log.warn (fun m -> m "plugin name mismatch in transfer")
-        else if c.verify_plugin ~name ~bytes ~proof then begin
-          Log.info (fun m ->
-              m "plugin %s verified and stored in the local cache" name);
-          (* Remote plugins are not activated on the current connection but
-             offered to subsequent ones (Section 3.4). *)
-          c.on_plugin_received plugin
+  match Hashtbl.find_opt c.plugin_in name with
+  | None ->
+    (* not requested, or already complete: a peer cannot make this side
+       hold a transfer it did not ask for *)
+    Log.debug (fun m -> m "dropping PLUGIN chunk for unrequested %s" name)
+  | Some (rb, acc) ->
+    Quic.Recvbuf.insert rb ~offset:(Int64.to_int offset) ~fin data;
+    Buffer.add_string acc (Quic.Recvbuf.read rb);
+    if Quic.Recvbuf.is_finished rb then begin
+      Hashtbl.remove c.plugin_in name;
+      let blob = Buffer.contents acc in
+      let proof, compressed =
+        if String.length blob >= 4 then begin
+          let plen = Int32.to_int (String.get_int32_be blob 0) in
+          if plen >= 0 && 4 + plen <= String.length blob then
+            ( String.sub blob 4 plen,
+              String.sub blob (4 + plen) (String.length blob - 4 - plen) )
+          else ("", blob)
         end
-        else Log.warn (fun m -> m "plugin %s failed proof verification" name))
-  end
+        else ("", blob)
+      in
+      match Compress.Lzss.decompress compressed with
+      | exception Compress.Lzss.Corrupt ->
+        Log.warn (fun m -> m "plugin %s: corrupt transfer" name)
+      | bytes -> (
+        match Pluginop.Plugin.deserialize bytes with
+        | exception Pluginop.Plugin.Malformed msg ->
+          Log.warn (fun m -> m "plugin %s: malformed (%s)" name msg)
+        | plugin ->
+          if plugin.Pluginop.Plugin.name <> name then
+            Log.warn (fun m -> m "plugin name mismatch in transfer")
+          else if c.verify_plugin ~name ~bytes ~proof then begin
+            Log.info (fun m ->
+                m "plugin %s verified and stored in the local cache" name);
+            (* Remote plugins are not activated on the current connection but
+               offered to subsequent ones (Section 3.4). *)
+            c.on_plugin_received plugin
+          end
+          else Log.warn (fun m -> m "plugin %s failed proof verification" name))
+    end

@@ -15,6 +15,8 @@ val negotiate_plugins : t -> unit
     transfer of the missing ones (Section 3.4). *)
 
 val request_plugin_transfer : t -> string -> unit
+(** Ask the peer for a plugin and open its reassembly state: the only way
+    {!handle_plugin_chunk} accepts chunks for a name. *)
 
 val handle_plugin_validate : t -> name:string -> formula:string -> unit
 (** Peer asked for a plugin with a validation formula: serve the compressed
@@ -24,4 +26,6 @@ val handle_plugin_validate : t -> name:string -> formula:string -> unit
 val handle_plugin_chunk :
   t -> name:string -> offset:int64 -> fin:bool -> data:string -> unit
 (** Reassemble an incoming plugin transfer; on completion decompress,
-    deserialize, verify the proof and hand the plugin to the local cache. *)
+    deserialize, verify the proof and hand the plugin to the local cache.
+    Chunks for a name this side did not request, or whose transfer has
+    completed, are dropped. *)

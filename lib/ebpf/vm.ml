@@ -19,22 +19,24 @@
      into a graph of OCaml closures, one per instruction, and each run
      enters it with no per-run setup work.
 
-   Regions occupy disjoint 4 GiB-aligned windows of address space, so the
-   window index [addr lsr 32] identifies the region: resolution is a dense
-   table lookup plus a last-hit memo, not a list scan. Windows of unmapped
-   regions are recycled, which keeps the table small even though transient
-   argument buffers are mapped and unmapped around every protoop call. *)
+   Each region occupies its own 4 GiB-aligned window of address space, so
+   the window index [addr lsr 32] identifies the region, and the windows
+   are fixed: 1 is the pluglet stack, 2 the plugin heap and 3-7 the five
+   argument slots of a protoop call (Section 2.1's three kinds of PRE
+   memory). A region lookup is one read of an 8-entry table; window 0,
+   windows past 7 and empty slots fault. Nothing is allocated or recycled:
+   the host points the heap at its backing with [set_heap] and fills the
+   argument slots around each call with [map_arg] and [clear_args], so an
+   argument's address depends only on its position. *)
 
 type perm = Ro | Rw
 
 type region = {
-  rid : int;
-  rname : string;
-  base : int64;
-  window : int; (* = base lsr 32; regions never span windows *)
+  rname : string; (* for trap messages *)
   mem : Bytes.t;
   roff : int; (* first byte of the mapped sub-view within [mem] *)
-  rlen : int; (* view length: pluglet addresses cover base..base+rlen *)
+  rlen : int; (* view length: pluglet addresses cover base..base+rlen;
+                 -1 in an empty slot, so every access faults *)
   perm : perm;
 }
 
@@ -43,10 +45,8 @@ exception Fuel_exhausted
 exception Helper_failure of string
 
 type t = {
-  mutable region_tbl : region option array; (* indexed by addr lsr 32 *)
-  mutable last_region : region; (* memo for same-region access streaks *)
-  mutable free_windows : int list; (* windows recycled after unmap *)
-  mutable next_window : int;
+  regions : region array; (* indexed by window, [addr lsr 32] *)
+  mutable args_mapped : bool; (* an argument slot holds a region *)
   mutable helpers : helper_table; (* may be shared with other VMs *)
   stack : region; (* persistent pluglet stack, zeroed between runs *)
   stack_size : int;
@@ -60,7 +60,6 @@ type t = {
                   creation — computing it per run boxes two temporaries *)
   mutable stack_lo : int; (* every stack byte below this offset is zero:
                              a run wipes only [stack_lo, stack_size) *)
-  mutable next_rid : int;
   max_insns : int;
   mutable executed : int; (* instructions executed over the VM lifetime *)
 }
@@ -78,39 +77,45 @@ let region_alignment = 0x0001_0000_0000L (* 4 GiB of address space per region *)
 
 let window_bits = 32
 
+(* The memory map. *)
+let stack_window = 1
+let heap_window = 2
+let first_arg_window = 3
+let arg_slots = 5
+let windows = first_arg_window + arg_slots
+
+let heap_base = 0x0002_0000_0000L
+
+(* Immutable and shared by every VM: an empty slot. *)
+let unmapped = { rname = "unmapped"; mem = Bytes.empty; roff = 0; rlen = -1; perm = Ro }
+
 let helper_table () = { fns = [||] }
 
-(* Window 0 is never handed out, so null-ish pluglet pointers fault. The
-   stack occupies window 1 from creation: every VM — and therefore every
-   PRE of a plugin instance — has the same memory layout, and per-run
-   stack setup is a [Bytes.fill] rather than an allocate/map/unmap cycle. *)
+(* Window 0 stays empty, so null-ish pluglet pointers fault. The stack
+   occupies window 1 from creation: every VM — and therefore every PRE
+   of a plugin instance — has the same memory layout, and per-run stack
+   setup is a [Bytes.fill] rather than an allocate/map/unmap cycle. *)
 let create ?(stack_size = 512) ?(max_insns = 4_000_000) () =
   let stack =
     {
-      rid = 0;
       rname = "stack";
-      base = region_alignment;
-      window = 1;
       mem = Bytes.make stack_size '\000';
       roff = 0;
       rlen = stack_size;
       perm = Rw;
     }
   in
-  let region_tbl = Array.make 8 None in
-  region_tbl.(1) <- Some stack;
+  let regions = Array.make windows unmapped in
+  regions.(stack_window) <- stack;
   {
-    region_tbl;
-    last_region = stack;
-    free_windows = [];
-    next_window = 2;
+    regions;
+    args_mapped = false;
     helpers = helper_table ();
     stack;
     stack_size;
     regb = Bytes.make 88 '\000';
     fp0 = Int64.add region_alignment (Int64.of_int stack_size);
     stack_lo = stack_size;
-    next_rid = 1;
     max_insns;
     executed = 0;
   }
@@ -150,94 +155,45 @@ let arg_int vm k = Int64.to_int (arg vm k)
 let[@inline] ret vm v = rset vm.regb 0 v
 let ret_int vm v = rset vm.regb 0 (Int64.of_int v)
 
+(* The heap is the whole buffer, read-write, at window 2 in every VM, so
+   heap pointers have one value in every PRE of an instance and survive
+   the backing growing. *)
+let set_heap vm mem =
+  vm.regions.(heap_window) <-
+    { rname = "plugin_heap"; mem; roff = 0; rlen = Bytes.length mem; perm = Rw }
+
+(* String and int64 literals are static: naming a slot and returning its
+   base allocate nothing. *)
+let arg_name = function
+  | 0 -> "arg0" | 1 -> "arg1" | 2 -> "arg2" | 3 -> "arg3" | _ -> "arg4"
+
+let arg_base = function
+  | 0 -> 0x0003_0000_0000L
+  | 1 -> 0x0004_0000_0000L
+  | 2 -> 0x0005_0000_0000L
+  | 3 -> 0x0006_0000_0000L
+  | _ -> 0x0007_0000_0000L
+
 (* [off]/[len] map a sub-view of [mem]: the pluglet sees addresses
-   base..base+len covering mem[off..off+len). The default is the whole
-   buffer. Sub-views are how host-owned wire buffers are exposed without
-   copying: the monitor bounds are exactly those of the old copied slice. *)
-
-(* [map_sub] is the required-argument form: the protoop marshalling path
-   maps a few regions per pluglet execution and the optional-argument
-   boxing of [map_region] is measurable there. *)
-let map_sub vm ~name ~perm mem ~off ~len =
+   base..base+len covering mem[off..off+len). Sub-views are how
+   host-owned wire buffers are exposed without copying. *)
+let map_arg vm k ~perm mem ~off ~len =
+  if k < 0 || k >= arg_slots then invalid_arg "Vm.map_arg: slot outside 0..4";
   if off < 0 || len < 0 || off + len > Bytes.length mem then
-    invalid_arg "Vm.map_region: sub-view outside the backing buffer";
-  let window =
-    match vm.free_windows with
-    | w :: rest ->
-      vm.free_windows <- rest;
-      w
-    | [] ->
-      let w = vm.next_window in
-      vm.next_window <- w + 1;
-      w
-  in
-  if window >= Array.length vm.region_tbl then begin
-    let grown =
-      Array.make (max (window + 1) (2 * Array.length vm.region_tbl)) None
-    in
-    Array.blit vm.region_tbl 0 grown 0 (Array.length vm.region_tbl);
-    vm.region_tbl <- grown
-  end;
-  let r =
-    {
-      rid = vm.next_rid;
-      rname = name;
-      base = Int64.shift_left (Int64.of_int window) window_bits;
-      window;
-      mem;
-      roff = off;
-      rlen = len;
-      perm;
-    }
-  in
-  vm.next_rid <- vm.next_rid + 1;
-  vm.region_tbl.(window) <- Some r;
-  r
+    invalid_arg "Vm.map_arg: sub-view outside the backing buffer";
+  vm.regions.(first_arg_window + k) <-
+    { rname = arg_name k; mem; roff = off; rlen = len; perm };
+  vm.args_mapped <- true;
+  arg_base k
 
-let map_region vm ~name ~perm ?(off = 0) ?len mem =
-  let len = match len with Some l -> l | None -> Bytes.length mem - off in
-  map_sub vm ~name ~perm mem ~off ~len
-
-let unmap_region vm r =
-  if r.window < Array.length vm.region_tbl then
-    match vm.region_tbl.(r.window) with
-    | Some r' when r'.rid = r.rid ->
-      vm.region_tbl.(r.window) <- None;
-      vm.free_windows <- r.window :: vm.free_windows;
-      if vm.last_region.rid = r.rid then vm.last_region <- vm.stack
-    | _ -> ()
-
-(* Point a mapped region at a new backing buffer, keeping its rid, window
-   and base, so addresses pluglets already hold stay valid. The view spans
-   the whole new buffer. *)
-let remap vm r mem =
-  match
-    if r.window < Array.length vm.region_tbl then vm.region_tbl.(r.window)
-    else None
-  with
-  | Some cur when cur.rid = r.rid ->
-    let r' = { cur with mem; roff = 0; rlen = Bytes.length mem } in
-    vm.region_tbl.(r.window) <- Some r';
-    if vm.last_region.rid = r.rid then vm.last_region <- r';
-    r'
-  | _ -> invalid_arg "Vm.remap: region not mapped"
-
-(* Bulk unmap for the marshalling fast path: capture a mark before mapping
-   the call's transient regions, unmap everything at-or-above it after —
-   no list of region handles to build. Sound because a given VM is never
-   re-entered while a pluglet runs (each PRE owns its VM, and re-entering
-   the same protoop is sanctioned as a loop), so every region with
-   [rid >= mark] belongs to the current call. *)
-let rid_mark vm = vm.next_rid
-
-let unmap_above vm mark =
-  let tbl = vm.region_tbl in
-  if vm.next_rid > mark then
-    for w = 0 to Array.length tbl - 1 do
-      match tbl.(w) with
-      | Some r when r.rid >= mark -> unmap_region vm r
-      | _ -> ()
-    done
+(* Sound for per-call arguments because a VM is never re-entered while
+   its pluglet runs (each PRE owns its VM, and re-entering the same
+   protoop is sanctioned as a loop). *)
+let clear_args vm =
+  if vm.args_mapped then begin
+    Array.fill vm.regions first_arg_window arg_slots unmapped;
+    vm.args_mapped <- false
+  end
 
 let out_of_region len addr =
   raise
@@ -245,20 +201,11 @@ let out_of_region len addr =
        (Printf.sprintf "access of %d bytes at 0x%Lx outside any region" len
           addr))
 
-(* O(1) region resolution: the access's window indexes the dense table;
-   the last-hit memo short-circuits the common same-region streak. *)
-let region_at vm addr len =
+(* The access's window indexes the table; an empty slot's [rlen] of -1
+   fails every bounds check. *)
+let[@inline always] region_at vm addr len =
   let w = Int64.to_int (Int64.shift_right_logical addr window_bits) in
-  if vm.last_region.window = w then vm.last_region
-  else
-    let tbl = vm.region_tbl in
-    if w < Array.length tbl then
-      match tbl.(w) with
-      | Some r ->
-        vm.last_region <- r;
-        r
-      | None -> out_of_region len addr
-    else out_of_region len addr
+  if w < windows then Array.unsafe_get vm.regions w else out_of_region len addr
 
 let resolve vm ~write addr len =
   let r = region_at vm addr len in
@@ -303,7 +250,7 @@ let fill_bytes vm addr len c =
 
 (* Borrow the backing bytes of a range: the monitor checks of a bytecode
    access of [len] bytes, and no copy. The returned offset is valid only
-   until the region is unmapped. *)
+   until the region's window is mapped again or cleared. *)
 let direct vm ~write addr len =
   let r, off = resolve vm ~write addr len in
   (r.mem, off)
@@ -824,15 +771,6 @@ let[@inline always] alu32_seti regb dst opi a b =
   | 11 -> zx32 regb dst b32
   | _ -> zx32 regb dst (neg a32) (* 8, Neg *)
 
-(* Region resolution for the JIT's monitored accesses: the stack is
-   always window 1 (pluglet locals, the dominant traffic), then the
-   last-hit memo, then the dense table via [region_at]. *)
-let[@inline always] region_for vm addr len =
-  let w = Int64.to_int (Int64.shift_right_logical addr window_bits) in
-  if w = 1 then vm.stack
-  else if vm.last_region.window = w then vm.last_region
-  else region_at vm addr len
-
 let ro_violation len addr r =
   raise
     (Memory_violation
@@ -854,14 +792,14 @@ external bytes_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
    linked opcodes: region lookup, bounds check, then a straight-line
    load/store with nothing left to dispatch on. *)
 let[@inline always] load8_fast vm addr =
-  let r = region_for vm addr 1 in
+  let r = region_at vm addr 1 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 1 > r.rlen - off then out_of_region 1 addr;
   let off = r.roff + off in
   Int64.of_int (Char.code (Bytes.unsafe_get r.mem off))
 
 let[@inline always] load16_fast vm addr =
-  let r = region_for vm addr 2 in
+  let r = region_at vm addr 2 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 2 > r.rlen - off then out_of_region 2 addr;
   let off = r.roff + off in
@@ -869,7 +807,7 @@ let[@inline always] load16_fast vm addr =
   else Int64.of_int (bytes_get16u r.mem off)
 
 let[@inline always] load32_fast vm addr =
-  let r = region_for vm addr 4 in
+  let r = region_at vm addr 4 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 4 > r.rlen - off then out_of_region 4 addr;
   let off = r.roff + off in
@@ -878,7 +816,7 @@ let[@inline always] load32_fast vm addr =
   else Int64.logand (Int64.of_int32 (bytes_get32u r.mem off)) 0xffffffffL
 
 let[@inline always] load64_fast vm addr =
-  let r = region_for vm addr 8 in
+  let r = region_at vm addr 8 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 8 > r.rlen - off then out_of_region 8 addr;
   let off = r.roff + off in
@@ -886,7 +824,7 @@ let[@inline always] load64_fast vm addr =
   else bytes_get64 r.mem off
 
 let[@inline always] store8_fast vm addr v =
-  let r = region_for vm addr 1 in
+  let r = region_at vm addr 1 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 1 > r.rlen - off then out_of_region 1 addr;
   let off = r.roff + off in
@@ -895,7 +833,7 @@ let[@inline always] store8_fast vm addr v =
   Bytes.unsafe_set r.mem off (Char.unsafe_chr (Int64.to_int v land 0xff))
 
 let[@inline always] store16_fast vm addr v =
-  let r = region_for vm addr 2 in
+  let r = region_at vm addr 2 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 2 > r.rlen - off then out_of_region 2 addr;
   let off = r.roff + off in
@@ -905,7 +843,7 @@ let[@inline always] store16_fast vm addr v =
   else bytes_set16u r.mem off (Int64.to_int v land 0xffff)
 
 let[@inline always] store32_fast vm addr v =
-  let r = region_for vm addr 4 in
+  let r = region_at vm addr 4 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 4 > r.rlen - off then out_of_region 4 addr;
   let off = r.roff + off in
@@ -915,7 +853,7 @@ let[@inline always] store32_fast vm addr v =
   else bytes_set32u r.mem off (Int64.to_int32 v)
 
 let[@inline always] store64_fast vm addr v =
-  let r = region_for vm addr 8 in
+  let r = region_at vm addr 8 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
   if 8 > r.rlen - off then out_of_region 8 addr;
   let off = r.roff + off in

@@ -2,12 +2,14 @@
 
     The paper's PRE injects bounds-checking instructions when JITing
     pluglet bytecode; both execution tiers here perform the same checks
-    on every load and store instead. Memory is organized as disjoint
-    {e regions} (pluglet stack, plugin heap, host-provided buffers) mapped
-    at synthetic 64-bit base addresses; any access outside a mapped
-    region, or a write to a read-only region, raises {!Memory_violation}
-    — the host reacts by removing the plugin and terminating the
-    connection.
+    on every load and store instead. A VM's address space is fixed: each
+    region sits in its own 4 GiB window of synthetic 64-bit addresses —
+    window 1 the pluglet stack, window 2 the plugin heap ({!set_heap}),
+    windows 3-7 the five argument slots of a protoop call ({!map_arg}).
+    Windows are never allocated or recycled. Any access outside a mapped
+    region (window 0 and empty slots included), or a write to a read-only
+    region, raises {!Memory_violation} — the host reacts by removing the
+    plugin and terminating the connection.
 
     There are two execution tiers. Production callers compile a verified
     program once with {!jit} and execute it with {!run_jit}. {!run}
@@ -17,17 +19,6 @@
     registers and box nothing ({!helper}). *)
 
 type perm = Ro | Rw
-
-type region = {
-  rid : int;
-  rname : string;
-  base : int64;   (** address pluglets use to reach the region *)
-  window : int;   (** [base lsr 32]: index into the VM's region table *)
-  mem : Bytes.t;
-  roff : int;     (** first byte of the mapped sub-view within [mem] *)
-  rlen : int;     (** view length: bytecode addresses span [base, base+rlen) *)
-  perm : perm;
-}
 
 exception Memory_violation of string
 exception Fuel_exhausted
@@ -61,8 +52,8 @@ val ret_int : t -> int -> unit
 val create : ?stack_size:int -> ?max_insns:int -> unit -> t
 (** [stack_size] defaults to 512 bytes, [max_insns] (the per-run fuel) to
     4,000,000. The pluglet stack is a persistent region mapped at creation
-    (always the first window, so every PRE of an instance has the same
-    layout) and zeroed between runs. *)
+    (window 1, so every PRE of an instance has the same layout) and zeroed
+    between runs; the heap and argument slots start empty. *)
 
 type helper_table
 (** A dense table of helpers by id. Every VM starts with an empty table of
@@ -82,35 +73,28 @@ val set_helpers : t -> helper_table -> unit
 val register_helper : t -> int -> helper -> unit
 (** {!add_helper} on the VM's current table. *)
 
-val map_region :
-  t -> name:string -> perm:perm -> ?off:int -> ?len:int -> Bytes.t -> region
-(** Make [mem] addressable from bytecode; each region gets its own 4 GiB
-    window of synthetic address space, so regions never abut. Windows of
-    unmapped regions are recycled, keeping the region table dense under
-    the per-call map/unmap traffic of protoop argument buffers.
-    [off]/[len] restrict the mapping to a sub-view of [mem] (default: the
-    whole buffer): bytecode address [base + k] reaches [mem.[off + k]] and
-    the monitor bounds accesses to [k < len] — this is how host-owned wire
-    buffers are exposed zero-copy with the bounds of the old copied slice. *)
+val heap_base : int64
+(** The address of heap byte 0 (window 2), the same in every VM. *)
 
-val remap : t -> region -> Bytes.t -> region
-(** Point a mapped region at a new backing buffer: the region keeps its
-    rid, window and base (addresses into it stay valid) and its view now
-    spans the whole new buffer. Returns the updated region.
-    @raise Invalid_argument if the region is not mapped in this VM. *)
+val set_heap : t -> Bytes.t -> unit
+(** Map the whole of [mem], read-write, as the plugin heap, in place of
+    any previous heap. Heap addresses pluglets hold stay valid, so a heap
+    that grows is mapped again at its new backing. Trap messages name the
+    region [plugin_heap]. *)
 
-val map_sub :
-  t -> name:string -> perm:perm -> Bytes.t -> off:int -> len:int -> region
-(** {!map_region} with required sub-view bounds — the alloc-free form the
-    per-call protoop marshalling uses (no optional-argument boxing). *)
+val map_arg :
+  t -> int -> perm:perm -> Bytes.t -> off:int -> len:int -> int64
+(** [map_arg vm k ~perm mem ~off ~len] maps [mem.[off .. off+len-1]] into
+    argument slot [k] (0..4, window [3 + k], region name [argk]) and
+    returns its base: bytecode address [base + i] reaches [mem.[off + i]]
+    for [i < len]. This is how host-owned wire buffers are exposed
+    without a copy. The slot's previous mapping, if any, is replaced.
+    @raise Invalid_argument on a slot outside 0..4 or a view outside [mem]. *)
 
-val rid_mark : t -> int
-(** A monotonic mark covering every region mapped so far. *)
-
-val unmap_above : t -> int -> unit
-(** Unmap every region mapped at or after the given {!rid_mark}. Sound for
-    per-call transient regions because a VM is never re-entered while its
-    pluglet runs. *)
+val clear_args : t -> unit
+(** Empty every argument slot, so pointers into them fault. The host
+    calls it when a protoop call returns; sound because a VM is never
+    re-entered while its pluglet runs. *)
 
 val fill_bytes : t -> int64 -> int -> char -> unit
 (** Region-checked fill used by the [pl_memset] helper: the range must
@@ -123,7 +107,7 @@ val direct : t -> write:bool -> int64 -> int -> Bytes.t * int
     writable when [write]) and returns the backing buffer and the
     translated offset, so helpers can blit straight between regions and
     host buffers without a copy. The borrow is valid only until the
-    region is unmapped.
+    region's window is mapped again or cleared.
     @raise Memory_violation on an out-of-region or read-only access. *)
 
 val run : t -> ?args:int64 array -> Insn.t array -> int64

@@ -101,56 +101,35 @@ let grow_stack st =
     true
   end
 
-(* Region names for pluglet argument buffers, precomputed: this runs on
-   every protoop invocation, and protoops take at most five arguments. *)
-let arg_region_names = [| "arg0"; "arg1"; "arg2"; "arg3"; "arg4" |]
-
-(* Execute one pluglet implementation with the given arguments. Buffers are
-   mapped into the PRE for the duration of the call; pre/post pluglets get
-   read-only views (the paper grants passive pluglets no write access).
-   [View] arguments map a read-only sub-view of a host buffer — the
-   zero-copy path for wire-borrowed frame bodies. The whole marshalling
-   path is imperative and allocation-free apart from the region records
-   themselves: this runs several times per received packet. Up to five
-   arguments marshal through the connection's [st.vm_args] scratch (see
-   {!Types.state}); unused slots are zeroed so the registers end up
-   exactly as a right-sized vector would leave them. *)
+(* Execute one pluglet implementation with the given arguments. Buffer
+   argument i is mapped into the PRE's argument slot i for the duration
+   of the call; pre/post pluglets get read-only views (the paper grants
+   passive pluglets no write access). [View] arguments map a read-only
+   sub-view of a host buffer — the zero-copy path for wire-borrowed frame
+   bodies. The whole marshalling path is imperative and allocation-free
+   apart from the region records themselves: this runs several times per
+   received packet. Arguments marshal through the connection's
+   [st.vm_args] scratch (see {!Types.state}); unused slots are zeroed so
+   the registers end up exactly as a right-sized vector would leave them.
+   @raise Invalid_argument on more than five arguments. *)
 let exec_pluglet st pre ~read_only (args : arg array) =
   let vm = pre.Pre.vm in
-  let mark = Ebpf.Vm.rid_mark vm in
+  let vargs = st.vm_args in
   let n = Array.length args in
-  let vargs =
-    if n <= Array.length st.vm_args then st.vm_args else Array.make n 0L
-  in
-  let nregions = ref 0 in
+  if n > Array.length vargs then
+    invalid_arg "Dispatch.exec_pluglet: more than five arguments";
   match
     for i = 0 to n - 1 do
-      (match args.(i) with
-      | I v -> vargs.(i) <- v
-      | Buf (b, perm) ->
-        let perm =
-          if read_only then Ebpf.Vm.Ro
-          else match perm with `Ro -> Ebpf.Vm.Ro | `Rw -> Ebpf.Vm.Rw
-        in
-        let name =
-          if !nregions < Array.length arg_region_names then
-            arg_region_names.(!nregions)
-          else "arg" ^ string_of_int !nregions
-        in
-        let r =
-          Ebpf.Vm.map_sub vm ~name ~perm b ~off:0 ~len:(Bytes.length b)
-        in
-        vargs.(i) <- r.Ebpf.Vm.base;
-        incr nregions
-      | View (b, off, len) ->
-        let name =
-          if !nregions < Array.length arg_region_names then
-            arg_region_names.(!nregions)
-          else "arg" ^ string_of_int !nregions
-        in
-        let r = Ebpf.Vm.map_sub vm ~name ~perm:Ebpf.Vm.Ro b ~off ~len in
-        vargs.(i) <- r.Ebpf.Vm.base;
-        incr nregions)
+      vargs.(i) <-
+        (match args.(i) with
+        | I v -> v
+        | Buf (b, perm) ->
+          let perm =
+            if read_only then Ebpf.Vm.Ro
+            else match perm with `Ro -> Ebpf.Vm.Ro | `Rw -> Ebpf.Vm.Rw
+          in
+          Ebpf.Vm.map_arg vm i ~perm b ~off:0 ~len:(Bytes.length b)
+        | View (b, off, len) -> Ebpf.Vm.map_arg vm i ~perm:Ebpf.Vm.Ro b ~off ~len)
     done;
     for i = n to Array.length vargs - 1 do
       vargs.(i) <- 0L
@@ -158,19 +137,19 @@ let exec_pluglet st pre ~read_only (args : arg array) =
     Pre.run pre ~args:vargs
   with
   | v ->
-    Ebpf.Vm.unmap_above vm mark;
+    Ebpf.Vm.clear_args vm;
     Ok v
   | exception Ebpf.Vm.Memory_violation msg ->
-    Ebpf.Vm.unmap_above vm mark;
+    Ebpf.Vm.clear_args vm;
     Error ("memory violation: " ^ msg)
   | exception Ebpf.Vm.Fuel_exhausted ->
-    Ebpf.Vm.unmap_above vm mark;
+    Ebpf.Vm.clear_args vm;
     Error "instruction budget exhausted"
   | exception Ebpf.Vm.Helper_failure msg ->
-    Ebpf.Vm.unmap_above vm mark;
+    Ebpf.Vm.clear_args vm;
     Error ("API violation: " ^ msg)
   | exception e ->
-    Ebpf.Vm.unmap_above vm mark;
+    Ebpf.Vm.clear_args vm;
     raise e
 
 (* Take a plugin's pluglets off every anchor. An entry this leaves empty

@@ -31,7 +31,7 @@ let sync_heap inst =
   let area = Memory_pool.area inst.pool in
   if area != inst.heap then begin
     inst.heap <- area;
-    List.iter (fun pre -> Pre.remap_heap pre area) inst.pres
+    List.iter (fun pre -> Ebpf.Vm.set_heap pre.Pre.vm area) inst.pres
   end
 
 (* Build the instance's helper table for connection [c] and point every
@@ -43,11 +43,8 @@ let sync_heap inst =
 let bind_helpers st c inst =
   let module V = Ebpf.Vm in
   let tbl = V.helper_table () in
-  let heap_base =
-    match inst.pres with pre :: _ -> Pre.heap_base pre | [] -> 0L
-  in
-  (* heap addresses as ints: [heap_base] is a window base, far below 2^62 *)
-  let heap_base_i = to_i heap_base in
+  (* heap addresses as ints: the heap's window base is far below 2^62 *)
+  let heap_base_i = to_i V.heap_base in
   let reg id f = V.add_helper tbl id f in
   reg Api.h_get (fun vm ->
       V.ret vm (st.host.get_field c (V.arg_int vm 1) (V.arg_int vm 2)));

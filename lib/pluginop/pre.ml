@@ -1,10 +1,10 @@
 (* Pluglet Runtime Environment (Section 2.1): one per inserted pluglet.
    Each PRE owns its registers and stack (a fresh [Ebpf.Vm]); its heap
-   points to the area shared by all pluglets of the plugin. Every VM maps
-   its stack at the same window and the heap is the first region mapped
-   after it, so heap pointers have the same value in every PRE of the
-   instance. The admission pipeline — compile, decode, static
-   verification, closure JIT — runs in [admit], once per pluglet of a
+   points to the area shared by all pluglets of the plugin. Every VM has
+   the same fixed memory map — the heap is window 2 by construction — so
+   heap pointers have the same value ([Ebpf.Vm.heap_base] + offset) in
+   every PRE of the instance. The admission pipeline — compile, decode,
+   static verification, closure JIT — runs in [admit], once per pluglet of a
    plugin template and once per distinct bytecode process-wide; building
    a PRE from an admitted program ([instantiate]) only creates its run
    environment. Per-packet execution then runs the jitted program with no
@@ -21,7 +21,6 @@ type t = {
   anchor : Protoop.anchor;
   jit : Ebpf.Vm.jit_prog;
   vm : Ebpf.Vm.t;
-  mutable heap : Ebpf.Vm.region; (* the plugin heap, mapped at one base *)
 }
 
 (* Content-addressed program cache: bytecode digest + stack size
@@ -103,13 +102,13 @@ let admit (pluglet : Plugin.pluglet) =
   { pluglet; stack_size; master; unclaimed = true }
 
 (* A fresh PRE running an admitted program, with [heap] (the plugin's
-   shared memory area) mapped first after the stack. The first PRE built
-   from an admission is the one its hit or miss counted; every further
-   one counts the hit that re-admitting the same bytecode would have. *)
+   shared memory area) as its heap. The first PRE built from an admission
+   is the one its hit or miss counted; every further one counts the hit
+   that re-admitting the same bytecode would have. *)
 let instantiate ~plugin_name program ~heap =
   if program.unclaimed then program.unclaimed <- false else incr cache_hits;
   let vm = Ebpf.Vm.create ~stack_size:program.stack_size () in
-  let heap = Ebpf.Vm.map_region vm ~name:"plugin_heap" ~perm:Ebpf.Vm.Rw heap in
+  Ebpf.Vm.set_heap vm heap;
   {
     plugin_name;
     op = program.pluglet.op;
@@ -117,15 +116,7 @@ let instantiate ~plugin_name program ~heap =
     anchor = program.pluglet.anchor;
     jit = Ebpf.Vm.jit_clone program.master;
     vm;
-    heap;
   }
-
-(* The plugin heap moved to a bigger backing: same window, same base. *)
-let remap_heap t mem = t.heap <- Ebpf.Vm.remap t.vm t.heap mem
-
-(* The address pluglets see for heap offset 0: the same in every PRE of
-   an instance, and unchanged by [remap_heap]. *)
-let heap_base t = t.heap.Ebpf.Vm.base
 
 (* The per-packet fast path. In-engine a protoop dispatch arrives with
    cold caches — the engine touches packets, frame tables and timers

@@ -1,15 +1,16 @@
 (** Pluglet Runtime Environment (Section 2.1): one per inserted pluglet.
 
     Each PRE owns its registers and stack (a fresh {!Ebpf.Vm}); its heap
-    points to the area shared by all pluglets of the plugin, mapped at the
-    same window in every VM so heap pointers have the same value in every
-    PRE of an instance. The admission pipeline — compile if needed, static
-    verification, closure JIT — runs in {!admit}, once per pluglet of a
-    plugin template: a content-addressed program cache shares the compiled
-    program between identical pluglets process-wide. {!instantiate} then
-    builds a PRE from an admitted program by creating its run environment
-    only. {!run} executes the program with no per-call setup, and runtime
-    memory monitoring lives in the VM. *)
+    points to the area shared by all pluglets of the plugin, at window 2
+    of every VM's fixed memory map, so heap pointers have the same value
+    ({!Ebpf.Vm.heap_base} + offset) in every PRE of an instance. The
+    admission pipeline — compile if needed, static verification, closure
+    JIT — runs in {!admit}, once per pluglet of a plugin template: a
+    content-addressed program cache shares the compiled program between
+    identical pluglets process-wide. {!instantiate} then builds a PRE
+    from an admitted program by creating its run environment only. {!run}
+    executes the program with no per-call setup, and runtime memory
+    monitoring lives in the VM. *)
 
 exception Rejected of string
 (** The verifier refused the bytecode: the whole plugin is rejected. *)
@@ -22,8 +23,6 @@ type t = {
   jit : Ebpf.Vm.jit_prog;
     (** compiled once per distinct bytecode (content-addressed cache) *)
   vm : Ebpf.Vm.t;
-  mutable heap : Ebpf.Vm.region;
-    (** the plugin heap: same window and base in every PRE of an instance *)
 }
 
 type program
@@ -42,10 +41,6 @@ val instantiate : plugin_name:string -> program -> heap:Bytes.t -> t
     counted; each further one counts a cache hit, as re-admitting the same
     bytecode would. *)
 
-val remap_heap : t -> Bytes.t -> unit
-(** Swap the heap region's backing for a grown one ({!Ebpf.Vm.remap}):
-    heap addresses pluglets hold stay valid. *)
-
 type cache_counters = {
   entries : int;
   hits : int;
@@ -57,10 +52,6 @@ val cache_counters : unit -> cache_counters
 (** Full counters of the node-scope program cache: [hits] PREs served from
     cache (no compilation), [misses] full verify+jit compilations,
     [evictions] entries dropped by the FIFO bound of 4096 entries. *)
-
-val heap_base : t -> int64
-(** The address pluglets see for heap offset 0: the same in every PRE of
-    an instance, and unchanged by {!remap_heap}. *)
 
 val run : t -> args:int64 array -> int64
 (** Execute the pluglet's jitted program on its VM (the per-packet fast

@@ -300,10 +300,10 @@ let test_wide_param_names_no_entry () =
 
 (* Forge a 1-RTT packet carrying [payload] and hand it to [c] as if its
    peer had sent it. *)
-let receive_forged c payload =
+let receive_forged ?(pn = 0L) c payload =
   let header =
     { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false; dcid = 1L;
-      scid = 2L; pn = 0L }
+      scid = 2L; pn }
   in
   let packet = Quic.Packet.protect ~key:c.C.key { Quic.Packet.header; payload } in
   let p = c.C.paths.(0) in
@@ -352,6 +352,79 @@ let test_hostile_frames_grow_no_state () =
   check Alcotest.bool
     (Printf.sprintf "connection grew %d B (< 10 kB)" grown)
     true (grown < 10_000)
+
+(* A peer may open only the streams this side advertised: the client
+   writes on 101 stream ids, and the server fails its connection on the
+   101st instead of adding it to the stream table. *)
+let test_peer_streams_bounded () =
+  let topo =
+    Topology.single_path ~seed:7L
+      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let server =
+    Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L ()
+  in
+  let client =
+    Pquic.Endpoint.create ~sim ~net
+      ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
+  in
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  let accepted = ref None in
+  server.Pquic.Endpoint.on_connection <- (fun c -> accepted := Some c);
+  let conn = Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr in
+  let limit = Quic.Transport_params.default.max_streams in
+  conn.C.on_established <-
+    (fun () ->
+      for k = 0 to limit do
+        C.write_stream conn ~id:(4 * k) ~fin:true "x"
+      done);
+  ignore (Sim.run ~until:(Sim.of_sec 5.) sim);
+  match !accepted with
+  | None -> Alcotest.fail "server accepted no connection"
+  | Some c ->
+    check Alcotest.string "failed on the stream limit"
+      (Printf.sprintf "stream limit: peer opened more than %d streams" limit)
+      c.C.close_reason;
+    check Alcotest.bool
+      (Printf.sprintf "%d streams held (<= %d)" (Hashtbl.length c.C.streams) limit)
+      true
+      (Hashtbl.length c.C.streams <= limit)
+
+(* PLUGIN chunks count only for transfers this side asked for: 999
+   partial chunks under fresh names and one complete, well-formed
+   transfer of a real plugin, none of them requested, leave no
+   reassembly state and reach no cache, even with a verifier that
+   accepts everything. *)
+let test_unrequested_plugin_chunks_dropped () =
+  let c = make_conn () in
+  let cached = ref [] in
+  c.C.verify_plugin <- (fun ~name:_ ~bytes:_ ~proof:_ -> true);
+  c.C.on_plugin_received <- (fun p -> cached := p :: !cached);
+  let plugin = Plugins.Monitoring.plugin in
+  let complete =
+    let compressed = Compress.Lzss.compress (Pluginop.Plugin.serialize plugin) in
+    let b = Buffer.create (4 + String.length compressed) in
+    Buffer.add_int32_be b 0l;
+    Buffer.add_string b compressed;
+    Quic.Frame.Plugin_chunk
+      { plugin = plugin.Pluginop.Plugin.name; offset = 0L; fin = true;
+        data = Buffer.contents b }
+  in
+  let partial k =
+    Quic.Frame.Plugin_chunk
+      { plugin = Printf.sprintf "org.test.p%d" k; offset = 0L; fin = false;
+        data = String.make 16 'd' }
+  in
+  let frames = complete :: List.init 999 partial in
+  List.iteri
+    (fun k chunk ->
+      receive_forged ~pn:(Int64.of_int k) c (Frame_ref.to_string chunk))
+    frames;
+  check Alcotest.string "connection still open" "" c.C.close_reason;
+  check Alcotest.int "no reassembly state" 0 (Hashtbl.length c.C.plugin_in);
+  check Alcotest.int "nothing cached" 0 (List.length !cached)
 
 (* Nor may a pluglet bring one in: reserving a frame of that type, or
    running an operation with it as the param, is an API violation. *)
@@ -417,5 +490,9 @@ let tests =
         test_wide_ftype_from_pluglet;
       Alcotest.test_case "hostile frames grow no state" `Quick
         test_hostile_frames_grow_no_state;
+      Alcotest.test_case "peer streams bounded by max_streams" `Quick
+        test_peer_streams_bounded;
+      Alcotest.test_case "unrequested plugin chunks dropped" `Quick
+        test_unrequested_plugin_chunks_dropped;
     ]);
   ]

@@ -332,23 +332,23 @@ let test_memory_violation () =
 
 let test_readonly_region () =
   let vm = Vm.create () in
-  let r = Vm.map_region vm ~name:"ro" ~perm:Vm.Ro (Bytes.make 64 'x') in
+  let base = Vm.map_arg vm 0 ~perm:Vm.Ro (Bytes.make 64 'x') ~off:0 ~len:64 in
   let prog =
-    [| I.Ld_imm64 (1, r.Vm.base); I.Stx (I.W64, 1, 0, 0); I.Exit |]
+    [| I.Ld_imm64 (1, base); I.Stx (I.W64, 1, 0, 0); I.Exit |]
   in
   (match Vm.run vm prog with
   | exception Vm.Memory_violation _ -> ()
   | _ -> Alcotest.fail "write to read-only region allowed");
   (* reading is fine *)
-  let prog = [| I.Ld_imm64 (1, r.Vm.base); I.Ldx (I.W8, 0, 1, 0); I.Exit |] in
+  let prog = [| I.Ld_imm64 (1, base); I.Ldx (I.W8, 0, 1, 0); I.Exit |] in
   check i64 "read-only read works" (Int64.of_int (Char.code 'x')) (Vm.run vm prog)
 
 let test_region_bounds () =
   let vm = Vm.create () in
-  let r = Vm.map_region vm ~name:"buf" ~perm:Vm.Rw (Bytes.make 16 '\000') in
+  Vm.set_heap vm (Bytes.make 16 '\000');
   (* access straddling the end of the region *)
   let prog =
-    [| I.Ld_imm64 (1, Int64.add r.Vm.base 12L); I.Ldx (I.W64, 0, 1, 0); I.Exit |]
+    [| I.Ld_imm64 (1, Int64.add Vm.heap_base 12L); I.Ldx (I.W64, 0, 1, 0); I.Exit |]
   in
   match Vm.run vm prog with
   | exception Vm.Memory_violation _ -> ()
@@ -401,32 +401,105 @@ let test_stack_isolated_between_runs () =
   ignore (Vm.run vm write);
   check i64 "fresh stack per run" 0L (Vm.run vm read)
 
-(* Per-call transient regions: [unmap_above] drops every region mapped
-   at or after the mark and nothing before it, and with nothing mapped
-   since the mark it leaves the table as it is. *)
-let test_unmap_above () =
+(* The fixed memory map: argument slot k is window 3 + k on every call,
+   a cleared slot faults on both tiers while the heap stays mapped, and
+   through [Dispatch] a pluglet that keeps an argument pointer in its
+   heap cannot load through it on a later exec. *)
+let fixed_map_op = 152
+
+let fixed_map_plugin =
+  let open Plugins.Dsl in
+  {
+    Pluginop.Plugin.name = "org.test.fixed-map";
+    pluglets =
+      [
+        (* a = 0: load through the kept pointer; otherwise keep b, the
+           address of argument 1, and return it *)
+        pluglet ~op:fixed_map_op ~anchor:Pluginop.Protoop.Replace
+          (func "keep" [ "a"; "b" ]
+             (with_state ~id:1 ~size:8
+                [
+                  Plc.Ast.If (v "a" =: i 0, [ ret (ld8 (fld 0)) ], []);
+                  set_fld 0 (v "b");
+                  ret (v "b");
+                ]));
+      ];
+  }
+
+let test_fixed_memory_map () =
   let vm = Vm.create () in
-  let keep = Vm.map_region vm ~name:"keep" ~perm:Vm.Rw (Bytes.make 8 'k') in
-  let read (r : Vm.region) =
-    Vm.run vm ~args:[| r.Vm.base |] [| I.Ldx (I.W8, 0, 1, 0); I.Exit |]
+  Vm.set_heap vm (Bytes.make 8 'h');
+  let load = [| I.Ldx (I.W8, 0, 1, 0); I.Exit |] in
+  let jp = Vm.jit load in
+  let tiers =
+    [ ("run", fun args -> Vm.run vm ~args load);
+      ("run_jit", fun args -> Vm.run_jit vm ~args jp) ]
   in
-  let mark = Vm.rid_mark vm in
-  Vm.unmap_above vm mark;
-  check i64 "nothing mapped since the mark" 107L (read keep);
-  let transient =
-    List.map
-      (fun name -> Vm.map_region vm ~name ~perm:Vm.Ro (Bytes.make 8 't'))
-      [ "arg0"; "arg1" ]
+  let map_all () =
+    List.init 5 (fun k ->
+        Vm.map_arg vm k ~perm:Vm.Ro (Bytes.make 8 (Char.chr (48 + k))) ~off:0 ~len:8)
   in
-  List.iter (fun r -> check i64 "transient region mapped" 116L (read r)) transient;
-  Vm.unmap_above vm mark;
+  let bases = map_all () in
+  List.iteri
+    (fun k b ->
+      check i64 "argument k at window 3 + k" (Int64.shift_left (Int64.of_int (3 + k)) 32) b)
+    bases;
   List.iter
-    (fun r ->
-      match read r with
-      | exception Vm.Memory_violation _ -> ()
-      | _ -> Alcotest.fail "transient region still mapped")
-    transient;
-  check i64 "region mapped before the mark stays" 107L (read keep)
+    (fun (tier, run) ->
+      List.iteri
+        (fun k b -> check i64 (tier ^ ": slot mapped") (Int64.of_int (48 + k)) (run [| b |]))
+        bases;
+      Vm.clear_args vm;
+      List.iter
+        (fun b ->
+          match run [| b |] with
+          | exception Vm.Memory_violation _ -> ()
+          | v -> Alcotest.failf "%s: cleared slot read %Ld" tier v)
+        bases;
+      check i64 (tier ^ ": heap stays mapped") 104L (run [| Vm.heap_base |]);
+      check (Alcotest.list i64) (tier ^ ": same addresses when mapped again") bases
+        (map_all ()))
+    tiers;
+  (* through Dispatch: argument 1 sits at window 4 whatever earlier calls
+     mapped, and a kept pointer to it is dead on the next exec *)
+  let module C = Pquic.Connection in
+  let conn () =
+    let topo =
+      Netsim.Topology.single_path ~seed:7L
+        { Netsim.Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+    in
+    let c =
+      C.create ~sim:topo.Netsim.Topology.sim ~net:topo.Netsim.Topology.net
+        ~cfg:C.default_config ~role:C.Client
+        ~local_addr:(List.hd topo.Netsim.Topology.client_addrs)
+        ~remote_addr:topo.Netsim.Topology.server_addr ~local_cid:1L
+        ~remote_cid:2L ~local_params:Quic.Transport_params.default ()
+    in
+    (match C.inject_plugin c fixed_map_plugin with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    c
+  in
+  let c = conn () in
+  let buf () = C.Buf (Bytes.make 8 'b', `Ro) in
+  List.iter
+    (fun args ->
+      check i64 "argument 1 at window 4" 0x4_0000_0000L
+        (C.run_op c fixed_map_op args))
+    [ [| C.I 1L; buf () |]; [| buf (); buf () |]; [| C.I 1L; buf () |] ];
+  ignore (C.run_op c fixed_map_op [| C.I 0L |]);
+  check bool "plugin removed" false
+    (C.has_plugin c fixed_map_plugin.Pluginop.Plugin.name);
+  (match C.state c with
+  | C.Failed msg ->
+    check Alcotest.string "sanction names the violation"
+      "plugin org.test.fixed-map misbehaved: memory violation: access of 1 \
+       bytes at 0x400000000 outside any region"
+      msg
+  | _ -> Alcotest.fail "a kept argument pointer was readable");
+  match C.run_op (conn ()) fixed_map_op (Array.make 6 (C.I 1L)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a sixth argument was accepted"
 
 (* ---------------- execution tiers (run, jit) ------------------------- *)
 
@@ -450,15 +523,14 @@ let diff_vm ?(max_insns = 2_000) () =
   let vm = Vm.create ~max_insns () in
   Vm.register_helper vm 1 (fun vm -> Vm.ret vm (Int64.add (Vm.arg vm 1) (Vm.arg vm 2)));
   Vm.register_helper vm 2 (fun vm -> Vm.ret vm (Int64.mul (Vm.arg vm 1) 3L));
-  let rw =
-    Vm.map_region vm ~name:"rw" ~perm:Vm.Rw
-      (Bytes.init 64 (fun i -> Char.chr (i * 7 mod 256)))
-  in
+  (* rw is the heap (window 2), ro argument 0 (window 3) *)
+  Vm.set_heap vm (Bytes.init 64 (fun i -> Char.chr (i * 7 mod 256)));
   let ro =
-    Vm.map_region vm ~name:"ro" ~perm:Vm.Ro
+    Vm.map_arg vm 0 ~perm:Vm.Ro
       (Bytes.init 32 (fun i -> Char.chr (255 - i)))
+      ~off:0 ~len:32
   in
-  (vm, [| rw.Vm.base; ro.Vm.base |])
+  (vm, [| Vm.heap_base; ro |])
 
 let observe vm f =
   let before = Vm.executed vm in
@@ -672,15 +744,13 @@ let test_real_pluglets () =
           done;
           Vm.ret vm !h)
     done;
-    let r1 =
-      Vm.map_region vm ~name:"buf1" ~perm:Vm.Rw
-        (Bytes.init 256 (fun i -> Char.chr (i * 11 mod 256)))
-    in
-    let r2 =
-      Vm.map_region vm ~name:"buf2" ~perm:Vm.Ro
+    Vm.set_heap vm (Bytes.init 256 (fun i -> Char.chr (i * 11 mod 256)));
+    let buf2 =
+      Vm.map_arg vm 0 ~perm:Vm.Ro
         (Bytes.init 128 (fun i -> Char.chr (255 - i)))
+        ~off:0 ~len:128
     in
-    (vm, [| r1.Vm.base; r2.Vm.base; 7L; 1300L; 3L |])
+    (vm, [| Vm.heap_base; buf2; 7L; 1300L; 3L |])
   in
   let plugins =
     [
@@ -893,8 +963,7 @@ let test_helper_abi_tiers () =
     Vm.register_helper vm 3 (fun vm ->
         seen := List.init 5 (fun k -> Vm.arg vm (k + 1)));
     let out = Bytes.make 48 '\xff' in
-    let r = Vm.map_region vm ~name:"out" ~perm:Vm.Rw out in
-    let args = [| r.Vm.base |] in
+    let args = [| Vm.map_arg vm 0 ~perm:Vm.Rw out ~off:0 ~len:48 |] in
     let p = prog ~deopt in
     let v =
       match tier with
@@ -1068,8 +1137,8 @@ let tests =
       Alcotest.test_case "stack isolation" `Quick test_stack_isolated_between_runs;
       alu64_reference;
       jump_reference;
-      Alcotest.test_case "unmap_above drops only the call's regions" `Quick
-        test_unmap_above;
+      Alcotest.test_case "fixed memory map on both tiers" `Quick
+        test_fixed_memory_map;
     ]);
     ("tiers", [
       Alcotest.test_case "basics" `Quick test_tiers_basics;

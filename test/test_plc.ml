@@ -290,14 +290,14 @@ let run_effectful ~jit f =
           Ebpf.Vm.ret vm (helper_result id args)))
     test_helpers;
   let mem = Bytes.init 64 (fun k -> Char.chr ((k * 37) land 0xff)) in
-  let r = Ebpf.Vm.map_region vm ~name:"buf" ~perm:Ebpf.Vm.Rw mem in
-  let args = [| r.Ebpf.Vm.base |] in
+  let base = Ebpf.Vm.map_arg vm 0 ~perm:Ebpf.Vm.Rw mem ~off:0 ~len:64 in
+  let args = [| base |] in
   let result =
     try Ok (if jit then Ebpf.Vm.run_jit vm ~args (Ebpf.Vm.jit ~stack_size prog)
             else Ebpf.Vm.run vm ~args prog)
     with Ebpf.Vm.Memory_violation _ -> Error ()
   in
-  let w = { base = r.Ebpf.Vm.base; mem = Bytes.init 64 (fun k -> Char.chr ((k * 37) land 0xff)); calls = [] } in
+  let w = { base; mem = Bytes.init 64 (fun k -> Char.chr ((k * 37) land 0xff)); calls = [] } in
   let expected = eval_func ~w ~args:[ w.base ] f in
   (result, Bytes.to_string mem, List.rev !calls)
   = (expected, Bytes.to_string w.mem, List.rev w.calls)
@@ -416,9 +416,9 @@ let test_memory_ops () =
   in
   let prog, stack = Plc.Compile.compile ~helpers:[] f in
   let vm = Ebpf.Vm.create ~stack_size:stack () in
-  let r = Ebpf.Vm.map_region vm ~name:"buf" ~perm:Ebpf.Vm.Rw (Bytes.make 16 '\000') in
+  Ebpf.Vm.set_heap vm (Bytes.make 16 '\000');
   check i64 "store/load" (Int64.of_int (0xCAFE + 0x7F))
-    (Ebpf.Vm.run vm ~args:[| r.Ebpf.Vm.base |] prog)
+    (Ebpf.Vm.run vm ~args:[| Ebpf.Vm.heap_base |] prog)
 
 let test_helper_call () =
   let f =

@@ -738,7 +738,13 @@ let test_abandoned_transfer_stays_with_its_connection () =
      must not be prepended to a later transfer of the same plugin to a
      connection with the same CID *)
   let sim, _, conn, _ = exchange_pair () in
-  let in_flight () = Hashtbl.length conn.Pquic.Connection.plugin_in > 0 in
+  (* bytes arrived and the transfer is not complete: its reassembly
+     state exists from the request on *)
+  let in_flight () =
+    Hashtbl.fold
+      (fun _ (rb, _) acc -> acc || Quic.Recvbuf.contiguous rb > 0)
+      conn.Pquic.Connection.plugin_in false
+  in
   while (not (in_flight ())) && Sim.run ~max_events:1 sim > 0 do
     ()
   done;
