@@ -273,6 +273,9 @@ type t = {
   mutable max_data_remote : int64;
   mutable data_sent : int64;
   mutable data_received : int64;
+  mutable rx_flow : int;
+  (* stream bytes the peer has spent of [max_data_local]: the sum of each
+     stream's [Recvbuf.received_end] *)
   mutable max_data_frame_pending : bool;
   (* transport parameters *)
   mutable local_params : Quic.Transport_params.t;

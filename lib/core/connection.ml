@@ -315,6 +315,26 @@ let process_core_frame c frame =
 (* Receiving                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Stream data the flow-control limit admits: straight to the application
+   when it lands in order on an empty buffer, else through reassembly. *)
+let receive_stream c s ~offset ~fin buf ~off ~len =
+  if Quic.Recvbuf.insert_inline s.recvb ~offset ~fin ~len then begin
+    (* in-order arrival with nothing buffered ahead: the payload goes
+       from the wire window to the application in this one copy,
+       skipping the reassembly stage-and-read round trip *)
+    c.data_received <- Int64.add c.data_received (i64 len);
+    deliver_stream_payload c s (String.sub buf off len)
+  end
+  else begin
+    let before = Quic.Recvbuf.contiguous s.recvb in
+    Quic.Recvbuf.insert_sub s.recvb ~offset ~fin buf ~off ~len;
+    let after = Quic.Recvbuf.contiguous s.recvb in
+    c.data_received <-
+      Int64.add c.data_received (i64 (max 0 (after - before)));
+    deliver_stream_data c s
+  end;
+  maybe_update_max_data c
+
 (* The data-bearing frame views, processed straight out of the datagram:
    stream and crypto payloads cross into the reassembly buffers through
    [Recvbuf.insert_sub] — the single copy of the receive path. *)
@@ -336,25 +356,24 @@ let process_core_view c buf view =
       (Printf.sprintf "stream limit: peer opened more than %d streams"
          c.local_params.max_streams)
   | F.V_stream { id; offset; fin; off; len } ->
-    c.cur_has_stream <- true;
-    let s = Sender.get_stream c id in
     let offset = Int64.to_int offset in
-    if Quic.Recvbuf.insert_inline s.recvb ~offset ~fin ~len then begin
-      (* in-order arrival with nothing buffered ahead: the payload goes
-         from the wire window to the application in this one copy,
-         skipping the reassembly stage-and-read round trip *)
-      c.data_received <- Int64.add c.data_received (i64 len);
-      deliver_stream_payload c s (String.sub buf off len)
-    end
+    let known = Hashtbl.find_opt c.streams id in
+    let seen =
+      match known with Some s -> Quic.Recvbuf.received_end s.recvb | None -> 0
+    in
+    let limit = Int64.to_int c.max_data_local in
+    let flow = c.rx_flow + max 0 (offset + len - seen) in
+    (* RFC 9000 §4.1: refuse before storing a byte or opening a stream; an
+       offset past the limit is refused before [offset + len] can wrap *)
+    if offset > limit || flow > limit then
+      fail_connection c
+        (Printf.sprintf "flow control: peer sent past the %d-byte limit" limit)
     else begin
-      let before = Quic.Recvbuf.contiguous s.recvb in
-      Quic.Recvbuf.insert_sub s.recvb ~offset ~fin buf ~off ~len;
-      let after = Quic.Recvbuf.contiguous s.recvb in
-      c.data_received <-
-        Int64.add c.data_received (i64 (max 0 (after - before)));
-      deliver_stream_data c s
-    end;
-    maybe_update_max_data c
+      c.rx_flow <- flow;
+      c.cur_has_stream <- true;
+      let s = match known with Some s -> s | None -> Sender.get_stream c id in
+      receive_stream c s ~offset ~fin buf ~off ~len
+    end
   | F.V_unknown _ -> assert false (* handled by the caller via protoops *)
 
 (* Process the frames of a packet payload, given as the [off, limit)
@@ -746,6 +765,7 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       max_data_remote = TP.default.TP.initial_max_data;
       data_sent = 0L;
       data_received = 0L;
+      rx_flow = 0;
       max_data_frame_pending = false;
       local_params;
       peer_params = None;

@@ -37,19 +37,31 @@ let slots = function Ld_imm64 _ -> 2 | _ -> 1
 
 let program_slots prog = Array.fold_left (fun acc i -> acc + slots i) 0 prog
 
-(* Encoded slot position of each instruction, plus the total slot count.
-   Slot arithmetic lives here, next to the encoding that defines it; the
-   verifier and the VM linker both build on this when turning slot-relative
-   jump offsets into instruction indices. *)
-let slot_positions prog =
+(* The instruction each jump lands on, or -1: [jump_targets prog] maps
+   every slot-relative jump offset to an absolute instruction index, and
+   gives -1 for a non-jump and for a target that is not an instruction
+   boundary inside the program (outside it, or the second slot of an
+   [Ld_imm64]). Slot arithmetic lives here, next to the encoding that
+   defines it: the verifier, the reference interpreter and the JIT all
+   read jump targets from this one function. *)
+let jump_targets prog =
   let n = Array.length prog in
-  let pos = Array.make n 0 in
-  let total = ref 0 in
+  let pos = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    pos.(i) <- !total;
-    total := !total + slots prog.(i)
+    pos.(i + 1) <- pos.(i) + slots prog.(i)
   done;
-  (pos, !total)
+  let total = pos.(n) in
+  let of_slot = Array.make total (-1) in
+  for i = 0 to n - 1 do
+    of_slot.(pos.(i)) <- i
+  done;
+  Array.mapi
+    (fun i -> function
+      | Ja off | Jcond (_, _, _, off) ->
+        let t = pos.(i + 1) + off in
+        if t >= 0 && t < total then of_slot.(t) else -1
+      | _ -> -1)
+    prog
 
 let alu_code = function
   | Add -> 0x0 | Sub -> 0x1 | Mul -> 0x2 | Div -> 0x3 | Or -> 0x4

@@ -49,10 +49,12 @@ val slots : t -> int
 
 val program_slots : t array -> int
 
-val slot_positions : t array -> int array * int
-(** [slot_positions prog] is [(pos, total)]: the encoded slot position of
-    each instruction and the total slot count. The verifier's jump checks
-    and the VM's linker both derive instruction indices from these. *)
+val jump_targets : t array -> int array
+(** [jump_targets prog] is, for each instruction, the index of the
+    instruction its jump lands on; [-1] for a non-jump and for a jump whose
+    target is not an instruction boundary inside the program. The
+    verifier's jump check, the reference interpreter and the JIT all
+    resolve jumps through it. *)
 
 val size_bytes : size -> int
 

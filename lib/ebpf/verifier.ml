@@ -38,17 +38,6 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 let max_slots = 65536
 
-(* Slot position of each instruction and the reverse map as a flat array:
-   [of_slot.(s)] is the index of the instruction starting at slot [s], or
-   [-1] when [s] falls inside a two-slot lddw. Arrays instead of a
-   hashtable: jump checking (here) and jump resolution in the VM are both
-   O(1) lookups with no hashing. *)
-let slot_maps prog =
-  let pos, total = Insn.slot_positions prog in
-  let of_slot = Array.make total (-1) in
-  Array.iteri (fun i p -> of_slot.(p) <- i) pos;
-  (pos, of_slot, total)
-
 let check_reg i errs ~what r =
   if r < 0 || r > Insn.max_reg then errs := Bad_register (i, what) :: !errs
 
@@ -59,16 +48,13 @@ let check_writable i errs r =
    top, so valid offsets are [-stack_size, -size_of_access]. *)
 let verify ?(stack_size = 512) ?(known_helper = fun _ -> true) prog =
   let errs = ref [] in
-  let pos, of_slot, total = slot_maps prog in
+  let total = Insn.program_slots prog in
   if total > max_slots then errs := [ Program_too_large total ]
   else begin
     let has_exit = Array.exists (fun i -> i = Insn.Exit) prog in
     if not has_exit then errs := No_exit :: !errs;
-    let check_jump i off =
-      let target = pos.(i) + Insn.slots prog.(i) + off in
-      if target < 0 || target >= total || of_slot.(target) < 0 then
-        errs := Bad_jump i :: !errs
-    in
+    let targets = Insn.jump_targets prog in
+    let check_jump i = if targets.(i) < 0 then errs := Bad_jump i :: !errs in
     let check_stack i sz base off =
       if base = Insn.fp then begin
         let bytes = Insn.size_bytes sz in
@@ -109,13 +95,13 @@ let verify ?(stack_size = 512) ?(known_helper = fun _ -> true) prog =
          | Insn.St (sz, dst, off, _) ->
            check_reg i errs ~what:"dst" dst;
            check_stack i sz dst off
-         | Insn.Ja off -> check_jump i off
-         | Insn.Jcond (_, dst, operand, off) ->
+         | Insn.Ja _ -> check_jump i
+         | Insn.Jcond (_, dst, operand, _) ->
            check_reg i errs ~what:"dst" dst;
            (match operand with
             | Insn.Reg r -> check_reg i errs ~what:"src" r
             | Insn.Imm _ -> ());
-           check_jump i off
+           check_jump i
          | Insn.Call id ->
            if not (known_helper id) then errs := Unknown_helper (i, id) :: !errs
          | Insn.Exit -> ())

@@ -25,13 +25,6 @@ val error_to_string : error -> string
 
 val max_slots : int
 
-val slot_maps : Insn.t array -> int array * int array * int
-(** [slot_maps prog] returns [(pos, of_slot, total)]: the encoded slot
-    position of each instruction, the reverse slot→instruction map
-    ([of_slot.(s)] is an instruction index, or [-1] when slot [s] is the
-    second half of a two-slot lddw), and the total slot count. Shared with
-    the interpreter and the JIT so jump targets agree. *)
-
 val verify :
   ?stack_size:int ->
   ?known_helper:(int -> bool) ->

@@ -11,13 +11,14 @@
 
    Execution comes in two tiers sharing the ALU/jump/monitor semantics:
 
-   - [run], the reference interpreter: rebuilds the slot maps and resolves
-     every jump through them on each invocation. It is the executable
-     specification the JIT is differentially tested against, and the
-     JIT's deoptimisation target.
-   - [jit] + [run_jit], the production path: the program is compiled once
-     into a graph of OCaml closures, one per instruction, and each run
-     enters it with no per-run setup work.
+   - [run], the reference interpreter: resolves the jump targets
+     ([Insn.jump_targets]) on each invocation and executes the decoded
+     [Insn.t] array. It is the executable specification the JIT is
+     differentially tested against, and the JIT's deoptimisation target.
+   - [jit] + [run_jit], the production path: the same [Insn.t] array is
+     compiled once, with no intermediate program form, into a graph of
+     OCaml closures, one per instruction, and each run enters it with no
+     per-run setup work.
 
    Each region occupies its own 4 GiB-aligned window of address space, so
    the window index [addr lsr 32] identifies the region, and the windows
@@ -133,11 +134,11 @@ let set_helpers vm tbl = vm.helpers <- tbl
 let register_helper vm id f = add_helper vm.helpers id f
 
 (* Raw native-endian 64-bit access into the register file. Indices come
-   from linked instructions, which [link] guarantees name r0..r10 only
-   (anything else became [f_trap_badreg]), or from [arg]'s checked range,
-   so the unchecked primitives are safe — and unlike an [int64 array]
-   element store they keep the value unboxed through the whole
-   load/compute/store chain. *)
+   from instructions the JIT compiled, which [regs_ok] guarantees name
+   r0..r10 only (anything else deoptimises), or from [arg]'s checked
+   range, so the unchecked primitives are safe — and unlike an
+   [int64 array] element store they keep the value unboxed through the
+   whole load/compute/store chain. *)
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -322,11 +323,11 @@ let reset_stack vm =
 
 (* Reference interpreter loop: executes the decoded form directly from
    instruction [pc0] with [fuel0] instructions of budget left, resolving
-   every jump through freshly built slot maps. Returns r0. [run] enters it
-   at the top of the program; the JIT enters it mid-program to deoptimise
-   (see [jit_resume]). *)
+   every jump through freshly built [Insn.jump_targets]. Returns r0. [run]
+   enters it at the top of the program; the JIT enters it mid-program to
+   deoptimise (see [jit_resume]). *)
 let interp vm prog regs pc0 fuel0 =
-  let pos, of_slot, total = Verifier.slot_maps prog in
+  let targets = Insn.jump_targets prog in
   let operand_value = function
     | Insn.Reg r -> regs.(r)
     | Insn.Imm v -> Int64.of_int32 v
@@ -341,10 +342,9 @@ let interp vm prog regs pc0 fuel0 =
     vm.executed <- vm.executed + 1;
     let insn = prog.(!pc) in
     let next = !pc + 1 in
-    let goto off =
-      let target_slot = pos.(!pc) + Insn.slots insn + off in
-      if target_slot >= 0 && target_slot < total && of_slot.(target_slot) >= 0
-      then pc := of_slot.(target_slot)
+    let goto () =
+      let t = targets.(!pc) in
+      if t >= 0 then pc := t
       else
         (* Unreachable for verified programs. *)
         raise (Memory_violation "jump to invalid slot")
@@ -370,9 +370,9 @@ let interp vm prog regs pc0 fuel0 =
         (Int64.add regs.(dst) (Int64.of_int off))
         sz (Int64.of_int32 imm);
       pc := next
-    | Insn.Ja off -> goto off
-    | Insn.Jcond (c, dst, operand, off) ->
-      if jump_taken c regs.(dst) (operand_value operand) then goto off
+    | Insn.Ja _ -> goto ()
+    | Insn.Jcond (c, dst, operand, _) ->
+      if jump_taken c regs.(dst) (operand_value operand) then goto ()
       else pc := next
     | Insn.Call id -> (
       let h = vm.helpers in
@@ -402,325 +402,6 @@ let run vm ?(args = [||]) prog =
   regs.(Insn.fp) <- vm.fp0;
   interp vm prog regs 0 vm.max_insns
 
-(* ------------------------------------------------------------------ *)
-(* Linking: the JIT's decoder                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The linked form of a program is a flat [int array], four slots per
-   instruction: [op; a; b; c], one specialised opcode per operation and
-   operand kind, so the JIT's templates match on plain ints. Jump targets
-   are absolute instruction indices (or -1 for a target the verifier
-   would reject, which the JIT deoptimises on so the reference
-   interpreter traps lazily); register numbers, offsets and
-   32-bit-origin immediates are plain (sign-extended) [int]s. True 64-bit
-   [Ld_imm64] payloads live out-of-line in [pool]. Unsigned division and
-   modulo by a power-of-two immediate are strength-reduced here. *)
-type linked_prog = {
-  ops : int array; (* 4 slots per instruction: op, a, b, c *)
-  pool : Bytes.t; (* native-endian Ld_imm64 payloads, indexed by byte *)
-}
-
-(* Opcode assignments. The JIT's templates match on these literally; they
-   are differentially tested against the reference interpreter over every
-   instruction class (test_ebpf's generated programs and ALU/jump
-   oracles). *)
-let f_add64_rr = 0
-
-and f_add64_ri = 1
-
-and f_sub64_rr = 2
-
-and f_sub64_ri = 3
-
-and f_mul64_rr = 4
-
-and f_mul64_ri = 5
-
-and f_div64_rr = 6
-
-and f_div64_ri = 7
-
-and f_mov64_rr = 8
-
-and f_mov64_ri = 9
-
-and f_or64_rr = 10
-
-and f_or64_ri = 11
-
-and f_and64_rr = 12
-
-and f_and64_ri = 13
-
-and f_xor64_rr = 14
-
-and f_xor64_ri = 15
-
-and f_lsh64_rr = 16
-
-and f_lsh64_ri = 17
-
-and f_rsh64_rr = 18
-
-and f_rsh64_ri = 19
-
-and f_arsh64_rr = 20
-
-and f_arsh64_ri = 21
-
-and f_mod64_rr = 22
-
-and f_mod64_ri = 23
-
-and f_neg64 = 24
-
-and f_alu32_rr = 25 (* c = alu_op index *)
-
-and f_alu32_ri = 26 (* c = alu_op index *)
-
-and f_ld_imm64 = 27 (* b = pool byte offset *)
-
-and f_ldx8 = 28 (* a = dst, b = src, c = off *)
-
-and f_ldx16 = 29
-
-and f_ldx32 = 30
-
-and f_ldx64 = 31
-
-and f_stx8 = 32 (* a = dst, b = off, c = src *)
-
-and f_stx16 = 33
-
-and f_stx32 = 34
-
-and f_stx64 = 35
-
-and f_st8 = 36 (* a = dst, b = off, c = imm *)
-
-and f_st16 = 37
-
-and f_st32 = 38
-
-and f_st64 = 39
-
-and f_ja = 40 (* a = target *)
-
-and f_jeq_rr = 41 (* rr: a = dst, b = src, c = target *)
-
-and f_jeq_ri = 42 (* ri: a = dst, b = imm, c = target *)
-
-and f_jne_rr = 43
-
-and f_jne_ri = 44
-
-and f_jgt_rr = 45
-
-and f_jgt_ri = 46
-
-and f_jge_rr = 47
-
-and f_jge_ri = 48
-
-and f_jlt_rr = 49
-
-and f_jlt_ri = 50
-
-and f_jle_rr = 51
-
-and f_jle_ri = 52
-
-and f_jsgt_rr = 53
-
-and f_jsgt_ri = 54
-
-and f_jsge_rr = 55
-
-and f_jsge_ri = 56
-
-and f_jslt_rr = 57
-
-and f_jslt_ri = 58
-
-and f_jsle_rr = 59
-
-and f_jsle_ri = 60
-
-and f_jset_rr = 61
-
-and f_jset_ri = 62
-
-and f_call = 63 (* a = helper id *)
-
-and f_exit = 64
-
-and f_trap_badreg = 65
-(* an instruction naming a register outside r0..r10: the JIT deoptimises
-   on it, so the reference interpreter raises the trap *)
-
-(* Operator index for the generic 32-bit ALU opcodes; [alu32_seti]
-   dispatches on the same numbering. *)
-let alu_op_index = function
-  | Insn.Add -> 0
-  | Insn.Sub -> 1
-  | Insn.Mul -> 2
-  | Insn.Div -> 3
-  | Insn.Or -> 4
-  | Insn.And -> 5
-  | Insn.Lsh -> 6
-  | Insn.Rsh -> 7
-  | Insn.Neg -> 8
-  | Insn.Mod -> 9
-  | Insn.Xor -> 10
-  | Insn.Mov -> 11
-  | Insn.Arsh -> 12
-
-let reg_ok r = r >= 0 && r <= 10
-
-let link prog =
-  let pos, of_slot, total = Verifier.slot_maps prog in
-  let target i off =
-    let t = pos.(i) + Insn.slots prog.(i) + off in
-    if t >= 0 && t < total then of_slot.(t) else -1
-  in
-  let ops = Array.make (4 * Array.length prog) 0 in
-  let pool = Buffer.create 16 in
-  Array.iteri
-    (fun i insn ->
-      let base = 4 * i in
-      let set op a b c =
-        ops.(base) <- op;
-        ops.(base + 1) <- a;
-        ops.(base + 2) <- b;
-        ops.(base + 3) <- c
-      in
-      match insn with
-      | Insn.Alu64 (op, dst, Insn.Reg src) when reg_ok dst && reg_ok src ->
-        let o =
-          match op with
-          | Insn.Add -> f_add64_rr
-          | Insn.Sub -> f_sub64_rr
-          | Insn.Mul -> f_mul64_rr
-          | Insn.Div -> f_div64_rr
-          | Insn.Mov -> f_mov64_rr
-          | Insn.Or -> f_or64_rr
-          | Insn.And -> f_and64_rr
-          | Insn.Xor -> f_xor64_rr
-          | Insn.Lsh -> f_lsh64_rr
-          | Insn.Rsh -> f_rsh64_rr
-          | Insn.Arsh -> f_arsh64_rr
-          | Insn.Mod -> f_mod64_rr
-          | Insn.Neg -> f_neg64
-        in
-        set o dst src 0
-      | Insn.Alu64 (op, dst, Insn.Imm v) when reg_ok dst -> (
-        let vi = Int32.to_int v in
-        (* eBPF Div/Mod are unsigned, so by a power-of-two immediate they
-           are exactly a logical shift / a mask — and the PLC compiler
-           emits /4 and /8 on every EWMA-style update. (The sign-extended
-           [vi] is positive only when the 64-bit divisor is, so the
-           power-of-two test below is on the value the ALU would use.) *)
-        let pow2 = vi > 0 && vi land (vi - 1) = 0 in
-        match op with
-        | Insn.Div when pow2 ->
-          let rec tz k n = if n land 1 = 1 then k else tz (k + 1) (n asr 1) in
-          set f_rsh64_ri dst (tz 0 vi) 0
-        | Insn.Mod when pow2 -> set f_and64_ri dst (vi - 1) 0
-        | _ ->
-          let o =
-            match op with
-            | Insn.Add -> f_add64_ri
-            | Insn.Sub -> f_sub64_ri
-            | Insn.Mul -> f_mul64_ri
-            | Insn.Div -> f_div64_ri
-            | Insn.Mov -> f_mov64_ri
-            | Insn.Or -> f_or64_ri
-            | Insn.And -> f_and64_ri
-            | Insn.Xor -> f_xor64_ri
-            | Insn.Lsh -> f_lsh64_ri
-            | Insn.Rsh -> f_rsh64_ri
-            | Insn.Arsh -> f_arsh64_ri
-            | Insn.Mod -> f_mod64_ri
-            | Insn.Neg -> f_neg64
-          in
-          set o dst vi 0)
-      | Insn.Alu32 (op, dst, Insn.Reg src) when reg_ok dst && reg_ok src ->
-        set f_alu32_rr dst src (alu_op_index op)
-      | Insn.Alu32 (op, dst, Insn.Imm v) when reg_ok dst ->
-        set f_alu32_ri dst (Int32.to_int v) (alu_op_index op)
-      | Insn.Ld_imm64 (dst, v) when reg_ok dst ->
-        let off = Buffer.length pool in
-        Buffer.add_int64_ne pool v;
-        set f_ld_imm64 dst off 0
-      | Insn.Ldx (sz, dst, src, off) when reg_ok dst && reg_ok src ->
-        let o =
-          match sz with
-          | Insn.W8 -> f_ldx8
-          | Insn.W16 -> f_ldx16
-          | Insn.W32 -> f_ldx32
-          | Insn.W64 -> f_ldx64
-        in
-        set o dst src off
-      | Insn.Stx (sz, dst, off, src) when reg_ok dst && reg_ok src ->
-        let o =
-          match sz with
-          | Insn.W8 -> f_stx8
-          | Insn.W16 -> f_stx16
-          | Insn.W32 -> f_stx32
-          | Insn.W64 -> f_stx64
-        in
-        set o dst off src
-      | Insn.St (sz, dst, off, imm) when reg_ok dst ->
-        let o =
-          match sz with
-          | Insn.W8 -> f_st8
-          | Insn.W16 -> f_st16
-          | Insn.W32 -> f_st32
-          | Insn.W64 -> f_st64
-        in
-        set o dst off (Int32.to_int imm)
-      | Insn.Ja off -> set f_ja (target i off) 0 0
-      | Insn.Jcond (c, dst, Insn.Reg src, off) when reg_ok dst && reg_ok src
-        ->
-        let o =
-          match c with
-          | Insn.Jeq -> f_jeq_rr
-          | Insn.Jne -> f_jne_rr
-          | Insn.Jgt -> f_jgt_rr
-          | Insn.Jge -> f_jge_rr
-          | Insn.Jlt -> f_jlt_rr
-          | Insn.Jle -> f_jle_rr
-          | Insn.Jsgt -> f_jsgt_rr
-          | Insn.Jsge -> f_jsge_rr
-          | Insn.Jslt -> f_jslt_rr
-          | Insn.Jsle -> f_jsle_rr
-          | Insn.Jset -> f_jset_rr
-        in
-        set o dst src (target i off)
-      | Insn.Jcond (c, dst, Insn.Imm v, off) when reg_ok dst ->
-        let o =
-          match c with
-          | Insn.Jeq -> f_jeq_ri
-          | Insn.Jne -> f_jne_ri
-          | Insn.Jgt -> f_jgt_ri
-          | Insn.Jge -> f_jge_ri
-          | Insn.Jlt -> f_jlt_ri
-          | Insn.Jle -> f_jle_ri
-          | Insn.Jsgt -> f_jsgt_ri
-          | Insn.Jsge -> f_jsge_ri
-          | Insn.Jslt -> f_jslt_ri
-          | Insn.Jsle -> f_jsle_ri
-          | Insn.Jset -> f_jset_ri
-        in
-        set o dst (Int32.to_int v) (target i off)
-      | Insn.Call id -> set f_call id 0 0
-      | Insn.Exit -> set f_exit 0 0 0
-      | Insn.Alu64 _ | Insn.Alu32 _ | Insn.Ld_imm64 _ | Insn.Ldx _
-      | Insn.Stx _ | Insn.St _ | Insn.Jcond _ ->
-        set f_trap_badreg 0 0 0)
-    prog;
-  { ops; pool = Buffer.to_bytes pool }
-
 (* Unsigned 64-bit comparison via sign-bias, using only comparison
    primitives the compiler evaluates on unboxed values
    ([Int64.unsigned_compare] is a plain function whose call would force
@@ -749,27 +430,27 @@ let[@inline always] urem64 n d = Int64.sub n (Int64.mul (udiv64 n d) d)
 let[@inline always] zx32 regb dst r =
   rset regb dst (Int64.logand (Int64.of_int32 r) 0xffffffffL)
 
-(* 32-bit ALU keyed by [alu_op_index], for the generic 32-bit ALU
-   opcodes of the linked form (the only instruction class that keeps a
-   secondary dispatch — pluglet arithmetic is overwhelmingly 64-bit). *)
-let[@inline always] alu32_seti regb dst opi a b =
+(* 32-bit ALU, the only instruction class whose closure keeps a secondary
+   dispatch on the operator (pluglet arithmetic is overwhelmingly
+   64-bit). *)
+let[@inline always] alu32_seti regb dst op a b =
   let a32 = Int64.to_int32 a and b32 = Int64.to_int32 b in
   let open Int32 in
-  match opi with
-  | 0 -> zx32 regb dst (add a32 b32)
-  | 1 -> zx32 regb dst (sub a32 b32)
-  | 2 -> zx32 regb dst (mul a32 b32)
-  | 3 -> zx32 regb dst (if b32 = 0l then 0l else unsigned_div a32 b32)
-  | 9 -> zx32 regb dst (if b32 = 0l then a32 else unsigned_rem a32 b32)
-  | 4 -> zx32 regb dst (logor a32 b32)
-  | 5 -> zx32 regb dst (logand a32 b32)
-  | 10 -> zx32 regb dst (logxor a32 b32)
-  | 6 -> zx32 regb dst (shift_left a32 (Int32.to_int (logand b32 31l)))
-  | 7 ->
+  match op with
+  | Insn.Add -> zx32 regb dst (add a32 b32)
+  | Insn.Sub -> zx32 regb dst (sub a32 b32)
+  | Insn.Mul -> zx32 regb dst (mul a32 b32)
+  | Insn.Div -> zx32 regb dst (if b32 = 0l then 0l else unsigned_div a32 b32)
+  | Insn.Mod -> zx32 regb dst (if b32 = 0l then a32 else unsigned_rem a32 b32)
+  | Insn.Or -> zx32 regb dst (logor a32 b32)
+  | Insn.And -> zx32 regb dst (logand a32 b32)
+  | Insn.Xor -> zx32 regb dst (logxor a32 b32)
+  | Insn.Lsh -> zx32 regb dst (shift_left a32 (Int32.to_int (logand b32 31l)))
+  | Insn.Rsh ->
     zx32 regb dst (shift_right_logical a32 (Int32.to_int (logand b32 31l)))
-  | 12 -> zx32 regb dst (shift_right a32 (Int32.to_int (logand b32 31l)))
-  | 11 -> zx32 regb dst b32
-  | _ -> zx32 regb dst (neg a32) (* 8, Neg *)
+  | Insn.Arsh -> zx32 regb dst (shift_right a32 (Int32.to_int (logand b32 31l)))
+  | Insn.Mov -> zx32 regb dst b32
+  | Insn.Neg -> zx32 regb dst (neg a32)
 
 let ro_violation len addr r =
   raise
@@ -788,9 +469,9 @@ external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bytes_set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external bytes_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-(* One monitor + accessor per access size, matching the size-specialised
-   linked opcodes: region lookup, bounds check, then a straight-line
-   load/store with nothing left to dispatch on. *)
+(* One monitor + accessor per access size, matching the JIT's
+   size-specialised memory closures: region lookup, bounds check, then a
+   straight-line load/store with nothing left to dispatch on. *)
 let[@inline always] load8_fast vm addr =
   let r = region_at vm addr 1 in
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
@@ -960,7 +641,7 @@ let[@inline always] store64_m vm stk lim execd addr v =
 
 (* The program's basic blocks are translated, once, into a graph of OCaml
    closures of type [jit_env -> int64]: each instruction becomes one
-   closure specialised to its opcode and operand kinds, holding its
+   closure specialised to its constructor and operand kinds, holding its
    operands in its environment, and control threads by tail-calling the
    next closure directly — no fetch, no decode, no dispatch table.
    Instructions write the register file as they run, and a block ends by
@@ -1021,6 +702,34 @@ let jit_fresh_env place =
     jfuel = 0;
   }
 
+(* Every register the instruction names is one of r0..r10. The JIT
+   compiles an instruction failing this into a deoptimisation, so the
+   reference interpreter raises the trap and the register-file accessors
+   only ever index r0..r10. *)
+let regs_ok insn =
+  let ok r = r >= 0 && r <= Insn.max_reg in
+  match insn with
+  | Insn.Alu64 (_, d, o) | Insn.Alu32 (_, d, o) | Insn.Jcond (_, d, o, _) -> (
+    ok d && match o with Insn.Reg s -> ok s | Insn.Imm _ -> true)
+  | Insn.Ld_imm64 (d, _) | Insn.St (_, d, _, _) -> ok d
+  | Insn.Ldx (_, d, s, _) | Insn.Stx (_, d, _, s) -> ok d && ok s
+  | Insn.Ja _ | Insn.Call _ | Insn.Exit -> true
+
+(* eBPF Div/Mod are unsigned, so by a power-of-two immediate they are
+   exactly a logical shift / a mask — and the PLC compiler emits /4 and /8
+   on every EWMA-style update. (The sign-extended immediate is positive
+   only when the 64-bit divisor is, so the power-of-two test is on the
+   value the ALU would use.) *)
+let strength_reduce = function
+  | Insn.Alu64 (Insn.Div, d, Insn.Imm v)
+    when v > 0l && Int32.logand v (Int32.pred v) = 0l ->
+    let rec tz k n = if n land 1 = 1 then k else tz (k + 1) (n asr 1) in
+    Insn.Alu64 (Insn.Rsh, d, Insn.Imm (Int32.of_int (tz 0 (Int32.to_int v))))
+  | Insn.Alu64 (Insn.Mod, d, Insn.Imm v)
+    when v > 0l && Int32.logand v (Int32.pred v) = 0l ->
+    Insn.Alu64 (Insn.And, d, Insn.Imm (Int32.pred v))
+  | insn -> insn
+
 let jit ?(stack_size = 512) prog =
   let place = create ~stack_size:8 () in
   let env = jit_fresh_env place in
@@ -1036,8 +745,8 @@ let jit ?(stack_size = 512) prog =
       jplace = place;
     }
   else begin
-    let { ops; pool } = link prog in
     let n = Array.length prog in
+    let targets = Insn.jump_targets prog in
     let ss = stack_size in
     let fpv = Int64.add region_alignment (Int64.of_int ss) in
     (* If no instruction anywhere writes r10, fp is the compile-time
@@ -1076,17 +785,13 @@ let jit ?(stack_size = 512) prog =
     leader.(0) <- true;
     leader.(n) <- true;
     for i = 0 to n - 1 do
-      let mark t = if t >= 0 then leader.(t) <- true in
-      let o = ops.(4 * i) in
-      if o = f_ja then begin
+      match prog.(i) with
+      | Insn.Exit -> leader.(i + 1) <- true
+      | (Insn.Ja _ | Insn.Jcond _) as insn when regs_ok insn ->
+        (* a jump naming a bad register deoptimises mid-block instead *)
         leader.(i + 1) <- true;
-        mark ops.((4 * i) + 1)
-      end
-      else if o >= f_jeq_rr && o <= f_jset_ri then begin
-        leader.(i + 1) <- true;
-        mark ops.((4 * i) + 3)
-      end
-      else if o = f_exit then leader.(i + 1) <- true
+        if targets.(i) >= 0 then leader.(targets.(i)) <- true
+      | _ -> ()
     done;
     let blk_id = Array.make (n + 1) (-1) in
     let nblocks = ref 0 in
@@ -1106,381 +811,380 @@ let jit ?(stack_size = 512) prog =
        fuel the reference loop would hold at [i] minus the block's
        remaining prepaid fuel. *)
     let deopt i ci env = jit_resume env prog i (env.jfuel + ci) in
-    (* One closure per instruction, specialised on the linked
-       opcode. [ci = stop - i] reconstructs [executed] where it is
+    (* One closure per instruction, specialised on its constructor and
+       operand kinds. [ci = stop - i] reconstructs [executed] where it is
        observable; [next] is the successor closure. *)
     let ins i ci (next : jit_env -> int64) : jit_env -> int64 =
-      let a1 = ops.((4 * i) + 1)
-      and a2 = ops.((4 * i) + 2)
-      and a3 = ops.((4 * i) + 3) in
-      match ops.(4 * i) with
-      | 0 (* add64_rr *) ->
+      match strength_reduce prog.(i) with
+      | insn when not (regs_ok insn) -> deopt i ci
+      | Insn.Alu64 (op, d, Insn.Reg s) -> (
+        match op with
+        | Insn.Add ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.add (rget rb d) (rget rb s));
+            next env
+        | Insn.Sub ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.sub (rget rb d) (rget rb s));
+            next env
+        | Insn.Mul ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.mul (rget rb d) (rget rb s));
+            next env
+        | Insn.Div ->
+          fun env ->
+            let rb = env.jregb in
+            let b = rget rb s in
+            rset rb d (if Int64.equal b 0L then 0L else udiv64 (rget rb d) b);
+            next env
+        | Insn.Mov ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (rget rb s);
+            next env
+        | Insn.Or ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logor (rget rb d) (rget rb s));
+            next env
+        | Insn.And ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logand (rget rb d) (rget rb s));
+            next env
+        | Insn.Xor ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logxor (rget rb d) (rget rb s));
+            next env
+        | Insn.Lsh ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d
+              (Int64.shift_left (rget rb d)
+                 (Int64.to_int (Int64.logand (rget rb s) 63L)));
+            next env
+        | Insn.Rsh ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d
+              (Int64.shift_right_logical (rget rb d)
+                 (Int64.to_int (Int64.logand (rget rb s) 63L)));
+            next env
+        | Insn.Arsh ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d
+              (Int64.shift_right (rget rb d)
+                 (Int64.to_int (Int64.logand (rget rb s) 63L)));
+            next env
+        | Insn.Mod ->
+          fun env ->
+            let rb = env.jregb in
+            let b = rget rb s in
+            let a = rget rb d in
+            rset rb d (if Int64.equal b 0L then a else urem64 a b);
+            next env
+        | Insn.Neg ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.neg (rget rb d));
+            next env)
+      | Insn.Alu64 (op, d, Insn.Imm v) -> (
+        let vi = Int32.to_int v in
+        let ib = Int64.of_int vi in
+        match op with
+        | Insn.Add ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.add (rget rb d) ib);
+            next env
+        | Insn.Sub ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.sub (rget rb d) ib);
+            next env
+        | Insn.Mul ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.mul (rget rb d) ib);
+            next env
+        | Insn.Div ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (if vi = 0 then 0L else udiv64 (rget rb d) ib);
+            next env
+        | Insn.Mov ->
+          fun env ->
+            rset env.jregb d ib;
+            next env
+        | Insn.Or ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logor (rget rb d) ib);
+            next env
+        | Insn.And ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logand (rget rb d) ib);
+            next env
+        | Insn.Xor ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.logxor (rget rb d) ib);
+            next env
+        | Insn.Lsh ->
+          let sh = vi land 63 in
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.shift_left (rget rb d) sh);
+            next env
+        | Insn.Rsh ->
+          let sh = vi land 63 in
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.shift_right_logical (rget rb d) sh);
+            next env
+        | Insn.Arsh ->
+          let sh = vi land 63 in
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.shift_right (rget rb d) sh);
+            next env
+        | Insn.Mod ->
+          fun env ->
+            let rb = env.jregb in
+            let a = rget rb d in
+            rset rb d (if vi = 0 then a else urem64 a ib);
+            next env
+        | Insn.Neg ->
+          fun env ->
+            let rb = env.jregb in
+            rset rb d (Int64.neg (rget rb d));
+            next env)
+      | Insn.Alu32 (op, d, Insn.Reg s) ->
         fun env ->
           let rb = env.jregb in
-          rset rb a1 (Int64.add (rget rb a1) (rget rb a2));
+          alu32_seti rb d op (rget rb d) (rget rb s);
           next env
-      | 1 (* add64_ri *) ->
-        let ib = Int64.of_int a2 in
+      | Insn.Alu32 (op, d, Insn.Imm v) ->
+        let ib = Int64.of_int32 v in
         fun env ->
           let rb = env.jregb in
-          rset rb a1 (Int64.add (rget rb a1) ib);
+          alu32_seti rb d op (rget rb d) ib;
           next env
-      | 2 (* sub64_rr *) ->
+      | Insn.Ld_imm64 (d, v) ->
         fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.sub (rget rb a1) (rget rb a2));
+          rset env.jregb d v;
           next env
-      | 3 (* sub64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.sub (rget rb a1) ib);
-          next env
-      | 4 (* mul64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.mul (rget rb a1) (rget rb a2));
-          next env
-      | 5 (* mul64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.mul (rget rb a1) ib);
-          next env
-      | 6 (* div64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          let b = rget rb a2 in
-          rset rb a1 (if Int64.equal b 0L then 0L else udiv64 (rget rb a1) b);
-          next env
-      | 7 (* div64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (if a2 = 0 then 0L else udiv64 (rget rb a1) ib);
-          next env
-      | 8 (* mov64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (rget rb a2);
-          next env
-      | 9 (* mov64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          rset env.jregb a1 ib;
-          next env
-      | 10 (* or64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logor (rget rb a1) (rget rb a2));
-          next env
-      | 11 (* or64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logor (rget rb a1) ib);
-          next env
-      | 12 (* and64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logand (rget rb a1) (rget rb a2));
-          next env
-      | 13 (* and64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logand (rget rb a1) ib);
-          next env
-      | 14 (* xor64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logxor (rget rb a1) (rget rb a2));
-          next env
-      | 15 (* xor64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.logxor (rget rb a1) ib);
-          next env
-      | 16 (* lsh64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1
-            (Int64.shift_left (rget rb a1)
-               (Int64.to_int (Int64.logand (rget rb a2) 63L)));
-          next env
-      | 17 (* lsh64_ri *) ->
-        let sh = a2 land 63 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.shift_left (rget rb a1) sh);
-          next env
-      | 18 (* rsh64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1
-            (Int64.shift_right_logical (rget rb a1)
-               (Int64.to_int (Int64.logand (rget rb a2) 63L)));
-          next env
-      | 19 (* rsh64_ri *) ->
-        let sh = a2 land 63 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.shift_right_logical (rget rb a1) sh);
-          next env
-      | 20 (* arsh64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1
-            (Int64.shift_right (rget rb a1)
-               (Int64.to_int (Int64.logand (rget rb a2) 63L)));
-          next env
-      | 21 (* arsh64_ri *) ->
-        let sh = a2 land 63 in
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.shift_right (rget rb a1) sh);
-          next env
-      | 22 (* mod64_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          let b = rget rb a2 in
-          let a = rget rb a1 in
-          rset rb a1 (if Int64.equal b 0L then a else urem64 a b);
-          next env
-      | 23 (* mod64_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          let a = rget rb a1 in
-          rset rb a1 (if a2 = 0 then a else urem64 a ib);
-          next env
-      | 24 (* neg64 *) ->
-        fun env ->
-          let rb = env.jregb in
-          rset rb a1 (Int64.neg (rget rb a1));
-          next env
-      | 25 (* alu32_rr *) ->
-        fun env ->
-          let rb = env.jregb in
-          alu32_seti rb a1 a3 (rget rb a1) (rget rb a2);
-          next env
-      | 26 (* alu32_ri *) ->
-        let ib = Int64.of_int a2 in
-        fun env ->
-          let rb = env.jregb in
-          alu32_seti rb a1 a3 (rget rb a1) ib;
-          next env
-      | 27 (* ld_imm64 *) ->
-        let v = bytes_get64 pool a2 in
-        fun env ->
-          rset env.jregb a1 v;
-          next env
-      | 28 (* ldx8: a1=dst a2=src a3=off *) ->
-        if a2 = 10 && not fp_written then begin
-          let soff = ss + a3 in
+      | Insn.Ldx (Insn.W8, d, s, off) ->
+        if s = 10 && not fp_written then begin
+          let soff = ss + off in
           if soff >= 0 && soff + 1 <= ss then
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (Int64.of_int (Char.code (Bytes.unsafe_get env.jstk soff)));
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a3) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (load8_m env.jvm env.jstk lim1 (env.jk - env.jfuel - ci) addr);
               next env
         end
         else
-          let off = Int64.of_int a3 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
-            rset rb a1
+            rset rb d
               (load8_m env.jvm env.jstk lim1
                  (env.jk - env.jfuel - ci)
-                 (Int64.add (rget rb a2) off));
+                 (Int64.add (rget rb s) off));
             next env
-      | 29 (* ldx16 *) ->
-        if a2 = 10 && not fp_written then begin
-          let soff = ss + a3 in
+      | Insn.Ldx (Insn.W16, d, s, off) ->
+        if s = 10 && not fp_written then begin
+          let soff = ss + off in
           if soff >= 0 && soff + 2 <= ss then
             fun env ->
-              rset env.jregb a1 (Int64.of_int (bytes_get16u env.jstk soff));
+              rset env.jregb d (Int64.of_int (bytes_get16u env.jstk soff));
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a3) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (load16_m env.jvm env.jstk lim2 (env.jk - env.jfuel - ci) addr);
               next env
         end
         else
-          let off = Int64.of_int a3 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
-            rset rb a1
+            rset rb d
               (load16_m env.jvm env.jstk lim2
                  (env.jk - env.jfuel - ci)
-                 (Int64.add (rget rb a2) off));
+                 (Int64.add (rget rb s) off));
             next env
-      | 30 (* ldx32 *) ->
-        if a2 = 10 && not fp_written then begin
-          let soff = ss + a3 in
+      | Insn.Ldx (Insn.W32, d, s, off) ->
+        if s = 10 && not fp_written then begin
+          let soff = ss + off in
           if soff >= 0 && soff + 4 <= ss then
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (Int64.logand
                    (Int64.of_int32 (bytes_get32u env.jstk soff))
                    0xffffffffL);
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a3) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (load32_m env.jvm env.jstk lim4 (env.jk - env.jfuel - ci) addr);
               next env
         end
         else
-          let off = Int64.of_int a3 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
-            rset rb a1
+            rset rb d
               (load32_m env.jvm env.jstk lim4
                  (env.jk - env.jfuel - ci)
-                 (Int64.add (rget rb a2) off));
+                 (Int64.add (rget rb s) off));
             next env
-      | 31 (* ldx64 *) ->
-        if a2 = 10 && not fp_written then begin
-          let soff = ss + a3 in
+      | Insn.Ldx (Insn.W64, d, s, off) ->
+        if s = 10 && not fp_written then begin
+          let soff = ss + off in
           if soff >= 0 && soff + 8 <= ss then
             fun env ->
-              rset env.jregb a1 (bytes_get64 env.jstk soff);
+              rset env.jregb d (bytes_get64 env.jstk soff);
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a3) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
-              rset env.jregb a1
+              rset env.jregb d
                 (load64_m env.jvm env.jstk lim8 (env.jk - env.jfuel - ci) addr);
               next env
         end
         else
-          let off = Int64.of_int a3 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
-            rset rb a1
+            rset rb d
               (load64_m env.jvm env.jstk lim8
                  (env.jk - env.jfuel - ci)
-                 (Int64.add (rget rb a2) off));
+                 (Int64.add (rget rb s) off));
             next env
-      | 32 (* stx8: a1=dst a2=off a3=src *) ->
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.Stx (Insn.W8, d, off, s) ->
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 1 then
             fun env ->
               Bytes.unsafe_set env.jstk soff
-                (Char.unsafe_chr (Int64.to_int (rget env.jregb a3) land 0xff));
+                (Char.unsafe_chr (Int64.to_int (rget env.jregb s) land 0xff));
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store8_m env.jvm env.jstk lim1
                 (env.jk - env.jfuel - ci)
-                addr (rget env.jregb a3);
+                addr (rget env.jregb s);
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store8_m env.jvm env.jstk lim1
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
-              (rget rb a3);
+              (Int64.add (rget rb d) off)
+              (rget rb s);
             next env
-      | 33 (* stx16 *) ->
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.Stx (Insn.W16, d, off, s) ->
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 2 then
             fun env ->
               bytes_set16u env.jstk soff
-                (Int64.to_int (rget env.jregb a3) land 0xffff);
+                (Int64.to_int (rget env.jregb s) land 0xffff);
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store16_m env.jvm env.jstk lim2
                 (env.jk - env.jfuel - ci)
-                addr (rget env.jregb a3);
+                addr (rget env.jregb s);
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store16_m env.jvm env.jstk lim2
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
-              (rget rb a3);
+              (Int64.add (rget rb d) off)
+              (rget rb s);
             next env
-      | 34 (* stx32 *) ->
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.Stx (Insn.W32, d, off, s) ->
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 4 then
             fun env ->
-              bytes_set32u env.jstk soff (Int64.to_int32 (rget env.jregb a3));
+              bytes_set32u env.jstk soff (Int64.to_int32 (rget env.jregb s));
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store32_m env.jvm env.jstk lim4
                 (env.jk - env.jfuel - ci)
-                addr (rget env.jregb a3);
+                addr (rget env.jregb s);
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store32_m env.jvm env.jstk lim4
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
-              (rget rb a3);
+              (Int64.add (rget rb d) off)
+              (rget rb s);
             next env
-      | 35 (* stx64 *) ->
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.Stx (Insn.W64, d, off, s) ->
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 8 then
             fun env ->
-              bytes_set64 env.jstk soff (rget env.jregb a3);
+              bytes_set64 env.jstk soff (rget env.jregb s);
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store64_m env.jvm env.jstk lim8
                 (env.jk - env.jfuel - ci)
-                addr (rget env.jregb a3);
+                addr (rget env.jregb s);
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store64_m env.jvm env.jstk lim8
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
-              (rget rb a3);
+              (Int64.add (rget rb d) off)
+              (rget rb s);
             next env
-      | 36 (* st8: a1=dst a2=off a3=imm *) ->
-        let v = Int64.of_int a3 in
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.St (Insn.W8, d, off, imm) ->
+        let v = Int64.of_int32 imm in
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 1 then
-            let c = Char.unsafe_chr (a3 land 0xff) in
+            let c = Char.unsafe_chr (Int32.to_int imm land 0xff) in
             fun env ->
               Bytes.unsafe_set env.jstk soff c;
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store8_m env.jvm env.jstk lim1
                 (env.jk - env.jfuel - ci)
@@ -1488,25 +1192,25 @@ let jit ?(stack_size = 512) prog =
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store8_m env.jvm env.jstk lim1
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
+              (Int64.add (rget rb d) off)
               v;
             next env
-      | 37 (* st16 *) ->
-        let v = Int64.of_int a3 in
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.St (Insn.W16, d, off, imm) ->
+        let v = Int64.of_int32 imm in
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 2 then
-            let iv = a3 land 0xffff in
+            let iv = Int32.to_int imm land 0xffff in
             fun env ->
               bytes_set16u env.jstk soff iv;
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store16_m env.jvm env.jstk lim2
                 (env.jk - env.jfuel - ci)
@@ -1514,25 +1218,24 @@ let jit ?(stack_size = 512) prog =
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store16_m env.jvm env.jstk lim2
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
+              (Int64.add (rget rb d) off)
               v;
             next env
-      | 38 (* st32 *) ->
-        let v = Int64.of_int a3 in
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.St (Insn.W32, d, off, imm) ->
+        let v = Int64.of_int32 imm in
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 4 then
-            let iv = Int64.to_int32 v in
             fun env ->
-              bytes_set32u env.jstk soff iv;
+              bytes_set32u env.jstk soff imm;
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store32_m env.jvm env.jstk lim4
                 (env.jk - env.jfuel - ci)
@@ -1540,24 +1243,24 @@ let jit ?(stack_size = 512) prog =
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store32_m env.jvm env.jstk lim4
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
+              (Int64.add (rget rb d) off)
               v;
             next env
-      | 39 (* st64 *) ->
-        let v = Int64.of_int a3 in
-        if a1 = 10 && not fp_written then begin
-          let soff = ss + a2 in
+      | Insn.St (Insn.W64, d, off, imm) ->
+        let v = Int64.of_int32 imm in
+        if d = 10 && not fp_written then begin
+          let soff = ss + off in
           if direct_store soff 8 then
             fun env ->
               bytes_set64 env.jstk soff v;
               next env
           else
-            let addr = Int64.add fpv (Int64.of_int a2) in
+            let addr = Int64.add fpv (Int64.of_int off) in
             fun env ->
               store64_m env.jvm env.jstk lim8
                 (env.jk - env.jfuel - ci)
@@ -1565,29 +1268,30 @@ let jit ?(stack_size = 512) prog =
               next env
         end
         else
-          let off = Int64.of_int a2 in
+          let off = Int64.of_int off in
           fun env ->
             let rb = env.jregb in
             store64_m env.jvm env.jstk lim8
               (env.jk - env.jfuel - ci)
-              (Int64.add (rget rb a1) off)
+              (Int64.add (rget rb d) off)
               v;
             next env
-      | 40 (* ja *) ->
-        if a1 < 0 then deopt i ci
+      | Insn.Ja _ ->
+        let t = targets.(i) in
+        if t < 0 then deopt i ci
         else
-          let tb = blk_id.(a1) in
+          let tb = blk_id.(t) in
           fun env -> (Array.unsafe_get cells tb) env
-      | 63 (* call *) ->
+      | Insn.Call id ->
         fun env ->
           let vm = env.jvm in
           vm.executed <- env.jk - env.jfuel - ci;
           let h = vm.helpers in
           (match
-             (if a1 >= 0 && a1 < Array.length h.fns then h.fns.(a1) else None)
+             (if id >= 0 && id < Array.length h.fns then h.fns.(id) else None)
            with
           | None ->
-            raise (Helper_failure (Printf.sprintf "helper %d missing" a1))
+            raise (Helper_failure (Printf.sprintf "helper %d missing" id))
           | Some f ->
             (* r0 starts at 0: a helper that writes nothing returns 0 *)
             let rb = env.jregb in
@@ -1596,153 +1300,156 @@ let jit ?(stack_size = 512) prog =
             (* r1-r5 are clobbered by calls, per the eBPF convention. *)
             Bytes.fill rb 8 40 '\000');
           next env
-      | 64 (* exit *) ->
+      | Insn.Exit ->
         fun env ->
           env.jvm.executed <- env.jk - env.jfuel - ci;
           rget env.jregb 0
-      | o when o >= f_jeq_rr && o <= f_jset_ri ->
+      | Insn.Jcond (c, d, operand, _) -> (
         (* Conditional jumps close the block: both arms dispatch through
            [cells]. An invalid taken-target deoptimizes unconditionally —
            the reference loop re-evaluates the condition and traps (or falls
            through) with exact semantics. *)
         let fb = blk_id.(i + 1) in
-        if a3 < 0 then deopt i ci
-        else begin
-          let tb = blk_id.(a3) in
-          let ib = Int64.of_int a2 in
-          match o with
-          | 41 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.equal (rget rb a1) (rget rb a2) then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 42 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.equal (rget rb a1) ib then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 43 ->
-            fun env ->
-              let rb = env.jregb in
-              if not (Int64.equal (rget rb a1) (rget rb a2)) then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 44 ->
-            fun env ->
-              let rb = env.jregb in
-              if not (Int64.equal (rget rb a1) ib) then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 45 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) (rget rb a2) > 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 46 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) ib > 0 then (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 47 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) (rget rb a2) >= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 48 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) ib >= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 49 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) (rget rb a2) < 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 50 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) ib < 0 then (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 51 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) (rget rb a2) <= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 52 ->
-            fun env ->
-              let rb = env.jregb in
-              if ucmp (rget rb a1) ib <= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 53 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) (rget rb a2) > 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 54 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) ib > 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 55 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) (rget rb a2) >= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 56 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) ib >= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 57 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) (rget rb a2) < 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 58 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) ib < 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 59 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) (rget rb a2) <= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 60 ->
-            fun env ->
-              let rb = env.jregb in
-              if Int64.compare (rget rb a1) ib <= 0 then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | 61 ->
-            fun env ->
-              let rb = env.jregb in
-              if not (Int64.equal (Int64.logand (rget rb a1) (rget rb a2)) 0L)
-              then (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-          | _ (* 62, jset_ri *) ->
-            fun env ->
-              let rb = env.jregb in
-              if not (Int64.equal (Int64.logand (rget rb a1) ib) 0L) then
-                (Array.unsafe_get cells tb) env
-              else (Array.unsafe_get cells fb) env
-        end
-      | _ (* trap_badreg and anything unspecialised *) -> deopt i ci
+        let t = targets.(i) in
+        if t < 0 then deopt i ci
+        else
+          let tb = blk_id.(t) in
+          match operand with
+          | Insn.Reg s -> (
+            match c with
+            | Insn.Jeq ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.equal (rget rb d) (rget rb s) then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jne ->
+              fun env ->
+                let rb = env.jregb in
+                if not (Int64.equal (rget rb d) (rget rb s)) then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jgt ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) (rget rb s) > 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jge ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) (rget rb s) >= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jlt ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) (rget rb s) < 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jle ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) (rget rb s) <= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsgt ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) (rget rb s) > 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsge ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) (rget rb s) >= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jslt ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) (rget rb s) < 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsle ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) (rget rb s) <= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jset ->
+              fun env ->
+                let rb = env.jregb in
+                if not (Int64.equal (Int64.logand (rget rb d) (rget rb s)) 0L)
+                then (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env)
+          | Insn.Imm v -> (
+            let ib = Int64.of_int32 v in
+            match c with
+            | Insn.Jeq ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.equal (rget rb d) ib then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jne ->
+              fun env ->
+                let rb = env.jregb in
+                if not (Int64.equal (rget rb d) ib) then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jgt ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) ib > 0 then (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jge ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) ib >= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jlt ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) ib < 0 then (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jle ->
+              fun env ->
+                let rb = env.jregb in
+                if ucmp (rget rb d) ib <= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsgt ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) ib > 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsge ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) ib >= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jslt ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) ib < 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jsle ->
+              fun env ->
+                let rb = env.jregb in
+                if Int64.compare (rget rb d) ib <= 0 then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env
+            | Insn.Jset ->
+              fun env ->
+                let rb = env.jregb in
+                if not (Int64.equal (Int64.logand (rget rb d) ib) 0L) then
+                  (Array.unsafe_get cells tb) env
+                else (Array.unsafe_get cells fb) env))
     in
     let compile_block start stop =
       let blen = stop - start in

@@ -113,16 +113,17 @@ val direct : t -> write:bool -> int64 -> int -> Bytes.t * int
 val run : t -> ?args:int64 array -> Insn.t array -> int64
 (** Execute a program with up to five arguments in r1..r5; returns r0. The
     stack is all zero when the run starts, so stack contents never leak
-    between runs. This is the reference interpreter: it resolves jumps
-    through freshly built slot maps on every invocation — production callers use
-    {!jit} and {!run_jit}.
+    between runs. This is the reference interpreter: it resolves jump
+    targets ({!Insn.jump_targets}) afresh on every invocation — production
+    callers use {!jit} and {!run_jit}.
     @raise Memory_violation on an out-of-region or read-only access
     @raise Fuel_exhausted when the instruction budget is spent
     @raise Helper_failure when a helper rejects a call *)
 
 type jit_prog
-(** A program compiled by the closure-template JIT: basic blocks become
-    chains of OCaml closures specialised per opcode and operand kind,
+(** A program compiled by the closure-template JIT straight from the
+    decoded instructions: basic blocks become chains of OCaml closures
+    specialised per instruction and operand kind,
     threaded by direct closure reference, with stack bounds checks
     resolved at compile time where the frame pointer is provably never
     rewritten. A [jit_prog] holds no VM state beyond an idle placeholder

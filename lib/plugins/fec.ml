@@ -365,7 +365,9 @@ let process_rs ~code =
                         [ Assign ("piv", v "r4") ],
                         [] );
                   ] );
-              If (v "piv" =: Const (-1L), [ ret0 ], []);
+              (* No pivot: the equations are reduced in place and cannot
+                 be reduced again, so drop them and wait for fresh ones. *)
+              If (v "piv" =: Const (-1L), [ set_fld 544 (i 0); ret0 ], []);
               If
                 ( v "piv" <>: v "rowi",
                   [

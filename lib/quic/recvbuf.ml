@@ -2,27 +2,43 @@
    contiguous prefix grows; the application reads in order. *)
 
 type t = {
-  mutable segments : (int * string) list; (* (offset, data), sorted by offset *)
+  mutable segments : (int * string) list;
+  (* (offset, data), sorted by offset and disjoint: each byte is held once *)
   mutable read_offset : int;              (* delivered to the application *)
   mutable fin_offset : int option;        (* final size once FIN is seen *)
   mutable highest : int;                  (* highest contiguous offset received *)
+  mutable received_end : int;             (* highest offset any frame reached *)
 }
 
 let create () =
-  { segments = []; read_offset = 0; fin_offset = None; highest = 0 }
+  { segments = []; read_offset = 0; fin_offset = None; highest = 0;
+    received_end = 0 }
 
 let note_fin t ~final =
   match t.fin_offset with
   | Some f when f <> final -> invalid_arg "Recvbuf.insert: inconsistent FIN"
   | _ -> t.fin_offset <- Some final
 
-let store t ~offset data =
-  let rec ins = function
-    | [] -> [ (offset, data) ]
-    | (o, d) :: rest ->
-      if offset < o then (offset, data) :: (o, d) :: rest else (o, d) :: ins rest
+let note_end t e = if e > t.received_end then t.received_end <- e
+
+(* Hold the bytes of [s.[off .. off+len-1]] (stream offsets
+   [offset .. offset+len-1]) that are unread and in no stored segment:
+   the first copy of a byte wins, so a repeated or overlapping fragment
+   adds only what is new — nothing, and copies nothing, when it is wholly
+   covered. *)
+let store t ~offset s ~off ~len =
+  let piece lo hi = (lo, String.sub s (off + lo - offset) (hi - lo)) in
+  let rec ins lo hi segs =
+    match segs with
+    | _ when lo >= hi -> segs
+    | [] -> [ piece lo hi ]
+    | ((o, d) as seg) :: rest ->
+      if hi <= o then piece lo hi :: segs
+      else
+        let rest = ins (max lo (o + String.length d)) hi rest in
+        if lo < o then piece lo o :: seg :: rest else seg :: rest
   in
-  t.segments <- ins t.segments
+  t.segments <- ins (max offset t.read_offset) (offset + len) t.segments
 
 (* advance the contiguous frontier *)
 let advance t =
@@ -33,21 +49,17 @@ let advance t =
   in
   t.highest <- frontier (max t.highest t.read_offset) t.segments
 
-let insert t ~offset ~fin data =
-  if fin then note_fin t ~final:(offset + String.length data);
-  if String.length data > 0 && offset + String.length data > t.read_offset then
-    store t ~offset data;
-  advance t
-
-(* The single copy of the zero-copy receive path: a frame view's payload
-   crosses from the borrowed datagram into the reassembly buffer here.
-   Duplicates entirely below the read offset are dropped without
-   materializing at all. *)
+(* The single copy of the zero-copy receive path: the new bytes of a frame
+   view's payload cross from the borrowed datagram into the reassembly
+   buffer here. *)
 let insert_sub t ~offset ~fin s ~off ~len =
   if fin then note_fin t ~final:(offset + len);
-  if len > 0 && offset + len > t.read_offset then
-    store t ~offset (String.sub s off len);
+  note_end t (offset + len);
+  store t ~offset s ~off ~len;
   advance t
+
+let insert t ~offset ~fin data =
+  insert_sub t ~offset ~fin data ~off:0 ~len:(String.length data)
 
 (* In-order fast path: when a frame lands exactly at the read offset with
    nothing buffered ahead of it, the host can hand its payload straight to
@@ -59,6 +71,7 @@ let insert_sub t ~offset ~fin s ~off ~len =
 let insert_inline t ~offset ~fin ~len =
   if offset = t.read_offset && t.segments = [] then begin
     if fin then note_fin t ~final:(offset + len);
+    note_end t (offset + len);
     t.read_offset <- offset + len;
     if t.highest < t.read_offset then t.highest <- t.read_offset;
     true
@@ -90,6 +103,7 @@ let read t =
   end
 
 let contiguous t = t.highest
+let received_end t = t.received_end
 
 let is_finished t =
   match t.fin_offset with Some f -> t.highest >= f && t.read_offset >= f | None -> false

@@ -6,16 +6,18 @@ type t
 val create : unit -> t
 
 val insert : t -> offset:int -> fin:bool -> string -> unit
-(** @raise Invalid_argument on a FIN inconsistent with an earlier one. *)
+(** Hold the bytes of a fragment that are unread and not held yet: the
+    first copy of each byte wins, so duplicates and overlaps never grow
+    the buffer.
+    @raise Invalid_argument on a FIN inconsistent with an earlier one. *)
 
 val insert_sub :
   t -> offset:int -> fin:bool -> string -> off:int -> len:int -> unit
 (** [insert_sub t ~offset ~fin s ~off ~len] inserts [len] bytes of [s]
     starting at [off] — the single blit where a frame view's payload
     crosses from the borrowed datagram into the reassembly buffer.
-    Equivalent to [insert t ~offset ~fin (String.sub s off len)], but
-    duplicates entirely below the read offset are dropped without the
-    copy. *)
+    Equivalent to [insert t ~offset ~fin (String.sub s off len)], but only
+    the bytes not already held are copied. *)
 
 val insert_inline : t -> offset:int -> fin:bool -> len:int -> bool
 (** In-order fast path. When [offset] is exactly the read offset and no
@@ -28,5 +30,11 @@ val read : t -> string
 (** All contiguous data past what was already read (possibly ""). *)
 
 val contiguous : t -> int
+
+val received_end : t -> int
+(** The highest stream offset any inserted fragment reached (its end),
+    whether or not its bytes were new: the stream's contribution to
+    connection flow control (RFC 9000 §4.1). *)
+
 val is_finished : t -> bool
 val fin_seen : t -> bool

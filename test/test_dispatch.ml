@@ -392,6 +392,43 @@ let test_peer_streams_bounded () =
       true
       (Hashtbl.length c.C.streams <= limit)
 
+(* The peer's stream bytes are bounded by the MAX_DATA this side
+   advertised, summed over streams by each stream's highest offset
+   (RFC 9000 §4.1). A peer that sends in order never exceeds it, because
+   the limit grows as data is read; bytes parked beyond a hole do. Two
+   such fragments on two streams fill the limit exactly, a duplicate
+   costs nothing, and one byte more fails the connection before it is
+   stored; a first frame past the limit opens no stream. *)
+let test_stream_data_bounded_by_max_data () =
+  let c = make_conn () in
+  let limit = Int64.to_int c.C.max_data_local in
+  let stream ?(len = 100) id offset =
+    Frame_ref.to_string
+      (Quic.Frame.Stream
+         { id; offset = Int64.of_int offset; fin = false;
+           data = String.make len 's' })
+  in
+  let half = limit / 2 in
+  receive_forged ~pn:0L c (stream 1 (half - 100));
+  receive_forged ~pn:1L c (stream 1 (half - 100));
+  receive_forged ~pn:2L c (stream 5 (half - 100));
+  check Alcotest.string "at the limit: still open" "" c.C.close_reason;
+  receive_forged ~pn:3L c (stream ~len:1 5 half);
+  check Alcotest.string "one byte past the limit"
+    (Printf.sprintf "flow control: peer sent past the %d-byte limit" limit)
+    c.C.close_reason;
+  let s5 = Hashtbl.find c.C.streams 5 in
+  Quic.Recvbuf.insert s5.C.recvb ~offset:0 ~fin:false
+    (String.make (half - 100) 'h');
+  check Alcotest.int "refused byte not stored" half
+    (String.length (Quic.Recvbuf.read s5.C.recvb));
+  let c = make_conn () in
+  receive_forged c (stream 9 limit);
+  check Alcotest.string "first frame past the limit"
+    (Printf.sprintf "flow control: peer sent past the %d-byte limit" limit)
+    c.C.close_reason;
+  check Alcotest.int "no stream opened" 0 (Hashtbl.length c.C.streams)
+
 (* PLUGIN chunks count only for transfers this side asked for: 999
    partial chunks under fresh names and one complete, well-formed
    transfer of a real plugin, none of them requested, leave no
@@ -494,5 +531,7 @@ let tests =
         test_peer_streams_bounded;
       Alcotest.test_case "unrequested plugin chunks dropped" `Quick
         test_unrequested_plugin_chunks_dropped;
+      Alcotest.test_case "stream data bounded by MAX_DATA" `Quick
+        test_stream_data_bounded_by_max_data;
     ]);
   ]

@@ -571,6 +571,18 @@ let diff_case ?vm ?stack_size name prog =
     true (o_ref = o_jit);
   check int (name ^ ": jit executed-insn accounting") e_ref e_jit
 
+(* [gen_operand], plus the immediates the JIT lowers or that sit at the
+   edges of sign extension: powers of two 2^0..2^30 (unsigned Div/Mod by
+   them become a shift and a mask), -1 and the int32 extremes. *)
+let gen_diff_operand =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_operand;
+        map (fun k -> I.Imm (Int32.shift_left 1l k)) (int_range 0 30);
+        map (fun v -> I.Imm v) (oneofl [ -1l; Int32.min_int; Int32.max_int ]);
+      ])
+
 (* Instructions biased towards what the verifier admits and towards the
    interesting memory cases: accesses through r1 (rw region), r2 (ro
    region) and fp, with offsets that sometimes leave the region. *)
@@ -578,8 +590,8 @@ let gen_diff_insn =
   QCheck2.Gen.(
     frequency
       [
-        (5, map3 (fun op d o -> I.Alu64 (op, d, o)) gen_alu_op gen_wreg gen_operand);
-        (3, map3 (fun op d o -> I.Alu32 (op, d, o)) gen_alu_op gen_wreg gen_operand);
+        (5, map3 (fun op d o -> I.Alu64 (op, d, o)) gen_alu_op gen_wreg gen_diff_operand);
+        (3, map3 (fun op d o -> I.Alu32 (op, d, o)) gen_alu_op gen_wreg gen_diff_operand);
         ( 2,
           map2 (fun d v -> I.Ld_imm64 (d, v)) gen_wreg
             (map Int64.of_int (int_range min_int max_int)) );
@@ -597,7 +609,7 @@ let gen_diff_insn =
         (1, map (fun off -> I.Ja off) (int_range (-4) 3));
         ( 2,
           map (fun ((c, d), (o, off)) -> I.Jcond (c, d, o, off))
-            (pair (pair gen_cond gen_reg) (pair gen_operand (int_range (-4) 3))) );
+            (pair (pair gen_cond gen_reg) (pair gen_diff_operand (int_range (-4) 3))) );
         (1, oneofl [ I.Call 1; I.Call 2; I.Call 7 ]);
       ])
 
@@ -726,8 +738,51 @@ let test_deopt_parity () =
       I.Alu64 (I.Add, 0, I.Reg 12);
       I.Exit;
     ];
+  (* a jump naming a bad register deoptimises where it stands, mid-block,
+     as destination or source; so does a 64-bit load into one *)
+  diff_case "jump with a bad destination register"
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 1l);
+      I.Stx (I.W64, I.fp, -8, 0);
+      I.Jcond (I.Jeq, 11, I.Imm 0l, 1);
+      I.Alu64 (I.Mov, 0, I.Imm 2l);
+      I.Exit;
+    ];
+  diff_case "jump with a bad source register"
+    [
+      I.Alu64 (I.Mov, 0, I.Imm 1l);
+      I.Stx (I.W64, I.fp, -8, 0);
+      I.Jcond (I.Jne, 0, I.Reg 11, 1);
+      I.Alu64 (I.Mov, 0, I.Imm 2l);
+      I.Exit;
+    ];
+  diff_case "64-bit load into a bad register"
+    [ I.Alu64 (I.Mov, 0, I.Imm 1l); I.Ld_imm64 (11, 5L); I.Exit ];
   (* falling off the end of the program: the sentinel block *)
   diff_case "fall off the end" [ I.Alu64 (I.Mov, 0, I.Imm 1l) ]
+
+(* Unsigned Div/Mod by a power-of-two immediate compile to a shift and a
+   mask: both widths, by 1, 2, 8 and 2^30, on an odd dividend with the
+   top bit set and on a small one. *)
+let test_pow2_div_mod () =
+  List.iter
+    (fun dividend ->
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (name, alu) ->
+              List.iter
+                (fun op ->
+                  diff_case
+                    (Printf.sprintf "%s %s %Ld by %ld" name
+                       (if op = I.Div then "div" else "mod")
+                       dividend d)
+                    [ I.Ld_imm64 (0, dividend); alu op 0 (I.Imm d); I.Exit ])
+                [ I.Div; I.Mod ])
+            [ ("64-bit", fun op r o -> I.Alu64 (op, r, o));
+              ("32-bit", fun op r o -> I.Alu32 (op, r, o)) ])
+        [ 1l; 2l; 8l; 0x4000_0000l ])
+    [ 0xF123_4567_89AB_CDEFL; 1_000_003L ]
 
 (* Every pluglet the repository ships, through both tiers on VMs with
    deterministic stub helpers and two argument buffers: whatever each
@@ -1143,6 +1198,7 @@ let tests =
     ("tiers", [
       Alcotest.test_case "basics" `Quick test_tiers_basics;
       Alcotest.test_case "trap parity" `Quick test_differential_traps;
+      Alcotest.test_case "power-of-two div/mod" `Quick test_pow2_div_mod;
       Alcotest.test_case "lazy invalid jump" `Quick test_lazy_jump_trap;
       Alcotest.test_case "deopt parity" `Quick test_deopt_parity;
       Alcotest.test_case "real pluglets" `Quick test_real_pluglets;

@@ -793,46 +793,62 @@ let test_plugin_exchange_survives_loss () =
   check Alcotest.bool "plugin cached through a lossy transfer" true
     (Pquic.Endpoint.has_plugin client plugin.Pluginop.Plugin.name)
 
+(* A 150 kB RLC-protected GET over a 5 %-loss link seeded with [seed]:
+   true when the client receives exactly the payload. *)
+let fec_rlc_transfer seed =
+  let topo =
+    Topology.single_path ~seed
+      { Topology.d_ms = 60.; bw_mbps = 5.; loss = 0.05 }
+  in
+  let sim = topo.Topology.sim and net = topo.Topology.net in
+  let server = Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L () in
+  let client =
+    Pquic.Endpoint.create ~sim ~net ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
+  in
+  Pquic.Endpoint.add_plugin server Plugins.Fec.rlc_full;
+  Pquic.Endpoint.add_plugin client Plugins.Fec.rlc_full;
+  Pquic.Endpoint.listen server;
+  Pquic.Endpoint.listen client;
+  let payload = String.init 150_000 (fun i -> Char.chr ((i * 7) mod 256)) in
+  server.Pquic.Endpoint.on_connection <-
+    (fun c ->
+      c.Pquic.Connection.on_stream_data <-
+        (fun id _ ~fin ->
+          if fin then Pquic.Connection.write_stream c ~id ~fin:true payload));
+  let conn =
+    Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
+      ~plugins_to_inject:
+        [ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
+  in
+  let received = Buffer.create 150_000 in
+  let finished = ref false in
+  conn.Pquic.Connection.on_established <-
+    (fun () -> Pquic.Connection.write_stream conn ~id:0 ~fin:true "GET");
+  conn.Pquic.Connection.on_stream_data <-
+    (fun _ data ~fin ->
+      Buffer.add_string received data;
+      if fin then finished := true);
+  ignore (Sim.run ~until:(Sim.of_sec 300.) sim);
+  !finished && Buffer.contents received = payload
+
 let fec_integrity_multi_seed =
   (* end-to-end property: whatever the loss pattern, recovered packets
      never corrupt the stream *)
   qtest ~count:6 "FEC recovery preserves stream integrity across seeds"
     QCheck2.Gen.(map Int64.of_int (int_range 1 100000))
+    fec_rlc_transfer
+
+(* Link seeds on which a Gauss-Jordan pass found no pivot: the receiver
+   kept the equations it had already reduced, reduced them again on the
+   next repair symbol and replayed a garbage packet. *)
+let test_fec_rlc_singular_seeds () =
+  List.iter
     (fun seed ->
-      let topo =
-        Topology.single_path ~seed
-          { Topology.d_ms = 60.; bw_mbps = 5.; loss = 0.05 }
-      in
-      let sim = topo.Topology.sim and net = topo.Topology.net in
-      let server = Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L () in
-      let client =
-        Pquic.Endpoint.create ~sim ~net ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
-      in
-      Pquic.Endpoint.add_plugin server Plugins.Fec.rlc_full;
-      Pquic.Endpoint.add_plugin client Plugins.Fec.rlc_full;
-      Pquic.Endpoint.listen server;
-      Pquic.Endpoint.listen client;
-      let payload = String.init 150_000 (fun i -> Char.chr ((i * 7) mod 256)) in
-      server.Pquic.Endpoint.on_connection <-
-        (fun c ->
-          c.Pquic.Connection.on_stream_data <-
-            (fun id _ ~fin ->
-              if fin then Pquic.Connection.write_stream c ~id ~fin:true payload));
-      let conn =
-        Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
-          ~plugins_to_inject:
-            [ Plugins.Fec.rlc_full.Pluginop.Plugin.name ]
-      in
-      let received = Buffer.create 150_000 in
-      let finished = ref false in
-      conn.Pquic.Connection.on_established <-
-        (fun () -> Pquic.Connection.write_stream conn ~id:0 ~fin:true "GET");
-      conn.Pquic.Connection.on_stream_data <-
-        (fun _ data ~fin ->
-          Buffer.add_string received data;
-          if fin then finished := true);
-      ignore (Sim.run ~until:(Sim.of_sec 300.) sim);
-      !finished && Buffer.contents received = payload)
+      check Alcotest.bool
+        (Printf.sprintf "seed %d delivers the exact bytes" seed)
+        true
+        (fec_rlc_transfer (Int64.of_int seed)))
+    [ 18; 134; 169; 221 ]
 
 let test_plugin_exchange_refused_without_proof () =
   (* the server cannot prove validity: the client must not cache *)
@@ -900,5 +916,7 @@ let tests =
       Alcotest.test_case "exchange under loss" `Quick test_plugin_exchange_survives_loss;
       Alcotest.test_case "exchange refused" `Quick test_plugin_exchange_refused_without_proof;
       fec_integrity_multi_seed;
+      Alcotest.test_case "RLC recovery after a singular solve" `Quick
+        test_fec_rlc_singular_seeds;
     ]);
   ]

@@ -401,6 +401,33 @@ let recvbuf_duplicate_segments =
       List.iter insert (List.rev !segments);
       Quic.Recvbuf.read rb = data && Quic.Recvbuf.is_finished rb)
 
+(* A peer repeating one out-of-order fragment, or resending shifted
+   overlapping slices of it, grows the buffer by nothing: each byte is
+   held once, the first copy wins, and filling the hole delivers the
+   exact bytes. *)
+let test_recvbuf_holds_each_byte_once () =
+  let data = String.init 2000 (fun i -> Char.chr (i * 31 mod 251)) in
+  let frag = String.sub data 1000 1000 in
+  let rb = Quic.Recvbuf.create () in
+  for _ = 1 to 10_000 do
+    Quic.Recvbuf.insert rb ~offset:1000 ~fin:false frag
+  done;
+  for k = 0 to 999 do
+    (* shifted slices inside the held range; a differing copy loses *)
+    let slice = String.sub data (1000 + k) (1000 - k) in
+    let slice = if k mod 2 = 0 then slice else String.make (1000 - k) 'x' in
+    Quic.Recvbuf.insert rb ~offset:(1000 + k) ~fin:false slice
+  done;
+  let words = Obj.reachable_words (Obj.repr rb) in
+  let one_copy = Obj.reachable_words (Obj.repr frag) in
+  check Alcotest.bool
+    (Printf.sprintf "%d words held (one copy is %d)" words one_copy)
+    true
+    (words <= one_copy + 32);
+  Quic.Recvbuf.insert rb ~offset:0 ~fin:false (String.sub data 0 1000);
+  check Alcotest.string "exact bytes after the hole fills" data
+    (Quic.Recvbuf.read rb)
+
 let test_sendbuf_retransmit_priority () =
   let sb = Quic.Sendbuf.create () in
   Quic.Sendbuf.write sb (String.make 100 'a');
@@ -694,6 +721,8 @@ let tests =
       recvbuf_reassembly;
       recvbuf_overlapping;
       recvbuf_duplicate_segments;
+      Alcotest.test_case "recvbuf holds each byte once" `Quick
+        test_recvbuf_holds_each_byte_once;
     ]);
     ("packet", [
       Alcotest.test_case "tamper detection" `Quick test_packet_tamper;
