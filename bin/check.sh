@@ -132,9 +132,13 @@ if command -v jq >/dev/null 2>&1; then
   # The jit tier (the bytecode benches without a suffix) must never be
   # slower than the linked interpreter it replaced: 3.93x over the
   # reference interpreter is the linked tier's last committed speedup.
+  # Each jit kernel and its _interp twin must count the same instructions
+  # per op, so a speedup is always a ratio over the same work.
   jq -e '
-    (.results | has("pre_rtt_update_interp"))
-    and (.results | has("bytecode_direct_load_interp"))
+    ([("pre_rtt_update", "bytecode_direct_load") as $k
+      | .results[$k].insns_per_op > 0
+        and .results[$k].insns_per_op == .results[$k + "_interp"].insns_per_op]
+     | all)
     and (.ratios.jit_speedup_pre_rtt_update >= 3.93)
     and (.ratios.jit_speedup_bytecode_direct_load >= 3.93)
   ' BENCH_vm.json >/dev/null || { echo "BENCH_vm.json jit tier gates failed"; exit 1; }

@@ -18,7 +18,9 @@
    - [jit] + [run_jit], the production path: the same [Insn.t] array is
      compiled once, with no intermediate program form, into a graph of
      OCaml closures, one per instruction, and each run enters it with no
-     per-run setup work.
+     per-run setup work. A closure is specialised to its instruction's
+     shape only where that pays in-engine (see the JIT below); a
+     big-endian host compiles none and interprets every program.
 
    Each region occupies its own 4 GiB-aligned window of address space, so
    the window index [addr lsr 32] identifies the region, and the windows
@@ -430,9 +432,9 @@ let[@inline always] urem64 n d = Int64.sub n (Int64.mul (udiv64 n d) d)
 let[@inline always] zx32 regb dst r =
   rset regb dst (Int64.logand (Int64.of_int32 r) 0xffffffffL)
 
-(* 32-bit ALU, the only instruction class whose closure keeps a secondary
-   dispatch on the operator (pluglet arithmetic is overwhelmingly
-   64-bit). *)
+(* 32-bit ALU: one closure per operand kind keeps a secondary dispatch on
+   the operator (pluglet arithmetic is overwhelmingly 64-bit, and 64-bit
+   operators keep a closure each). *)
 let[@inline always] alu32_seti regb dst op a b =
   let a32 = Int64.to_int32 a and b32 = Int64.to_int32 b in
   let open Int32 in
@@ -452,6 +454,23 @@ let[@inline always] alu32_seti regb dst op a b =
   | Insn.Mov -> zx32 regb dst b32
   | Insn.Neg -> zx32 regb dst (neg a32)
 
+(* The condition of a conditional jump, on unboxed operands: the JIT's
+   two jump closures, one per operand kind, hold their condition and test
+   it here. *)
+let[@inline always] cond_holds c a b =
+  match c with
+  | Insn.Jeq -> Int64.equal a b
+  | Insn.Jne -> not (Int64.equal a b)
+  | Insn.Jgt -> ucmp a b > 0
+  | Insn.Jge -> ucmp a b >= 0
+  | Insn.Jlt -> ucmp a b < 0
+  | Insn.Jle -> ucmp a b <= 0
+  | Insn.Jsgt -> Int64.compare a b > 0
+  | Insn.Jsge -> Int64.compare a b >= 0
+  | Insn.Jslt -> Int64.compare a b < 0
+  | Insn.Jsle -> Int64.compare a b <= 0
+  | Insn.Jset -> not (Int64.equal (Int64.logand a b) 0L)
+
 let ro_violation len addr r =
   raise
     (Memory_violation
@@ -461,134 +480,79 @@ let ro_violation len addr r =
 (* Unchecked multi-byte accessors. The stdlib's [Bytes.get_int64_le]
    family are plain functions, so without cross-module inlining every
    memory instruction would pay a call and box its result; these compile
-   to single loads/stores. Bounds are checked by the callers below, and
-   [Sys.big_endian] platforms fall back to the (slow, correct) stdlib
-   accessors so the little-endian guest byte order is preserved. *)
+   to single native-endian loads/stores. Bounds are checked by the callers
+   below, and native order is the guest's little-endian order because
+   [jit] compiles no closures on a big-endian host. *)
 external bytes_get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external bytes_set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external bytes_set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-(* One monitor + accessor per access size, matching the JIT's
-   size-specialised memory closures: region lookup, bounds check, then a
-   straight-line load/store with nothing left to dispatch on. *)
-let[@inline always] load8_fast vm addr =
-  let r = region_at vm addr 1 in
+(* The monitor of the JIT's memory closures, for an access of [len] bytes
+   at [addr] in region [r] (its window's entry): the offset of the first
+   byte in [r.mem], or a trap. Stores also check the permission and lower
+   the stack mark. *)
+let[@inline always] checked_off r len addr =
   let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 1 > r.rlen - off then out_of_region 1 addr;
-  let off = r.roff + off in
-  Int64.of_int (Char.code (Bytes.unsafe_get r.mem off))
+  if len > r.rlen - off then out_of_region len addr;
+  r.roff + off
 
-let[@inline always] load16_fast vm addr =
-  let r = region_at vm addr 2 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 2 > r.rlen - off then out_of_region 2 addr;
-  let off = r.roff + off in
-  if Sys.big_endian then Int64.of_int (Bytes.get_uint16_le r.mem off)
-  else Int64.of_int (bytes_get16u r.mem off)
-
-let[@inline always] load32_fast vm addr =
-  let r = region_at vm addr 4 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 4 > r.rlen - off then out_of_region 4 addr;
-  let off = r.roff + off in
-  if Sys.big_endian then
-    Int64.logand (Int64.of_int32 (Bytes.get_int32_le r.mem off)) 0xffffffffL
-  else Int64.logand (Int64.of_int32 (bytes_get32u r.mem off)) 0xffffffffL
-
-let[@inline always] load64_fast vm addr =
-  let r = region_at vm addr 8 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 8 > r.rlen - off then out_of_region 8 addr;
-  let off = r.roff + off in
-  if Sys.big_endian then Bytes.get_int64_le r.mem off
-  else bytes_get64 r.mem off
-
-let[@inline always] store8_fast vm addr v =
-  let r = region_at vm addr 1 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 1 > r.rlen - off then out_of_region 1 addr;
-  let off = r.roff + off in
-  if r.perm == Ro then ro_violation 1 addr r;
+let[@inline always] writable_off vm r len addr =
+  let off = checked_off r len addr in
+  if r.perm == Ro then ro_violation len addr r;
   if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
-  Bytes.unsafe_set r.mem off (Char.unsafe_chr (Int64.to_int v land 0xff))
+  off
 
-let[@inline always] store16_fast vm addr v =
-  let r = region_at vm addr 2 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 2 > r.rlen - off then out_of_region 2 addr;
-  let off = r.roff + off in
-  if r.perm == Ro then ro_violation 2 addr r;
-  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
-  if Sys.big_endian then Bytes.set_uint16_le r.mem off (Int64.to_int v land 0xffff)
-  else bytes_set16u r.mem off (Int64.to_int v land 0xffff)
-
-let[@inline always] store32_fast vm addr v =
-  let r = region_at vm addr 4 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 4 > r.rlen - off then out_of_region 4 addr;
-  let off = r.roff + off in
-  if r.perm == Ro then ro_violation 4 addr r;
-  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
-  if Sys.big_endian then Bytes.set_int32_le r.mem off (Int64.to_int32 v)
-  else bytes_set32u r.mem off (Int64.to_int32 v)
-
-let[@inline always] store64_fast vm addr v =
-  let r = region_at vm addr 8 in
-  let off = Int64.to_int (Int64.logand addr 0xffff_ffffL) in
-  if 8 > r.rlen - off then out_of_region 8 addr;
-  let off = r.roff + off in
-  if r.perm == Ro then ro_violation 8 addr r;
-  if r == vm.stack && off < vm.stack_lo then vm.stack_lo <- off;
-  if Sys.big_endian then Bytes.set_int64_le r.mem off v
-  else bytes_set64 r.mem off v
-
-(* Stack-window fast path for the JIT's memory closures. Pluglet locals
-   dominate memory traffic, the stack is mapped at window 1 for the whole
-   VM lifetime, and an in-bounds stack access cannot trap — so it needs
-   neither the region record nor an [executed] sync. The whole
-   window-plus-bounds test is one subtraction and one unsigned compare:
-   [d = addr - stack_base] is below [lim = stack length - access size + 1]
-   (precomputed per size at compile time, clamped at 0) exactly when the
-   access lies inside the stack; any other window under- or overflows the
-   unsigned range. Everything else — other windows, out-of-bounds
-   offsets, big-endian hosts — drops to the monitored [*_fast] path
-   above, syncing [vm.executed] first because it may raise.
-   ([Sys.big_endian] folds to a constant, so the check is free.) *)
+(* One accessor per access size, matching the JIT's size-specialised
+   memory closures. Pluglet locals dominate memory traffic, the stack is
+   mapped at window 1 for the whole VM lifetime, and an in-bounds stack
+   access cannot trap — so it needs neither the region record nor an
+   [executed] sync. The whole window-plus-bounds test is one subtraction
+   and one unsigned compare: [d = addr - stack_base] is below [lim = stack
+   length - access size + 1] (precomputed per size at compile time,
+   clamped at 0) exactly when the access lies inside the stack; any other
+   window under- or overflows the unsigned range. Everything else — other
+   windows, out-of-bounds offsets — takes the monitored path: region
+   lookup, bounds check, then a straight-line load/store, after syncing
+   [vm.executed] because it may raise. *)
 let[@inline always] load8_m vm stk lim execd addr =
   let d = Int64.sub addr region_alignment in
   if ucmp d lim < 0 then
     Int64.of_int (Char.code (Bytes.unsafe_get stk (Int64.to_int d)))
   else begin
     vm.executed <- execd;
-    load8_fast vm addr
+    let r = region_at vm addr 1 in
+    Int64.of_int (Char.code (Bytes.unsafe_get r.mem (checked_off r 1 addr)))
   end
 
 let[@inline always] load16_m vm stk lim execd addr =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
-    Int64.of_int (bytes_get16u stk (Int64.to_int d))
+  if ucmp d lim < 0 then Int64.of_int (bytes_get16u stk (Int64.to_int d))
   else begin
     vm.executed <- execd;
-    load16_fast vm addr
+    let r = region_at vm addr 2 in
+    Int64.of_int (bytes_get16u r.mem (checked_off r 2 addr))
   end
 
 let[@inline always] load32_m vm stk lim execd addr =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
+  if ucmp d lim < 0 then
     Int64.logand (Int64.of_int32 (bytes_get32u stk (Int64.to_int d))) 0xffffffffL
   else begin
     vm.executed <- execd;
-    load32_fast vm addr
+    let r = region_at vm addr 4 in
+    Int64.logand
+      (Int64.of_int32 (bytes_get32u r.mem (checked_off r 4 addr)))
+      0xffffffffL
   end
 
 let[@inline always] load64_m vm stk lim execd addr =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_get64 stk (Int64.to_int d)
+  if ucmp d lim < 0 then bytes_get64 stk (Int64.to_int d)
   else begin
     vm.executed <- execd;
-    load64_fast vm addr
+    let r = region_at vm addr 8 in
+    bytes_get64 r.mem (checked_off r 8 addr)
   end
 
 (* The stack is always [Rw], so the stores' fast path skips the
@@ -605,34 +569,40 @@ let[@inline always] store8_m vm stk lim execd addr v =
       (Char.unsafe_chr (Int64.to_int v land 0xff))
   else begin
     vm.executed <- execd;
-    store8_fast vm addr v
+    let r = region_at vm addr 1 in
+    let off = writable_off vm r 1 addr in
+    Bytes.unsafe_set r.mem off (Char.unsafe_chr (Int64.to_int v land 0xff))
   end
 
 let[@inline always] store16_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
+  if ucmp d lim < 0 then
     bytes_set16u stk (stack_write vm d) (Int64.to_int v land 0xffff)
   else begin
     vm.executed <- execd;
-    store16_fast vm addr v
+    let r = region_at vm addr 2 in
+    let off = writable_off vm r 2 addr in
+    bytes_set16u r.mem off (Int64.to_int v land 0xffff)
   end
 
 let[@inline always] store32_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_set32u stk (stack_write vm d) (Int64.to_int32 v)
+  if ucmp d lim < 0 then bytes_set32u stk (stack_write vm d) (Int64.to_int32 v)
   else begin
     vm.executed <- execd;
-    store32_fast vm addr v
+    let r = region_at vm addr 4 in
+    let off = writable_off vm r 4 addr in
+    bytes_set32u r.mem off (Int64.to_int32 v)
   end
 
 let[@inline always] store64_m vm stk lim execd addr v =
   let d = Int64.sub addr region_alignment in
-  if (not Sys.big_endian) && ucmp d lim < 0 then
-    bytes_set64 stk (stack_write vm d) v
+  if ucmp d lim < 0 then bytes_set64 stk (stack_write vm d) v
   else begin
     vm.executed <- execd;
-    store64_fast vm addr v
+    let r = region_at vm addr 8 in
+    let off = writable_off vm r 8 addr in
+    bytes_set64 r.mem off v
   end
 
 (* ------------------------------------------------------------------ *)
@@ -641,9 +611,14 @@ let[@inline always] store64_m vm stk lim execd addr v =
 
 (* The program's basic blocks are translated, once, into a graph of OCaml
    closures of type [jit_env -> int64]: each instruction becomes one
-   closure specialised to its constructor and operand kinds, holding its
-   operands in its environment, and control threads by tail-calling the
-   next closure directly — no fetch, no decode, no dispatch table.
+   closure holding its operands in its environment, and control threads
+   by tail-calling the next closure directly — no fetch, no decode, no
+   dispatch table. Closures are specialised only where that pays
+   in-engine: each 64-bit ALU operator and operand kind, each memory
+   width, and a stack access at a constant in-frame offset get their own
+   closure, while 32-bit ALU and conditional jumps get one closure per
+   operand kind that dispatches on the operator or condition it holds
+   ([alu32_seti], [cond_holds]).
    Instructions write the register file as they run, and a block ends by
    entering its successor's gated cell. All mutable run state lives in
    [jit_env] so the compiled closures are independent of any particular
@@ -748,14 +723,14 @@ let jit ?(stack_size = 512) prog =
     let n = Array.length prog in
     let targets = Insn.jump_targets prog in
     let ss = stack_size in
-    let fpv = Int64.add region_alignment (Int64.of_int ss) in
-    (* If no instruction anywhere writes r10, fp is the compile-time
-       constant [fpv] for the whole run, so fp-relative accesses with
-       statically in-bounds offsets compile to direct stack bytes ops —
-       the bounds check is hoisted all the way to compile time. The
-       verifier rejects fp writes, so every admitted pluglet qualifies;
-       the conservative whole-program scan keeps unverified programs
-       (which [run] accepts) correct. *)
+    (* If no instruction anywhere writes r10, fp is the constant stack top
+       for the whole run, so an fp-relative access at a constant offset
+       inside the frame compiles to a direct stack bytes op — the bounds
+       check is hoisted all the way to compile time. The verifier rejects
+       fp writes and out-of-frame stack accesses, so every access an
+       admitted pluglet makes through fp qualifies; the conservative
+       whole-program scan keeps unverified programs (which [run] accepts)
+       correct, and any other access takes the monitored closure. *)
     let fp_written =
       Array.exists
         (function
@@ -766,12 +741,16 @@ let jit ?(stack_size = 512) prog =
           | _ -> false)
         prog
     in
+    let stack_direct r off len =
+      let soff = ss + off in
+      r = Insn.fp && (not fp_written) && soff >= 0 && soff + len <= ss
+    in
     (* The lowest stack offset a stack-direct store writes: [run_jit]
        lowers the VM's stack mark to it. *)
     let jlow = ref ss in
-    let direct_store soff len =
-      let ok = soff >= 0 && soff + len <= ss in
-      if ok && soff < !jlow then jlow := soff;
+    let direct_store r off len =
+      let ok = stack_direct r off len in
+      if ok && ss + off < !jlow then jlow := ss + off;
       ok
     in
     let lim1 = Int64.of_int ss
@@ -981,20 +960,12 @@ let jit ?(stack_size = 512) prog =
           rset env.jregb d v;
           next env
       | Insn.Ldx (Insn.W8, d, s, off) ->
-        if s = 10 && not fp_written then begin
+        if stack_direct s off 1 then
           let soff = ss + off in
-          if soff >= 0 && soff + 1 <= ss then
-            fun env ->
-              rset env.jregb d
-                (Int64.of_int (Char.code (Bytes.unsafe_get env.jstk soff)));
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              rset env.jregb d
-                (load8_m env.jvm env.jstk lim1 (env.jk - env.jfuel - ci) addr);
-              next env
-        end
+          fun env ->
+            rset env.jregb d
+              (Int64.of_int (Char.code (Bytes.unsafe_get env.jstk soff)));
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1005,19 +976,11 @@ let jit ?(stack_size = 512) prog =
                  (Int64.add (rget rb s) off));
             next env
       | Insn.Ldx (Insn.W16, d, s, off) ->
-        if s = 10 && not fp_written then begin
+        if stack_direct s off 2 then
           let soff = ss + off in
-          if soff >= 0 && soff + 2 <= ss then
-            fun env ->
-              rset env.jregb d (Int64.of_int (bytes_get16u env.jstk soff));
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              rset env.jregb d
-                (load16_m env.jvm env.jstk lim2 (env.jk - env.jfuel - ci) addr);
-              next env
-        end
+          fun env ->
+            rset env.jregb d (Int64.of_int (bytes_get16u env.jstk soff));
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1028,22 +991,14 @@ let jit ?(stack_size = 512) prog =
                  (Int64.add (rget rb s) off));
             next env
       | Insn.Ldx (Insn.W32, d, s, off) ->
-        if s = 10 && not fp_written then begin
+        if stack_direct s off 4 then
           let soff = ss + off in
-          if soff >= 0 && soff + 4 <= ss then
-            fun env ->
-              rset env.jregb d
-                (Int64.logand
-                   (Int64.of_int32 (bytes_get32u env.jstk soff))
-                   0xffffffffL);
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              rset env.jregb d
-                (load32_m env.jvm env.jstk lim4 (env.jk - env.jfuel - ci) addr);
-              next env
-        end
+          fun env ->
+            rset env.jregb d
+              (Int64.logand
+                 (Int64.of_int32 (bytes_get32u env.jstk soff))
+                 0xffffffffL);
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1054,19 +1009,11 @@ let jit ?(stack_size = 512) prog =
                  (Int64.add (rget rb s) off));
             next env
       | Insn.Ldx (Insn.W64, d, s, off) ->
-        if s = 10 && not fp_written then begin
+        if stack_direct s off 8 then
           let soff = ss + off in
-          if soff >= 0 && soff + 8 <= ss then
-            fun env ->
-              rset env.jregb d (bytes_get64 env.jstk soff);
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              rset env.jregb d
-                (load64_m env.jvm env.jstk lim8 (env.jk - env.jfuel - ci) addr);
-              next env
-        end
+          fun env ->
+            rset env.jregb d (bytes_get64 env.jstk soff);
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1077,21 +1024,12 @@ let jit ?(stack_size = 512) prog =
                  (Int64.add (rget rb s) off));
             next env
       | Insn.Stx (Insn.W8, d, off, s) ->
-        if d = 10 && not fp_written then begin
+        if direct_store d off 1 then
           let soff = ss + off in
-          if direct_store soff 1 then
-            fun env ->
-              Bytes.unsafe_set env.jstk soff
-                (Char.unsafe_chr (Int64.to_int (rget env.jregb s) land 0xff));
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store8_m env.jvm env.jstk lim1
-                (env.jk - env.jfuel - ci)
-                addr (rget env.jregb s);
-              next env
-        end
+          fun env ->
+            Bytes.unsafe_set env.jstk soff
+              (Char.unsafe_chr (Int64.to_int (rget env.jregb s) land 0xff));
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1102,21 +1040,12 @@ let jit ?(stack_size = 512) prog =
               (rget rb s);
             next env
       | Insn.Stx (Insn.W16, d, off, s) ->
-        if d = 10 && not fp_written then begin
+        if direct_store d off 2 then
           let soff = ss + off in
-          if direct_store soff 2 then
-            fun env ->
-              bytes_set16u env.jstk soff
-                (Int64.to_int (rget env.jregb s) land 0xffff);
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store16_m env.jvm env.jstk lim2
-                (env.jk - env.jfuel - ci)
-                addr (rget env.jregb s);
-              next env
-        end
+          fun env ->
+            bytes_set16u env.jstk soff
+              (Int64.to_int (rget env.jregb s) land 0xffff);
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1127,20 +1056,11 @@ let jit ?(stack_size = 512) prog =
               (rget rb s);
             next env
       | Insn.Stx (Insn.W32, d, off, s) ->
-        if d = 10 && not fp_written then begin
+        if direct_store d off 4 then
           let soff = ss + off in
-          if direct_store soff 4 then
-            fun env ->
-              bytes_set32u env.jstk soff (Int64.to_int32 (rget env.jregb s));
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store32_m env.jvm env.jstk lim4
-                (env.jk - env.jfuel - ci)
-                addr (rget env.jregb s);
-              next env
-        end
+          fun env ->
+            bytes_set32u env.jstk soff (Int64.to_int32 (rget env.jregb s));
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1151,20 +1071,11 @@ let jit ?(stack_size = 512) prog =
               (rget rb s);
             next env
       | Insn.Stx (Insn.W64, d, off, s) ->
-        if d = 10 && not fp_written then begin
+        if direct_store d off 8 then
           let soff = ss + off in
-          if direct_store soff 8 then
-            fun env ->
-              bytes_set64 env.jstk soff (rget env.jregb s);
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store64_m env.jvm env.jstk lim8
-                (env.jk - env.jfuel - ci)
-                addr (rget env.jregb s);
-              next env
-        end
+          fun env ->
+            bytes_set64 env.jstk soff (rget env.jregb s);
+            next env
         else
           let off = Int64.of_int off in
           fun env ->
@@ -1175,24 +1086,14 @@ let jit ?(stack_size = 512) prog =
               (rget rb s);
             next env
       | Insn.St (Insn.W8, d, off, imm) ->
-        let v = Int64.of_int32 imm in
-        if d = 10 && not fp_written then begin
+        if direct_store d off 1 then
           let soff = ss + off in
-          if direct_store soff 1 then
-            let c = Char.unsafe_chr (Int32.to_int imm land 0xff) in
-            fun env ->
-              Bytes.unsafe_set env.jstk soff c;
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store8_m env.jvm env.jstk lim1
-                (env.jk - env.jfuel - ci)
-                addr v;
-              next env
-        end
+          let c = Char.unsafe_chr (Int32.to_int imm land 0xff) in
+          fun env ->
+            Bytes.unsafe_set env.jstk soff c;
+            next env
         else
-          let off = Int64.of_int off in
+          let off = Int64.of_int off and v = Int64.of_int32 imm in
           fun env ->
             let rb = env.jregb in
             store8_m env.jvm env.jstk lim1
@@ -1201,24 +1102,14 @@ let jit ?(stack_size = 512) prog =
               v;
             next env
       | Insn.St (Insn.W16, d, off, imm) ->
-        let v = Int64.of_int32 imm in
-        if d = 10 && not fp_written then begin
+        if direct_store d off 2 then
           let soff = ss + off in
-          if direct_store soff 2 then
-            let iv = Int32.to_int imm land 0xffff in
-            fun env ->
-              bytes_set16u env.jstk soff iv;
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store16_m env.jvm env.jstk lim2
-                (env.jk - env.jfuel - ci)
-                addr v;
-              next env
-        end
+          let iv = Int32.to_int imm land 0xffff in
+          fun env ->
+            bytes_set16u env.jstk soff iv;
+            next env
         else
-          let off = Int64.of_int off in
+          let off = Int64.of_int off and v = Int64.of_int32 imm in
           fun env ->
             let rb = env.jregb in
             store16_m env.jvm env.jstk lim2
@@ -1227,23 +1118,13 @@ let jit ?(stack_size = 512) prog =
               v;
             next env
       | Insn.St (Insn.W32, d, off, imm) ->
-        let v = Int64.of_int32 imm in
-        if d = 10 && not fp_written then begin
+        if direct_store d off 4 then
           let soff = ss + off in
-          if direct_store soff 4 then
-            fun env ->
-              bytes_set32u env.jstk soff imm;
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store32_m env.jvm env.jstk lim4
-                (env.jk - env.jfuel - ci)
-                addr v;
-              next env
-        end
+          fun env ->
+            bytes_set32u env.jstk soff imm;
+            next env
         else
-          let off = Int64.of_int off in
+          let off = Int64.of_int off and v = Int64.of_int32 imm in
           fun env ->
             let rb = env.jregb in
             store32_m env.jvm env.jstk lim4
@@ -1252,23 +1133,13 @@ let jit ?(stack_size = 512) prog =
               v;
             next env
       | Insn.St (Insn.W64, d, off, imm) ->
-        let v = Int64.of_int32 imm in
-        if d = 10 && not fp_written then begin
-          let soff = ss + off in
-          if direct_store soff 8 then
-            fun env ->
-              bytes_set64 env.jstk soff v;
-              next env
-          else
-            let addr = Int64.add fpv (Int64.of_int off) in
-            fun env ->
-              store64_m env.jvm env.jstk lim8
-                (env.jk - env.jfuel - ci)
-                addr v;
-              next env
-        end
+        if direct_store d off 8 then
+          let soff = ss + off and v = Int64.of_int32 imm in
+          fun env ->
+            bytes_set64 env.jstk soff v;
+            next env
         else
-          let off = Int64.of_int off in
+          let off = Int64.of_int off and v = Int64.of_int32 imm in
           fun env ->
             let rb = env.jregb in
             store64_m env.jvm env.jstk lim8
@@ -1315,141 +1186,18 @@ let jit ?(stack_size = 512) prog =
         else
           let tb = blk_id.(t) in
           match operand with
-          | Insn.Reg s -> (
-            match c with
-            | Insn.Jeq ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.equal (rget rb d) (rget rb s) then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jne ->
-              fun env ->
-                let rb = env.jregb in
-                if not (Int64.equal (rget rb d) (rget rb s)) then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jgt ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) (rget rb s) > 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jge ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) (rget rb s) >= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jlt ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) (rget rb s) < 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jle ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) (rget rb s) <= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsgt ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) (rget rb s) > 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsge ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) (rget rb s) >= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jslt ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) (rget rb s) < 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsle ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) (rget rb s) <= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jset ->
-              fun env ->
-                let rb = env.jregb in
-                if not (Int64.equal (Int64.logand (rget rb d) (rget rb s)) 0L)
-                then (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env)
-          | Insn.Imm v -> (
+          | Insn.Reg s ->
+            fun env ->
+              let rb = env.jregb in
+              if cond_holds c (rget rb d) (rget rb s) then
+                (Array.unsafe_get cells tb) env
+              else (Array.unsafe_get cells fb) env
+          | Insn.Imm v ->
             let ib = Int64.of_int32 v in
-            match c with
-            | Insn.Jeq ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.equal (rget rb d) ib then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jne ->
-              fun env ->
-                let rb = env.jregb in
-                if not (Int64.equal (rget rb d) ib) then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jgt ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) ib > 0 then (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jge ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) ib >= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jlt ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) ib < 0 then (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jle ->
-              fun env ->
-                let rb = env.jregb in
-                if ucmp (rget rb d) ib <= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsgt ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) ib > 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsge ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) ib >= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jslt ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) ib < 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jsle ->
-              fun env ->
-                let rb = env.jregb in
-                if Int64.compare (rget rb d) ib <= 0 then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env
-            | Insn.Jset ->
-              fun env ->
-                let rb = env.jregb in
-                if not (Int64.equal (Int64.logand (rget rb d) ib) 0L) then
-                  (Array.unsafe_get cells tb) env
-                else (Array.unsafe_get cells fb) env))
+            fun env ->
+              if cond_holds c (rget env.jregb d) ib then
+                (Array.unsafe_get cells tb) env
+              else (Array.unsafe_get cells fb) env)
     in
     let compile_block start stop =
       let blen = stop - start in
