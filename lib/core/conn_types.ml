@@ -278,7 +278,6 @@ type t = {
   mutable state : state;
   local_cid : int64;
   mutable remote_cid : int64;
-  initial_key : int64;
   mutable key : int64;
   mutable paths : path array;
   (* CID set (RFC 9000 §5.1): CIDs we issued for the peer to address us
@@ -293,11 +292,6 @@ type t = {
   mutable challenge_ctr : int64;
   mutable last_reprobe_at : Sim.time;
   mutable last_rotate_at : Sim.time;
-  mutable gen_cid : unit -> int64;
-      (* CID source; the endpoint overrides it with its own RNG so issued
-         CIDs are registered in (and collision-free across) its demux *)
-  mutable on_cid_issued : int64 -> unit;
-  mutable on_cid_retired : int64 -> unit;
   (* recovery *)
   mutable next_pn : int64;
   sent : sent_packet Pn_table.t;
@@ -393,12 +387,9 @@ type t = {
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
   (* name -> reassembly and the bytes read from it so far *)
   plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
-  mutable provide_plugin : string -> formula:string -> (string * string) option;
-  mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
-  mutable on_plugin_received : Pluginop.Plugin.t -> unit;
-  mutable acquire_instance : string -> instance option;
-      (* endpoint-provided: a cached instance (Section 2.5) or a freshly
-         built one for a locally available plugin; None if unavailable *)
+  owner : owner;
+  mutable acquired : instance list;
+      (* what [owner.acquire_instance] handed us: returned on close *)
   (* app interface *)
   mutable on_stream_data : int -> string -> fin:bool -> unit;
   mutable on_message : string -> unit;
@@ -413,6 +404,18 @@ type t = {
          [wake_pending] and runs [Sender.send_pending] *)
   mutable negotiated : bool;
   mutable close_reason : string;
+}
+
+(* How a connection reaches its endpoint: one immutable record of
+   functions of the connection, shared by every connection of it. *)
+and owner = {
+  issue_cid : t -> int64;  (* the next spare's CID, routed to the connection *)
+  retire_cid : t -> int64 -> unit;
+  provide_plugin : t -> string -> formula:string -> (string * string) option;
+  verify_plugin : t -> name:string -> bytes:string -> proof:string -> bool;
+  plugin_received : t -> Pluginop.Plugin.t -> unit;
+  acquire_instance : t -> string -> instance option;
+  closed : t -> unit;
 }
 
 (* The historical engine-local names, instantiated at this connection. *)

@@ -203,7 +203,6 @@ type t = {
   mutable state : state;
   local_cid : int64;
   mutable remote_cid : int64;
-  initial_key : int64;
   mutable key : int64;
   mutable paths : path array;
   (* CID set (RFC 9000 §5.1) and §9 path-validation state *)
@@ -215,9 +214,6 @@ type t = {
   mutable challenge_ctr : int64;
   mutable last_reprobe_at : Netsim.Sim.time;
   mutable last_rotate_at : Netsim.Sim.time;
-  mutable gen_cid : unit -> int64;
-  mutable on_cid_issued : int64 -> unit;
-  mutable on_cid_retired : int64 -> unit;
   (* recovery *)
   mutable next_pn : int64;
   sent : sent_packet Pn_table.t;
@@ -306,10 +302,10 @@ type t = {
   plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
       (** incoming plugin transfers: name -> reassembly buffer and the
           bytes already read from it; dropped with the connection *)
-  mutable provide_plugin : string -> formula:string -> (string * string) option;
-  mutable verify_plugin : name:string -> bytes:string -> proof:string -> bool;
-  mutable on_plugin_received : Pluginop.Plugin.t -> unit;
-  mutable acquire_instance : string -> instance option;
+  owner : owner;
+  mutable acquired : instance list;
+      (** what the endpoint's [owner.acquire_instance] handed this
+          connection, attached or not; returned by [owner.closed] *)
   (* app interface *)
   mutable on_stream_data : int -> string -> fin:bool -> unit;
   mutable on_message : string -> unit;
@@ -324,6 +320,22 @@ type t = {
           [wake_pending] and runs [Sender.send_pending] *)
   mutable negotiated : bool;
   mutable close_reason : string;
+}
+
+(** How a connection reaches its endpoint: one immutable record of
+    functions of the connection, shared by every connection of the
+    endpoint ({!Endpoint.t}) or [Connection.standalone]. *)
+and owner = {
+  issue_cid : t -> int64;
+      (** a CID for the next spare (seq [cid_seq]), routed to the connection *)
+  retire_cid : t -> int64 -> unit;
+  provide_plugin : t -> string -> formula:string -> (string * string) option;
+      (** (compressed bytecode, proof) of a plugin the peer asked for *)
+  verify_plugin : t -> name:string -> bytes:string -> proof:string -> bool;
+  plugin_received : t -> Pluginop.Plugin.t -> unit;
+  acquire_instance : t -> string -> instance option;
+      (** a cached (Section 2.5) or freshly built instance, if available *)
+  closed : t -> unit;  (** entered [Closed]; never called on [Failed] *)
 }
 
 (** The historical engine-local names, instantiated at this connection. *)

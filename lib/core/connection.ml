@@ -75,18 +75,25 @@ let arm_idle_alarm c =
     end
   end
 
+(* The one way into [Closed], taken by an open connection on the idle
+   alarm, a peer's CONNECTION_CLOSE or the end of [close]'s closing
+   period; the owner gets the instances back before the app hears. *)
+let enter_closed c =
+  c.state <- Closed;
+  TW.cancel c.wheel c.loss_alarm;
+  TW.cancel c.wheel c.ack_alarm;
+  ignore (run_op c Protoop.connection_closed [||]);
+  c.owner.closed c;
+  c.on_closed ()
+
 (* Fire callback, bound once at creation (the period the old per-arm
    closure captured lives in [c.idle_period]). *)
 let on_idle_alarm c =
   if is_open c then
     if Int64.sub (Sim.now c.sim) c.last_activity >= c.idle_period then begin
       ignore (run_op c Protoop.idle_timeout_event [||]);
-      c.state <- Closed;
       c.close_reason <- "idle timeout";
-      TW.cancel c.wheel c.loss_alarm;
-      TW.cancel c.wheel c.ack_alarm;
-      ignore (run_op c Protoop.connection_closed [||]);
-      c.on_closed ()
+      enter_closed c
     end
     else arm_idle_alarm c
 
@@ -130,16 +137,14 @@ let on_stall_alarm c =
 (* CID issuance (RFC 9000 §5.1.1)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Mint a spare CID for the peer: register it locally (and with the
-   endpoint demux via [on_cid_issued]) and queue the NEW_CONNECTION_ID
-   announcement. *)
+(* Mint a spare CID for the peer (the owner routes it to us) and queue
+   the NEW_CONNECTION_ID announcement. *)
 let issue_new_cid c =
   let seq = c.cid_seq in
-  c.cid_seq <- Int64.add c.cid_seq 1L;
-  let cid = c.gen_cid () in
+  let cid = c.owner.issue_cid c in
+  c.cid_seq <- Int64.add seq 1L;
   c.local_cids <- (seq, cid) :: c.local_cids;
   c.stats.cids_issued <- c.stats.cids_issued + 1;
-  c.on_cid_issued cid;
   Queue.push (F.New_connection_id { seq; cid }) c.ctrl;
   ignore (run_op c Protoop.new_connection_id [| I seq; I cid |])
 
@@ -269,13 +274,9 @@ let process_core_frame c frame =
     ()
   | F.Max_data v -> if v > c.max_data_remote then c.max_data_remote <- v
   | F.Connection_close { reason; _ } ->
-    if c.state <> Closed then begin
-      c.state <- Closed;
+    if is_open c then begin
       c.close_reason <- reason;
-      TW.cancel c.wheel c.loss_alarm;
-      TW.cancel c.wheel c.ack_alarm;
-      ignore (run_op c Protoop.connection_closed [||]);
-      c.on_closed ()
+      enter_closed c
     end
   | F.Handshake_done -> if c.role = Client then establish c
   | F.Path_challenge v -> Queue.push (F.Path_response v) c.ctrl
@@ -300,7 +301,7 @@ let process_core_frame c frame =
     | Some (_, cid) ->
       c.local_cids <- List.filter (fun (s, _) -> s <> seq) c.local_cids;
       c.stats.cids_retired <- c.stats.cids_retired + 1;
-      c.on_cid_retired cid;
+      c.owner.retire_cid c cid;
       if c.cfg.cid_pool > 0 && is_open c then issue_new_cid c)
   | F.Plugin_validate { plugin; formula } ->
     Plugin_host.handle_plugin_validate c ~name:plugin ~formula
@@ -566,7 +567,7 @@ let receive_datagram_inner c (dg : Net.datagram) =
         | Some descr -> Net.corrupt_string descr clean_wire
       in
       let long = String.length wire > 0 && Char.code wire.[0] land 0x80 <> 0 in
-      let key = if long then c.initial_key else c.key in
+      let key = if long then initial_key else c.key in
       match Quic.Packet.unprotect_view ~key wire with
       | exception (Quic.Packet.Authentication_failed | Quic.Packet.Malformed) ->
         (* bit damage surfaces here as an auth/structure failure: discard
@@ -682,8 +683,28 @@ let receive_datagram c (dg : Net.datagram) =
    recover_packet helper replays through [process_recovered]. *)
 let host = Host_api.host ~process_recovered
 
-let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
-    ~local_params () =
+(* The owner of a connection built without an endpoint: its k-th spare
+   CID is k steps of an LCG from the handshake CID, and it neither
+   serves, accepts nor caches plugins. *)
+let standalone =
+  let rec lcg k cid =
+    if k = 0L then cid
+    else
+      lcg (Int64.pred k)
+        (Int64.add (Int64.mul cid 6364136223846793005L) 1442695040888963407L)
+  in
+  {
+    issue_cid = (fun c -> lcg c.cid_seq c.local_cid);
+    retire_cid = (fun _ _ -> ());
+    provide_plugin = (fun _ _ ~formula:_ -> None);
+    verify_plugin = (fun _ ~name:_ ~bytes:_ ~proof:_ -> false);
+    plugin_received = (fun _ _ -> ());
+    acquire_instance = (fun _ _ -> None);
+    closed = ignore;
+  }
+
+let create ~sim ~net ~cfg ~owner ~role ~local_addr ~remote_addr ~local_cid
+    ~remote_cid ~local_params () =
   let path0 =
     {
       path_id = 0;
@@ -706,7 +727,6 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       state = Handshaking;
       local_cid;
       remote_cid;
-      initial_key;
       key = 0L;
       paths = [| path0 |];
       local_cids = [ (0L, local_cid) ];
@@ -717,19 +737,6 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       challenge_ctr = 0L;
       last_reprobe_at = 0L;
       last_rotate_at = 0L;
-      gen_cid =
-        (* standalone fallback: a LCG walk from the handshake CID; the
-           endpoint overrides this with its own RNG so issued CIDs land
-           in its demux table *)
-        (let ctr = ref local_cid in
-         fun () ->
-           ctr :=
-             Int64.add
-               (Int64.mul !ctr 6364136223846793005L)
-               1442695040888963407L;
-           !ctr);
-      on_cid_issued = ignore;
-      on_cid_retired = ignore;
       next_pn = 0L;
       sent = Pn_table.create (if cfg.lean then 8 else 512);
       inflight = [||];
@@ -784,10 +791,8 @@ let create ~sim ~net ~cfg ~role ~local_addr ~remote_addr ~local_cid ~remote_cid
       recover_depth = 0;
       plugin_out = Hashtbl.create 4;
       plugin_in = Hashtbl.create 4;
-      provide_plugin = (fun _ ~formula:_ -> None);
-      verify_plugin = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
-      on_plugin_received = ignore;
-      acquire_instance = (fun _ -> None);
+      owner;
+      acquired = [];
       on_stream_data = (fun _ _ ~fin:_ -> ());
       on_message = ignore;
       on_established = ignore;
@@ -833,13 +838,7 @@ let close c ~reason =
     let pto = Quic.Rtt.pto (default_path c).rtt in
     ignore
       (Sim.schedule c.sim ~delay:(Int64.mul 3L pto) (fun () ->
-           if c.state <> Closed then begin
-             c.state <- Closed;
-             TW.cancel c.wheel c.loss_alarm;
-             TW.cancel c.wheel c.ack_alarm;
-             ignore (run_op c Protoop.connection_closed [||]);
-             c.on_closed ()
-           end))
+           if is_open c then enter_closed c))
   end
 
 let start_client c =

@@ -11,10 +11,15 @@ include module type of struct include Conn_types end
 
 (** {2 Construction and lifecycle} *)
 
+val standalone : owner
+(** The owner of a connection without an endpoint: its k-th spare CID is
+    k LCG steps from the handshake CID; it handles no plugins. *)
+
 val create :
   sim:Netsim.Sim.t ->
   net:Netsim.Net.t ->
   cfg:config ->
+  owner:owner ->
   role:role ->
   local_addr:Netsim.Net.addr ->
   remote_addr:Netsim.Net.addr ->

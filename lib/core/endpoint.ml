@@ -9,7 +9,12 @@
    answers to — the handshake CID and every spare issued for rotation —
    maps to it, and retirement removes exactly that key. The lookup runs
    directly against the CID bytes inside the wire image, so routing a
-   datagram allocates nothing. *)
+   datagram allocates nothing.
+
+   Every connection reaches the endpoint through one [owner] record built
+   in [create]: spare CIDs come from its RNG and are routed in its table,
+   and the node's instances are recorded on the connection ([acquired])
+   and given back to the node when it closes. *)
 
 module Sim = Netsim.Sim
 module Net = Netsim.Net
@@ -37,38 +42,19 @@ type t = {
   tweak_params : TP.t -> TP.t;
       (* final say on our transport parameters (e.g. a chaos harness
          shrinking idle_timeout); applied by [base_params] *)
+  owner : Connection.owner;
 }
-
-let create ?(cfg = Connection.default_config) ?(extra_addrs = []) ?node
-    ?(tweak_params = fun p -> p) ~sim ~net ~addr ~seed () =
-  let node = match node with Some n -> n | None -> Node.create () in
-  {
-    sim;
-    net;
-    cfg;
-    addr;
-    extra_addrs;
-    tweak_params;
-    conns = Table.create ();
-    node;
-    rng = Netsim.Rng.create seed;
-    prover = (fun ~name:_ ~formula:_ -> None);
-    verifier = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
-    on_connection = ignore;
-    plugins_to_inject = [];
-    accepted = 0;
-  }
 
 let fresh_cid t = Netsim.Rng.next_int64 t.rng
 
 (* Node-scope plugin machinery, delegated (see [Node]). *)
 let add_plugin t plugin = Node.add_plugin t.node plugin
 let has_plugin t name = Node.has_plugin t.node name
-let supported_plugins t = Node.supported_plugins t.node
 let acquire_instance t name = Node.acquire_instance t.node name
 let cache_hits t = t.node.Node.hits
 let cache_misses t = t.node.Node.misses
 
+(* Serve a plugin to a requesting peer: (compressed bytecode, proof). *)
 let provide_plugin t name ~formula =
   match Node.find_plugin t.node name with
   | None -> None
@@ -79,26 +65,59 @@ let provide_plugin t name ~formula =
       let compressed = Compress.Lzss.compress (Pluginop.Plugin.serialize plugin) in
       Some (compressed, proof))
 
-let setup_conn t c =
-  Table.add t.conns (Table.key_of_cid (Connection.local_cid c)) c;
-  (* CID agility: spare CIDs issued by the connection must reach the
-     demultiplexer, so packets addressed to a rotated CID still find it. *)
-  c.Connection.gen_cid <- (fun () -> fresh_cid t);
-  c.Connection.on_cid_issued <-
-    (fun cid -> Table.add t.conns (Table.key_of_cid cid) c);
-  c.Connection.on_cid_retired <-
-    (fun cid -> Table.remove t.conns (Table.key_of_cid cid));
-  c.Connection.provide_plugin <- provide_plugin t;
-  c.Connection.verify_plugin <- (fun ~name ~bytes ~proof -> t.verifier ~name ~bytes ~proof);
-  c.Connection.on_plugin_received <- (fun plugin -> add_plugin t plugin);
-  c.Connection.acquire_instance <-
-    (fun name -> Node.acquire_instance t.node ~bind:c name)
+let route t cid c = Table.add t.conns (Table.key_of_cid cid) c
+
+let create ?(cfg = Connection.default_config) ?(extra_addrs = []) ?node
+    ?(tweak_params = fun p -> p) ~sim ~net ~addr ~seed () =
+  let node = match node with Some n -> n | None -> Node.create () in
+  let conns = Table.create () and rng = Netsim.Rng.create seed in
+  let rec t =
+    {
+      sim;
+      net;
+      cfg;
+      addr;
+      extra_addrs;
+      tweak_params;
+      conns;
+      node;
+      rng;
+      prover = (fun ~name:_ ~formula:_ -> None);
+      verifier = (fun ~name:_ ~bytes:_ ~proof:_ -> false);
+      on_connection = ignore;
+      plugins_to_inject = [];
+      accepted = 0;
+      owner;
+    }
+  and owner =
+    {
+      Connection.issue_cid =
+        (fun c ->
+          let cid = fresh_cid t in
+          route t cid c;
+          cid);
+      retire_cid = (fun _ cid -> Table.remove conns (Table.key_of_cid cid));
+      provide_plugin = (fun _ name ~formula -> provide_plugin t name ~formula);
+      verify_plugin = (fun _ ~name ~bytes ~proof -> t.verifier ~name ~bytes ~proof);
+      plugin_received = (fun _ plugin -> add_plugin t plugin);
+      acquire_instance =
+        (fun c name ->
+          let got = Node.acquire_instance node name in
+          Option.iter (fun i -> c.Connection.acquired <- i :: c.acquired) got;
+          got);
+      closed =
+        (fun c ->
+          Node.release node c.Connection.acquired;
+          c.acquired <- []);
+    }
+  in
+  t
 
 let base_params t =
   t.tweak_params
     {
       TP.default with
-      TP.supported_plugins = supported_plugins t;
+      TP.supported_plugins = Node.supported_plugins t.node;
       TP.plugins_to_inject = t.plugins_to_inject;
       TP.active_paths = t.extra_addrs;
     }
@@ -124,7 +143,7 @@ let accept_initial t (dg : Net.datagram) wire =
     Log.debug (fun m ->
         m "dropping packet to unknown cid %Lx (not an initial)" dcid)
   else begin
-    match Quic.Packet.unprotect ~key:Connection.initial_key wire with
+    match Quic.Packet.unprotect_view ~key:Connection.initial_key wire with
     | exception (Quic.Packet.Authentication_failed | Quic.Packet.Malformed) ->
       Log.debug (fun m -> m "dropping unauthenticated initial packet")
     | _ -> (
@@ -132,14 +151,14 @@ let accept_initial t (dg : Net.datagram) wire =
       | None -> ()
       | Some scid ->
         let c =
-          Connection.create ~sim:t.sim ~net:t.net ~cfg:t.cfg
+          Connection.create ~sim:t.sim ~net:t.net ~cfg:t.cfg ~owner:t.owner
             ~role:Connection.Server ~local_addr:dg.Net.dst
             ~remote_addr:dg.Net.src ~local_cid:dcid ~remote_cid:scid
             ~local_params:(base_params t) ()
         in
         c.Connection.key <-
           Quic.Packet.derive_key ~client_cid:scid ~server_cid:dcid;
-        setup_conn t c;
+        route t dcid c;
         Connection.inject_local_plugins c;
         t.accepted <- t.accepted + 1;
         t.on_connection c;
@@ -181,13 +200,13 @@ let connect ?(plugins_to_inject = []) t ~remote_addr =
         (match plugins_to_inject with [] -> t.plugins_to_inject | l -> l) }
   in
   let c =
-    Connection.create ~sim:t.sim ~net:t.net ~cfg:t.cfg ~role:Connection.Client
-      ~local_addr:t.addr ~remote_addr ~local_cid ~remote_cid
-      ~local_params:params ()
+    Connection.create ~sim:t.sim ~net:t.net ~cfg:t.cfg ~owner:t.owner
+      ~role:Connection.Client ~local_addr:t.addr ~remote_addr ~local_cid
+      ~remote_cid ~local_params:params ()
   in
   c.Connection.key <-
     Quic.Packet.derive_key ~client_cid:local_cid ~server_cid:remote_cid;
-  setup_conn t c;
+  route t local_cid c;
   Connection.inject_local_plugins c;
   Connection.start_client c;
   c

@@ -25,6 +25,12 @@ type t = {
   tweak_params : Quic.Transport_params.t -> Quic.Transport_params.t;
       (** final say on our transport parameters (e.g. a chaos harness
           shrinking idle_timeout); applied when connections are built *)
+  owner : Connection.owner;
+      (** built once and shared by every connection of the endpoint:
+          spare CIDs from [rng], routed in [conns]; plugins served with
+          [prover], checked with [verifier] and cached in [node]; the
+          instances a connection acquired go back to [node] when it
+          closes *)
 }
 
 val create :
@@ -43,24 +49,16 @@ val add_plugin : t -> Pluginop.Plugin.t -> unit
 (** Make a plugin available in the node's local plugin cache. *)
 
 val has_plugin : t -> string -> bool
-val supported_plugins : t -> string list
 
 val acquire_instance : t -> string -> Connection.instance option
 (** Fetch an injectable instance: cached PREs when available (the
-    Section 2.5 fast path), otherwise a fresh build. *)
+    Section 2.5 fast path), otherwise a fresh build. Nothing returns it
+    to the node; connections acquire through [owner], which does. *)
 
 val cache_hits : t -> int
 (** Instance-cache hits of the endpoint's node (see {!Node.counters}). *)
 
 val cache_misses : t -> int
-
-val provide_plugin : t -> string -> formula:string -> (string * string) option
-(** Serve a plugin to a requesting peer: (compressed bytecode, proof). *)
-
-val setup_conn : t -> Connection.t -> unit
-(** Register a connection in the demux table and wire its endpoint hooks
-    (CID issue/retire, plugin provisioning). Exposed for the server
-    engine; [connect] and the accept path call it themselves. *)
 
 val accept_initial : t -> Netsim.Net.datagram -> string -> unit
 (** Accept path: authenticate an Initial whose wire image (at least 9

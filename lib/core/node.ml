@@ -18,7 +18,6 @@ type available = {
 type t = {
   available : (string, available) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
-  mutable outstanding : (Connection.t * Connection.instance) list;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -31,7 +30,6 @@ let create () =
   {
     available = Hashtbl.create 8;
     instances = Hashtbl.create 8;
-    outstanding = [];
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -58,64 +56,44 @@ let supported_plugins t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.available []
   |> List.sort String.compare
 
-(* Reclaim instances whose connection finished; killed (failed)
-   connections do not recycle, so a misbehaving plugin's PREs are
-   discarded. Queues are capacity-bounded: a churny node caches at most
-   [instance_capacity] wiped instances per plugin. *)
-let recycle t =
-  let keep, recyclable =
-    List.partition
-      (fun (c, _) ->
-        match Connection.state c with
-        | Connection.Closed -> false
-        | Connection.Failed _ -> false
-        | _ -> true)
-      t.outstanding
-  in
-  t.outstanding <- keep;
+(* Take back the instances of a closed connection (failed connections
+   return none, so a misbehaving plugin's PREs are discarded). Queues are
+   capacity-bounded: a churny node caches at most [instance_capacity]
+   wiped instances per plugin. *)
+let release t insts =
   List.iter
-    (fun (c, inst) ->
-      match Connection.state c with
-      | Connection.Failed _ -> ()
-      | _ ->
-        let name = inst.Connection.plugin.Pluginop.Plugin.name in
-        let q =
-          match Hashtbl.find_opt t.instances name with
-          | Some q -> q
-          | None ->
-            let q = Queue.create () in
-            Hashtbl.replace t.instances name q;
-            q
-        in
-        if Queue.length q >= instance_capacity then
-          t.evictions <- t.evictions + 1
-        else Queue.push inst q)
-    recyclable
+    (fun (inst : Connection.instance) ->
+      let name = inst.plugin.Pluginop.Plugin.name in
+      let q =
+        match Hashtbl.find_opt t.instances name with
+        | Some q -> q
+        | None ->
+          let q = Queue.create () in
+          Hashtbl.replace t.instances name q;
+          q
+      in
+      if Queue.length q >= instance_capacity then
+        t.evictions <- t.evictions + 1
+      else Queue.push inst q)
+    insts
 
-let acquire_instance t ?bind name =
-  recycle t;
-  let got =
-    match Hashtbl.find_opt t.instances name with
-    | Some q when not (Queue.is_empty q) ->
-      t.hits <- t.hits + 1;
-      Some (Queue.pop q)
-    | _ -> (
-      match Hashtbl.find_opt t.available name with
-      | None -> None
-      | Some a -> (
-        t.misses <- t.misses + 1;
-        try Some (Connection.build_instance (template a)) with
-        | Pluginop.Pre.Rejected msg ->
-          Log.warn (fun m -> m "plugin %s rejected: %s" name msg);
-          None
-        | Plc.Compile.Error msg ->
-          Log.warn (fun m -> m "plugin %s failed to compile: %s" name msg);
-          None))
-  in
-  (match (got, bind) with
-  | Some inst, Some c -> t.outstanding <- (c, inst) :: t.outstanding
-  | _ -> ());
-  got
+let acquire_instance t name =
+  match Hashtbl.find_opt t.instances name with
+  | Some q when not (Queue.is_empty q) ->
+    t.hits <- t.hits + 1;
+    Some (Queue.pop q)
+  | _ -> (
+    match Hashtbl.find_opt t.available name with
+    | None -> None
+    | Some a -> (
+      t.misses <- t.misses + 1;
+      try Some (Connection.build_instance (template a)) with
+      | Pluginop.Pre.Rejected msg ->
+        Log.warn (fun m -> m "plugin %s rejected: %s" name msg);
+        None
+      | Plc.Compile.Error msg ->
+        Log.warn (fun m -> m "plugin %s failed to compile: %s" name msg);
+        None))
 
 type counters = { hits : int; misses : int; evictions : int; cached : int }
 

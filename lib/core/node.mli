@@ -24,8 +24,6 @@ type t = {
   available : (string, available) Hashtbl.t;
   instances : (string, Connection.instance Queue.t) Hashtbl.t;
       (** recycled instances by plugin name, ready for re-attachment *)
-  mutable outstanding : (Connection.t * Connection.instance) list;
-      (** instances bound to live connections, reclaimed by {!recycle} *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -39,19 +37,19 @@ val has_plugin : t -> string -> bool
 val find_plugin : t -> string -> Pluginop.Plugin.t option
 val supported_plugins : t -> string list
 
-val recycle : t -> unit
-(** Reclaim instances whose connection closed; failed connections do not
-    recycle (a misbehaving plugin's PREs are discarded). *)
-
-val acquire_instance :
-  t -> ?bind:Connection.t -> string -> Connection.instance option
+val acquire_instance : t -> string -> Connection.instance option
 (** Fetch an injectable instance: a cached one when available (no
     verification, no compilation — the Section 2.5 fast path), otherwise
     a fresh build from the plugin's template, which the first such build
     prepares. A plugin that fails verification or compilation is logged
-    and yields [None]. With [bind] the
-    instance is tracked as outstanding against that connection and
-    reclaimed by {!recycle} when it closes. *)
+    and yields [None]. *)
+
+val release : t -> Connection.instance list -> unit
+(** Take back the instances a connection acquired, when it closes (the
+    endpoint's [owner.closed]); the node wipes each on its next
+    attachment. Failed connections return none, so a misbehaving
+    plugin's PREs are discarded. At most 256 are kept per plugin; the
+    rest count as evictions. *)
 
 type counters = { hits : int; misses : int; evictions : int; cached : int }
 

@@ -53,7 +53,7 @@ let negotiate_plugins c =
           end
         end
         else if peer_has then
-          match c.acquire_instance name with
+          match c.owner.acquire_instance c name with
           | Some inst -> (
             match PH.attach_instance c.po c inst with
             | _ -> Log.info (fun m -> m "injected local plugin %s" name)
@@ -74,7 +74,7 @@ let inject_local_plugins c =
   List.iter
     (fun name ->
       if not (PH.has_plugin c.po name) then
-        match c.acquire_instance name with
+        match c.owner.acquire_instance c name with
         | Some inst -> (
           try ignore (PH.attach_instance c.po c inst)
           with PH.Injection_failed e ->
@@ -87,7 +87,7 @@ let inject_local_plugins c =
 (* ------------------------------------------------------------------ *)
 
 let handle_plugin_validate c ~name ~formula =
-  match c.provide_plugin name ~formula with
+  match c.owner.provide_plugin c name ~formula with
   | Some (compressed, proof) ->
     Log.info (fun m ->
         m "providing plugin %s (%d bytes compressed, %d bytes of proofs)" name
@@ -143,12 +143,12 @@ let handle_plugin_chunk c ~name ~offset ~fin ~data =
         | plugin ->
           if plugin.Pluginop.Plugin.name <> name then
             Log.warn (fun m -> m "plugin name mismatch in transfer")
-          else if c.verify_plugin ~name ~bytes ~proof then begin
+          else if c.owner.verify_plugin c ~name ~bytes ~proof then begin
             Log.info (fun m ->
                 m "plugin %s verified and stored in the local cache" name);
             (* Remote plugins are not activated on the current connection but
                offered to subsequent ones (Section 3.4). *)
-            c.on_plugin_received plugin
+            c.owner.plugin_received c plugin
           end
           else Log.warn (fun m -> m "plugin %s failed proof verification" name))
     end

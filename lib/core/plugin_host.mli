@@ -14,10 +14,6 @@ val negotiate_plugins : t -> unit
     activate plugins both peers hold, roll back one-sided ones, request
     transfer of the missing ones (Section 3.4). *)
 
-val request_plugin_transfer : t -> string -> unit
-(** Ask the peer for a plugin and open its reassembly state: the only way
-    {!handle_plugin_chunk} accepts chunks for a name. *)
-
 val handle_plugin_validate : t -> name:string -> formula:string -> unit
 (** Peer asked for a plugin with a validation formula: serve the compressed
     bytecode + proof bundle on the plugin stream, or answer with an empty

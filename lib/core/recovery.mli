@@ -25,14 +25,6 @@ val set_loss_alarm : t -> unit
     [set_loss_timer] and [get_retransmission_delay] protoops can override
     the schedule. *)
 
-val declare_lost : t -> sent_packet -> unit
-(** Declare one in-flight packet lost: congestion response, stats, and the
-    per-frame loss notifications that queue retransmissions. *)
-
-val detect_losses : t -> unit
-(** Run the (replaceable) packet-threshold + time-threshold loss detector
-    over the in-flight table. *)
-
 val oldest_in_flight : t -> sent_packet option
 (** The oldest in-flight packet by send time, ties going to the first one
     [Pn_table.iter] meets over [sent]: a whole-table fold. *)

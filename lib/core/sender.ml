@@ -387,7 +387,7 @@ let build_and_send_packet c =
       { Quic.Packet.ptype; spin = c.spin; dcid = c.remote_cid;
         scid = c.local_cid; pn }
     in
-    let key = if long then c.initial_key else c.key in
+    let key = if long then initial_key else c.key in
     Quic.Packet.patch_header w ~off:hoff header;
     let hsize = Quic.Packet.header_size header in
     let payload_len = Quic.Writer.length w - hsize in
@@ -492,7 +492,7 @@ let send_probe_packet c ~ptype ~dcid ~scid ~dst frames =
   let hoff = Quic.Packet.reserve_header w header in
   List.iter (F.write w) frames;
   Quic.Packet.patch_header w ~off:hoff header;
-  let key = if ptype = Quic.Packet.One_rtt then c.key else c.initial_key in
+  let key = if ptype = Quic.Packet.One_rtt then c.key else initial_key in
   Quic.Packet.seal ~key w;
   let wire = Quic.Writer.contents w in
   c.stats.pkts_sent <- c.stats.pkts_sent + 1;

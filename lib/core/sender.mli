@@ -4,17 +4,10 @@
 
 open Conn_types
 
-val header_overhead : t -> int
-val payload_capacity : t -> long:bool -> int
-
-val stream_has_pending : t -> bool
 val something_to_send : t -> bool
 
 val get_stream : t -> int -> stream
 (** Get (or open, running the [stream_opened] protoop) a stream. *)
-
-val conn_flow_allowance : t -> int
-(** Connection-level flow-control room left for new stream data, bytes. *)
 
 val build_and_send_packet : t -> bool
 (** Assemble and transmit one packet; [false] when nothing was sent. *)

@@ -28,7 +28,7 @@ let make_quic () =
     Topology.single_path ~seed:7L
       { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
   in
-  C.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+  C.create ~owner:C.standalone ~sim:topo.Topology.sim ~net:topo.Topology.net
     ~cfg:{ C.default_config with initial_window }
     ~role:C.Client
     ~local_addr:(List.hd topo.Topology.client_addrs)

@@ -11,12 +11,12 @@ module Sim = Netsim.Sim
 
 let check = Alcotest.check
 
-let make_conn () =
+let make_conn ?(owner = C.standalone) () =
   let topo =
     Topology.single_path ~seed:7L
       { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
   in
-  C.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+  C.create ~owner ~sim:topo.Topology.sim ~net:topo.Topology.net
     ~cfg:C.default_config ~role:C.Client
     ~local_addr:(List.hd topo.Topology.client_addrs)
     ~remote_addr:topo.Topology.server_addr ~local_cid:1L ~remote_cid:2L
@@ -435,10 +435,17 @@ let test_stream_data_bounded_by_max_data () =
    reassembly state and reach no cache, even with a verifier that
    accepts everything. *)
 let test_unrequested_plugin_chunks_dropped () =
-  let c = make_conn () in
   let cached = ref [] in
-  c.C.verify_plugin <- (fun ~name:_ ~bytes:_ ~proof:_ -> true);
-  c.C.on_plugin_received <- (fun p -> cached := p :: !cached);
+  let c =
+    make_conn
+      ~owner:
+        {
+          C.standalone with
+          verify_plugin = (fun _ ~name:_ ~bytes:_ ~proof:_ -> true);
+          plugin_received = (fun _ p -> cached := p :: !cached);
+        }
+      ()
+  in
   let plugin = Plugins.Monitoring.plugin in
   let complete =
     let compressed = Compress.Lzss.compress (Pluginop.Plugin.serialize plugin) in

@@ -470,7 +470,7 @@ let test_fixed_memory_map () =
         { Netsim.Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
     in
     let c =
-      C.create ~sim:topo.Netsim.Topology.sim ~net:topo.Netsim.Topology.net
+      C.create ~owner:C.standalone ~sim:topo.Netsim.Topology.sim ~net:topo.Netsim.Topology.net
         ~cfg:C.default_config ~role:C.Client
         ~local_addr:(List.hd topo.Netsim.Topology.client_addrs)
         ~remote_addr:topo.Netsim.Topology.server_addr ~local_cid:1L

@@ -18,7 +18,7 @@ let make_conn () =
     Topology.single_path ~seed:7L
       { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
   in
-  C.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+  C.create ~owner:C.standalone ~sim:topo.Topology.sim ~net:topo.Topology.net
     ~cfg:C.default_config ~role:C.Client
     ~local_addr:(List.hd topo.Topology.client_addrs)
     ~remote_addr:topo.Topology.server_addr ~local_cid:1L ~remote_cid:2L

@@ -494,7 +494,8 @@ let sanction_conn () =
   let topo =
     Topology.single_path ~seed:11L { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
   in
-  Pquic.Connection.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+  Pquic.Connection.create ~owner:Pquic.Connection.standalone
+    ~sim:topo.Topology.sim ~net:topo.Topology.net
     ~cfg:Pquic.Connection.default_config ~role:Pquic.Connection.Server
     ~local_addr:topo.Topology.server_addr
     ~remote_addr:(List.hd topo.Topology.client_addrs) ~local_cid:1L

@@ -388,10 +388,10 @@ let test_one_compile_across_endpoints () =
   check Alcotest.bool "second build served from the global cache" true
     (c2.Pluginop.Pre.hits - c1.Pluginop.Pre.hits >= np)
 
-(* Close a plugin-bearing connection, open a fresh one injecting the same
-   plugin: no recompilation (global cache) and the node recycles the
-   wiped instance (node-scope cache hit). *)
-let test_cache_survives_close () =
+(* A client and a server endpoint over a 5 ms link, both listening; the
+   client holds [client_plugins], the server nothing unless given. *)
+let endpoint_pair ?node ?(client_plugins = [ Plugins.Monitoring.plugin ])
+    ?(server_plugins = []) () =
   let topo =
     Topology.single_path ~seed:11L
       { Topology.d_ms = 5.; bw_mbps = 50.; loss = 0. }
@@ -401,24 +401,45 @@ let test_cache_survives_close () =
     Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L ()
   in
   let client =
-    Pquic.Endpoint.create ~sim ~net
+    Pquic.Endpoint.create ?node ~sim ~net
       ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
   in
   Pquic.Endpoint.listen server;
   Pquic.Endpoint.listen client;
-  Pquic.Endpoint.add_plugin client Plugins.Monitoring.plugin;
-  let connect_and_close () =
+  List.iter (Pquic.Endpoint.add_plugin client) client_plugins;
+  List.iter (Pquic.Endpoint.add_plugin server) server_plugins;
+  let connect ?(plugins = [ Plugins.Monitoring.name ]) on_established =
     let c =
       Pquic.Endpoint.connect client ~remote_addr:topo.Topology.server_addr
-        ~plugins_to_inject:[ Plugins.Monitoring.name ]
+        ~plugins_to_inject:plugins
     in
-    c.Pquic.Connection.on_established <-
-      (fun () -> Pquic.Connection.close c ~reason:"done");
-    ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_sec 30.)) sim);
-    check Alcotest.bool "connection closed" true
-      (match Pquic.Connection.state c with
-      | Pquic.Connection.Closed -> true
-      | _ -> false)
+    c.Pquic.Connection.on_established <- (fun () -> on_established c);
+    c
+  in
+  let run () =
+    ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_sec 30.)) sim)
+  in
+  (client, connect, run)
+
+let is_closed c =
+  match Pquic.Connection.state c with Pquic.Connection.Closed -> true | _ -> false
+
+let is_failed c =
+  match Pquic.Connection.state c with
+  | Pquic.Connection.Failed _ -> true
+  | _ -> false
+
+let close c = Pquic.Connection.close c ~reason:"done"
+
+(* Close a plugin-bearing connection, open a fresh one injecting the same
+   plugin: no recompilation (global cache) and the node recycles the
+   wiped instance (node-scope cache hit). *)
+let test_cache_survives_close () =
+  let client, connect, run = endpoint_pair () in
+  let connect_and_close () =
+    let c = connect close in
+    run ();
+    check Alcotest.bool "connection closed" true (is_closed c)
   in
   connect_and_close ();
   let pre_before = Pluginop.Pre.cache_counters () in
@@ -429,6 +450,30 @@ let test_cache_survives_close () =
     (pre_after.Pluginop.Pre.misses - pre_before.Pluginop.Pre.misses);
   check Alcotest.bool "node recycled the closed connection's instance" true
     (Pquic.Endpoint.cache_hits client > node_hits_before)
+
+(* A connection that fails during its closing period stays failed when
+   the period ends: the application never hears [on_closed], and its
+   instances do not go back to the node, so the next connection's
+   acquire misses. *)
+let test_failed_while_closing () =
+  let client, connect, run = endpoint_pair () in
+  let closed = ref 0 in
+  let c =
+    connect (fun c ->
+        close c;
+        Pquic.Connection.fail_connection c "failed while closing")
+  in
+  c.Pquic.Connection.on_closed <- (fun () -> incr closed);
+  run ();
+  check Alcotest.bool "still failed after the closing period" true (is_failed c);
+  check Alcotest.int "on_closed never fired" 0 !closed;
+  let hits = Pquic.Endpoint.cache_hits client in
+  let misses = Pquic.Endpoint.cache_misses client in
+  ignore (connect ignore);
+  check Alcotest.int "next acquire is no hit" hits
+    (Pquic.Endpoint.cache_hits client);
+  check Alcotest.int "next acquire builds" (misses + 1)
+    (Pquic.Endpoint.cache_misses client)
 
 (* ------------------------------------------------------------------ *)
 (* Server engine front-end                                              *)
@@ -518,9 +563,131 @@ let test_server_accept_and_route () =
   Net.send net
     { Net.src = 2; dst = 1; size = 64;
       payload = Pquic.Connection.Quic_packet (Bytes.to_string broken) };
+  (* and one bit flipped in the payload the tag covers *)
+  let broken = Bytes.of_string (forge_initial 9_999) in
+  let pos = Bytes.length broken - P.tag_len - 1 in
+  Bytes.set broken pos (Char.chr (Char.code (Bytes.get broken pos) lxor 1));
+  Net.send net
+    { Net.src = 2; dst = 1; size = 64;
+      payload = Pquic.Connection.Quic_packet (Bytes.to_string broken) };
   ignore (Sim.run ~until:(Sim.now sim) sim);
   check Alcotest.int "unknown/unauthenticated packets accepted nothing" n
     (Pquic.Server.accepted srv)
+
+(* ------------------------------------------------------------------ *)
+(* The owner record: how a connection reaches its endpoint              *)
+(* ------------------------------------------------------------------ *)
+
+(* A closed connection hands back each instance it acquired exactly once
+   — the one negotiation rolled back (the server lacks Datagram)
+   included — and a failed one hands back none. *)
+let test_closed_returns_instances () =
+  let node = Pquic.Node.create () in
+  let _, connect, run =
+    endpoint_pair ~node
+      ~client_plugins:[ Plugins.Monitoring.plugin; Plugins.Datagram.plugin ]
+      ~server_plugins:[ Plugins.Monitoring.plugin ] ()
+  in
+  let plugins = [ Plugins.Monitoring.name; Plugins.Datagram.name ] in
+  let c = connect ~plugins close in
+  let acquired = c.Pquic.Connection.acquired in
+  check Alcotest.int "one instance per plugin" 2 (List.length acquired);
+  check Alcotest.(list string) "both attached" (List.sort compare plugins)
+    (List.sort compare (Pquic.Connection.plugin_names c));
+  run ();
+  check Alcotest.bool "closed" true (is_closed c);
+  check Alcotest.(list string) "datagram rolled back at negotiation"
+    [ Plugins.Monitoring.name ] (Pquic.Connection.plugin_names c);
+  let cached name =
+    match Hashtbl.find_opt node.Pquic.Node.instances name with
+    | Some q -> List.of_seq (Queue.to_seq q)
+    | None -> []
+  in
+  List.iter
+    (fun (inst : Pquic.Connection.instance) ->
+      let name = inst.plugin.Pluginop.Plugin.name in
+      check Alcotest.int (name ^ " returned once") 1
+        (List.length (List.filter (( == ) inst) (cached name))))
+    acquired;
+  check Alcotest.int "nothing else returned" 2
+    (Pquic.Node.counters node).Pquic.Node.cached;
+  check Alcotest.int "the connection keeps none" 0
+    (List.length c.Pquic.Connection.acquired);
+  let failed =
+    connect ~plugins (fun c -> Pquic.Connection.fail_connection c "failed")
+  in
+  check Alcotest.int "the failed connection took both" 0
+    (Pquic.Node.counters node).Pquic.Node.cached;
+  run ();
+  check Alcotest.bool "failed" true (is_failed failed);
+  check Alcotest.int "a failed connection returns none" 0
+    (Pquic.Node.counters node).Pquic.Node.cached
+
+(* A bound acquire costs the same however many pluginized connections
+   are live: minor words per acquire at 4,000 live connections stay
+   within 1.5x the figure at 1,000. *)
+let test_acquire_cost_flat () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let cfg = { Pquic.Connection.default_config with Pquic.Connection.lean = true } in
+  let ep = Pquic.Endpoint.create ~cfg ~sim ~net ~addr:1 ~seed:5L () in
+  Pquic.Endpoint.add_plugin ep Plugins.Monitoring.plugin;
+  let name = Plugins.Monitoring.name in
+  let live = ref 0 and last = ref None in
+  let words_per_acquire_at n =
+    while !live < n do
+      last :=
+        Some
+          (Pquic.Endpoint.connect ep ~remote_addr:2 ~plugins_to_inject:[ name ]);
+      incr live
+    done;
+    let c = Option.get !last in
+    let k = 20 in
+    let before = List.length c.Pquic.Connection.acquired in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to k do
+      ignore (c.Pquic.Connection.owner.acquire_instance c name)
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int k in
+    check Alcotest.int "every acquire bound to the connection" (before + k)
+      (List.length c.Pquic.Connection.acquired);
+    words
+  in
+  let at_1k = words_per_acquire_at 1_000 in
+  let at_4k = words_per_acquire_at 4_000 in
+  if at_4k > 1.5 *. at_1k then
+    Alcotest.failf "bound acquire: %.0f words at 1,000 live, %.0f at 4,000"
+      at_1k at_4k
+
+let lcg x = Int64.add (Int64.mul x 6364136223846793005L) 1442695040888963407L
+
+(* Without an endpoint, the k-th spare CID is k LCG steps from the
+   handshake CID. *)
+let test_standalone_cids () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let cid0 = dcid_of 0 in
+  let c =
+    Pquic.Connection.create ~owner:Pquic.Connection.standalone ~sim ~net
+      ~cfg:{ Pquic.Connection.default_config with cid_pool = 4 }
+      ~role:Pquic.Connection.Server ~local_addr:1 ~remote_addr:2
+      ~local_cid:cid0 ~remote_cid:(scid_of 0)
+      ~local_params:TP.default ()
+  in
+  let wire = forge_initial 0 in
+  Pquic.Connection.receive_datagram c
+    { Net.src = 2; dst = 1; size = String.length wire;
+      payload = Pquic.Connection.Quic_packet wire };
+  check Alcotest.bool "established" true
+    (Pquic.Connection.state c = Pquic.Connection.Established);
+  let l1 = lcg cid0 in
+  let l2 = lcg l1 in
+  let l3 = lcg l2 in
+  let l4 = lcg l3 in
+  check
+    Alcotest.(list (pair int64 int64))
+    "four LCG steps" [ (4L, l4); (3L, l3); (2L, l2); (1L, l1); (0L, cid0) ]
+    c.Pquic.Connection.local_cids
 
 let tests =
   [
@@ -556,6 +723,16 @@ let tests =
           test_one_compile_across_endpoints;
         Alcotest.test_case "cache survives connection close" `Quick
           test_cache_survives_close;
+        Alcotest.test_case "failed while closing stays failed" `Quick
+          test_failed_while_closing;
+      ] );
+    ( "owner",
+      [
+        Alcotest.test_case "closed returns its instances once" `Quick
+          test_closed_returns_instances;
+        Alcotest.test_case "acquire cost flat in live connections" `Quick
+          test_acquire_cost_flat;
+        Alcotest.test_case "standalone spare CIDs" `Quick test_standalone_cids;
       ] );
     ( "server",
       [
