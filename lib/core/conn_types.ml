@@ -77,17 +77,17 @@ type path_candidate = {
   mutable cand_tx : int; (* probe bytes sent to it (amplification credit) *)
 }
 
-(* What a sent packet carried, for ack/loss bookkeeping. Data-bearing
-   frames record only (offset, len) against their send buffer — the
-   payload bytes are never copied into retransmit state; a loss requeues
-   the range and the retransmission re-reads the send buffer. *)
+(* What a sent packet carried, for ack/loss bookkeeping. STREAM, CRYPTO
+   and PLUGIN frames record only their span of the send buffer they were
+   blitted from — the payload bytes are never copied into retransmit
+   state; a loss requeues the range there and the retransmission re-reads
+   it. *)
 type frame_record =
   | R_frame of F.t * Scheduler.reservation option
       (* control/ack/plugin-reserved frames; reservation set for the
          latter so notify_frame protoops can fire *)
-  | R_stream of { id : int; offset : int; len : int; fin : bool }
-  | R_crypto of { offset : int; len : int }
-  | R_plugin_data of { plugin : string; offset : int; len : int; fin : bool }
+  | R_span of { buf : Quic.Sendbuf.t; offset : int; len : int; fin : bool; app : bool }
+      (* [app]: an application stream's, counted in pkts_retransmitted *)
 
 type sent_packet = {
   pn : int64;
@@ -385,8 +385,8 @@ type t = {
   mutable recover_depth : int;
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
-  (* name -> reassembly and the bytes read from it so far *)
-  plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
+  (* name -> reassembly, read once when complete *)
+  plugin_in : (string, Quic.Recvbuf.t) Hashtbl.t;
   owner : owner;
   mutable acquired : instance list;
       (* what [owner.acquire_instance] handed us: returned on close *)

@@ -68,16 +68,17 @@ type path_candidate = {
     commits it onto the path; until then it carries nothing but probes,
     clamped to 3× [cand_rx] (§8.1 anti-amplification). *)
 
-(** What a sent packet carried, for ack/loss bookkeeping. Data-bearing
-    frames record only (offset, len) against their send buffer — payload
-    bytes are never copied into retransmit state. *)
+(** What a sent packet carried, for ack/loss bookkeeping. STREAM, CRYPTO
+    and PLUGIN frames record only their span of the send buffer they were
+    blitted from, and settle on that very buffer — payload bytes are never
+    copied into retransmit state. *)
 type frame_record =
   | R_frame of Quic.Frame.t * Scheduler.reservation option
       (** control/ack/plugin-reserved frames; the reservation is set for
           the latter so notify_frame protoops can fire *)
-  | R_stream of { id : int; offset : int; len : int; fin : bool }
-  | R_crypto of { offset : int; len : int }
-  | R_plugin_data of { plugin : string; offset : int; len : int; fin : bool }
+  | R_span of { buf : Quic.Sendbuf.t; offset : int; len : int; fin : bool; app : bool }
+      (** [app]: an application stream's span; only these count in
+          [pkts_retransmitted] when lost *)
 
 type sent_packet = {
   pn : int64;
@@ -299,9 +300,9 @@ type t = {
   mutable recover_depth : int;
   (* plugin exchange *)
   plugin_out : (string, Quic.Sendbuf.t) Hashtbl.t;
-  plugin_in : (string, Quic.Recvbuf.t * Buffer.t) Hashtbl.t;
-      (** incoming plugin transfers: name -> reassembly buffer and the
-          bytes already read from it; dropped with the connection *)
+  plugin_in : (string, Quic.Recvbuf.t) Hashtbl.t;
+      (** incoming plugin transfers: name -> reassembly buffer, read once
+          complete; dropped with the connection *)
   owner : owner;
   mutable acquired : instance list;
       (** what the endpoint's [owner.acquire_instance] handed this

@@ -336,6 +336,10 @@ let receive_stream c s ~offset ~fin buf ~off ~len =
   end;
   maybe_update_max_data c
 
+(* How far past its read offset the crypto stream buffers (RFC 9000 §7.5's
+   minimum): nothing reads it after the handshake *)
+let crypto_buffer_limit = 4096
+
 (* The data-bearing frame views, processed straight out of the datagram:
    stream and crypto payloads cross into the reassembly buffers through
    [Recvbuf.insert_sub] — the single copy of the receive path. *)
@@ -344,6 +348,13 @@ let process_core_view c buf view =
   | F.V_frame frame -> process_core_frame c frame
   | F.V_ack { largest; delay_us; first_len; count; off; len = _ } ->
     Recovery.process_ack c buf ~largest ~delay_us ~first_len ~count ~off
+  | F.V_crypto { offset; len; _ }
+    when Int64.to_int offset + len
+         > Quic.Recvbuf.read_offset c.crypto_recv + crypto_buffer_limit ->
+    fail_connection c
+      (Printf.sprintf
+         "crypto buffer exceeded: CRYPTO data more than %d bytes past the read offset"
+         crypto_buffer_limit)
   | F.V_crypto { offset; off; len } ->
     Quic.Recvbuf.insert_sub c.crypto_recv ~offset:(Int64.to_int offset)
       ~fin:false buf ~off ~len;

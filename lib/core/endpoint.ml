@@ -14,7 +14,8 @@
    Every connection reaches the endpoint through one [owner] record built
    in [create]: spare CIDs come from its RNG and are routed in its table,
    and the node's instances are recorded on the connection ([acquired])
-   and given back to the node when it closes. *)
+   and given back to the node when it closes, which also unroutes all its
+   CIDs (a failed connection stays routed). *)
 
 module Sim = Netsim.Sim
 module Net = Netsim.Net
@@ -66,6 +67,7 @@ let provide_plugin t name ~formula =
       Some (compressed, proof))
 
 let route t cid c = Table.add t.conns (Table.key_of_cid cid) c
+let unroute conns cid = Table.remove conns (Table.key_of_cid cid)
 
 let create ?(cfg = Connection.default_config) ?(extra_addrs = []) ?node
     ?(tweak_params = fun p -> p) ~sim ~net ~addr ~seed () =
@@ -96,7 +98,7 @@ let create ?(cfg = Connection.default_config) ?(extra_addrs = []) ?node
           let cid = fresh_cid t in
           route t cid c;
           cid);
-      retire_cid = (fun _ cid -> Table.remove conns (Table.key_of_cid cid));
+      retire_cid = (fun _ cid -> unroute conns cid);
       provide_plugin = (fun _ name ~formula -> provide_plugin t name ~formula);
       verify_plugin = (fun _ ~name ~bytes ~proof -> t.verifier ~name ~bytes ~proof);
       plugin_received = (fun _ plugin -> add_plugin t plugin);
@@ -108,7 +110,9 @@ let create ?(cfg = Connection.default_config) ?(extra_addrs = []) ?node
       closed =
         (fun c ->
           Node.release node c.Connection.acquired;
-          c.acquired <- []);
+          c.acquired <- [];
+          (* the handshake CID is seq 0 of [local_cids] until retired *)
+          List.iter (fun (_, cid) -> unroute conns cid) c.local_cids);
     }
   in
   t

@@ -19,7 +19,7 @@ open Conn_types
 let request_plugin_transfer c name =
   Log.info (fun m -> m "requesting plugin %s from peer" name);
   if not (Hashtbl.mem c.plugin_in name) then
-    Hashtbl.replace c.plugin_in name (Quic.Recvbuf.create (), Buffer.create 4096);
+    Hashtbl.replace c.plugin_in name (Quic.Recvbuf.create ());
   Queue.push
     (F.Plugin_validate { plugin = name; formula = c.cfg.trust_formula })
     c.ctrl
@@ -86,30 +86,33 @@ let inject_local_plugins c =
 (* Plugin exchange over the connection (Section 3.4)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A repeated request (re-sent when its packet is declared lost) for a
+   name already served changes nothing: no restart, no recompression. *)
 let handle_plugin_validate c ~name ~formula =
-  match c.owner.provide_plugin c name ~formula with
-  | Some (compressed, proof) ->
-    Log.info (fun m ->
-        m "providing plugin %s (%d bytes compressed, %d bytes of proofs)" name
-          (String.length compressed) (String.length proof));
-    (* authentication paths are longer than an MTU, so the proof bundle
-       travels on the plugin stream ahead of the bytecode: a small
-       PLUGIN_PROOF frame announces it *)
-    Queue.push
-      (F.Plugin_proof { plugin = name; proof = "stream" })
-      c.ctrl;
-    let sb = Quic.Sendbuf.create () in
-    let framed = Buffer.create (String.length proof + String.length compressed + 4) in
-    Buffer.add_int32_be framed (Int32.of_int (String.length proof));
-    Buffer.add_string framed proof;
-    Buffer.add_string framed compressed;
-    Quic.Sendbuf.write sb (Buffer.contents framed);
-    Quic.Sendbuf.finish sb;
-    Hashtbl.replace c.plugin_out name sb;
-    wake c
-  | None ->
-    Queue.push (F.Plugin_proof { plugin = name; proof = "" }) c.ctrl;
-    wake c
+  if not (Hashtbl.mem c.plugin_out name) then
+    match c.owner.provide_plugin c name ~formula with
+    | Some (compressed, proof) ->
+      Log.info (fun m ->
+          m "providing plugin %s (%d bytes compressed, %d bytes of proofs)" name
+            (String.length compressed) (String.length proof));
+      (* authentication paths are longer than an MTU, so the proof bundle
+         travels on the plugin stream ahead of the bytecode: a small
+         PLUGIN_PROOF frame announces it *)
+      Queue.push
+        (F.Plugin_proof { plugin = name; proof = "stream" })
+        c.ctrl;
+      let sb = Quic.Sendbuf.create () in
+      let framed = Buffer.create (String.length proof + String.length compressed + 4) in
+      Buffer.add_int32_be framed (Int32.of_int (String.length proof));
+      Buffer.add_string framed proof;
+      Buffer.add_string framed compressed;
+      Quic.Sendbuf.write sb (Buffer.contents framed);
+      Quic.Sendbuf.finish sb;
+      Hashtbl.replace c.plugin_out name sb;
+      wake c
+    | None ->
+      Queue.push (F.Plugin_proof { plugin = name; proof = "" }) c.ctrl;
+      wake c
 
 let handle_plugin_chunk c ~name ~offset ~fin ~data =
   match Hashtbl.find_opt c.plugin_in name with
@@ -117,12 +120,11 @@ let handle_plugin_chunk c ~name ~offset ~fin ~data =
     (* not requested, or already complete: a peer cannot make this side
        hold a transfer it did not ask for *)
     Log.debug (fun m -> m "dropping PLUGIN chunk for unrequested %s" name)
-  | Some (rb, acc) ->
+  | Some rb ->
     Quic.Recvbuf.insert rb ~offset:(Int64.to_int offset) ~fin data;
-    Buffer.add_string acc (Quic.Recvbuf.read rb);
     if Quic.Recvbuf.is_finished rb then begin
       Hashtbl.remove c.plugin_in name;
-      let blob = Buffer.contents acc in
+      let blob = Quic.Recvbuf.read rb in
       let proof, compressed =
         if String.length blob >= 4 then begin
           let plen = Int32.to_int (String.get_int32_be blob 0) in

@@ -17,7 +17,8 @@ val negotiate_plugins : t -> unit
 val handle_plugin_validate : t -> name:string -> formula:string -> unit
 (** Peer asked for a plugin with a validation formula: serve the compressed
     bytecode + proof bundle on the plugin stream, or answer with an empty
-    PLUGIN_PROOF. *)
+    PLUGIN_PROOF. A request for a name already being served changes
+    nothing. *)
 
 val handle_plugin_chunk :
   t -> name:string -> offset:int64 -> fin:bool -> data:string -> unit

@@ -120,24 +120,12 @@ let set_loss_alarm c =
 let notify_frame_fate c (fr : frame_record) ~acked =
   let lost = not acked in
   match fr with
-  | R_stream { id; offset; len; fin } -> (
-    match Hashtbl.find_opt c.streams id with
-    | None -> ()
-    | Some s ->
-      if acked then Quic.Sendbuf.on_acked s.sendb ~offset ~len ~fin
-      else begin
-        Quic.Sendbuf.on_lost s.sendb ~offset ~len ~fin;
-        c.stats.pkts_retransmitted <- c.stats.pkts_retransmitted + 1
-      end)
-  | R_crypto { offset; len } ->
-    if acked then Quic.Sendbuf.on_acked c.crypto_send ~offset ~len ~fin:false
-    else Quic.Sendbuf.on_lost c.crypto_send ~offset ~len ~fin:false
-  | R_plugin_data { plugin; offset; len; fin } -> (
-    match Hashtbl.find_opt c.plugin_out plugin with
-    | None -> ()
-    | Some sb ->
-      if acked then Quic.Sendbuf.on_acked sb ~offset ~len ~fin
-      else Quic.Sendbuf.on_lost sb ~offset ~len ~fin)
+  | R_span { buf; offset; len; fin; app } ->
+    if acked then Quic.Sendbuf.on_acked buf ~offset ~len ~fin
+    else begin
+      Quic.Sendbuf.on_lost buf ~offset ~len ~fin;
+      if app then c.stats.pkts_retransmitted <- c.stats.pkts_retransmitted + 1
+    end
   | R_frame (F.Max_data _, _) -> if lost then c.max_data_frame_pending <- true
   | R_frame
       ( (( F.Plugin_validate _ | F.Plugin_proof _ | F.Handshake_done

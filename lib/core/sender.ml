@@ -213,6 +213,14 @@ let build_and_send_packet c =
     in
     account ~ae (F.size frame)
   in
+  (* STREAM, CRYPTO or PLUGIN data after its [header]-byte frame header:
+     blit the span from its send buffer and record it against that buffer *)
+  let emit_span buf ~app ~off ~len ~fin ~header =
+    let dst, dst_off = Quic.Writer.alloc w len in
+    Quic.Sendbuf.blit buf ~off ~len dst ~dst_off;
+    records := R_span { buf; offset = off; len; fin; app } :: !records;
+    account ~ae:true (header + len)
+  in
   c.cur_has_stream <- false;
   ignore (run_op c Protoop.before_sending_packet [||]);
   (* acknowledgments ride along whenever owed *)
@@ -251,13 +259,11 @@ let build_and_send_packet c =
   let rec drain_crypto () =
     if !room_ae > 16 && Quic.Sendbuf.has_pending c.crypto_send then begin
       match Quic.Sendbuf.next_span c.crypto_send ~max_len:(!room_ae - 12) with
-      | Some (off, len, _fin) ->
+      | Some (off, len, fin) ->
         let offset = i64 off in
         F.write_crypto_header w ~offset ~len;
-        let buf, dst_off = Quic.Writer.alloc w len in
-        Quic.Sendbuf.blit c.crypto_send ~off ~len buf ~dst_off;
-        records := R_crypto { offset = off; len } :: !records;
-        account ~ae:true (F.crypto_header_size ~offset ~len + len);
+        emit_span c.crypto_send ~app:false ~off ~len ~fin
+          ~header:(F.crypto_header_size ~offset ~len);
         drain_crypto ()
       | None -> ()
     end
@@ -267,8 +273,8 @@ let build_and_send_packet c =
     add (F.Max_data c.max_data_local);
     c.max_data_frame_pending <- false
   end;
-  (* plugin bytecode transfer (PLUGIN frames) *)
-  let drain_plugin_chunks () =
+  (* plugin bytecode transfer (PLUGIN frames), no iterator when idle *)
+  if Hashtbl.length c.plugin_out > 0 then
     Hashtbl.iter
       (fun name sb ->
         let continue = ref true in
@@ -280,18 +286,11 @@ let build_and_send_packet c =
           | Some (off, len, fin) ->
             let offset = i64 off in
             F.write_plugin_chunk_header w ~plugin:name ~offset ~fin ~len;
-            let buf, dst_off = Quic.Writer.alloc w len in
-            Quic.Sendbuf.blit sb ~off ~len buf ~dst_off;
-            records :=
-              R_plugin_data { plugin = name; offset = off; len; fin }
-              :: !records;
-            account ~ae:true
-              (F.plugin_chunk_header_size ~plugin:name ~offset + len)
+            emit_span sb ~app:false ~off ~len ~fin
+              ~header:(F.plugin_chunk_header_size ~plugin:name ~offset)
           | None -> continue := false
         done)
-      c.plugin_out
-  in
-  drain_plugin_chunks ();
+      c.plugin_out;
   (* plugin-reserved frames and stream data share each packet: plugins
      fill first on their turn ([plugin_turn]) or when no stream data
      waits, stream data fills what is left, and the other side fills
@@ -351,10 +350,8 @@ let build_and_send_packet c =
           | Some (off, len, fin) ->
             let offset = i64 off in
             F.write_stream_header w ~id:sid ~offset ~fin ~len;
-            let buf, dst_off = Quic.Writer.alloc w len in
-            Quic.Sendbuf.blit s.sendb ~off ~len buf ~dst_off;
-            records := R_stream { id = sid; offset = off; len; fin } :: !records;
-            account ~ae:true (F.stream_header_size ~id:sid ~offset ~len + len);
+            emit_span s.sendb ~app:true ~off ~len ~fin
+              ~header:(F.stream_header_size ~id:sid ~offset ~len);
             c.cur_has_stream <- true;
             let sent_end = off + len in
             if sent_end > s.flow_sent then begin

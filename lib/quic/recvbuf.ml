@@ -1,9 +1,14 @@
 (* Receiver-side stream reassembly: out-of-order segments are held until the
-   contiguous prefix grows; the application reads in order. *)
+   contiguous prefix grows; the application reads in order. Segments sit
+   in a map by offset, so a fragment costs O(log n). None lies below
+   [read_offset] and none straddles [highest], which makes the frontier
+   and [read] plain map probes. *)
+
+module Segs = Map.Make (Int)
 
 type t = {
-  mutable segments : (int * string) list;
-  (* (offset, data), sorted by offset and disjoint: each byte is held once *)
+  mutable segments : string Segs.t;
+  (* offset -> data, disjoint: each byte is held once *)
   mutable read_offset : int;              (* delivered to the application *)
   mutable fin_offset : int option;        (* final size once FIN is seen *)
   mutable highest : int;                  (* highest contiguous offset received *)
@@ -11,7 +16,7 @@ type t = {
 }
 
 let create () =
-  { segments = []; read_offset = 0; fin_offset = None; highest = 0;
+  { segments = Segs.empty; read_offset = 0; fin_offset = None; highest = 0;
     received_end = 0 }
 
 let note_fin t ~final =
@@ -27,27 +32,34 @@ let note_end t e = if e > t.received_end then t.received_end <- e
    adds only what is new — nothing, and copies nothing, when it is wholly
    covered. *)
 let store t ~offset s ~off ~len =
-  let piece lo hi = (lo, String.sub s (off + lo - offset) (hi - lo)) in
-  let rec ins lo hi segs =
-    match segs with
-    | _ when lo >= hi -> segs
-    | [] -> [ piece lo hi ]
-    | ((o, d) as seg) :: rest ->
-      if hi <= o then piece lo hi :: segs
-      else
-        let rest = ins (max lo (o + String.length d)) hi rest in
-        if lo < o then piece lo o :: seg :: rest else seg :: rest
+  let hi = offset + len in
+  let piece lo hi =
+    t.segments <- Segs.add lo (String.sub s (off + lo - offset) (hi - lo)) t.segments
   in
-  t.segments <- ins (max offset t.read_offset) (offset + len) t.segments
+  let rec fill lo =
+    if lo < hi then
+      match Segs.find_first_opt (fun o -> o >= lo) t.segments with
+      | Some (o, d) when o < hi ->
+        if lo < o then piece lo o;
+        fill (o + String.length d)
+      | _ -> piece lo hi
+  in
+  let lo = max offset t.read_offset in
+  if lo < hi then
+    (* skip what a segment starting at or before [lo] already holds *)
+    match Segs.find_last_opt (fun o -> o <= lo) t.segments with
+    | Some (o, d) -> fill (max lo (o + String.length d))
+    | None -> fill lo
 
-(* advance the contiguous frontier *)
+(* advance the contiguous frontier: a segment holding the byte at the
+   frontier starts exactly there *)
 let advance t =
-  let rec frontier pos = function
-    | [] -> pos
-    | (o, d) :: rest ->
-      if o > pos then pos else frontier (max pos (o + String.length d)) rest
+  let rec frontier pos =
+    match Segs.find_opt pos t.segments with
+    | Some d -> frontier (pos + String.length d)
+    | None -> pos
   in
-  t.highest <- frontier (max t.highest t.read_offset) t.segments
+  t.highest <- frontier (max t.highest t.read_offset)
 
 (* The single copy of the zero-copy receive path: the new bytes of a frame
    view's payload cross from the borrowed datagram into the reassembly
@@ -63,13 +75,13 @@ let insert t ~offset ~fin data =
 
 (* In-order fast path: when a frame lands exactly at the read offset with
    nothing buffered ahead of it, the host can hand its payload straight to
-   the application without staging it in the segment list — the common
+   the application without staging it in the segment map — the common
    case of a bulk transfer arriving in order. This only moves the
    bookkeeping; the caller performs the single payload copy itself (it
    owns the borrowed wire buffer) and delivers, exactly as a
    store-then-[read] round trip would have. *)
 let insert_inline t ~offset ~fin ~len =
-  if offset = t.read_offset && t.segments = [] then begin
+  if offset = t.read_offset && Segs.is_empty t.segments then begin
     if fin then note_fin t ~final:(offset + len);
     note_end t (offset + len);
     t.read_offset <- offset + len;
@@ -78,35 +90,26 @@ let insert_inline t ~offset ~fin ~len =
   end
   else false
 
-(* Read all contiguous data available past the read offset. *)
+(* Read all contiguous data past the read offset: the segments below the
+   frontier, each wholly. *)
 let read t =
   if t.highest <= t.read_offset then ""
   else begin
-    let want_from = t.read_offset and want_to = t.highest in
-    let out = Bytes.create (want_to - want_from) in
-    List.iter
-      (fun (o, d) ->
-        let seg_end = o + String.length d in
-        if seg_end > want_from && o < want_to then begin
-          let src_start = max 0 (want_from - o) in
-          let dst_start = max 0 (o - want_from) in
-          let len = min seg_end want_to - max o want_from in
-          Bytes.blit_string d src_start out dst_start len
-        end)
-      t.segments;
-    t.read_offset <- want_to;
-    (* drop fully consumed segments *)
-    t.segments <-
-      List.filter (fun (o, d) -> o + String.length d > t.read_offset) t.segments;
+    let from = t.read_offset in
+    let out = Bytes.create (t.highest - from) in
+    let below, _, above = Segs.split t.highest t.segments in
+    Segs.iter
+      (fun o d -> Bytes.blit_string d 0 out (o - from) (String.length d))
+      below;
+    t.segments <- above;
+    t.read_offset <- t.highest;
     (* [out] is fresh and never written again: hand it over uncopied *)
     Bytes.unsafe_to_string out
   end
 
 let contiguous t = t.highest
+let read_offset t = t.read_offset
 let received_end t = t.received_end
 
 let is_finished t =
-  match t.fin_offset with Some f -> t.highest >= f && t.read_offset >= f | None -> false
-
-let fin_seen t = t.fin_offset <> None
-
+  match t.fin_offset with Some f -> t.highest >= f | None -> false

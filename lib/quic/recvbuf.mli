@@ -1,5 +1,6 @@
 (** Receiver-side stream reassembly: out-of-order segments are held until
-    the contiguous prefix grows; the application reads in order. *)
+    the contiguous prefix grows; the application reads in order. Each
+    fragment costs O(log n) in the segments held. *)
 
 type t
 
@@ -31,10 +32,14 @@ val read : t -> string
 
 val contiguous : t -> int
 
+val read_offset : t -> int
+(** How far the application has read: bytes below it are never held. *)
+
 val received_end : t -> int
 (** The highest stream offset any inserted fragment reached (its end),
     whether or not its bytes were new: the stream's contribution to
     connection flow control (RFC 9000 §4.1). *)
 
 val is_finished : t -> bool
-val fin_seen : t -> bool
+(** The FIN has been seen and every byte before it has arrived, read or
+    not. *)

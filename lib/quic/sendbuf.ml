@@ -166,16 +166,6 @@ let blit t ~off ~len dst ~dst_off =
     done
   end
 
-(* Copying variant of [next_span], for callers outside the pooled
-   datapath (tests, reference paths). *)
-let next_chunk t ~max_len =
-  match next_span t ~max_len with
-  | None -> None
-  | Some (off, len, fin) ->
-    let b = Bytes.create len in
-    blit t ~off ~len b ~dst_off:0;
-    Some (off, Bytes.unsafe_to_string b, fin)
-
 (* Merge (off, len) into the sorted disjoint list [ranges]. *)
 let merge_range ranges (off, len) =
   if len = 0 then ranges

@@ -36,10 +36,6 @@ val blit : t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
     @raise Invalid_argument if it reaches into released bytes or past
     the end of the written data. *)
 
-val next_chunk : t -> max_len:int -> (int * string * bool) option
-(** Copying variant of {!next_span}, for callers outside the pooled
-    datapath (tests, reference paths). *)
-
 val on_acked : t -> offset:int -> len:int -> fin:bool -> unit
 (** Records the range as acknowledged. Precondition: no part of it is
     queued for retransmission. A range is requeued only by {!on_lost},

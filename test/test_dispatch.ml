@@ -302,8 +302,8 @@ let test_wide_param_names_no_entry () =
    peer had sent it. *)
 let receive_forged ?(pn = 0L) c payload =
   let header =
-    { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false; dcid = 1L;
-      scid = 2L; pn }
+    { Quic.Packet.ptype = Quic.Packet.One_rtt; spin = false;
+      dcid = c.C.local_cid; scid = 2L; pn }
   in
   let packet = Quic.Packet.protect ~key:c.C.key { Quic.Packet.header; payload } in
   let p = c.C.paths.(0) in
@@ -470,6 +470,74 @@ let test_unrequested_plugin_chunks_dropped () =
   check Alcotest.int "no reassembly state" 0 (Hashtbl.length c.C.plugin_in);
   check Alcotest.int "nothing cached" 0 (List.length !cached)
 
+(* The crypto stream holds at most 4,096 bytes past its read offset
+   (RFC 9000 §7.5): a CRYPTO frame ending exactly there is held, one
+   ending a byte further fails the connection before it is stored, and a
+   flood of 1,000 frames of 1,000 bytes at gapped offsets fails the
+   connection on its first frame and grows it by almost nothing. *)
+let test_crypto_flood_bounded () =
+  let crypto offset =
+    Frame_ref.to_string
+      (Quic.Frame.Crypto
+         { offset = Int64.of_int offset; data = String.make 1000 'c' })
+  in
+  let exceeded =
+    "crypto buffer exceeded: CRYPTO data more than 4096 bytes past the read \
+     offset"
+  in
+  let c = make_conn () in
+  receive_forged ~pn:0L c (crypto 3096);
+  check Alcotest.string "ends at the limit: still open" "" c.C.close_reason;
+  receive_forged ~pn:1L c (crypto 3097);
+  check Alcotest.string "one byte past the limit" exceeded c.C.close_reason;
+  let c = make_conn () in
+  let words = Obj.reachable_words (Obj.repr c) in
+  for k = 0 to 999 do
+    receive_forged ~pn:(Int64.of_int k) c (crypto (100_000 + (2000 * k)))
+  done;
+  check Alcotest.string "flood fails the connection" exceeded c.C.close_reason;
+  let grown = (Obj.reachable_words (Obj.repr c) - words) * (Sys.word_size / 8) in
+  check Alcotest.bool
+    (Printf.sprintf "connection grew %d B (< 10 kB)" grown)
+    true (grown < 10_000)
+
+(* A repeated PLUGIN_VALIDATE — the requester re-sends it whenever its
+   packet is declared lost — is answered once: the transfer keeps its
+   send buffer (it does not restart at offset 0) and one PLUGIN_PROOF is
+   queued, through an endpoint whose prover serves the plugin. *)
+let test_plugin_validate_answered_once () =
+  let topo =
+    Topology.single_path ~seed:7L
+      { Topology.d_ms = 10.; bw_mbps = 20.; loss = 0. }
+  in
+  let ep =
+    Pquic.Endpoint.create ~sim:topo.Topology.sim ~net:topo.Topology.net
+      ~addr:topo.Topology.server_addr ~seed:1L ()
+  in
+  let plugin = Plugins.Monitoring.plugin in
+  let name = plugin.Pluginop.Plugin.name in
+  Pquic.Endpoint.add_plugin ep plugin;
+  ep.Pquic.Endpoint.prover <- (fun ~name:_ ~formula:_ -> Some "proof");
+  let c =
+    Pquic.Endpoint.connect ep ~remote_addr:(List.hd topo.Topology.client_addrs)
+  in
+  let validate pn =
+    receive_forged ~pn c
+      (Frame_ref.to_string
+         (Quic.Frame.Plugin_validate { plugin = name; formula = "any" }))
+  in
+  validate 0L;
+  let sb = Hashtbl.find c.C.plugin_out name in
+  validate 1L;
+  check Alcotest.bool "same send buffer" true
+    (Hashtbl.find c.C.plugin_out name == sb);
+  let proofs =
+    Queue.fold
+      (fun n f -> match f with Quic.Frame.Plugin_proof _ -> n + 1 | _ -> n)
+      0 c.C.ctrl
+  in
+  check Alcotest.int "one PLUGIN_PROOF queued" 1 proofs
+
 (* Nor may a pluglet bring one in: reserving a frame of that type, or
    running an operation with it as the param, is an API violation. *)
 let wide_caller name body =
@@ -538,6 +606,10 @@ let tests =
         test_peer_streams_bounded;
       Alcotest.test_case "unrequested plugin chunks dropped" `Quick
         test_unrequested_plugin_chunks_dropped;
+      Alcotest.test_case "CRYPTO flood bounded" `Quick
+        test_crypto_flood_bounded;
+      Alcotest.test_case "PLUGIN_VALIDATE answered once" `Quick
+        test_plugin_validate_answered_once;
       Alcotest.test_case "stream data bounded by MAX_DATA" `Quick
         test_stream_data_bounded_by_max_data;
     ]);

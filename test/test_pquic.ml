@@ -743,7 +743,7 @@ let test_abandoned_transfer_stays_with_its_connection () =
      state exists from the request on *)
   let in_flight () =
     Hashtbl.fold
-      (fun _ (rb, _) acc -> acc || Quic.Recvbuf.contiguous rb > 0)
+      (fun _ rb acc -> acc || Quic.Recvbuf.contiguous rb > 0)
       conn.Pquic.Connection.plugin_in false
   in
   while (not (in_flight ())) && Sim.run ~max_events:1 sim > 0 do

@@ -286,6 +286,15 @@ let test_ackranges_bounded () =
 
 (* --------------------------- stream buffers --------------------------- *)
 
+(* [Sendbuf.next_span] with the span's bytes copied out *)
+let next_chunk sb ~max_len =
+  match Quic.Sendbuf.next_span sb ~max_len with
+  | None -> None
+  | Some (off, len, fin) ->
+    let b = Bytes.create len in
+    Quic.Sendbuf.blit sb ~off ~len b ~dst_off:0;
+    Some (off, Bytes.unsafe_to_string b, fin)
+
 (* deliver exactly the written bytes whatever the segmentation and
    whatever the loss/ack interleaving *)
 let sendbuf_recvbuf_roundtrip =
@@ -306,7 +315,7 @@ let sendbuf_recvbuf_roundtrip =
       let steps = ref 0 in
       while (Quic.Sendbuf.has_pending sb || !lost_chunks <> []) && !steps < 10_000 do
         incr steps;
-        (match Quic.Sendbuf.next_chunk sb ~max_len:chunk with
+        (match next_chunk sb ~max_len:chunk with
         | Some (off, bytes, fin) ->
           let lose =
             match !losses with
@@ -428,22 +437,120 @@ let test_recvbuf_holds_each_byte_once () =
   check Alcotest.string "exact bytes after the hole fills" data
     (Quic.Recvbuf.read rb)
 
+(* Differential test against [Recvbuf_ref], the list-backed receive
+   buffer: random fragments (overlapping, repeated, some with bytes that
+   differ from an earlier copy, some carrying a FIN that may contradict
+   an earlier one), in-order fast-path attempts and reads. After every
+   step both must agree on the bytes read, the frontier, the read offset,
+   the received end, [is_finished] and whether the step raised. *)
+type recvbuf_op =
+  | Rb_insert of int * int * bool * bool (* offset, len, fin, differing copy *)
+  | Rb_inline of int * int * bool (* offset past the read offset, len, fin *)
+  | Rb_read
+
+let recvbuf_op_to_string = function
+  | Rb_insert (o, l, fin, x) ->
+    Printf.sprintf "insert %d+%d%s%s" o l (if fin then " fin" else "")
+      (if x then " x" else "")
+  | Rb_inline (d, l, fin) ->
+    Printf.sprintf "inline +%d %d%s" d l (if fin then " fin" else "")
+  | Rb_read -> "read"
+
+let gen_recvbuf_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map
+            (fun (o, l, fin, x) -> Rb_insert (o, l, fin, x))
+            (quad (int_range 0 300) (int_range 0 60)
+               (frequency [ (8, return false); (1, return true) ])
+               (frequency [ (4, return false); (1, return true) ])) );
+        ( 1,
+          map3
+            (fun d l fin -> Rb_inline (d, l, fin))
+            (frequency [ (3, return 0); (1, int_range 1 5) ])
+            (int_range 0 40)
+            (frequency [ (8, return false); (1, return true) ]) );
+        (2, return Rb_read);
+      ])
+
+let recvbuf_matches_reference =
+  qtest ~count:500 "recvbuf matches its list reference"
+    ~print:(fun ops -> String.concat "; " (List.map recvbuf_op_to_string ops))
+    QCheck2.Gen.(list_size (int_range 0 150) gen_recvbuf_op)
+    (fun ops ->
+      let rb = Quic.Recvbuf.create () and m = Recvbuf_ref.create () in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_report s) fmt in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+      let same what a b = if outcome a <> outcome b then fail "%s differs" what in
+      let byte x k = Char.chr ((if x then 65 else 97) + (k mod 26)) in
+      let step = function
+        | Rb_insert (offset, len, fin, x) ->
+          let data = String.init len (fun i -> byte x (offset + i)) in
+          same "insert"
+            (fun () -> Quic.Recvbuf.insert rb ~offset ~fin data)
+            (fun () -> Recvbuf_ref.insert m ~offset ~fin data)
+        | Rb_inline (d, len, fin) ->
+          let offset = Quic.Recvbuf.read_offset rb + d in
+          same "insert_inline"
+            (fun () -> Quic.Recvbuf.insert_inline rb ~offset ~fin ~len)
+            (fun () -> Recvbuf_ref.insert_inline m ~offset ~fin ~len)
+        | Rb_read -> same "read" (fun () -> Quic.Recvbuf.read rb) (fun () -> Recvbuf_ref.read m)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let ints what a b = if a <> b then fail "%s: %d vs %d" what a b in
+          ints "contiguous" (Quic.Recvbuf.contiguous rb) (Recvbuf_ref.contiguous m);
+          ints "read_offset" (Quic.Recvbuf.read_offset rb) (Recvbuf_ref.read_offset m);
+          ints "received_end" (Quic.Recvbuf.received_end rb) (Recvbuf_ref.received_end m);
+          if Quic.Recvbuf.is_finished rb <> Recvbuf_ref.is_finished m then fail "is_finished")
+        ops;
+      Quic.Recvbuf.read rb = Recvbuf_ref.read m)
+
+(* A fragment costs O(log n) in the segments held: one-byte fragments at
+   every other offset, never contiguous, ascending — the order that makes
+   the list reference rebuild its whole list per fragment. Minor words
+   allocated (deterministic, unlike time) for 16n fragments stay within
+   2 x 16 times those for n; the same measure on the reference exceeds
+   that bound, so it separates the two. *)
+let test_recvbuf_fragment_cost () =
+  let words insert create n =
+    let rb = create () in
+    let w0 = Gc.minor_words () in
+    for k = 0 to n - 1 do
+      insert rb ~offset:((2 * k) + 1) ~fin:false "x"
+    done;
+    Gc.minor_words () -. w0
+  in
+  let ratio insert create n = words insert create (16 * n) /. words insert create n in
+  let n = 128 in
+  let real = ratio Quic.Recvbuf.insert Quic.Recvbuf.create n in
+  let reference = ratio Recvbuf_ref.insert Recvbuf_ref.create n in
+  check Alcotest.bool
+    (Printf.sprintf "16n/n words %.1f (<= 32)" real)
+    true (real <= 32.);
+  check Alcotest.bool
+    (Printf.sprintf "list reference 16n/n words %.1f (> 32)" reference)
+    true (reference > 32.)
+
 let test_sendbuf_retransmit_priority () =
   let sb = Quic.Sendbuf.create () in
   Quic.Sendbuf.write sb (String.make 100 'a');
-  (match Quic.Sendbuf.next_chunk sb ~max_len:50 with
+  (match next_chunk sb ~max_len:50 with
   | Some (0, _, false) -> ()
   | _ -> Alcotest.fail "first chunk");
   Quic.Sendbuf.on_lost sb ~offset:0 ~len:50 ~fin:false;
   (* retransmission comes before new data *)
-  match Quic.Sendbuf.next_chunk sb ~max_len:50 with
+  match next_chunk sb ~max_len:50 with
   | Some (0, bytes, _) -> check Alcotest.int "retransmit len" 50 (String.length bytes)
   | _ -> Alcotest.fail "expected retransmission"
 
 let test_sendbuf_acked_not_retransmitted () =
   let sb = Quic.Sendbuf.create () in
   Quic.Sendbuf.write sb (String.make 100 'a');
-  ignore (Quic.Sendbuf.next_chunk sb ~max_len:100);
+  ignore (next_chunk sb ~max_len:100);
   Quic.Sendbuf.on_acked sb ~offset:0 ~len:100 ~fin:false;
   Quic.Sendbuf.on_lost sb ~offset:0 ~len:100 ~fin:false;
   check Alcotest.bool "ack wins over loss" false (Quic.Sendbuf.has_pending sb)
@@ -723,6 +830,9 @@ let tests =
       recvbuf_duplicate_segments;
       Alcotest.test_case "recvbuf holds each byte once" `Quick
         test_recvbuf_holds_each_byte_once;
+      recvbuf_matches_reference;
+      Alcotest.test_case "recvbuf fragment cost O(log n)" `Quick
+        test_recvbuf_fragment_cost;
     ]);
     ("packet", [
       Alcotest.test_case "tamper detection" `Quick test_packet_tamper;

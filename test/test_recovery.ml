@@ -508,6 +508,26 @@ let test_older_live_ranges_walked () =
     [ 0L; 2L; 3L; 6L; 7L; 8L; 11L; 12L; 13L; 15L; 16L; 17L; 18L; 19L ]
     (acked ())
 
+(* A lost span settles on the send buffer it came from, and only an
+   application stream's counts as a retransmission: a packet of CRYPTO
+   data, then one of STREAM data, both declared lost by the loss alarm
+   (tail probe, then full timeout). *)
+let test_only_stream_spans_retransmitted () =
+  let c = fresh_sender () in
+  Quic.Sendbuf.write c.C.crypto_send (String.make 300 'h');
+  check Alcotest.bool "crypto packet sent" true (Pquic.Sender.build_and_send_packet c);
+  C.write_stream c ~id:0 (String.make 300 's');
+  check Alcotest.bool "stream packet sent" true (Pquic.Sender.build_and_send_packet c);
+  Pquic.Recovery.on_loss_alarm ~reprobe:ignore c;
+  Pquic.Recovery.on_loss_alarm ~reprobe:ignore c;
+  let st = c.C.stats in
+  check Alcotest.int "both packets lost" 2 st.C.pkts_lost;
+  check Alcotest.int "one stream span retransmitted" 1 st.C.pkts_retransmitted;
+  check Alcotest.bool "crypto span requeued on the crypto buffer" true
+    (Quic.Sendbuf.has_retransmissions c.C.crypto_send);
+  check Alcotest.bool "stream span requeued on the stream buffer" true
+    (Quic.Sendbuf.has_retransmissions (Hashtbl.find c.C.streams 0).C.sendb)
+
 (* A cut-off ACK still fails the connection as malformed: the parser
    bounds-checks every range varint it skips. Each prefix arrives as an
    authenticated packet on the normal receive path. *)
@@ -559,5 +579,10 @@ let tests =
           test_older_live_ranges_walked;
         Alcotest.test_case "truncated ACK fails the connection" `Quick
           test_truncated_ack_fails;
+      ] );
+    ( "spans",
+      [
+        Alcotest.test_case "only stream spans count as retransmitted" `Quick
+          test_only_stream_spans_retransmitted;
       ] );
   ]

@@ -390,7 +390,7 @@ let test_one_compile_across_endpoints () =
 
 (* A client and a server endpoint over a 5 ms link, both listening; the
    client holds [client_plugins], the server nothing unless given. *)
-let endpoint_pair ?node ?(client_plugins = [ Plugins.Monitoring.plugin ])
+let endpoint_pair ?cfg ?node ?(client_plugins = [ Plugins.Monitoring.plugin ])
     ?(server_plugins = []) () =
   let topo =
     Topology.single_path ~seed:11L
@@ -398,10 +398,11 @@ let endpoint_pair ?node ?(client_plugins = [ Plugins.Monitoring.plugin ])
   in
   let sim = topo.Topology.sim and net = topo.Topology.net in
   let server =
-    Pquic.Endpoint.create ~sim ~net ~addr:topo.Topology.server_addr ~seed:1L ()
+    Pquic.Endpoint.create ?cfg ~sim ~net ~addr:topo.Topology.server_addr
+      ~seed:1L ()
   in
   let client =
-    Pquic.Endpoint.create ?node ~sim ~net
+    Pquic.Endpoint.create ?cfg ?node ~sim ~net
       ~addr:(List.hd topo.Topology.client_addrs) ~seed:2L ()
   in
   Pquic.Endpoint.listen server;
@@ -419,7 +420,7 @@ let endpoint_pair ?node ?(client_plugins = [ Plugins.Monitoring.plugin ])
   let run () =
     ignore (Sim.run ~until:(Int64.add (Sim.now sim) (Sim.of_sec 30.)) sim)
   in
-  (client, connect, run)
+  (client, server, connect, run)
 
 let is_closed c =
   match Pquic.Connection.state c with Pquic.Connection.Closed -> true | _ -> false
@@ -435,7 +436,7 @@ let close c = Pquic.Connection.close c ~reason:"done"
    plugin: no recompilation (global cache) and the node recycles the
    wiped instance (node-scope cache hit). *)
 let test_cache_survives_close () =
-  let client, connect, run = endpoint_pair () in
+  let client, _, connect, run = endpoint_pair () in
   let connect_and_close () =
     let c = connect close in
     run ();
@@ -451,12 +452,31 @@ let test_cache_survives_close () =
   check Alcotest.bool "node recycled the closed connection's instance" true
     (Pquic.Endpoint.cache_hits client > node_hits_before)
 
+(* A closed connection leaves its endpoint: once both ends of a
+   connection with two spare CIDs each are closed, neither endpoint
+   routes any of their CIDs, so [connection_count] reads 0 on both. *)
+let test_closed_connections_unrouted () =
+  let cfg = { Pquic.Connection.default_config with cid_pool = 2 } in
+  let client, server, connect, run = endpoint_pair ~cfg () in
+  let accepted = ref None in
+  server.Pquic.Endpoint.on_connection <- (fun c -> accepted := Some c);
+  let c = connect close in
+  run ();
+  check Alcotest.bool "client connection closed" true (is_closed c);
+  check Alcotest.bool "server connection closed" true
+    (match !accepted with Some s -> is_closed s | None -> false);
+  check Alcotest.int "spare CIDs issued" 3 (List.length c.Pquic.Connection.local_cids);
+  check Alcotest.int "client endpoint forgot it" 0
+    (Pquic.Endpoint.connection_count client);
+  check Alcotest.int "server endpoint forgot it" 0
+    (Pquic.Endpoint.connection_count server)
+
 (* A connection that fails during its closing period stays failed when
    the period ends: the application never hears [on_closed], and its
    instances do not go back to the node, so the next connection's
    acquire misses. *)
 let test_failed_while_closing () =
-  let client, connect, run = endpoint_pair () in
+  let client, _, connect, run = endpoint_pair () in
   let closed = ref 0 in
   let c =
     connect (fun c ->
@@ -583,7 +603,7 @@ let test_server_accept_and_route () =
    included — and a failed one hands back none. *)
 let test_closed_returns_instances () =
   let node = Pquic.Node.create () in
-  let _, connect, run =
+  let _, _, connect, run =
     endpoint_pair ~node
       ~client_plugins:[ Plugins.Monitoring.plugin; Plugins.Datagram.plugin ]
       ~server_plugins:[ Plugins.Monitoring.plugin ] ()
@@ -723,6 +743,8 @@ let tests =
           test_one_compile_across_endpoints;
         Alcotest.test_case "cache survives connection close" `Quick
           test_cache_survives_close;
+        Alcotest.test_case "closed connections leave the endpoint" `Quick
+          test_closed_connections_unrouted;
         Alcotest.test_case "failed while closing stays failed" `Quick
           test_failed_while_closing;
       ] );
